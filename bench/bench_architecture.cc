@@ -404,19 +404,6 @@ int main() {
          traced->explain.find("plan") != std::string::npos;
     bench::Row("    EXPLAIN ANALYZE span tree ........................ %s",
                Check(ok));
-
-    // Slow-query log: threshold 0 means everything is slow.
-    static std::string captured;
-    captured.clear();
-    SetSlowQuerySink([](const std::string& line) { captured = line; });
-    SetSlowQueryThresholdMs(0.0);
-    auto again = ExecuteQueryTraced(
-        &db, "SELECT knn(5) FROM arch ORDER BY distance(" + vec + ")");
-    SetSlowQueryThresholdMs(-1.0);
-    SetSlowQuerySink(nullptr);
-    ok = again.ok() && captured.find("[slow-query]") != std::string::npos;
-    bench::Row("    slow-query log (VDB_SLOW_QUERY_MS) ............... %s",
-               Check(ok));
   }
   return 0;
 }

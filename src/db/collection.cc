@@ -539,6 +539,9 @@ Status Collection::Hybrid(VectorView query, const Predicate& pred,
 
   if (lsm_ != nullptr) {
     // LSM collections run single-stage filtering through the segments.
+    if (stats != nullptr) {
+      stats->plan = HybridPlan{PlanKind::kVisitFirstIndexScan, 3.0f};
+    }
     PredicateIdFilter filter(&pred, &attrs_);
     p.filter = &filter;
     p.filter_mode = FilterMode::kVisitFirst;
@@ -551,16 +554,16 @@ Status Collection::Hybrid(VectorView query, const Predicate& pred,
     plan = *forced_plan;
   } else if (optimizer_ != nullptr) {
     TraceScope plan_span(p.trace, "plan");
-    VDB_ASSIGN_OR_RETURN(plan, optimizer_->Choose(pred, View(), p));
+    VDB_ASSIGN_OR_RETURN(
+        plan, optimizer_->Choose(pred, View(), p,
+                                 stats != nullptr ? &stats->est_selectivity
+                                                  : nullptr));
     plan_span.Note("chosen", plan.ToString());
-    if (stats != nullptr) {
-      auto s = pred.EstimateSelectivity(attrs_);
-      if (s.ok()) stats->est_selectivity = *s;
-    }
   } else {
     plan = opts_.predefined_plan;
     if (index_ == nullptr) plan.kind = PlanKind::kBruteForceHybrid;
   }
+  if (stats != nullptr) stats->plan = plan;
   HybridExecutor executor(View());
   return executor.Execute(plan, pred, query.data(), p, out, stats);
 }

@@ -73,8 +73,10 @@ struct CkSearchResult {
 /// (c,k)-search, hybrid, batched, multi-vector), with optional WAL
 /// durability and LSM out-of-place updates.
 ///
-/// Not thread-safe; external synchronization required for concurrent use
-/// (ShardedCollection provides the parallel read path).
+/// Not thread-safe for writers; external synchronization required for
+/// concurrent use (ShardedCollection provides the parallel read path).
+/// `const` queries may share one collection, as server workers do: the
+/// attribute statistics cache they fill guards itself.
 class Collection {
  public:
   static Result<std::unique_ptr<Collection>> Create(CollectionOptions opts);

@@ -356,9 +356,9 @@ Result<QueryResult> ExecuteQueryTraced(Database* db, const std::string& text,
 
   // The pipeline runs inside a lambda so that *every* exit — parse
   // error, missing collection, expired deadline, backend failure — falls
-  // through to the latency histogram, the slow-query log, and the flight
-  // recorder below. Failures are exactly the completions the flight
-  // recorder exists to retain.
+  // through to the latency histogram and the flight recorder below.
+  // Failures are exactly the completions the flight recorder exists to
+  // retain.
   auto run = [&]() -> Status {
     TraceScope root(&trace, "query");
     ParsedQuery query;
@@ -384,15 +384,11 @@ Result<QueryResult> ExecuteQueryTraced(Database* db, const std::string& text,
           "query deadline expired before execution");
     }
     if (query.has_predicate) {
-      // Report the plan the optimizer would pick; execution re-plans
-      // internally (planning is a cheap selectivity estimate).
-      VDB_ASSIGN_OR_RETURN(HybridPlan plan,
-                           collection->ExplainHybrid(query.predicate, &params));
-      result.plan = plan.ToString();
       VDB_RETURN_IF_ERROR(collection->Hybrid(query.query_vector,
                                              query.predicate, query.k,
                                              &result.rows, &result.stats,
                                              nullptr, &params));
+      if (result.stats.plan) result.plan = result.stats.plan->ToString();
     } else {
       VDB_RETURN_IF_ERROR(collection->Knn(query.query_vector, query.k,
                                           &result.rows, &result.stats.search,
@@ -404,7 +400,6 @@ Result<QueryResult> ExecuteQueryTraced(Database* db, const std::string& text,
 
   const double total_ms = trace.TotalMillis();
   latency.Observe(total_ms / 1e3);
-  MaybeLogSlowQuery(trace, text);
   FlightRecorder& recorder = FlightRecorder::Global();
   if (std::uint64_t seq = recorder.NoteCompletion(!st.ok(), total_ms)) {
     FlightRecord rec;

@@ -74,7 +74,7 @@ struct QueryOptions {
 /// Parses and executes against `db` (hybrid path when a WHERE clause is
 /// present, plain k-NN otherwise). The relational-optimizer analogy of
 /// §2.4(2): the collection's configured plan optimizer picks the plan.
-/// Every query is traced (spans feed the slow-query log and, under
+/// Every query is traced (spans feed the flight recorder and, under
 /// EXPLAIN ANALYZE or `opts.trace`, the returned `explain` text) and
 /// counted in the global metrics registry. Every completion — success
 /// or failure — is offered to the global FlightRecorder, which retains

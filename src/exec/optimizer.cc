@@ -29,12 +29,14 @@ std::vector<HybridPlan> EnumeratePlans(const CollectionView& view,
 
 Result<HybridPlan> RuleBasedOptimizer::Choose(const Predicate& pred,
                                               const CollectionView& view,
-                                              const SearchParams& params) const {
+                                              const SearchParams& params,
+                                              double* est_selectivity) const {
   (void)params;
   if (view.index == nullptr) {
     return HybridPlan{PlanKind::kBruteForceHybrid, 3.0f};
   }
   VDB_ASSIGN_OR_RETURN(double s, pred.EstimateSelectivity(*view.attrs));
+  if (est_selectivity != nullptr) *est_selectivity = s;
   if (s < opts_.brute_force_below) {
     // Few matches: score them all exactly; no index needed.
     return HybridPlan{PlanKind::kBruteForceHybrid, 3.0f};
@@ -96,8 +98,10 @@ double CostBasedOptimizer::EstimateCost(const HybridPlan& plan, double s,
 
 Result<HybridPlan> CostBasedOptimizer::Choose(const Predicate& pred,
                                               const CollectionView& view,
-                                              const SearchParams& params) const {
+                                              const SearchParams& params,
+                                              double* est_selectivity) const {
   VDB_ASSIGN_OR_RETURN(double s, pred.EstimateSelectivity(*view.attrs));
+  if (est_selectivity != nullptr) *est_selectivity = s;
   const std::size_t n = view.vectors->live_count();
   auto plans = EnumeratePlans(view, pred);
   double best_cost = std::numeric_limits<double>::max();

@@ -15,13 +15,16 @@ namespace vdb {
 std::vector<HybridPlan> EnumeratePlans(const CollectionView& view,
                                        const Predicate& pred);
 
-/// Plan selection interface (paper §2.3 "Plan Selection").
+/// Plan selection interface (paper §2.3 "Plan Selection"). A choice
+/// estimates the predicate's selectivity at most once; when
+/// `est_selectivity` is non-null it receives that estimate (and is left
+/// untouched when the choice needed none).
 class PlanOptimizer {
  public:
   virtual ~PlanOptimizer() = default;
-  virtual Result<HybridPlan> Choose(const Predicate& pred,
-                                    const CollectionView& view,
-                                    const SearchParams& params) const = 0;
+  virtual Result<HybridPlan> Choose(
+      const Predicate& pred, const CollectionView& view,
+      const SearchParams& params, double* est_selectivity = nullptr) const = 0;
 };
 
 /// Rule-based selection on selectivity thresholds (the Qdrant/Vespa
@@ -38,7 +41,8 @@ class RuleBasedOptimizer final : public PlanOptimizer {
   explicit RuleBasedOptimizer(const RuleBasedOptions& opts = {})
       : opts_(opts) {}
   Result<HybridPlan> Choose(const Predicate& pred, const CollectionView& view,
-                            const SearchParams& params) const override;
+                            const SearchParams& params,
+                            double* est_selectivity = nullptr) const override;
 
  private:
   RuleBasedOptions opts_;
@@ -62,7 +66,8 @@ class CostBasedOptimizer final : public PlanOptimizer {
   explicit CostBasedOptimizer(const CostModel& model = {}) : model_(model) {}
 
   Result<HybridPlan> Choose(const Predicate& pred, const CollectionView& view,
-                            const SearchParams& params) const override;
+                            const SearchParams& params,
+                            double* est_selectivity = nullptr) const override;
 
   /// Estimated cost of one plan at selectivity `s` over `n` rows; exposed
   /// for tests and the E5 benchmark. Plans expected to return fewer than k

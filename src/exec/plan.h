@@ -1,6 +1,7 @@
 #ifndef VDB_EXEC_PLAN_H_
 #define VDB_EXEC_PLAN_H_
 
+#include <optional>
 #include <string>
 
 #include "core/types.h"
@@ -50,6 +51,7 @@ struct ExecStats {
   std::size_t bitmask_rows = 0;   ///< rows touched building a bitmask
   std::size_t matching_rows = 0;  ///< bitmask cardinality (when built)
   double est_selectivity = -1.0;  ///< optimizer's estimate (when consulted)
+  std::optional<HybridPlan> plan;  ///< the plan Collection::Hybrid executed
 };
 
 }  // namespace vdb

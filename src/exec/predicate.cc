@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 namespace vdb {
 
@@ -78,38 +80,55 @@ bool Predicate::AsSingleEquality(std::string* column, AttrValue* value) const {
 
 namespace {
 
+// Three-way comparison shared by the per-row and column-at-a-time paths.
+// Mixed int64/double operands compare as doubles (numeric promotion); a
+// NaN operand compares equal to everything.
+template <typename A, typename B>
+int ThreeWay(const A& a, const B& b) {
+  if constexpr (std::is_same_v<A, B>) {
+    return a < b ? -1 : (a > b ? 1 : 0);
+  } else {
+    return ThreeWay(static_cast<double>(a), static_cast<double>(b));
+  }
+}
+
+// Whether values of types A and B may be compared (string vs number may not).
+template <typename A, typename B>
+constexpr bool kComparable =
+    std::is_same_v<A, std::string> == std::is_same_v<B, std::string>;
+
+Status TypeMismatch() {
+  return Status::InvalidArgument("type mismatch in predicate");
+}
+
+// Returns `fn(lit)` with `v` unwrapped to its alternative, or the
+// type-mismatch error when `v` cannot compare against column values of T.
+template <typename T, typename Fn>
+Status VisitLiteral(const AttrValue& v, Fn&& fn) {
+  return std::visit(
+      [&](const auto& lit) -> Status {
+        if constexpr (kComparable<T, std::decay_t<decltype(lit)>>) {
+          return fn(lit);
+        } else {
+          return TypeMismatch();
+        }
+      },
+      v);
+}
+
 // Three-way comparison of a stored value against a literal; returns
 // InvalidArgument on type mismatch.
 Result<int> CompareValues(const AttrValue& stored, const AttrValue& literal) {
-  if (stored.index() != literal.index()) {
-    // int64 vs double comparisons are allowed (numeric promotion).
-    const bool numeric =
-        stored.index() != 2 && literal.index() != 2;
-    if (!numeric) return Status::InvalidArgument("type mismatch in predicate");
-    double a = stored.index() == 0
-                   ? static_cast<double>(std::get<std::int64_t>(stored))
-                   : std::get<double>(stored);
-    double b = literal.index() == 0
-                   ? static_cast<double>(std::get<std::int64_t>(literal))
-                   : std::get<double>(literal);
-    return a < b ? -1 : (a > b ? 1 : 0);
-  }
-  switch (TypeOf(stored)) {
-    case AttrType::kInt64: {
-      auto a = std::get<std::int64_t>(stored), b = std::get<std::int64_t>(literal);
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-    case AttrType::kDouble: {
-      auto a = std::get<double>(stored), b = std::get<double>(literal);
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-    case AttrType::kString: {
-      const auto& a = std::get<std::string>(stored);
-      const auto& b = std::get<std::string>(literal);
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-  }
-  return Status::Internal("bad attr type");
+  return std::visit(
+      [](const auto& a, const auto& b) -> Result<int> {
+        if constexpr (kComparable<std::decay_t<decltype(a)>,
+                                  std::decay_t<decltype(b)>>) {
+          return ThreeWay(a, b);
+        } else {
+          return TypeMismatch();
+        }
+      },
+      stored, literal);
 }
 
 bool ApplyOp(CmpOp op, int cmp) {
@@ -124,6 +143,9 @@ bool ApplyOp(CmpOp op, int cmp) {
   return false;
 }
 
+// Selectivity guessed for a range comparison without a histogram.
+constexpr double kStringRangeGuess = 0.33;
+
 double AsDouble(const AttrValue& v) {
   switch (TypeOf(v)) {
     case AttrType::kInt64:
@@ -134,6 +156,24 @@ double AsDouble(const AttrValue& v) {
       return 0.0;
   }
   return 0.0;
+}
+
+// Fraction of rows below `v` read from the equi-width histogram,
+// interpolating linearly inside the bucket that holds `v`.
+double FractionBelow(const ColumnStats& stats, double v) {
+  double total = 0.0, below = 0.0;
+  double width = (stats.max - stats.min) / 16.0;
+  for (std::size_t b = 0; b < stats.histogram.size(); ++b) {
+    total += static_cast<double>(stats.histogram[b]);
+    double bucket_hi = stats.min + width * static_cast<double>(b + 1);
+    if (bucket_hi <= v) {
+      below += static_cast<double>(stats.histogram[b]);
+    } else if (bucket_hi - width < v && width > 0.0) {
+      below += static_cast<double>(stats.histogram[b]) *
+               (v - (bucket_hi - width)) / width;
+    }
+  }
+  return total > 0.0 ? below / total : 0.5;
 }
 
 }  // namespace
@@ -182,16 +222,12 @@ Result<bool> Predicate::MatchesRow(const AttributeStore& attrs,
 }
 
 Result<Bitset> Predicate::Evaluate(const AttributeStore& attrs) const {
-  const std::size_t n = attrs.NumRows();
-  Bitset bits(n);
   // Leaf predicates evaluate column-at-a-time; boolean nodes combine
   // bitsets (the standard vectorized filtering pipeline).
   const Node& node = *node_;
   switch (node.kind) {
-    case Kind::kTrue: {
-      bits.SetAll();
-      return bits;
-    }
+    case Kind::kTrue:
+      return Bitset(attrs.NumRows(), true);
     case Kind::kAnd: {
       VDB_ASSIGN_OR_RETURN(Bitset a, Predicate(node.left).Evaluate(attrs));
       VDB_ASSIGN_OR_RETURN(Bitset b, Predicate(node.right).Evaluate(attrs));
@@ -209,15 +245,66 @@ Result<Bitset> Predicate::Evaluate(const AttributeStore& attrs) const {
       a.Not();
       return a;
     }
-    default: {
-      for (std::size_t row = 0; row < n; ++row) {
-        VDB_ASSIGN_OR_RETURN(bool match,
-                             MatchesRow(attrs, static_cast<VectorId>(row)));
-        if (match) bits.Set(row);
-      }
-      return bits;
-    }
+    default:
+      return EvaluateLeaf(attrs);
   }
+}
+
+Result<Bitset> Predicate::EvaluateLeaf(const AttributeStore& attrs) const {
+  const Node& n = *node_;
+  const std::size_t rows = attrs.NumRows();
+  Bitset bits(rows);
+  // With no rows MatchesRow never runs, so neither does its column lookup.
+  if (rows == 0) return bits;
+  VDB_ASSIGN_OR_RETURN(AttrType type, attrs.ColumnType(n.column));
+  // Resolves the column once, then compares raw values with MatchesRow's
+  // ThreeWay: same promotion, NaN and string order, same errors.
+  auto scan = [&](const auto& col) -> Status {
+    using T = typename std::decay_t<decltype(col)>::value_type;
+    auto set_if = [&](auto keep) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        if (keep(col[r])) bits.Set(r);
+      }
+      return Status::Ok();
+    };
+    switch (n.kind) {
+      case Kind::kCmp:
+        return VisitLiteral<T>(n.values[0], [&](const auto& v) {
+          return set_if(
+              [&](const T& x) { return ApplyOp(n.op, ThreeWay(x, v)); });
+        });
+      case Kind::kIn:
+        for (const AttrValue& value : n.values) {
+          // A literal of the wrong type matches nothing; not an error.
+          (void)VisitLiteral<T>(value, [&](const auto& v) {
+            return set_if([&](const T& x) { return ThreeWay(x, v) == 0; });
+          });
+        }
+        return Status::Ok();
+      case Kind::kBetween:
+        return VisitLiteral<T>(n.values[0], [&](const auto& lo) {
+          return VisitLiteral<T>(n.values[1], [&](const auto& hi) {
+            return set_if([&](const T& x) {
+              return ThreeWay(x, lo) >= 0 && ThreeWay(x, hi) <= 0;
+            });
+          });
+        });
+      default:
+        return Status::Internal("not a leaf predicate");
+    }
+  };
+  switch (type) {
+    case AttrType::kInt64:
+      VDB_RETURN_IF_ERROR(scan(*attrs.Int64Column(n.column)));
+      break;
+    case AttrType::kDouble:
+      VDB_RETURN_IF_ERROR(scan(*attrs.DoubleColumn(n.column)));
+      break;
+    case AttrType::kString:
+      VDB_RETURN_IF_ERROR(scan(*attrs.StringColumn(n.column)));
+      break;
+  }
+  return bits;
 }
 
 Result<double> Predicate::EstimateSelectivity(
@@ -251,21 +338,8 @@ Result<double> Predicate::EstimateSelectivity(
       if (n.op == CmpOp::kEq) return 1.0 / ndv;
       if (n.op == CmpOp::kNe) return 1.0 - 1.0 / ndv;
       // Range ops via the histogram when numeric.
-      if (stats.histogram.empty()) return 0.33;  // string range: guess
-      double v = AsDouble(n.values[0]);
-      double total = 0.0, below = 0.0;
-      double width = (stats.max - stats.min) / 16.0;
-      for (std::size_t b = 0; b < stats.histogram.size(); ++b) {
-        total += static_cast<double>(stats.histogram[b]);
-        double bucket_hi = stats.min + width * static_cast<double>(b + 1);
-        if (bucket_hi <= v) {
-          below += static_cast<double>(stats.histogram[b]);
-        } else if (bucket_hi - width < v && width > 0.0) {
-          below += static_cast<double>(stats.histogram[b]) *
-                   (v - (bucket_hi - width)) / width;
-        }
-      }
-      double frac_below = total > 0.0 ? below / total : 0.5;
+      if (stats.histogram.empty()) return kStringRangeGuess;
+      double frac_below = FractionBelow(stats, AsDouble(n.values[0]));
       switch (n.op) {
         case CmpOp::kLt:
         case CmpOp::kLe:
@@ -274,7 +348,7 @@ Result<double> Predicate::EstimateSelectivity(
         case CmpOp::kGe:
           return std::clamp(1.0 - frac_below, 0.0, 1.0);
         default:
-          return 0.33;
+          return kStringRangeGuess;
       }
     }
     case Kind::kIn: {
@@ -283,20 +357,14 @@ Result<double> Predicate::EstimateSelectivity(
       return std::min(1.0, static_cast<double>(n.values.size()) / ndv);
     }
     case Kind::kBetween: {
-      Predicate range =
-          Predicate::And(Predicate::Cmp(n.column, CmpOp::kGe, n.values[0]),
-                         Predicate::Cmp(n.column, CmpOp::kLe, n.values[1]));
-      // Avoid the independence penalty: lo/hi on the same column are
-      // perfectly correlated, so estimate as (frac <= hi) - (frac < lo).
-      VDB_ASSIGN_OR_RETURN(
-          double below_hi,
-          Predicate::Cmp(n.column, CmpOp::kLe, n.values[1])
-              .EstimateSelectivity(attrs));
-      VDB_ASSIGN_OR_RETURN(
-          double below_lo,
-          Predicate::Cmp(n.column, CmpOp::kLt, n.values[0])
-              .EstimateSelectivity(attrs));
-      (void)range;
+      // lo/hi on the same column are perfectly correlated, so estimate as
+      // (frac <= hi) - (frac < lo) rather than under independence.
+      VDB_ASSIGN_OR_RETURN(ColumnStats stats, attrs.ComputeStats(n.column));
+      if (stats.histogram.empty()) return 0.0;  // the two guesses cancel
+      double below_hi =
+          std::clamp(FractionBelow(stats, AsDouble(n.values[1])), 0.0, 1.0);
+      double below_lo =
+          std::clamp(FractionBelow(stats, AsDouble(n.values[0])), 0.0, 1.0);
       return std::clamp(below_hi - below_lo, 0.0, 1.0);
     }
   }

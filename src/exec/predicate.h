@@ -59,6 +59,9 @@ class Predicate {
   explicit Predicate(std::shared_ptr<const Node> node)
       : node_(std::move(node)) {}
 
+  /// Bitmask of a kCmp / kIn / kBetween leaf, one pass over its column.
+  Result<Bitset> EvaluateLeaf(const AttributeStore& attrs) const;
+
   std::shared_ptr<const Node> node_;
 };
 

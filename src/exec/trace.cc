@@ -1,9 +1,6 @@
 #include "exec/trace.h"
 
 #include <cstdio>
-#include <cstdlib>
-
-#include "core/telemetry.h"
 
 namespace vdb {
 
@@ -138,55 +135,6 @@ std::string QueryTrace::StageSummary() const {
   }
   if (out.empty() && !spans_.empty()) append(spans_.front());
   return out;
-}
-
-// ------------------------------------------------------- slow-query log
-
-namespace {
-
-// -2 = uninitialized (read env lazily); < 0 after init = disabled.
-std::atomic<double> g_slow_query_ms{-2.0};
-std::atomic<void (*)(const std::string&)> g_slow_query_sink{nullptr};
-
-double SlowQueryThresholdMs() {
-  double ms = g_slow_query_ms.load(std::memory_order_relaxed);
-  if (ms != -2.0) return ms;
-  const char* env = std::getenv("VDB_SLOW_QUERY_MS");
-  ms = (env != nullptr && *env != '\0') ? std::atof(env) : -1.0;
-  g_slow_query_ms.store(ms, std::memory_order_relaxed);
-  return ms;
-}
-
-}  // namespace
-
-void SetSlowQueryThresholdMs(double ms) {
-  g_slow_query_ms.store(ms < 0 ? -1.0 : ms, std::memory_order_relaxed);
-}
-
-void SetSlowQuerySink(void (*sink)(const std::string&)) {
-  g_slow_query_sink.store(sink, std::memory_order_relaxed);
-}
-
-void MaybeLogSlowQuery(const QueryTrace& trace, const std::string& query_text) {
-  double threshold = SlowQueryThresholdMs();
-  if (threshold < 0) return;
-  double total = trace.TotalMillis();
-  if (total < threshold) return;
-  static Counter& slow_queries =
-      Registry::Global().GetCounter("vdb_slow_queries_total");
-  slow_queries.Inc();
-  char head[160];
-  std::snprintf(head, sizeof(head),
-                "[slow-query] %.3f ms (threshold %.3f ms): ", total, threshold);
-  std::string msg = head;
-  msg += query_text;
-  msg += "\n";
-  msg += trace.Render();
-  if (auto* sink = g_slow_query_sink.load(std::memory_order_relaxed)) {
-    sink(msg);
-  } else {
-    std::fwrite(msg.data(), 1, msg.size(), stderr);
-  }
 }
 
 }  // namespace vdb

@@ -52,7 +52,7 @@ class QueryTrace {
   double TotalMillis() const;
 
   /// Human-readable indented span tree with per-stage wall times, stats,
-  /// and notes — the body of EXPLAIN ANALYZE and the slow-query log.
+  /// and notes — the body of EXPLAIN ANALYZE and of flight records.
   std::string Render() const;
 
   /// Compact one-line per-stage latency attribution for wire transport
@@ -93,20 +93,6 @@ class TraceScope {
   QueryTrace* trace_;
   std::size_t id_ = 0;
 };
-
-// ------------------------------------------------------- slow-query log
-//
-// Queries slower than the threshold get their full span tree logged.
-// Threshold comes from env `VDB_SLOW_QUERY_MS` (unset/negative disables);
-// the setters below override it programmatically (tests, operators).
-
-/// Overrides the slow-query threshold; ms < 0 disables logging.
-void SetSlowQueryThresholdMs(double ms);
-/// Replaces the stderr sink (null restores stderr). For tests.
-void SetSlowQuerySink(void (*sink)(const std::string&));
-/// Logs `trace` (annotated with `query_text`) if it exceeded the
-/// threshold; increments `vdb_slow_queries_total` when it does.
-void MaybeLogSlowQuery(const QueryTrace& trace, const std::string& query_text);
 
 }  // namespace vdb
 

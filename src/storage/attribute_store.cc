@@ -19,6 +19,7 @@ Status AttributeStore::AddColumn(const std::string& name, AttrType type) {
   col.type = type;
   col.Resize(num_rows_);
   columns_.emplace(name, std::move(col));
+  ++epoch_;
   return Status::Ok();
 }
 
@@ -30,6 +31,7 @@ Result<AttrType> AttributeStore::ColumnType(const std::string& name) const {
 
 Status AttributeStore::PutRow(VectorId id,
                               const std::vector<AttrBinding>& attrs) {
+  ++epoch_;  // before any write: a failed PutRow may have changed rows
   std::size_t row = static_cast<std::size_t>(id);
   if (row >= num_rows_) {
     num_rows_ = row + 1;
@@ -78,9 +80,26 @@ Result<ColumnStats> AttributeStore::ComputeStats(
     const std::string& column) const {
   auto it = columns_.find(column);
   if (it == columns_.end()) return Status::NotFound("no column: " + column);
-  const Column& col = it->second;
-  ColumnStats stats;
+  // Every column was created by a mutation, so epoch_ >= 1 here and a
+  // fresh entry (epoch 0) is always stale. Holding the lock across the
+  // scan makes concurrent cold readers wait for one scan, not repeat it.
+  MutexLock lock(stats_mu_);
+  CachedStats& cached = stats_cache_[column];
+  if (cached.epoch != epoch_) {
+    cached.stats = ScanStats(it->second);
+    cached.epoch = epoch_;
+    ++stats_scans_;
+  }
+  return cached.stats;
+}
 
+std::size_t AttributeStore::StatsScans() const {
+  MutexLock lock(stats_mu_);
+  return stats_scans_;
+}
+
+ColumnStats AttributeStore::ScanStats(const Column& col) const {
+  ColumnStats stats;
   auto numeric = [&](auto getter) {
     stats.min = std::numeric_limits<double>::max();
     stats.max = std::numeric_limits<double>::lowest();
@@ -180,6 +199,7 @@ Status AttributeStore::Load(BinaryReader* reader) {
   if (FailpointFires("attribute_store.load.corrupt")) {
     return Status::Corruption("injected failure: attribute_store.load.corrupt");
   }
+  ++epoch_;
   columns_.clear();
   VDB_ASSIGN_OR_RETURN(num_rows_, reader->U64());
   VDB_ASSIGN_OR_RETURN(std::uint64_t ncols, reader->U64());

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/status.h"
+#include "core/sync.h"
 #include "core/types.h"
 
 namespace vdb {
@@ -36,11 +37,17 @@ struct ColumnStats {
   std::size_t approx_distinct = 0;
   /// Equi-width histogram over [min, max] (numeric columns, 16 buckets).
   std::vector<std::size_t> histogram;
+
+  bool operator==(const ColumnStats&) const = default;
 };
 
 /// Typed attribute columns aligned with a vector collection's rows. Rows
 /// are addressed by external VectorId (dense ids recommended). Supports
 /// bitmask construction for block-first filtering.
+///
+/// Mutations (`AddColumn`, `PutRow`, `Load`) need exclusive access, like
+/// any container. `const` members may run concurrently with each other:
+/// the statistics cache they fill is guarded by its own mutex.
 class AttributeStore {
  public:
   Status AddColumn(const std::string& name, AttrType type);
@@ -58,8 +65,13 @@ class AttributeStore {
   /// Number of rows (max id set + 1).
   std::size_t NumRows() const { return num_rows_; }
 
-  /// Recomputes statistics for `column` (histograms, distincts).
+  /// Statistics for `column` (histograms, distincts). Computed on first
+  /// use after a mutation and cached until the next one, so repeated
+  /// selectivity estimates cost a map lookup, not a column scan.
   Result<ColumnStats> ComputeStats(const std::string& column) const;
+
+  /// Number of column scans `ComputeStats` has made (cache misses).
+  std::size_t StatsScans() const;
 
   /// Raw column access for predicate evaluation.
   const std::vector<std::int64_t>* Int64Column(const std::string& name) const;
@@ -85,8 +97,24 @@ class AttributeStore {
     }
   };
 
+  struct CachedStats {
+    std::uint64_t epoch = 0;  ///< `epoch_` the stats were computed at
+    ColumnStats stats;
+  };
+
+  /// Scans `col` (the uncached half of ComputeStats).
+  ColumnStats ScanStats(const Column& col) const;
+
   std::unordered_map<std::string, Column> columns_;
   std::size_t num_rows_ = 0;
+  /// Bumped by every mutation; cache entries from older epochs are stale.
+  /// Written only under exclusive access, so readers need no lock for it.
+  std::uint64_t epoch_ = 0;
+
+  mutable Mutex stats_mu_;
+  mutable std::unordered_map<std::string, CachedStats> stats_cache_
+      VDB_GUARDED_BY(stats_mu_);
+  mutable std::size_t stats_scans_ VDB_GUARDED_BY(stats_mu_) = 0;
 };
 
 }  // namespace vdb

@@ -154,6 +154,66 @@ TEST(ConcurrencyStressTest, CollectionInsertSearchChurn) {
   EXPECT_GT(coll->Size(), 64u);
 }
 
+// The server-worker pattern: readers plan and run filtered queries on one
+// shared, unlocked collection, each round starting from a cold stats
+// cache (a single-threaded insert between rounds invalidates it). The
+// cache fill is the only write on this path; its mutex must keep every
+// column to one scan per round.
+TEST(ConcurrencyStressTest, SharedCollectionColdStatsCache) {
+  const std::size_t kDim = 8, kReaders = 4;
+  const std::size_t kRounds = 3 * StressScale(), kQueries = 20;
+
+  CollectionOptions opts;
+  opts.dim = kDim;
+  opts.attributes = {{"category", AttrType::kInt64},
+                     {"price", AttrType::kDouble}};
+  opts.index_factory = HnswFactory();
+  auto created = Collection::Create(opts);
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<Collection> coll = std::move(created).value();
+  FloatMatrix rows = TestData(300, kDim);
+  for (std::size_t i = 0; i < rows.rows(); ++i) {
+    ASSERT_TRUE(coll->Insert(static_cast<VectorId>(i), {rows.row(i), kDim},
+                             {{"category", std::int64_t(i % 5)},
+                              {"price", double(i % 97)}})
+                    .ok());
+  }
+  ASSERT_TRUE(coll->BuildIndex().ok());
+
+  const Predicate preds[] = {
+      Predicate::Cmp("category", CmpOp::kEq, AttrValue(std::int64_t(2))),
+      Predicate::Cmp("price", CmpOp::kLt, AttrValue(30.0)),
+      Predicate::And(
+          Predicate::Between("price", AttrValue(10.0), AttrValue(80.0)),
+          Predicate::In("category", {AttrValue(std::int64_t(1)),
+                                     AttrValue(std::int64_t(3))}))};
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    const std::size_t scans = coll->attributes().StatsScans();
+    std::atomic<std::size_t> ready{0};
+    RunThreads(kReaders, [&](std::size_t t) {
+      // Line the readers up so the first estimates race on a cold cache.
+      ready.fetch_add(1);
+      while (ready.load() < kReaders) std::this_thread::yield();
+      for (std::size_t i = 0; i < kQueries; ++i) {
+        const Predicate& pred = preds[(t + i) % 3];
+        EXPECT_TRUE(coll->ExplainHybrid(pred).ok());
+        std::vector<Neighbor> out;
+        ExecStats stats;
+        EXPECT_TRUE(coll->Hybrid({rows.row((t * 7 + i) % rows.rows()), kDim},
+                                 pred, 5, &out, &stats)
+                        .ok());
+        EXPECT_TRUE(stats.plan.has_value());
+        EXPECT_GE(stats.est_selectivity, 0.0);
+      }
+    });
+    EXPECT_EQ(coll->attributes().StatsScans(), scans + 2);  // two columns
+    VectorId id = static_cast<VectorId>(rows.rows() + round);
+    ASSERT_TRUE(coll->Insert(id, {rows.row(round), kDim},
+                             {{"category", std::int64_t(1)}, {"price", 5.0}})
+                    .ok());
+  }
+}
+
 // Checkpoint (shared lock, consistent read) racing writers and readers:
 // the snapshot path walks every store while mutation is in flight.
 TEST(ConcurrencyStressTest, CheckpointVsWriters) {

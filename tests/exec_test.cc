@@ -1,9 +1,16 @@
-// Tests for the query processor: predicate evaluation & selectivity,
-// hybrid plans (all strategies agree at generous knobs; post-filter
-// deficit), plan enumeration, rule- and cost-based optimizers, offline
-// partitioning, batched execution, and multi-vector aggregate search.
+// Tests for the query processor: predicate evaluation & selectivity
+// (column-at-a-time bitmasks checked against the per-row probe; cached
+// column statistics), hybrid plans (all strategies agree at generous
+// knobs; post-filter deficit), plan enumeration, rule- and cost-based
+// optimizers, offline partitioning, batched execution, and multi-vector
+// aggregate search.
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +19,9 @@
 #include "core/rng.h"
 #include "core/synthetic.h"
 #include "core/topk.h"
+#include "db/collection.h"
+#include "db/database.h"
+#include "db/query_language.h"
 #include "exec/batch.h"
 #include "exec/executor.h"
 #include "exec/multivector.h"
@@ -21,6 +31,7 @@
 #include "index/flat.h"
 #include "index/hnsw.h"
 #include "index/ivf.h"
+#include "storage/serializer.h"
 
 namespace vdb {
 namespace {
@@ -209,6 +220,373 @@ TEST(PredicateTest, ToStringRoundTripsShape) {
       Predicate::Cmp("a", CmpOp::kGe, I(3)),
       Predicate::Not(Predicate::In("b", {AttrValue(std::string("x"))})));
   EXPECT_EQ(pred.ToString(), "(a >= 3 AND NOT (b IN ('x')))");
+}
+
+// ------------------------------ column-at-a-time Evaluate vs per-row probe
+
+// A random predicate tree kept beside its Predicate so the test can run
+// the reference evaluation: each leaf row by row through MatchesRow,
+// boolean nodes combined over bitsets, errors surfacing left to right.
+struct RefTree {
+  enum class Op { kLeaf, kAnd, kOr, kNot } op = Op::kLeaf;
+  Predicate pred;
+  std::vector<RefTree> kids;
+};
+
+Result<Bitset> ReferenceEvaluate(const RefTree& t, const AttributeStore& attrs) {
+  if (t.op == RefTree::Op::kLeaf) {
+    Bitset bits(attrs.NumRows());
+    for (std::size_t r = 0; r < attrs.NumRows(); ++r) {
+      VDB_ASSIGN_OR_RETURN(bool match, t.pred.MatchesRow(attrs, r));
+      if (match) bits.Set(r);
+    }
+    return bits;
+  }
+  VDB_ASSIGN_OR_RETURN(Bitset a, ReferenceEvaluate(t.kids[0], attrs));
+  if (t.op == RefTree::Op::kNot) {
+    a.Not();
+    return a;
+  }
+  VDB_ASSIGN_OR_RETURN(Bitset b, ReferenceEvaluate(t.kids[1], attrs));
+  if (t.op == RefTree::Op::kAnd) {
+    a.And(b);
+  } else {
+    a.Or(b);
+  }
+  return a;
+}
+
+constexpr std::int64_t kTwo53 = std::int64_t{1} << 53;
+const std::int64_t kInts[] = {-5, -1, 0, 1, 2, 3, 7, kTwo53, kTwo53 + 1,
+                              std::numeric_limits<std::int64_t>::max()};
+const double kDoubles[] = {-1.5,
+                           -0.0,
+                           0.0,
+                           1.0,
+                           2.5,
+                           3.0,
+                           9007199254740992.0,  // 2^53: int promotion ties
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+const char* const kStrings[] = {"", "a", "ab", "b", "B", "hot"};
+
+template <typename T, std::size_t N>
+const T& Pick(Rng& rng, const T (&pool)[N]) {
+  return pool[rng.Next(N)];
+}
+
+AttrValue RandomLiteral(Rng& rng) {
+  switch (rng.Next(3)) {
+    case 0: return Pick(rng, kInts);
+    case 1: return Pick(rng, kDoubles);
+    default: return std::string(Pick(rng, kStrings));
+  }
+}
+
+RefTree RandomTree(Rng& rng, int depth) {
+  RefTree t;
+  if (depth < 3 && rng.Next(2) == 0) {
+    t.op = static_cast<RefTree::Op>(1 + rng.Next(3));
+    t.kids.push_back(RandomTree(rng, depth + 1));
+    if (t.op == RefTree::Op::kNot) {
+      t.pred = Predicate::Not(t.kids[0].pred);
+      return t;
+    }
+    t.kids.push_back(RandomTree(rng, depth + 1));
+    t.pred = t.op == RefTree::Op::kAnd
+                 ? Predicate::And(t.kids[0].pred, t.kids[1].pred)
+                 : Predicate::Or(t.kids[0].pred, t.kids[1].pred);
+    return t;
+  }
+  // Mostly typed columns; now and then one that does not exist.
+  const char* const columns[] = {"i", "d", "s", "i", "d", "s", "nope"};
+  std::string column = Pick(rng, columns);
+  switch (rng.Next(3)) {
+    case 0:
+      t.pred = Predicate::Cmp(column, static_cast<CmpOp>(rng.Next(6)),
+                              RandomLiteral(rng));
+      break;
+    case 1: {
+      std::vector<AttrValue> values(1 + rng.Next(3));
+      for (auto& v : values) v = RandomLiteral(rng);
+      t.pred = Predicate::In(column, std::move(values));
+      break;
+    }
+    default:
+      t.pred = Predicate::Between(column, RandomLiteral(rng),
+                                  RandomLiteral(rng));
+      break;
+  }
+  return t;
+}
+
+// Rows drawn from the literal pools, so equality and ties are common;
+// ids past `rows_set` keep the column defaults.
+void FillRandomStore(AttributeStore* attrs, std::size_t rows,
+                     std::size_t rows_set, Rng& rng) {
+  ASSERT_TRUE(attrs->AddColumn("i", AttrType::kInt64).ok());
+  ASSERT_TRUE(attrs->AddColumn("d", AttrType::kDouble).ok());
+  ASSERT_TRUE(attrs->AddColumn("s", AttrType::kString).ok());
+  for (std::size_t r = 0; r < rows_set; ++r) {
+    ASSERT_TRUE(attrs
+                    ->PutRow(r, {{"i", Pick(rng, kInts)},
+                                 {"d", Pick(rng, kDoubles)},
+                                 {"s", std::string(Pick(rng, kStrings))}})
+                    .ok());
+  }
+  if (rows > rows_set) {
+    ASSERT_TRUE(attrs->PutRow(rows - 1, {}).ok());
+  }
+}
+
+TEST(PredicateDifferentialTest, ColumnEvaluateMatchesPerRowProbe) {
+  Rng rng(20261017);
+  AttributeStore full, sparse, empty;
+  FillRandomStore(&full, 300, 300, rng);
+  FillRandomStore(&sparse, 200, 64, rng);
+  FillRandomStore(&empty, 0, 0, rng);
+  ASSERT_EQ(empty.NumRows(), 0u);
+  const AttributeStore* stores[] = {&full, &sparse, &empty};
+
+  std::size_t ok_trees = 0, error_trees = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    RefTree tree = RandomTree(rng, 0);
+    for (const AttributeStore* attrs : stores) {
+      SCOPED_TRACE(tree.pred.ToString() +
+                   " rows=" + std::to_string(attrs->NumRows()));
+      auto got = tree.pred.Evaluate(*attrs);
+      auto want = ReferenceEvaluate(tree, *attrs);
+      ASSERT_EQ(got.ok(), want.ok());
+      if (!want.ok()) {
+        ++error_trees;
+        EXPECT_EQ(got.status().code(), want.status().code());
+        EXPECT_EQ(got.status().message(), want.status().message());
+        continue;
+      }
+      ++ok_trees;
+      ASSERT_EQ(got->size(), attrs->NumRows());
+      for (std::size_t r = 0; r < attrs->NumRows(); ++r) {
+        ASSERT_EQ(got->Test(r), want->Test(r)) << "row " << r;
+        // Without leaf errors the whole-tree probe agrees as well.
+        auto probe = tree.pred.MatchesRow(*attrs, r);
+        ASSERT_TRUE(probe.ok());
+        ASSERT_EQ(*probe, got->Test(r)) << "row " << r;
+      }
+    }
+  }
+  // The seed exercises both outcomes, not just one.
+  EXPECT_GT(ok_trees, 300u);
+  EXPECT_GT(error_trees, 100u);
+}
+
+TEST(PredicateDifferentialTest, LeafErrorConditions) {
+  AttributeStore attrs;
+  ASSERT_TRUE(attrs.AddColumn("i", AttrType::kInt64).ok());
+  ASSERT_TRUE(attrs.AddColumn("s", AttrType::kString).ok());
+  const std::string hot = "hot";
+  // No rows: the per-row path never compares, so nothing can fail.
+  EXPECT_TRUE(Predicate::Cmp("s", CmpOp::kEq, I(1)).Evaluate(attrs).ok());
+  EXPECT_TRUE(Predicate::Cmp("nope", CmpOp::kEq, I(1)).Evaluate(attrs).ok());
+
+  ASSERT_TRUE(attrs.PutRow(0, {{"i", I(2)}, {"s", hot}}).ok());
+  // A string literal against an int column fails; so does a missing column.
+  auto mismatch = Predicate::Cmp("i", CmpOp::kLt, hot).Evaluate(attrs);
+  EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument);
+  auto missing = Predicate::Cmp("nope", CmpOp::kEq, I(1)).Evaluate(attrs);
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  // Either BETWEEN bound of the wrong type fails.
+  EXPECT_FALSE(Predicate::Between("i", I(0), hot).Evaluate(attrs).ok());
+  EXPECT_FALSE(Predicate::Between("s", I(0), hot).Evaluate(attrs).ok());
+  // Inside IN a literal of the wrong type just never matches.
+  auto in = Predicate::In("i", {AttrValue(hot), AttrValue(2.0)}).Evaluate(attrs);
+  ASSERT_TRUE(in.ok());
+  EXPECT_TRUE(in->Test(0));
+}
+
+// ------------------------------------------------- cached column statistics
+
+TEST(StatsCacheTest, EstimatesFollowPutRowAddColumnAndLoad) {
+  AttributeStore attrs;
+  ASSERT_TRUE(attrs.AddColumn("score", AttrType::kDouble).ok());
+  for (int r = 0; r < 160; ++r) {
+    ASSERT_TRUE(attrs.PutRow(r, {{"score", (r % 16) / 16.0}}).ok());
+  }
+  auto below_half = Predicate::Cmp("score", CmpOp::kLt, 0.5);
+  EXPECT_NEAR(*below_half.EstimateSelectivity(attrs), 0.5, 0.05);
+  // 160 more rows at 100: the old rows all land in bucket 0, [0, 6.25),
+  // and 0.5 reads 0.5 / 6.25 of that half of the rows.
+  for (int r = 160; r < 320; ++r) {
+    ASSERT_TRUE(attrs.PutRow(r, {{"score", 100.0}}).ok());
+  }
+  EXPECT_NEAR(*below_half.EstimateSelectivity(attrs), 0.5 * 0.08, 1e-12);
+
+  ASSERT_TRUE(attrs.AddColumn("flag", AttrType::kInt64).ok());
+  auto flag = Predicate::Cmp("flag", CmpOp::kEq, I(1));
+  EXPECT_DOUBLE_EQ(*flag.EstimateSelectivity(attrs), 1.0);  // all default
+  ASSERT_TRUE(attrs.PutRow(0, {{"flag", I(1)}}).ok());
+  EXPECT_DOUBLE_EQ(*flag.EstimateSelectivity(attrs), 0.5);  // two values
+
+  // Load swaps in another store's rows.
+  AttributeStore other;
+  ASSERT_TRUE(other.AddColumn("score", AttrType::kDouble).ok());
+  for (int r = 0; r < 100; ++r) {
+    ASSERT_TRUE(other.PutRow(r, {{"score", r < 90 ? 0.0 : 1.0}}).ok());
+  }
+  const std::string path =
+      ::testing::TempDir() + "/vdb_exec_stats_" + std::to_string(::getpid());
+  BinaryWriter writer(0x53544154);
+  other.Save(&writer);
+  ASSERT_TRUE(writer.WriteTo(path).ok());
+  auto reader = BinaryReader::Open(path, 0x53544154);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(attrs.Load(&*reader).ok());
+  std::remove(path.c_str());
+  EXPECT_DOUBLE_EQ(*below_half.EstimateSelectivity(attrs),
+                   *below_half.EstimateSelectivity(other));
+  EXPECT_FALSE(flag.EstimateSelectivity(attrs).ok());
+}
+
+CollectionOptions StatsCollectionOptions() {
+  CollectionOptions opts;
+  opts.dim = 8;
+  opts.attributes = {{"score", AttrType::kDouble}};
+  opts.index_factory = [] {
+    IvfOptions io;
+    io.nlist = 8;
+    return std::make_unique<IvfFlatIndex>(io);
+  };
+  return opts;
+}
+
+// Inserts rows [from, to) of `data` with score = `score(row)`.
+template <typename ScoreFn>
+void InsertScored(Collection* c, const FloatMatrix& data, std::size_t from,
+                  std::size_t to, ScoreFn score) {
+  for (std::size_t i = from; i < to; ++i) {
+    ASSERT_TRUE(c->Insert(i, data.row_view(i), {{"score", score(i)}}).ok());
+  }
+}
+
+TEST(StatsCacheTest, CostBasedPlanFlipsWhenInsertsMoveHistogram) {
+  SyntheticOptions synth;
+  synth.n = 2000;
+  synth.dim = 8;
+  synth.seed = 5;
+  FloatMatrix data = GaussianClusters(synth);
+  auto uniform = [](std::size_t i) { return (i % 100) / 100.0; };
+  auto far = [](std::size_t) { return 50.0; };
+  auto pred = Predicate::Cmp("score", CmpOp::kLe, 0.9);
+
+  auto cached = Collection::Create(StatsCollectionOptions()).value();
+  InsertScored(cached.get(), data, 0, 1000, uniform);
+  ASSERT_TRUE(cached->BuildIndex().ok());
+  HybridPlan before = cached->ExplainHybrid(pred).value();
+  EXPECT_NE(before.kind, PlanKind::kBruteForceHybrid);
+
+  // Inserts push the histogram's range out to 50: `score <= 0.9` now
+  // covers a sliver of the first bucket, and brute force wins.
+  InsertScored(cached.get(), data, 1000, 2000, far);
+  ExecStats stats;
+  std::vector<Neighbor> out;
+  ASSERT_TRUE(cached->Hybrid(data.row_view(3), pred, 10, &out, &stats).ok());
+  ASSERT_TRUE(stats.plan.has_value());
+  EXPECT_EQ(stats.plan->kind, PlanKind::kBruteForceHybrid);
+  for (const Neighbor& nb : out) EXPECT_LT(nb.id, 1000u);
+
+  // The cache-warm collection plans exactly like one that never planned.
+  auto fresh = Collection::Create(StatsCollectionOptions()).value();
+  InsertScored(fresh.get(), data, 0, 1000, uniform);
+  ASSERT_TRUE(fresh->BuildIndex().ok());
+  InsertScored(fresh.get(), data, 1000, 2000, far);
+  ExecStats fresh_stats;
+  ASSERT_TRUE(
+      fresh->Hybrid(data.row_view(3), pred, 10, &out, &fresh_stats).ok());
+  EXPECT_EQ(fresh_stats.plan->ToString(), stats.plan->ToString());
+  EXPECT_EQ(fresh_stats.est_selectivity, stats.est_selectivity);
+}
+
+TEST(StatsCacheTest, RestoredCollectionEstimatesItsOwnRows) {
+  SyntheticOptions synth;
+  synth.n = 400;
+  synth.dim = 8;
+  synth.seed = 9;
+  FloatMatrix data = GaussianClusters(synth);
+  const std::string base =
+      ::testing::TempDir() + "/vdb_exec_restore_" + std::to_string(::getpid());
+  CollectionOptions opts = StatsCollectionOptions();
+  opts.wal_path = base + ".wal";
+  std::remove(opts.wal_path.c_str());
+  auto pred = Predicate::Cmp("score", CmpOp::kLt, 0.5);
+
+  auto original = Collection::Create(opts).value();
+  InsertScored(original.get(), data, 0, 200,
+               [](std::size_t i) { return (i % 10) / 10.0; });
+  ASSERT_TRUE(original->Checkpoint(base + ".ckpt").ok());
+  const double at_checkpoint =
+      *pred.EstimateSelectivity(original->attributes());
+  // Rows logged after the checkpoint come back through WAL replay.
+  InsertScored(original.get(), data, 200, 400,
+               [](std::size_t) { return 9.0; });
+  ASSERT_TRUE(original->SyncWal().ok());
+  const double live = *pred.EstimateSelectivity(original->attributes());
+  EXPECT_LT(live, at_checkpoint);
+
+  auto restored = Collection::Restore(opts, base + ".ckpt");
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ((*restored)->attributes().NumRows(), 400u);
+  EXPECT_EQ(*pred.EstimateSelectivity((*restored)->attributes()), live);
+  std::remove((base + ".ckpt").c_str());
+  std::remove(opts.wal_path.c_str());
+}
+
+TEST(StatsCacheTest, ServedQueryScansEachColumnOncePerWriteEpoch) {
+  SyntheticOptions synth;
+  synth.n = 300;
+  synth.dim = 8;
+  synth.seed = 4;
+  FloatMatrix data = GaussianClusters(synth);
+  Database db;
+  CollectionOptions opts = StatsCollectionOptions();
+  opts.attributes.emplace_back("cat", AttrType::kInt64);
+  Collection* c = db.CreateCollection("items", opts).value();
+  for (std::size_t i = 0; i < data.rows(); ++i) {
+    ASSERT_TRUE(c->Insert(i, data.row_view(i),
+                          {{"score", (i % 10) / 10.0},
+                           {"cat", static_cast<std::int64_t>(i % 3)}})
+                    .ok());
+  }
+  ASSERT_TRUE(c->BuildIndex().ok());
+  std::string vec = "[";
+  for (std::size_t j = 0; j < data.cols(); ++j) {
+    vec += (j ? ", " : "") + std::to_string(data.at(7, j));
+  }
+  vec += "]";
+  const std::string sql =
+      "EXPLAIN ANALYZE SELECT knn(5) FROM items WHERE score BETWEEN 0.2 AND "
+      "0.6 AND cat IN (0, 1) ORDER BY distance(" + vec + ")";
+
+  const Predicate pred = ParseQuery(sql)->predicate;
+  SearchParams params;
+  params.k = 5;
+
+  const std::size_t start = c->attributes().StatsScans();
+  for (int q = 0; q < 5; ++q) {
+    auto result = ExecuteQueryTraced(&db, sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    // The reply names the plan that ran: what the optimizer picks now.
+    EXPECT_EQ(result->plan, c->ExplainHybrid(pred, &params)->ToString());
+    EXPECT_NE(result->explain.find("plan: " + result->plan),
+              std::string::npos);
+  }
+  // Two columns, one write epoch: two scans however many queries ran.
+  EXPECT_EQ(c->attributes().StatsScans(), start + 2);
+
+  ASSERT_TRUE(c->Insert(300, data.row_view(0),
+                        {{"score", 0.3}, {"cat", std::int64_t{1}}})
+                  .ok());
+  for (int q = 0; q < 3; ++q) ASSERT_TRUE(ExecuteQueryTraced(&db, sql).ok());
+  EXPECT_EQ(c->attributes().StatsScans(), start + 4);
 }
 
 // ------------------------------------------------------- Hybrid executor

@@ -1,12 +1,14 @@
-// Tests for the storage manager: VectorStore, AttributeStore (+stats),
-// WAL (round-trip, torn tail, corruption), and the LSM out-of-place update
-// store (equivalence with a flat oracle under random interleavings).
+// Tests for the storage manager: VectorStore, AttributeStore (+stats and
+// their cache), WAL (round-trip, torn tail, corruption), and the LSM
+// out-of-place update store (equivalence with a flat oracle under random
+// interleavings).
 
 #include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "index/flat.h"
 #include "storage/attribute_store.h"
 #include "storage/lsm_store.h"
+#include "storage/serializer.h"
 #include "storage/vector_store.h"
 #include "storage/wal.h"
 
@@ -106,6 +109,135 @@ TEST(AttributeStoreTest, StatsHistogramAndDistinct) {
   EXPECT_EQ(stats->approx_distinct, 16u);
   ASSERT_EQ(stats->histogram.size(), 16u);
   for (std::size_t b = 0; b < 16; ++b) EXPECT_EQ(stats->histogram[b], 10u);
+}
+
+// Fills an int64 / double / string store with rows [0, n) of a fixed
+// pattern; `shift` moves every numeric value.
+void FillStatsStore(AttributeStore* attrs, int n, int shift = 0) {
+  ASSERT_TRUE(attrs->AddColumn("i", AttrType::kInt64).ok());
+  ASSERT_TRUE(attrs->AddColumn("d", AttrType::kDouble).ok());
+  ASSERT_TRUE(attrs->AddColumn("s", AttrType::kString).ok());
+  for (int r = 0; r < n; ++r) {
+    ASSERT_TRUE(attrs
+                    ->PutRow(r, {{"i", std::int64_t{r % 7 + shift}},
+                                 {"d", 0.25 * (r % 13) + shift},
+                                 {"s", std::string(r % 4 == 0 ? "" : "x") +
+                                           std::to_string(r % 5)}})
+                    .ok());
+  }
+}
+
+// Cached stats must equal a cold scan of the same rows, field for field.
+void ExpectStatsMatchFreshScan(const AttributeStore& cached,
+                               const AttributeStore& fresh) {
+  for (const char* column : {"i", "d", "s"}) {
+    SCOPED_TRACE(column);
+    auto a = cached.ComputeStats(column);
+    auto b = fresh.ComputeStats(column);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(a->non_default_rows, b->non_default_rows);
+    EXPECT_EQ(a->min, b->min);
+    EXPECT_EQ(a->max, b->max);
+    EXPECT_EQ(a->approx_distinct, b->approx_distinct);
+    EXPECT_EQ(a->histogram, b->histogram);
+    EXPECT_TRUE(*a == *b);
+  }
+}
+
+TEST(AttributeStoreTest, StatsCachedUntilNextMutation) {
+  AttributeStore attrs;
+  FillStatsStore(&attrs, 100);
+  EXPECT_EQ(attrs.StatsScans(), 0u);
+  auto first = attrs.ComputeStats("i");
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(attrs.StatsScans(), 1u);
+  for (int rep = 0; rep < 5; ++rep) {
+    auto again = attrs.ComputeStats("i");
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(*again == *first);
+  }
+  EXPECT_EQ(attrs.StatsScans(), 1u);  // served from the cache
+  ASSERT_TRUE(attrs.ComputeStats("d").ok());
+  EXPECT_EQ(attrs.StatsScans(), 2u);  // one scan per column
+  EXPECT_FALSE(attrs.ComputeStats("missing").ok());
+  EXPECT_EQ(attrs.StatsScans(), 2u);
+
+  AttributeStore fresh;
+  FillStatsStore(&fresh, 100);
+  ExpectStatsMatchFreshScan(attrs, fresh);
+}
+
+TEST(AttributeStoreTest, StatsReflectPutRow) {
+  AttributeStore attrs;
+  FillStatsStore(&attrs, 50);
+  ASSERT_DOUBLE_EQ(attrs.ComputeStats("i")->max, 6.0);
+  const std::size_t scans = attrs.StatsScans();
+  ASSERT_TRUE(attrs.PutRow(50, {{"i", std::int64_t{1000}}}).ok());
+  auto stats = attrs.ComputeStats("i");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_DOUBLE_EQ(stats->max, 1000.0);
+  EXPECT_EQ(stats->histogram.back(), 1u);
+  EXPECT_EQ(attrs.StatsScans(), scans + 1);
+
+  // Overwriting a row in place invalidates too.
+  ASSERT_TRUE(attrs.PutRow(50, {{"i", std::int64_t{-5}}}).ok());
+  EXPECT_DOUBLE_EQ(attrs.ComputeStats("i")->min, -5.0);
+
+  // A PutRow that fails on a later binding has already grown the store;
+  // the stats must see the new row count.
+  auto rows_in_histogram = [&] {
+    ColumnStats d = attrs.ComputeStats("d").value();
+    return std::accumulate(d.histogram.begin(), d.histogram.end(),
+                           std::size_t{0});
+  };
+  const std::size_t before = rows_in_histogram();
+  EXPECT_FALSE(attrs.PutRow(60, {{"d", 1.0}, {"i", 2.0}}).ok());
+  EXPECT_EQ(rows_in_histogram(), before + 10);  // rows 51..60
+}
+
+TEST(AttributeStoreTest, StatsReflectAddColumnAndLoad) {
+  AttributeStore attrs;
+  FillStatsStore(&attrs, 40);
+  auto before = attrs.ComputeStats("d");
+  ASSERT_TRUE(before.ok());
+  const std::size_t scans = attrs.StatsScans();
+  ASSERT_TRUE(attrs.AddColumn("extra", AttrType::kInt64).ok());
+  auto after = attrs.ComputeStats("d");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(attrs.StatsScans(), scans + 1);  // AddColumn invalidated
+  EXPECT_TRUE(*after == *before);            // but the column is unchanged
+  auto extra = attrs.ComputeStats("extra");
+  ASSERT_TRUE(extra.ok());
+  EXPECT_EQ(extra->approx_distinct, 1u);  // 40 default zeros
+
+  // Load replaces every row: stats follow the loaded data, not the cache.
+  AttributeStore other;
+  FillStatsStore(&other, 90, /*shift=*/100);
+  const std::string path = TempPath("attr_stats");
+  BinaryWriter writer(0x41545452);
+  other.Save(&writer);
+  ASSERT_TRUE(writer.WriteTo(path).ok());
+  auto reader = BinaryReader::Open(path, 0x41545452);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(attrs.Load(&*reader).ok());
+  std::remove(path.c_str());
+  EXPECT_DOUBLE_EQ(attrs.ComputeStats("i")->min, 100.0);
+  EXPECT_FALSE(attrs.ComputeStats("extra").ok());
+
+  AttributeStore fresh;
+  FillStatsStore(&fresh, 90, /*shift=*/100);
+  ExpectStatsMatchFreshScan(attrs, fresh);
+}
+
+TEST(AttributeStoreTest, StatsOfEmptyStore) {
+  AttributeStore attrs;
+  ASSERT_TRUE(attrs.AddColumn("i", AttrType::kInt64).ok());
+  auto empty = attrs.ComputeStats("i");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->histogram, std::vector<std::size_t>(16, 0));
+  ASSERT_TRUE(attrs.PutRow(0, {{"i", std::int64_t{4}}}).ok());
+  EXPECT_EQ(attrs.ComputeStats("i")->histogram[0], 1u);
 }
 
 // -------------------------------------------------------------------- WAL

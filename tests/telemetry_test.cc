@@ -1,6 +1,6 @@
 // Tests for the telemetry plane: metric primitives (counter/gauge/
 // histogram stripes), registry renders (Prometheus text + JSON), the
-// per-query trace span tree, the slow-query log, and the fault-injection
+// per-query trace span tree, and the fault-injection
 // integration (failpoint fires and breaker trips must move counters).
 
 #include <cstdint>
@@ -194,35 +194,6 @@ TEST(QueryTraceTest, NullTraceScopeIsNoOp) {
   scope.Note("k", "v");
   scope.RecordStats(SearchStats{});
   scope.End();  // must not crash
-}
-
-// ---------------------------------------------------------- slow queries
-
-TEST(SlowQueryTest, ThresholdGatesLogging) {
-  static std::string captured;
-  captured.clear();
-  SetSlowQuerySink([](const std::string& line) { captured = line; });
-
-  QueryTrace trace;
-  std::size_t root = trace.BeginSpan("query");
-  trace.EndSpan(root);
-
-  Counter& slow = Registry::Global().GetCounter("vdb_slow_queries_total");
-  const std::uint64_t before = slow.Value();
-
-  SetSlowQueryThresholdMs(-1.0);  // disabled
-  MaybeLogSlowQuery(trace, "SELECT ...");
-  EXPECT_TRUE(captured.empty());
-  EXPECT_EQ(slow.Value(), before);
-
-  SetSlowQueryThresholdMs(0.0);  // everything is slow
-  MaybeLogSlowQuery(trace, "SELECT ...");
-  EXPECT_NE(captured.find("[slow-query]"), std::string::npos);
-  EXPECT_NE(captured.find("SELECT ..."), std::string::npos);
-  EXPECT_EQ(slow.Value(), before + 1);
-
-  SetSlowQueryThresholdMs(-1.0);
-  SetSlowQuerySink(nullptr);
 }
 
 // ------------------------------------------- instrumented-subsystem moves
