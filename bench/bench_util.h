@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +17,7 @@
 #include <vector>
 
 #include "core/eval.h"
+#include "core/json.h"
 #include "core/synthetic.h"
 
 namespace vdb::bench {
@@ -133,7 +133,8 @@ inline std::string GitRev() {
 /// Minimal row-oriented JSON writer:
 /// {"schema_version":1,"git_rev":"abc1234","bench":"E1",
 ///  "rows":[{"k":v,...},...]}. Rows are built field by field; numeric
-/// and string values only, which covers bench tables. String-valued
+/// and string values only, which covers bench tables; a non-finite
+/// number is written `null`, which bench_gate skips. String-valued
 /// fields double as the row identity bench_gate matches baseline rows
 /// by, so keep them stable across runs (configuration, not measurement).
 class JsonReport {
@@ -143,27 +144,24 @@ class JsonReport {
   void BeginRow() { rows_.emplace_back(); }
 
   void Field(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g",
-                  std::isfinite(value) ? value : 0.0);
-    rows_.back().emplace_back(key, buf);
+    rows_.back().emplace_back(key, json::Number(value));
   }
   void Field(const std::string& key, const std::string& value) {
-    rows_.back().emplace_back(key, "\"" + Escape(value) + "\"");
+    rows_.back().emplace_back(key, json::Quote(value));
   }
 
   /// Serializes to `path`; returns false (with a stderr note) on failure.
   bool WriteTo(const std::string& path) const {
     std::string out = "{\"schema_version\":" +
-                      std::to_string(kBenchSchemaVersion) + ",\"git_rev\":\"" +
-                      Escape(GitRev()) + "\",\"bench\":\"" + Escape(name_) +
-                      "\",\"rows\":[";
+                      std::to_string(kBenchSchemaVersion) +
+                      ",\"git_rev\":" + json::Quote(GitRev()) +
+                      ",\"bench\":" + json::Quote(name_) + ",\"rows\":[";
     for (std::size_t r = 0; r < rows_.size(); ++r) {
       if (r) out += ",";
       out += "{";
       for (std::size_t f = 0; f < rows_[r].size(); ++f) {
         if (f) out += ",";
-        out += "\"" + Escape(rows_[r][f].first) + "\":" + rows_[r][f].second;
+        out += json::Quote(rows_[r][f].first) + ":" + rows_[r][f].second;
       }
       out += "}";
     }
@@ -179,14 +177,6 @@ class JsonReport {
   }
 
  private:
-  static std::string Escape(const std::string& s) {
-    std::string e;
-    for (char c : s) {
-      if (c == '"' || c == '\\') e.push_back('\\');
-      e.push_back(c);
-    }
-    return e;
-  }
   std::string name_;
   std::vector<std::vector<std::pair<std::string, std::string>>> rows_;
 };

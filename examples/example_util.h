@@ -3,8 +3,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <string>
-#include <vector>
 
 #include "core/status.h"
 
@@ -19,138 +17,6 @@ inline void OrDie(const Status& st) {
     std::fprintf(stderr, "fatal: %s\n", st.ToString().c_str());
     std::exit(1);
   }
-}
-
-// ------------------------------------------------- minimal JSON scanning
-//
-// The examples consume JSON *we* emit (the server's stats frame, the
-// registry render), so a string-aware scanner is enough — no third-party
-// parser, matching the repo's zero-dependency rule. Not a general JSON
-// parser: no unicode unescaping, objects assumed well-formed.
-
-/// Position just past `"key":` at any depth, or npos. Matches whole
-/// quoted keys only, so a key cannot be faked by a string *value*
-/// containing the same text unless it also mimics the `"key":` shape.
-inline std::size_t JsonKeyPos(const std::string& json, const std::string& key,
-                              std::size_t from = 0) {
-  const std::string pattern = "\"" + key + "\":";
-  bool in_string = false;
-  bool escaped = false;
-  for (std::size_t i = from; i < json.size(); ++i) {
-    char c = json[i];
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      // A key match begins at the opening quote, which is only reachable
-      // when not inside a string — handled below.
-      continue;
-    }
-    if (c == '"') {
-      if (json.compare(i, pattern.size(), pattern) == 0) {
-        return i + pattern.size();
-      }
-      in_string = true;
-      continue;
-    }
-  }
-  return std::string::npos;
-}
-
-/// The balanced `{...}` / `[...]` value of `"key":` (any depth), or "".
-inline std::string JsonObjectAfter(const std::string& json,
-                                   const std::string& key,
-                                   std::size_t from = 0) {
-  std::size_t at = JsonKeyPos(json, key, from);
-  if (at == std::string::npos || at >= json.size()) return "";
-  char open = json[at];
-  char close = open == '{' ? '}' : ']';
-  if (open != '{' && open != '[') return "";
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (std::size_t i = at; i < json.size(); ++i) {
-    char c = json[i];
-    if (in_string) {
-      if (escaped) escaped = false;
-      else if (c == '\\') escaped = true;
-      else if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') in_string = true;
-    else if (c == open) ++depth;
-    else if (c == close && --depth == 0) return json.substr(at, i - at + 1);
-  }
-  return "";
-}
-
-/// Numeric value of `"key":` (first occurrence at any depth); `fallback`
-/// when absent or non-numeric (e.g. null).
-inline double JsonNumber(const std::string& json, const std::string& key,
-                         double fallback = 0.0) {
-  std::size_t at = JsonKeyPos(json, key);
-  if (at == std::string::npos) return fallback;
-  char* end = nullptr;
-  double v = std::strtod(json.c_str() + at, &end);
-  return end == json.c_str() + at ? fallback : v;
-}
-
-/// String value of `"key":"..."` with basic unescaping (\" \\ \n \r \t).
-inline std::string JsonString(const std::string& json, const std::string& key) {
-  std::size_t at = JsonKeyPos(json, key);
-  if (at == std::string::npos || at >= json.size() || json[at] != '"') {
-    return "";
-  }
-  std::string out;
-  for (std::size_t i = at + 1; i < json.size(); ++i) {
-    char c = json[i];
-    if (c == '"') break;
-    if (c == '\\' && i + 1 < json.size()) {
-      char n = json[++i];
-      switch (n) {
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        default: out += n;
-      }
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
-/// Top-level `{...}` elements of a JSON array string.
-inline std::vector<std::string> JsonArrayItems(const std::string& array_json) {
-  std::vector<std::string> items;
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < array_json.size(); ++i) {
-    char c = array_json[i];
-    if (in_string) {
-      if (escaped) escaped = false;
-      else if (c == '\\') escaped = true;
-      else if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') in_string = true;
-    else if (c == '{' || c == '[') {
-      if (depth == 1 && c == '{') start = i;
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-      if (depth == 1 && c == '}') {
-        items.push_back(array_json.substr(start, i - start + 1));
-      }
-    }
-  }
-  return items;
 }
 
 }  // namespace vdb

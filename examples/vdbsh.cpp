@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/json.h"
 #include "core/synthetic.h"
 #include "core/telemetry.h"
 #include "core/telemetry_window.h"
@@ -59,55 +60,55 @@ extern "C" void HandleDrainSignal(int) {
 }
 
 /// One `.top` dashboard frame from a stats-frame JSON body (DESIGN.md
-/// §7.4). Scans with the example_util helpers rather than a parser — the
-/// shape is ours.
+/// §7.4), read with the core/json scanner.
 void RenderTopFrame(const std::string& body) {
-  std::printf("uptime %.1fs\n\n", vdb::JsonNumber(body, "uptime_seconds"));
+  namespace json = vdb::json;
+  std::printf("uptime %.1fs\n\n", json::FindNumber(body, "uptime_seconds"));
   std::printf("%-8s %10s %10s %10s %10s %10s\n", "window", "requests", "qps",
               "p50_ms", "p95_ms", "p99_ms");
-  std::string windows = vdb::JsonObjectAfter(body, "windows");
+  std::string windows = json::FindObject(body, "windows");
   for (const char* w : {"10s", "60s"}) {
-    std::string win = vdb::JsonObjectAfter(windows, w);
+    std::string win = json::FindObject(windows, w);
     std::printf("%-8s %10.0f %10.1f %10.3f %10.3f %10.3f\n", w,
-                vdb::JsonNumber(win, "requests"), vdb::JsonNumber(win, "qps"),
-                vdb::JsonNumber(win, "p50_ms"), vdb::JsonNumber(win, "p95_ms"),
-                vdb::JsonNumber(win, "p99_ms"));
+                json::FindNumber(win, "requests"), json::FindNumber(win, "qps"),
+                json::FindNumber(win, "p50_ms"), json::FindNumber(win, "p95_ms"),
+                json::FindNumber(win, "p99_ms"));
   }
 
   const char* verdict_keys[] = {"admitted",   "throttled", "queue_full",
                                 "breaker",    "draining",  "deadline_expired"};
   for (const char* scope : {"verdicts_10s", "lifetime"}) {
-    std::string block = vdb::JsonObjectAfter(body, scope);
+    std::string block = json::FindObject(body, scope);
     std::printf("\n%s:", scope);
     for (const char* key : verdict_keys) {
-      std::printf(" %s=%.0f", key, vdb::JsonNumber(block, key));
+      std::printf(" %s=%.0f", key, json::FindNumber(block, key));
     }
     std::printf("\n");
   }
 
-  std::string tenants = vdb::JsonObjectAfter(body, "tenants");
-  auto tenant_items = vdb::JsonArrayItems(tenants);
+  std::string tenants = json::FindObject(body, "tenants");
+  auto tenant_items = json::ArrayItems(tenants);
   if (!tenant_items.empty()) {
     std::printf("\n%-16s %10s %10s %10s %14s\n", "tenant", "admitted", "shed",
                 "in_flight", "shed_rate_10s");
     for (const auto& t : tenant_items) {
-      std::string name = vdb::JsonString(t, "tenant");
+      std::string name = json::FindString(t, "tenant");
       if (name.empty()) name = "(default)";
       std::printf("%-16s %10.0f %10.0f %10.0f %14.2f\n", name.c_str(),
-                  vdb::JsonNumber(t, "admitted"), vdb::JsonNumber(t, "shed"),
-                  vdb::JsonNumber(t, "in_flight"),
-                  vdb::JsonNumber(t, "shed_rate_10s"));
+                  json::FindNumber(t, "admitted"), json::FindNumber(t, "shed"),
+                  json::FindNumber(t, "in_flight"),
+                  json::FindNumber(t, "shed_rate_10s"));
     }
   }
 
-  auto worst = vdb::JsonArrayItems(vdb::JsonObjectAfter(body, "worst_queries"));
+  auto worst = json::ArrayItems(json::FindObject(body, "worst_queries"));
   std::printf("\nworst queries (%zu):\n", worst.size());
   for (const auto& q : worst) {
-    std::string query = vdb::JsonString(q, "query");
+    std::string query = json::FindString(q, "query");
     if (query.size() > 60) query = query.substr(0, 57) + "...";
-    std::printf("  [%-18s %8.3fms] %s\n", vdb::JsonString(q, "verdict").c_str(),
-                vdb::JsonNumber(q, "total_ms"), query.c_str());
-    std::string stages = vdb::JsonString(q, "stages");
+    std::printf("  [%-18s %8.3fms] %s\n", json::FindString(q, "verdict").c_str(),
+                json::FindNumber(q, "total_ms"), query.c_str());
+    std::string stages = json::FindString(q, "stages");
     if (!stages.empty()) std::printf("      %s\n", stages.c_str());
   }
   std::fflush(stdout);

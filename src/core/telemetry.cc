@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "core/json.h"
+
 namespace vdb {
 
 namespace {
@@ -16,27 +18,21 @@ void AtomicAddDouble(std::atomic<double>& a, double v) {
   }
 }
 
-std::string FormatDouble(double v) {
+}  // namespace
+
+std::string PrometheusValue(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;
 }
 
-/// Splits "base{labels}" into base and the raw label list ("" when none).
-void SplitLabels(const std::string& name, std::string* base,
-                 std::string* labels) {
+LabeledName SplitLabels(const std::string& name) {
   std::size_t brace = name.find('{');
-  if (brace == std::string::npos) {
-    *base = name;
-    labels->clear();
-    return;
-  }
-  *base = name.substr(0, brace);
+  if (brace == std::string::npos) return {name, ""};
   // keep the inner "k=\"v\",..." without braces
-  *labels = name.substr(brace + 1, name.size() - brace - 2);
+  return {name.substr(0, brace),
+          name.substr(brace + 1, name.size() - brace - 2)};
 }
-
-}  // namespace
 
 std::size_t TelemetryStripe() {
   static std::atomic<std::size_t> next{0};
@@ -219,39 +215,34 @@ std::string Registry::RenderPrometheus() const {
     last_typed = base;
   };
   for (const auto& [name, c] : counters_) {
-    std::string base, labels;
-    SplitLabels(name, &base, &labels);
-    type_line(base, "counter");
+    type_line(SplitLabels(name).base, "counter");
     out += name + " " + std::to_string(c->Value()) + "\n";
   }
   for (const auto& [name, g] : gauges_) {
-    std::string base, labels;
-    SplitLabels(name, &base, &labels);
-    type_line(base, "gauge");
+    type_line(SplitLabels(name).base, "gauge");
     out += name + " " + std::to_string(g->Value()) + "\n";
   }
   for (const auto& [name, h] : histograms_) {
-    std::string base, labels;
-    SplitLabels(name, &base, &labels);
-    type_line(base, "histogram");
+    const LabeledName n = SplitLabels(name);
+    type_line(n.base, "histogram");
     // One merged read per histogram: buckets, sum, and count in this
     // render all describe the same snapshot (satellite: reset race).
     HistogramSnapshot snap = h->Snapshot();
     std::uint64_t cum = 0;
     auto bucket_line = [&](const std::string& le, std::uint64_t v) {
-      out += base + "_bucket{";
-      if (!labels.empty()) out += labels + ",";
+      out += n.base + "_bucket{";
+      if (!n.labels.empty()) out += n.labels + ",";
       out += "le=\"" + le + "\"} " + std::to_string(v) + "\n";
     };
     for (std::size_t b = 0; b < snap.bounds.size(); ++b) {
       cum += snap.counts[b];
-      bucket_line(FormatDouble(snap.bounds[b]), cum);
+      bucket_line(PrometheusValue(snap.bounds[b]), cum);
     }
     cum += snap.counts[snap.bounds.size()];
     bucket_line("+Inf", cum);
-    std::string suffix = labels.empty() ? "" : "{" + labels + "}";
-    out += base + "_sum" + suffix + " " + FormatDouble(snap.sum) + "\n";
-    out += base + "_count" + suffix + " " + std::to_string(cum) + "\n";
+    std::string suffix = n.labels.empty() ? "" : "{" + n.labels + "}";
+    out += n.base + "_sum" + suffix + " " + PrometheusValue(snap.sum) + "\n";
+    out += n.base + "_count" + suffix + " " + std::to_string(cum) + "\n";
   }
   return out;
 }
@@ -259,27 +250,19 @@ std::string Registry::RenderPrometheus() const {
 std::string Registry::RenderJson() const {
   MutexLock lock(mu_);
   std::string out = "{";
-  auto escape = [](const std::string& s) {
-    std::string e;
-    for (char c : s) {
-      if (c == '"' || c == '\\') e.push_back('\\');
-      e.push_back(c);
-    }
-    return e;
-  };
   out += "\"counters\":{";
   bool first = true;
   for (const auto& [name, c] : counters_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + escape(name) + "\":" + std::to_string(c->Value());
+    out += json::Quote(name) + ":" + std::to_string(c->Value());
   }
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, g] : gauges_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + escape(name) + "\":" + std::to_string(g->Value());
+    out += json::Quote(name) + ":" + std::to_string(g->Value());
   }
   out += "},\"histograms\":{";
   first = true;
@@ -288,12 +271,12 @@ std::string Registry::RenderJson() const {
     first = false;
     // Single snapshot: count, sum, and the three percentiles agree.
     HistogramSnapshot snap = h->Snapshot();
-    out += "\"" + escape(name) +
-           "\":{\"count\":" + std::to_string(snap.TotalCount()) +
-           ",\"sum\":" + FormatDouble(snap.sum) +
-           ",\"p50\":" + FormatDouble(snap.Percentile(50)) +
-           ",\"p95\":" + FormatDouble(snap.Percentile(95)) +
-           ",\"p99\":" + FormatDouble(snap.Percentile(99)) + "}";
+    out += json::Quote(name) +
+           ":{\"count\":" + std::to_string(snap.TotalCount()) +
+           ",\"sum\":" + json::Number(snap.sum) +
+           ",\"p50\":" + json::Number(snap.Percentile(50)) +
+           ",\"p95\":" + json::Number(snap.Percentile(95)) +
+           ",\"p99\":" + json::Number(snap.Percentile(99)) + "}";
   }
   out += "}}";
   return out;

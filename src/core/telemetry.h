@@ -206,6 +206,19 @@ class Registry {
       VDB_GUARDED_BY(mu_);
 };
 
+// Prometheus text helpers shared by the Registry and WindowedRegistry
+// renders (JSON renders use core/json.h).
+
+/// `%.9g`, the Prometheus sample-value spelling.
+std::string PrometheusValue(double v);
+
+/// A metric name split into its base and raw label list ("" when none).
+struct LabeledName {
+  std::string base;
+  std::string labels;
+};
+LabeledName SplitLabels(const std::string& name);
+
 /// RAII wall-clock timer feeding a latency histogram on destruction.
 class ScopedLatencyTimer {
  public:

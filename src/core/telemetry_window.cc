@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/json.h"
+
 namespace vdb {
 
 namespace {
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
 
 /// "10s", "0.5s" — the window label value.
 std::string FormatWindow(double seconds) {
@@ -23,19 +19,6 @@ std::string FormatWindow(double seconds) {
     std::snprintf(buf, sizeof(buf), "%gs", seconds);
   }
   return buf;
-}
-
-/// Splits "base{labels}" into base and the raw label list ("" when none).
-void SplitLabels(const std::string& name, std::string* base,
-                 std::string* labels) {
-  std::size_t brace = name.find('{');
-  if (brace == std::string::npos) {
-    *base = name;
-    labels->clear();
-    return;
-  }
-  *base = name.substr(0, brace);
-  *labels = name.substr(brace + 1, name.size() - brace - 2);
 }
 
 }  // namespace
@@ -153,32 +136,30 @@ std::string WindowedRegistry::RenderPrometheus(
     std::span<const double> windows_seconds, Clock::time_point now) const {
   Registry::Snapshot live = registry_.Snap();
   std::string out;
-  auto line = [&](const std::string& base, const char* rule,
-                  const std::string& labels, double window, double value) {
-    out += base + ":" + rule + "{";
-    if (!labels.empty()) out += labels + ",";
-    out += "window=\"" + FormatWindow(window) + "\"} " + FormatDouble(value) +
+  auto line = [&](const LabeledName& n, const char* rule, double window,
+                  double value) {
+    out += n.base + ":" + rule + "{";
+    if (!n.labels.empty()) out += n.labels + ",";
+    out += "window=\"" + FormatWindow(window) + "\"} " + PrometheusValue(value) +
            "\n";
   };
   for (const auto& [name, value] : live.counters) {
     (void)value;
-    std::string base, labels;
-    SplitLabels(name, &base, &labels);
+    const LabeledName n = SplitLabels(name);
     for (double w : windows_seconds) {
       CounterWindow v = CounterOver(live, name, w, now);
-      line(base, "rate", labels, w, v.RatePerSec());
+      line(n, "rate", w, v.RatePerSec());
     }
   }
   for (const auto& [name, snap] : live.histograms) {
     (void)snap;
-    std::string base, labels;
-    SplitLabels(name, &base, &labels);
+    const LabeledName n = SplitLabels(name);
     for (double w : windows_seconds) {
       HistogramWindow v = HistogramOver(live, name, w, now);
-      line(base, "rate", labels, w, v.RatePerSec());
-      line(base, "p50", labels, w, v.delta.Percentile(50));
-      line(base, "p95", labels, w, v.delta.Percentile(95));
-      line(base, "p99", labels, w, v.delta.Percentile(99));
+      line(n, "rate", w, v.RatePerSec());
+      line(n, "p50", w, v.delta.Percentile(50));
+      line(n, "p95", w, v.delta.Percentile(95));
+      line(n, "p99", w, v.delta.Percentile(99));
     }
   }
   return out;
@@ -187,29 +168,20 @@ std::string WindowedRegistry::RenderPrometheus(
 std::string WindowedRegistry::RenderJson(std::span<const double> windows_seconds,
                                          Clock::time_point now) const {
   Registry::Snapshot live = registry_.Snap();
-  auto escape = [](const std::string& s) {
-    std::string e;
-    for (char c : s) {
-      if (c == '"' || c == '\\') e.push_back('\\');
-      e.push_back(c);
-    }
-    return e;
-  };
   std::string out = "{\"windows\":{";
   bool first_w = true;
   for (double w : windows_seconds) {
     if (!first_w) out += ",";
     first_w = false;
-    out += "\"" + FormatWindow(w) + "\":{\"counters\":{";
+    out += json::Quote(FormatWindow(w)) + ":{\"counters\":{";
     bool first = true;
     for (const auto& [name, value] : live.counters) {
       (void)value;
       CounterWindow v = CounterOver(live, name, w, now);
       if (!first) out += ",";
       first = false;
-      out += "\"" + escape(name) +
-             "\":{\"delta\":" + std::to_string(v.delta) +
-             ",\"rate\":" + FormatDouble(v.RatePerSec()) + "}";
+      out += json::Quote(name) + ":{\"delta\":" + std::to_string(v.delta) +
+             ",\"rate\":" + json::Number(v.RatePerSec()) + "}";
     }
     out += "},\"histograms\":{";
     first = true;
@@ -218,12 +190,11 @@ std::string WindowedRegistry::RenderJson(std::span<const double> windows_seconds
       HistogramWindow v = HistogramOver(live, name, w, now);
       if (!first) out += ",";
       first = false;
-      out += "\"" + escape(name) +
-             "\":{\"count\":" + std::to_string(v.Count()) +
-             ",\"rate\":" + FormatDouble(v.RatePerSec()) +
-             ",\"p50\":" + FormatDouble(v.delta.Percentile(50)) +
-             ",\"p95\":" + FormatDouble(v.delta.Percentile(95)) +
-             ",\"p99\":" + FormatDouble(v.delta.Percentile(99)) + "}";
+      out += json::Quote(name) + ":{\"count\":" + std::to_string(v.Count()) +
+             ",\"rate\":" + json::Number(v.RatePerSec()) +
+             ",\"p50\":" + json::Number(v.delta.Percentile(50)) +
+             ",\"p95\":" + json::Number(v.delta.Percentile(95)) +
+             ",\"p99\":" + json::Number(v.delta.Percentile(99)) + "}";
     }
     out += "}}";
   }

@@ -1,44 +1,13 @@
 #include "exec/flight_recorder.h"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "core/json.h"
 #include "core/telemetry.h"
 
 namespace vdb {
 
 namespace {
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-/// Full JSON string escaping — traces contain newlines and query text is
-/// user-controlled, so this must handle every control character.
-std::string EscapeJson(const std::string& s) {
-  std::string e;
-  e.reserve(s.size() + 8);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': e += "\\\""; break;
-      case '\\': e += "\\\\"; break;
-      case '\n': e += "\\n"; break;
-      case '\r': e += "\\r"; break;
-      case '\t': e += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          e += buf;
-        } else {
-          e.push_back(static_cast<char>(c));
-        }
-    }
-  }
-  return e;
-}
 
 Counter& RecordsCounter() {
   static Counter& c = Registry::Global().GetCounter("vdb_flight_records_total");
@@ -144,16 +113,16 @@ std::string FlightRecorder::RenderJson() const {
     if (!first) out += ",";
     first = false;
     out += "{\"seq\":" + std::to_string(r.seq);
-    out += ",\"query\":\"" + EscapeJson(r.query) + "\"";
-    out += ",\"tenant\":\"" + EscapeJson(r.tenant) + "\"";
-    out += ",\"verdict\":\"" + EscapeJson(r.verdict) + "\"";
+    out += ",\"query\":" + json::Quote(r.query);
+    out += ",\"tenant\":" + json::Quote(r.tenant);
+    out += ",\"verdict\":" + json::Quote(r.verdict);
     out += ",\"failed\":";
     out += r.failed ? "true" : "false";
-    out += ",\"total_ms\":" + FormatDouble(r.total_ms);
+    out += ",\"total_ms\":" + json::Number(r.total_ms);
     out += ",\"deadline_slack_ms\":";
-    out += r.has_deadline ? FormatDouble(r.deadline_slack_ms) : "null";
-    out += ",\"stages\":\"" + EscapeJson(r.stages) + "\"";
-    out += ",\"trace\":\"" + EscapeJson(r.trace) + "\"}";
+    out += r.has_deadline ? json::Number(r.deadline_slack_ms) : "null";
+    out += ",\"stages\":" + json::Quote(r.stages);
+    out += ",\"trace\":" + json::Quote(r.trace) + "}";
   }
   out += "]";
   return out;

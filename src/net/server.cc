@@ -9,10 +9,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "core/failpoint.h"
+#include "core/json.h"
 #include "core/telemetry.h"
 #include "core/telemetry_window.h"
 #include "db/query_language.h"
@@ -65,34 +65,6 @@ const char* VerdictText(AdmitVerdict v) {
 bool BackendHealthy(StatusCode code) {
   return code != StatusCode::kInternal && code != StatusCode::kIoError &&
          code != StatusCode::kCorruption;
-}
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string e;
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': e += "\\\""; break;
-      case '\\': e += "\\\\"; break;
-      case '\n': e += "\\n"; break;
-      case '\r': e += "\\r"; break;
-      case '\t': e += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          e += buf;
-        } else {
-          e.push_back(static_cast<char>(c));
-        }
-    }
-  }
-  return e;
 }
 
 }  // namespace
@@ -356,7 +328,7 @@ std::string Server::BuildStatsJson() const {
   };
 
   std::string out = "{\"uptime_seconds\":";
-  out += FormatDouble(
+  out += json::Number(
       std::chrono::duration<double>(now - start_time_).count());
 
   out += ",\"windows\":{";
@@ -370,10 +342,10 @@ std::string Server::BuildStatsJson() const {
     first = false;
     out += "\"" + std::to_string(static_cast<int>(w)) + "s\":{";
     out += "\"requests\":" + std::to_string(requests.delta);
-    out += ",\"qps\":" + FormatDouble(requests.RatePerSec());
-    out += ",\"p50_ms\":" + FormatDouble(latency.delta.Percentile(50) * 1e3);
-    out += ",\"p95_ms\":" + FormatDouble(latency.delta.Percentile(95) * 1e3);
-    out += ",\"p99_ms\":" + FormatDouble(latency.delta.Percentile(99) * 1e3);
+    out += ",\"qps\":" + json::Number(requests.RatePerSec());
+    out += ",\"p50_ms\":" + json::Number(latency.delta.Percentile(50) * 1e3);
+    out += ",\"p95_ms\":" + json::Number(latency.delta.Percentile(95) * 1e3);
+    out += ",\"p99_ms\":" + json::Number(latency.delta.Percentile(99) * 1e3);
     out += "}";
   }
   out += "}";
@@ -413,11 +385,11 @@ std::string Server::BuildStatsJson() const {
          AdmissionController::MetricLabelFor(ts.tenant) + "\"}")
             .c_str(),
         10.0);
-    out += "{\"tenant\":\"" + EscapeJson(ts.tenant) + "\"";
+    out += "{\"tenant\":" + json::Quote(ts.tenant);
     out += ",\"admitted\":" + std::to_string(ts.admitted);
     out += ",\"shed\":" + std::to_string(ts.shed);
     out += ",\"in_flight\":" + std::to_string(ts.in_flight);
-    out += ",\"shed_rate_10s\":" + FormatDouble(shed_10s.RatePerSec());
+    out += ",\"shed_rate_10s\":" + json::Number(shed_10s.RatePerSec());
     out += "}";
   }
   out += "]";

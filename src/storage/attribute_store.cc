@@ -11,6 +11,24 @@
 
 namespace vdb {
 
+namespace {
+
+/// Bucket of `v` in the 16-bucket equi-width histogram over [min, max].
+/// The position is range-checked before the integer cast, which is
+/// undefined for NaN and out-of-range doubles: NaN, and any position an
+/// infinite range leaves undefined, land in bucket 0; `max` (+inf
+/// included) lands in bucket 15. Finite columns bucket exactly as
+/// truncating (v - min) / width would.
+std::size_t HistogramBucket(double v, double min, double max, double width) {
+  if (!(width > 0.0)) return 0;
+  if (v >= max) return 15;
+  double pos = (v - min) / width;
+  if (!(pos > 0.0)) return 0;
+  return pos < 15.0 ? static_cast<std::size_t>(pos) : 15;
+}
+
+}  // namespace
+
 Status AttributeStore::AddColumn(const std::string& name, AttrType type) {
   if (columns_.contains(name)) {
     return Status::AlreadyExists("column exists: " + name);
@@ -116,12 +134,7 @@ ColumnStats AttributeStore::ScanStats(const Column& col) const {
     std::unordered_set<double> distinct;
     for (std::size_t r = 0; r < num_rows_; ++r) {
       double v = getter(r);
-      std::size_t bucket =
-          width > 0.0
-              ? std::min<std::size_t>(
-                    static_cast<std::size_t>((v - stats.min) / width), 15)
-              : 0;
-      ++stats.histogram[bucket];
+      ++stats.histogram[HistogramBucket(v, stats.min, stats.max, width)];
       if (distinct.size() < 10000) distinct.insert(v);
     }
     stats.approx_distinct = distinct.size();

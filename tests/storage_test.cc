@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <string>
@@ -17,6 +18,7 @@
 #include "core/eval.h"
 #include "core/rng.h"
 #include "core/synthetic.h"
+#include "exec/predicate.h"
 #include "index/hnsw.h"
 #include "index/flat.h"
 #include "storage/attribute_store.h"
@@ -109,6 +111,68 @@ TEST(AttributeStoreTest, StatsHistogramAndDistinct) {
   EXPECT_EQ(stats->approx_distinct, 16u);
   ASSERT_EQ(stats->histogram.size(), 16u);
   for (std::size_t b = 0; b < 16; ++b) EXPECT_EQ(stats->histogram[b], 10u);
+}
+
+// NaN and ±inf have no position on the histogram axis; converting that
+// undefined position to a bucket index was UB (float-cast-overflow).
+// Every row still lands in a bucket, and estimates stay in [0, 1].
+TEST(AttributeStoreTest, StatsHistogramNonFiniteValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> columns = {
+      {1.0, 2.0, nan, 3.0, inf, -inf, nan, 4.0},  // both infinities
+      {1.0, 2.0, nan, 3.0, inf},                  // infinite max only
+      {-inf, 1.0, nan, 2.0},                      // infinite min only
+      {nan, nan, nan},                            // no ordered value
+  };
+  for (const auto& values : columns) {
+    AttributeStore attrs;
+    ASSERT_TRUE(attrs.AddColumn("d", AttrType::kDouble).ok());
+    for (std::size_t r = 0; r < values.size(); ++r) {
+      ASSERT_TRUE(attrs.PutRow(r, {{"d", values[r]}}).ok());
+    }
+    auto stats = attrs.ComputeStats("d");
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(std::accumulate(stats->histogram.begin(),
+                              stats->histogram.end(), std::size_t{0}),
+              values.size());
+    for (double literal : {-inf, -1.0, 0.0, 2.5, 10.0, inf, nan}) {
+      for (CmpOp op : {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt, CmpOp::kGe}) {
+        auto est = Predicate::Cmp("d", op, literal).EstimateSelectivity(attrs);
+        ASSERT_TRUE(est.ok());
+        EXPECT_GE(*est, 0.0) << literal;
+        EXPECT_LE(*est, 1.0) << literal;
+      }
+      auto between =
+          Predicate::Between("d", -1.0, literal).EstimateSelectivity(attrs);
+      ASSERT_TRUE(between.ok());
+      EXPECT_GE(*between, 0.0) << literal;
+      EXPECT_LE(*between, 1.0) << literal;
+    }
+  }
+}
+
+// Finite columns keep the truncating bucket rule exactly.
+TEST(AttributeStoreTest, StatsHistogramFiniteBucketsUnchanged) {
+  Rng rng(7);
+  for (double scale : {1e-3, 1.0, 1e6}) {
+    AttributeStore attrs;
+    ASSERT_TRUE(attrs.AddColumn("d", AttrType::kDouble).ok());
+    std::vector<double> values;
+    for (int r = 0; r < 500; ++r) {
+      values.push_back(scale * (rng.NextDouble() - 0.3));
+      ASSERT_TRUE(attrs.PutRow(r, {{"d", values.back()}}).ok());
+    }
+    auto stats = attrs.ComputeStats("d");
+    ASSERT_TRUE(stats.ok());
+    const double width = (stats->max - stats->min) / 16.0;
+    std::vector<std::size_t> expected(16, 0);
+    for (double v : values) {
+      ++expected[std::min<std::size_t>(
+          static_cast<std::size_t>((v - stats->min) / width), 15)];
+    }
+    EXPECT_EQ(stats->histogram, expected) << scale;
+  }
 }
 
 // Fills an int64 / double / string store with rows [0, n) of a fixed

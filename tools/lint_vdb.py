@@ -44,6 +44,15 @@ pass --root):
      (`guarded_by`, `capability`, ...) also live only in core/sync.h —
      annotations go through the VDB_* macros, which no-op on non-Clang
      compilers.
+  9. One JSON mechanism: JSON string escaping (the `\\u%04x` control-
+     byte spelling, or any `Escape`/`escape` helper function or lambda)
+     lives only in src/core/json.*, and so does the JSON number
+     formatter (the `%.9g` conversion); the one other `%.9g` is the
+     Prometheus sample formatter `PrometheusValue` in
+     src/core/telemetry.cc. Each allowed file spells its conversion
+     once. Scans src/, bench/ and examples/ (not perfbench/, the
+     benchmark's own code) — every JSON producer quotes and formats
+     through core/json so the renders cannot drift apart again.
 
 Exit status 0 when clean; 1 with one "file:line: message" per violation
 otherwise. Run by the `lint` CI job and locally via
@@ -107,6 +116,18 @@ RAW_TSA_ATTR = re.compile(
     r"locks_excluded|lock_returned|assert_capability|"
     r"no_thread_safety_analysis)\b")
 
+# Invariant 9: where JSON escaping and number formatting may be spelled.
+JSON_IMPL_PREFIX = "src/core/json."
+JSON_SCAN_DIRS = ("src", "bench", "examples")
+JSON_UNICODE_ESCAPE = re.compile(r"\\\\u%")
+ESCAPE_HELPER = re.compile(r"\b\w*[Ee]scape\w*\s*(?:\(|=\s*\[)")
+NUMBER_FORMAT = re.compile(r"%\.9g")
+# file -> what its one %.9g is for
+NUMBER_FORMAT_OWNERS = {
+    "src/core/json.cc": "the JSON number formatter",
+    "src/core/telemetry.cc": "the Prometheus sample formatter",
+}
+
 
 def strip_comments(text):
     """Removes // and /* */ comments (keeps line count: block comments
@@ -136,10 +157,10 @@ def strip_comments(text):
     return "".join(out)
 
 
-def source_files(root):
-    for sub in ("src",):
+def source_files(root, subs=("src",)):
+    for sub in subs:
         for path in sorted((root / sub).rglob("*")):
-            if path.suffix in (".cc", ".h"):
+            if path.suffix in (".cc", ".cpp", ".h"):
                 yield path
 
 
@@ -304,6 +325,36 @@ def check_sync_confinement(root, errors):
                           f"outside {SYNC_IMPL} — use the VDB_* macros")
 
 
+def check_json_confinement(root, errors):
+    """Invariant 9: JSON escaping only in src/core/json.*; `%.9g` only
+    once in each of NUMBER_FORMAT_OWNERS."""
+    for path in source_files(root, JSON_SCAN_DIRS):
+        rel = path.relative_to(root).as_posix()
+        text = strip_comments(path.read_text())
+
+        def report(m, what):
+            line = text.count("\n", 0, m.start()) + 1
+            errors.append(f"{rel}:{line}: {what} ('{m.group(0)}') outside "
+                          f"{JSON_IMPL_PREFIX}* — quote and format JSON "
+                          f"through core/json")
+
+        if not rel.startswith(JSON_IMPL_PREFIX):
+            for m in JSON_UNICODE_ESCAPE.finditer(text):
+                report(m, "JSON string escaping")
+            for m in ESCAPE_HELPER.finditer(text):
+                report(m, "JSON string escaper")
+        formats = list(NUMBER_FORMAT.finditer(text))
+        allowed = 1 if rel in NUMBER_FORMAT_OWNERS else 0
+        for m in formats[allowed:]:
+            if allowed:
+                line = text.count("\n", 0, m.start()) + 1
+                errors.append(f"{rel}:{line}: second '%.9g' formatter; "
+                              f"{rel} owns one "
+                              f"({NUMBER_FORMAT_OWNERS[rel]})")
+            else:
+                report(m, "number formatter")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path,
@@ -318,6 +369,7 @@ def main():
     check_raw_io(args.root, errors)
     check_simd_confinement(args.root, errors)
     check_sync_confinement(args.root, errors)
+    check_json_confinement(args.root, errors)
 
     if errors:
         for e in errors:
