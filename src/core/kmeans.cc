@@ -21,12 +21,12 @@ FloatMatrix SeedPlusPlus(const FloatMatrix& data, std::size_t k, Rng* rng) {
   std::copy_n(data.row(first), d, centroids.row(0));
 
   std::vector<double> best_dist(n, std::numeric_limits<double>::max());
+  std::vector<float> dist(n);
   for (std::size_t c = 1; c < k; ++c) {
-    const float* prev = centroids.row(c - 1);
+    simd::L2SqBatch(centroids.row(c - 1), data.data(), d, n, dist.data());
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      double dist = simd::L2Sq(data.row(i), prev, d);
-      best_dist[i] = std::min(best_dist[i], dist);
+      best_dist[i] = std::min(best_dist[i], static_cast<double>(dist[i]));
       total += best_dist[i];
     }
     std::size_t pick = 0;
@@ -46,6 +46,48 @@ FloatMatrix SeedPlusPlus(const FloatMatrix& data, std::size_t k, Rng* rng) {
     std::copy_n(data.row(pick), d, centroids.row(c));
   }
   return centroids;
+}
+
+/// Scores `x` against every centroid, one batched call per chunk of 256
+/// (a stack buffer, so no per-call allocation), and hands each chunk to
+/// `visit(first_centroid, dist, len)` in centroid order.
+template <typename Visit>
+void ScoreCentroids(const FloatMatrix& centroids, const float* x,
+                    Visit visit) {
+  constexpr std::size_t kChunk = 256;
+  float dist[kChunk];
+  for (std::size_t c0 = 0; c0 < centroids.rows(); c0 += kChunk) {
+    const std::size_t len = std::min(kChunk, centroids.rows() - c0);
+    simd::L2SqBatch(x, centroids.row(c0), centroids.cols(), len, dist);
+    visit(c0, dist, len);
+  }
+}
+
+/// First nearest centroid to `x` as (arg, best): a later chunk wins only
+/// when strictly closer, so ties still go to the lowest index.
+simd::ArgMinResult Nearest(const FloatMatrix& centroids, const float* x) {
+  simd::ArgMinResult nearest;
+  ScoreCentroids(centroids, x,
+                 [&](std::size_t c0, const float* dist, std::size_t len) {
+                   simd::ArgMinResult chunk = simd::ArgMin(dist, len);
+                   if (chunk.best < nearest.best) {
+                     nearest.arg = static_cast<std::uint32_t>(c0) + chunk.arg;
+                     nearest.best = chunk.best;
+                   }
+                 });
+  return nearest;
+}
+
+/// Assigns every row to its nearest centroid; returns the total inertia.
+double Assign(const FloatMatrix& data, const FloatMatrix& centroids,
+              std::vector<std::uint32_t>* assignments) {
+  double inertia = 0.0;
+  for (std::size_t i = 0; i < data.rows(); ++i) {
+    simd::ArgMinResult nearest = Nearest(centroids, data.row(i));
+    (*assignments)[i] = nearest.arg;
+    inertia += nearest.best;
+  }
+  return inertia;
 }
 
 }  // namespace
@@ -68,22 +110,7 @@ Result<KMeansResult> KMeans(const FloatMatrix& data,
 
   for (int iter = 0; iter < opts.max_iters; ++iter) {
     result.iters_run = iter + 1;
-    // Assignment step.
-    double inertia = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* x = data.row(i);
-      double best = std::numeric_limits<double>::max();
-      std::uint32_t arg = 0;
-      for (std::size_t c = 0; c < k; ++c) {
-        double dist = simd::L2Sq(x, result.centroids.row(c), d);
-        if (dist < best) {
-          best = dist;
-          arg = static_cast<std::uint32_t>(c);
-        }
-      }
-      result.assignments[i] = arg;
-      inertia += best;
-    }
+    const double inertia = Assign(data, result.centroids, &result.assignments);
     result.inertia = inertia;
 
     // Update step.
@@ -129,45 +156,23 @@ Result<KMeansResult> KMeans(const FloatMatrix& data,
   }
 
   // Final assignment so assignments match the returned centroids.
-  double inertia = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* x = data.row(i);
-    double best = std::numeric_limits<double>::max();
-    std::uint32_t arg = 0;
-    for (std::size_t c = 0; c < k; ++c) {
-      double dist = simd::L2Sq(x, result.centroids.row(c), d);
-      if (dist < best) {
-        best = dist;
-        arg = static_cast<std::uint32_t>(c);
-      }
-    }
-    result.assignments[i] = arg;
-    inertia += best;
-  }
-  result.inertia = inertia;
+  result.inertia = Assign(data, result.centroids, &result.assignments);
   return result;
 }
 
 std::uint32_t NearestCentroid(const FloatMatrix& centroids, const float* x) {
-  double best = std::numeric_limits<double>::max();
-  std::uint32_t arg = 0;
-  for (std::size_t c = 0; c < centroids.rows(); ++c) {
-    double dist = simd::L2Sq(x, centroids.row(c), centroids.cols());
-    if (dist < best) {
-      best = dist;
-      arg = static_cast<std::uint32_t>(c);
-    }
-  }
-  return arg;
+  return Nearest(centroids, x).arg;
 }
 
 std::vector<std::uint32_t> NearestCentroids(const FloatMatrix& centroids,
                                             const float* x, std::size_t n) {
   TopK top(std::min(n, centroids.rows()));
-  for (std::size_t c = 0; c < centroids.rows(); ++c) {
-    top.Push(static_cast<VectorId>(c),
-             simd::L2Sq(x, centroids.row(c), centroids.cols()));
-  }
+  ScoreCentroids(centroids, x,
+                 [&](std::size_t c0, const float* dist, std::size_t len) {
+                   for (std::size_t c = 0; c < len; ++c) {
+                     top.Push(static_cast<VectorId>(c0 + c), dist[c]);
+                   }
+                 });
   std::vector<std::uint32_t> out;
   for (const auto& nb : top.Take())
     out.push_back(static_cast<std::uint32_t>(nb.id));

@@ -3,6 +3,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <limits>
 
 #if defined(__GNUC__) && !defined(__clang__)
 // GCC's AVX-512 reduce intrinsics expand _mm256_undefined_pd() through
@@ -405,17 +406,88 @@ void InnerProductBatchGather(const float* q, const float* base,
   }
 }
 
+// Short rows, column-major. Below the tier width the single-pair kernel
+// is its scalar tail alone: total = 0, then total += d*d per element, one
+// rounding for the multiply and one for the add. Here lane r of `acc`
+// runs that same sequence for row r, fed one gathered column at a time,
+// so every lane equals the single-pair result bit for bit. That holds
+// only while the compiler does not fuse mul+add into an FMA, which is
+// why this file is built with -ffp-contract=off (src/CMakeLists.txt).
+
+namespace {
+
+__attribute__((target("avx2")))
+void L2SqShortRowsAvx2(const float* q, const float* rows, std::size_t dim,
+                       std::size_t n, float* out) {
+  const __m256i offsets =
+      _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                         _mm256_set1_epi32(static_cast<int>(dim)));
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const float* block = rows + i * dim;
+    __m256 acc = _mm256_setzero_ps();
+    for (std::size_t j = 0; j < dim; ++j) {
+      __m256 col = _mm256_i32gather_ps(block + j, offsets, sizeof(float));
+      __m256 d = _mm256_sub_ps(_mm256_set1_ps(q[j]), col);
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
+    }
+    _mm256_storeu_ps(out + i, acc);
+  }
+  for (; i < n; ++i) out[i] = L2SqAvx2(q, rows + i * dim, dim);
+}
+
+__attribute__((target("avx512f")))
+void L2SqShortRowsAvx512(const float* q, const float* rows, std::size_t dim,
+                         std::size_t n, float* out) {
+  const __m512i offsets = _mm512_mullo_epi32(
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+      _mm512_set1_epi32(static_cast<int>(dim)));
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const float* block = rows + i * dim;
+    __m512 acc = _mm512_setzero_ps();
+    for (std::size_t j = 0; j < dim; ++j) {
+      __m512 col = _mm512_i32gather_ps(offsets, block + j, sizeof(float));
+      __m512 d = _mm512_sub_ps(_mm512_set1_ps(q[j]), col);
+      acc = _mm512_add_ps(acc, _mm512_mul_ps(d, d));
+    }
+    _mm512_storeu_ps(out + i, acc);
+  }
+  for (; i < n; ++i) out[i] = L2SqAvx512(q, rows + i * dim, dim);
+}
+
+}  // namespace
+
+void L2SqBatchScalar(const float* q, const float* rows, std::size_t dim,
+                     std::size_t n, float* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = L2SqScalar(q, rows + i * dim, dim);
+  }
+}
+
+void L2SqBatchAvx2(const float* q, const float* rows, std::size_t dim,
+                   std::size_t n, float* out) {
+  if (dim < 8) return L2SqShortRowsAvx2(q, rows, dim, n, out);
+  auto row = [&](std::size_t i) { return rows + i * dim; };
+  BatchLoop(q, dim, n, row, out, &L2SqAvx2, &L2SqX4Avx2);
+}
+
+void L2SqBatchAvx512(const float* q, const float* rows, std::size_t dim,
+                     std::size_t n, float* out) {
+  if (dim < 16) return L2SqShortRowsAvx512(q, rows, dim, n, out);
+  auto row = [&](std::size_t i) { return rows + i * dim; };
+  BatchLoop(q, dim, n, row, out, &L2SqAvx512, &L2SqX4Avx512);
+}
+
 void L2SqBatch(const float* q, const float* rows, std::size_t dim,
                std::size_t n, float* out) {
-  auto row = [&](std::size_t i) { return rows + i * dim; };
   switch (ActiveTier()) {
     case DispatchTier::kAvx512:
-      return BatchLoop(q, dim, n, row, out, &L2SqAvx512, &L2SqX4Avx512);
+      return L2SqBatchAvx512(q, rows, dim, n, out);
     case DispatchTier::kAvx2:
-      return BatchLoop(q, dim, n, row, out, &L2SqAvx2, &L2SqX4Avx2);
+      return L2SqBatchAvx2(q, rows, dim, n, out);
     case DispatchTier::kScalar:
-      for (std::size_t i = 0; i < n; ++i) out[i] = L2SqScalar(q, row(i), dim);
-      return;
+      return L2SqBatchScalar(q, rows, dim, n, out);
   }
 }
 
@@ -434,6 +506,66 @@ void InnerProductBatch(const float* q, const float* rows, std::size_t dim,
       }
       return;
   }
+}
+
+// ------------------------------------------------------------------ ArgMin
+
+namespace {
+
+/// Scalar first-minimum scan of v[i, n), continuing from (arg, best).
+ArgMinResult FinishArgMin(const float* v, std::size_t i, std::size_t n,
+                          std::size_t arg, float best) {
+  for (; i < n; ++i) {
+    if (v[i] < best) {
+      best = v[i];
+      arg = i;
+    }
+  }
+  ArgMinResult r;
+  if (best < std::numeric_limits<float>::infinity()) {
+    r.arg = static_cast<std::uint32_t>(arg);
+    r.best = best;
+  }
+  return r;
+}
+
+}  // namespace
+
+ArgMinResult ArgMinScalar(const float* v, std::size_t n) {
+  return FinishArgMin(v, 0, n, 0, std::numeric_limits<float>::infinity());
+}
+
+__attribute__((target("avx512f")))
+ArgMinResult ArgMinAvx512(const float* v, std::size_t n) {
+  const float inf = std::numeric_limits<float>::infinity();
+  // Lane l keeps the first minimum of v[l], v[l+16], ...: strict < and an
+  // ordered compare, so later ties and NaNs never replace it.
+  __m512 best = _mm512_set1_ps(inf);
+  __m512i best_idx = _mm512_setzero_si512();
+  __m512i idx =
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  const __m512i step = _mm512_set1_epi32(16);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m512 x = _mm512_loadu_ps(v + i);
+    __mmask16 lt = _mm512_cmp_ps_mask(x, best, _CMP_LT_OQ);
+    best = _mm512_mask_mov_ps(best, lt, x);
+    best_idx = _mm512_mask_mov_epi32(best_idx, lt, idx);
+    idx = _mm512_add_epi32(idx, step);
+  }
+  // Across lanes: the smallest value, then the lowest index holding it.
+  std::size_t arg = 0;
+  float low = i == 0 ? inf : _mm512_reduce_min_ps(best);
+  if (low < inf) {
+    __mmask16 at = _mm512_cmp_ps_mask(best, _mm512_set1_ps(low), _CMP_EQ_OQ);
+    arg = _mm512_mask_reduce_min_epu32(at, best_idx);
+    low = v[arg];
+  }
+  return FinishArgMin(v, i, n, arg, low);
+}
+
+ArgMinResult ArgMin(const float* v, std::size_t n) {
+  return HasAvx512() ? ArgMinAvx512(v, n) : ArgMinScalar(v, n);
 }
 
 // ------------------------------------------------------------ FastScan/ADC

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 namespace vdb::simd {
 
@@ -61,9 +62,25 @@ float NormSq(const float* a, std::size_t dim);
 // Contiguous variant: rows = `rows + i*dim` for i in [0, n).
 // Gather-by-id variant: row i = `base + ids[i]*dim` (the dense-index
 // layout, where ids are internal node numbers into a row-major matrix).
+//
+// Short rows (dim below the tier's vector width: 8 floats for AVX2, 16
+// for AVX-512) never reach the single-pair kernel's vector loop, so the
+// contiguous L2 batch scores them column-major instead: one SIMD lane per
+// row, one gathered column per step, a separate multiply and add per
+// element. That replays the single-pair kernel's scalar tail exactly, so
+// the bit-identity contract above holds for every dim — it is the one
+// call behind every "point vs all centroids" loop (k-means, PQ training,
+// encoding and ADC tables).
 
 void L2SqBatch(const float* q, const float* rows, std::size_t dim,
                std::size_t n, float* out);
+// Per-tier contiguous L2 variants, exposed for the dispatch-parity test.
+void L2SqBatchScalar(const float* q, const float* rows, std::size_t dim,
+                     std::size_t n, float* out);
+void L2SqBatchAvx2(const float* q, const float* rows, std::size_t dim,
+                   std::size_t n, float* out);
+void L2SqBatchAvx512(const float* q, const float* rows, std::size_t dim,
+                     std::size_t n, float* out);
 void InnerProductBatch(const float* q, const float* rows, std::size_t dim,
                        std::size_t n, float* out);
 
@@ -92,6 +109,20 @@ void InnerProductBatchGatherAvx2(const float* q, const float* base,
 void InnerProductBatchGatherAvx512(const float* q, const float* base,
                                    std::size_t dim, const std::uint32_t* ids,
                                    std::size_t n, float* out);
+
+/// First minimum of `v[0, n)`: the smallest value below +inf, ties to the
+/// lowest index, NaN never wins. `best` is that value widened to double,
+/// or DBL_MAX with `arg` 0 when no value is below +inf — exactly what the
+/// `double best = DBL_MAX; if (v[i] < best)` loop it replaces returned.
+/// The AVX-512 form keeps 16 per-lane minima (32-bit indexes, n < 2^32);
+/// comparisons are exact, so every tier returns the same answer.
+struct ArgMinResult {
+  std::uint32_t arg = 0;
+  double best = std::numeric_limits<double>::max();
+};
+ArgMinResult ArgMinScalar(const float* v, std::size_t n);
+ArgMinResult ArgMinAvx512(const float* v, std::size_t n);
+ArgMinResult ArgMin(const float* v, std::size_t n);
 
 /// Batched asymmetric-distance (ADC) table accumulation: for `m` subspaces
 /// with `ksub` centroids each, sums table[j][codes[j]] over j. `codes` are

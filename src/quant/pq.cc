@@ -45,14 +45,17 @@ Status ProductQuantizer::Train(const FloatMatrix& data) {
     }
   }
 
-  // SDC tables.
+  // SDC tables: row a scores centroid a against centroids a+1.. in one
+  // batched call; the lower triangle mirrors it.
   sdc_tables_.assign(opts_.m * ksub_ * ksub_, 0.0f);
   for (std::size_t s = 0; s < opts_.m; ++s) {
-    for (std::size_t a = 0; a < ksub_; ++a) {
+    float* table = sdc_tables_.data() + s * ksub_ * ksub_;
+    for (std::size_t a = 0; a + 1 < ksub_; ++a) {
+      float* upper = table + a * ksub_ + a + 1;
+      simd::L2SqBatch(Centroid(s, a), Centroid(s, a + 1), dsub_,
+                      ksub_ - a - 1, upper);
       for (std::size_t b = a + 1; b < ksub_; ++b) {
-        float d = simd::L2Sq(Centroid(s, a), Centroid(s, b), dsub_);
-        sdc_tables_[(s * ksub_ + a) * ksub_ + b] = d;
-        sdc_tables_[(s * ksub_ + b) * ksub_ + a] = d;
+        table[b * ksub_ + a] = table[a * ksub_ + b];
       }
     }
   }
@@ -60,18 +63,14 @@ Status ProductQuantizer::Train(const FloatMatrix& data) {
 }
 
 void ProductQuantizer::Encode(const float* x, std::uint8_t* code) const {
+  float dist[256];  // ksub_ <= 2^8
   for (std::size_t s = 0; s < opts_.m; ++s) {
-    const float* xs = x + s * dsub_;
-    float best = std::numeric_limits<float>::max();
-    std::size_t arg = 0;
-    for (std::size_t c = 0; c < ksub_; ++c) {
-      float d = simd::L2Sq(xs, Centroid(s, c), dsub_);
-      if (d < best) {
-        best = d;
-        arg = c;
-      }
-    }
-    code[s] = static_cast<std::uint8_t>(arg);
+    simd::L2SqBatch(x + s * dsub_, Centroid(s, 0), dsub_, ksub_, dist);
+    simd::ArgMinResult nearest = simd::ArgMin(dist, ksub_);
+    // Only distances below FLT_MAX may win, as in the scalar loop this
+    // replaced; ArgMin's bar is +inf, one float above it.
+    code[s] = static_cast<std::uint8_t>(
+        nearest.best < std::numeric_limits<float>::max() ? nearest.arg : 0);
   }
 }
 
@@ -84,11 +83,8 @@ void ProductQuantizer::Decode(const std::uint8_t* code, float* x) const {
 void ProductQuantizer::ComputeAdcTables(const float* query,
                                         float* tables) const {
   for (std::size_t s = 0; s < opts_.m; ++s) {
-    const float* qs = query + s * dsub_;
-    float* row = tables + s * ksub_;
-    for (std::size_t c = 0; c < ksub_; ++c) {
-      row[c] = simd::L2Sq(qs, Centroid(s, c), dsub_);
-    }
+    simd::L2SqBatch(query + s * dsub_, Centroid(s, 0), dsub_, ksub_,
+                    tables + s * ksub_);
   }
 }
 

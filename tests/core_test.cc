@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "core/synthetic.h"
 #include "core/topk.h"
 #include "core/types.h"
+#include "per_pair_reference.h"
 
 namespace vdb {
 namespace {
@@ -371,6 +374,80 @@ TEST(KMeansTest, NearestCentroidsAscending) {
   EXPECT_EQ(order[1], 3u);
   EXPECT_EQ(order[2], 1u);
   EXPECT_EQ(order[3], 0u);
+}
+
+// Batched k-means must reproduce the per-pair loops it replaced byte for
+// byte: d=4 with k=256 is a PQ subspace (the column-major short-row
+// path), d=32 with k=64 at n=5000 is the serving benchmark's IVF shape
+// (the row-major path on both SIMD tiers).
+void ExpectKMeansMatchesPerPair(std::size_t n, std::size_t dim,
+                                std::size_t k, int iters) {
+  SyntheticOptions so;
+  so.n = n;
+  so.dim = dim;
+  so.num_clusters = 32;
+  so.seed = 77;
+  FloatMatrix data = GaussianClusters(so);
+  KMeansOptions opts;
+  opts.k = k;
+  opts.max_iters = iters;
+  opts.seed = 9;
+  auto got = KMeans(data, opts);
+  ASSERT_TRUE(got.ok());
+  KMeansResult want = per_pair::KMeans(data, opts);
+  ASSERT_EQ(got->centroids.ByteSize(), want.centroids.ByteSize());
+  EXPECT_EQ(std::memcmp(got->centroids.data(), want.centroids.data(),
+                        want.centroids.ByteSize()),
+            0);
+  EXPECT_EQ(got->assignments, want.assignments);
+  EXPECT_EQ(std::memcmp(&got->inertia, &want.inertia, sizeof(double)), 0);
+  EXPECT_EQ(got->iters_run, want.iters_run);
+}
+
+TEST(KMeansTest, PqSubspaceShapeMatchesPerPairLoops) {
+  ExpectKMeansMatchesPerPair(2000, 4, 256, 10);
+}
+
+TEST(KMeansTest, IvfShapeMatchesPerPairLoops) {
+  ExpectKMeansMatchesPerPair(5000, 32, 64, 15);
+}
+
+// NearestCentroid(s) over more than one 256-centroid chunk, with exact
+// duplicate centroids: ties go to the lowest index, and the TopK order
+// equals pushing every centroid in index order.
+TEST(KMeansTest, NearestCentroidsMatchPerPairLoopsOnTies) {
+  Rng rng(21);
+  for (std::size_t dim : {std::size_t{3}, std::size_t{16}, std::size_t{33}}) {
+    FloatMatrix cents(600, dim);
+    for (std::size_t c = 0; c < 600; ++c) {
+      for (std::size_t j = 0; j < dim; ++j) {
+        // Coarse values and repeated rows make equal distances common.
+        cents.at(c, j) = static_cast<float>(c % 7 == 0 ? (c / 300) % 2
+                                                       : rng.Next(4));
+      }
+    }
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<float> x(dim);
+      for (float& v : x) v = static_cast<float>(rng.Next(4));
+      double best = std::numeric_limits<double>::max();
+      std::uint32_t arg = 0;
+      TopK top(10);
+      for (std::size_t c = 0; c < cents.rows(); ++c) {
+        float dist = simd::L2Sq(x.data(), cents.row(c), dim);
+        if (dist < best) {
+          best = dist;
+          arg = static_cast<std::uint32_t>(c);
+        }
+        top.Push(static_cast<VectorId>(c), dist);
+      }
+      EXPECT_EQ(NearestCentroid(cents, x.data()), arg);
+      std::vector<std::uint32_t> want;
+      for (const auto& nb : top.Take()) {
+        want.push_back(static_cast<std::uint32_t>(nb.id));
+      }
+      EXPECT_EQ(NearestCentroids(cents, x.data(), 10), want);
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Linalg

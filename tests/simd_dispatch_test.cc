@@ -12,6 +12,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -180,6 +183,129 @@ TEST(SimdDispatchTest, ContiguousBatchBitIdenticalToSingle) {
       EXPECT_EQ(out[i],
                 simd::InnerProduct(q.data(), rows.data() + i * dim, dim));
     }
+  }
+}
+
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, 4) == 0; }
+
+using BatchFn = void (*)(const float*, const float*, std::size_t,
+                         std::size_t, float*);
+using SingleFn = float (*)(const float*, const float*, std::size_t);
+
+// Counts rows where tier `batch` differs from tier `single` in any bit.
+std::size_t BatchMismatches(BatchFn batch, SingleFn single,
+                            const std::vector<float>& q,
+                            const std::vector<float>& rows, std::size_t dim,
+                            std::size_t n) {
+  std::vector<float> out(n);
+  batch(q.data(), rows.data(), dim, n, out.data());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    bad += !SameBits(out[i], single(q.data(), rows.data() + i * dim, dim));
+  }
+  return bad;
+}
+
+// The contiguous L2 batch behind every "point vs all centroids" loop:
+// below the tier width it scores rows column-major, at or above it
+// row-major, and in both cases each row must equal the tier's
+// single-pair kernel bit for bit. n covers a lone row, one short of a
+// 16-lane block, a full block, one past it, and whole codebooks.
+TEST(SimdDispatchTest, ContiguousL2BatchBitIdenticalPerTier) {
+  Rng rng(29);
+  for (std::size_t dim = 1; dim <= 70; ++dim) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{15}, std::size_t{16},
+                          std::size_t{17}, std::size_t{256},
+                          std::size_t{257}}) {
+      auto q = RandomVec(rng, dim);
+      auto rows = RandomVec(rng, n * dim);
+      EXPECT_EQ(BatchMismatches(&simd::L2SqBatchScalar, &simd::L2SqScalar, q,
+                                rows, dim, n),
+                0u)
+          << "scalar dim=" << dim << " n=" << n;
+      if (simd::HasAvx2()) {
+        EXPECT_EQ(BatchMismatches(&simd::L2SqBatchAvx2, &simd::L2SqAvx2, q,
+                                  rows, dim, n),
+                  0u)
+            << "avx2 dim=" << dim << " n=" << n;
+      }
+      if (simd::HasAvx512()) {
+        EXPECT_EQ(BatchMismatches(&simd::L2SqBatchAvx512, &simd::L2SqAvx512,
+                                  q, rows, dim, n),
+                  0u)
+            << "avx512 dim=" << dim << " n=" << n;
+      }
+      EXPECT_EQ(BatchMismatches(&simd::L2SqBatch, &simd::L2Sq, q, rows, dim,
+                                n),
+                0u)
+          << "dispatched dim=" << dim << " n=" << n;
+    }
+  }
+}
+
+// The loop ArgMin replaces, verbatim.
+simd::ArgMinResult ArgMinLoop(const float* v, std::size_t n) {
+  simd::ArgMinResult r;
+  for (std::size_t i = 0; i < n; ++i) {
+    double d = v[i];
+    if (d < r.best) {
+      r.best = d;
+      r.arg = static_cast<std::uint32_t>(i);
+    }
+  }
+  return r;
+}
+
+void ExpectArgMinMatchesLoop(const std::vector<float>& v) {
+  simd::ArgMinResult want = ArgMinLoop(v.data(), v.size());
+  auto check = [&](simd::ArgMinResult got, const char* tier) {
+    EXPECT_EQ(got.arg, want.arg) << tier << " n=" << v.size();
+    EXPECT_EQ(std::memcmp(&got.best, &want.best, sizeof(double)), 0)
+        << tier << " n=" << v.size() << " best " << got.best << " vs "
+        << want.best;
+  };
+  check(simd::ArgMinScalar(v.data(), v.size()), "scalar");
+  if (simd::HasAvx512()) {
+    check(simd::ArgMinAvx512(v.data(), v.size()), "avx512");
+  }
+  check(simd::ArgMin(v.data(), v.size()), "dispatched");
+}
+
+// First minimum on ties (including -0 against +0), NaN never wins,
+// (0, DBL_MAX) when nothing is below +inf, and every n below, at and
+// past the 16-lane block.
+TEST(SimdDispatchTest, ArgMinMatchesFirstMinimumLoop) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float pool[] = {3.0f,  1.0f, 1.0f, 0.0f, -0.0f, 2.5f,
+                        nan,   inf,  -inf, std::numeric_limits<float>::max()};
+  Rng rng(31);
+  for (std::size_t n = 0; n <= 70; ++n) {
+    ExpectArgMinMatchesLoop(std::vector<float>(n, inf));
+    ExpectArgMinMatchesLoop(std::vector<float>(n, nan));
+    ExpectArgMinMatchesLoop(std::vector<float>(n, 1.0f));
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<float> v(n);
+      // Early trials draw only from the low-cardinality pool (ties and
+      // specials everywhere); later ones mix in random floats.
+      for (float& x : v) {
+        x = trial < 20 || rng.Next(3) == 0
+                ? pool[rng.Next(std::size(pool) - (trial % 2 ? 0 : 3))]
+                : rng.NextFloat(0.0f, 4.0f);
+      }
+      ExpectArgMinMatchesLoop(v);
+    }
+  }
+  for (std::size_t n : {std::size_t{255}, std::size_t{256},
+                        std::size_t{257}}) {
+    std::vector<float> v(n, 7.0f);
+    v[n - 1] = 1.0f;  // the minimum in the scalar tail or the last lane
+    ExpectArgMinMatchesLoop(v);
+    v[40] = 1.0f;  // an earlier tie must win
+    ExpectArgMinMatchesLoop(v);
+    v[33] = nan;
+    v[17] = inf;
+    ExpectArgMinMatchesLoop(v);
   }
 }
 
