@@ -63,10 +63,12 @@ class Scorer {
   }
 
   /// Batched distance: out[i] = Distance(query, base + ids[i]*dim) for the
-  /// `n` gathered rows of a row-major matrix. For L2 and inner product this
-  /// routes through the one-query-vs-many SIMD kernels (bit-identical per
-  /// row to `Distance` on the same machine); other metrics fall back to a
-  /// per-row loop, so callers may batch unconditionally.
+  /// `n` gathered rows of a row-major matrix, bit for bit. For L2 and
+  /// inner product this routes through the one-query-vs-many SIMD kernels
+  /// (bit-identical per row to `Distance` on the same machine); other
+  /// metrics fall back to a per-row loop. graph::BeamSearch scores every
+  /// node, entry points included, through this call and relies on that
+  /// identity for its results.
   void DistanceBatch(const float* query, const float* base,
                      const std::uint32_t* ids, std::size_t n,
                      float* out) const;

@@ -663,6 +663,7 @@ std::size_t Collection::UnindexedRows() const {
 std::size_t Collection::MemoryBytes() const {
   std::size_t bytes = vectors_.MemoryBytes();
   if (index_ != nullptr) bytes += index_->MemoryBytes();
+  if (lsm_ != nullptr) bytes += lsm_->MemoryBytes();
   return bytes;
 }
 

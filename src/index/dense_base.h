@@ -1,10 +1,12 @@
 #ifndef VDB_INDEX_DENSE_BASE_H_
 #define VDB_INDEX_DENSE_BASE_H_
 
+#include <algorithm>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "index/graph_util.h"
 #include "index/index.h"
 
 namespace vdb {
@@ -79,6 +81,31 @@ class DenseIndexBase : public VectorIndex {
     if (params.filter == nullptr) return true;
     if (stats != nullptr) ++stats->filter_checks;
     return params.filter->Matches(labels_[idx]);
+  }
+
+  /// The k-NN tail every graph family shares: beam search from `entries`
+  /// with ef = max(params.ef, or `default_ef` when unset, k), admitting
+  /// per Admissible under params.filter_mode, then the first k hits with
+  /// their labels into `out`.
+  template <typename NeighborsFn>
+  void GraphSearch(const float* query, std::span<const std::uint32_t> entries,
+                   NeighborsFn&& neighbors, std::size_t default_ef,
+                   const SearchParams& params, std::vector<Neighbor>* out,
+                   SearchStats* stats) const {
+    std::size_t ef = params.ef > 0 ? static_cast<std::size_t>(params.ef)
+                                   : default_ef;
+    ef = std::max(ef, params.k);
+    auto results = graph::BeamSearch(
+        scorer_, data_.data(), query, entries, ef, TotalRows(),
+        params.filter_mode, neighbors,
+        [this, &params, stats](std::uint32_t u) {
+          return Admissible(u, params, stats);
+        },
+        stats);
+    out->clear();
+    for (std::size_t i = 0; i < std::min(params.k, results.size()); ++i) {
+      out->push_back({labels_[results[i].idx], results[i].dist});
+    }
   }
 
   std::size_t TotalRows() const { return data_.rows(); }

@@ -25,69 +25,13 @@ struct Cand {
   friend bool operator>(const Cand& a, const Cand& b) { return b < a; }
 };
 
-/// Default number of neighbors whose memory is prefetched per expansion
-/// (SearchParams::prefetch_depth < 0 resolves to this).
-inline constexpr int kDefaultPrefetchDepth = 8;
-
-/// Resolves the SearchParams::prefetch_depth knob.
-inline int ResolvePrefetchDepth(int knob) {
-  return knob < 0 ? kDefaultPrefetchDepth : knob;
-}
-
-/// Disables batch scoring in BeamSearch (the default context): neighbors
-/// are scored one at a time through `dist`, with no prefetching.
-struct NoBeamBatch {
-  static constexpr bool kBatched = false;
-};
-
-/// Batch-scoring context for BeamSearch. `score(ids, n, out)` evaluates
-/// the query against `n` nodes at once (must equal `dist(ids[i])` per
-/// row); `prefetch(u)` issues software prefetches for node u's vector and
-/// adjacency list; `depth` caps prefetches per expansion (0 = off).
-/// Batching is a pure hot-path transform: BeamSearch visits, scores, and
-/// admits in exactly the original order, so results and SearchStats are
-/// unchanged.
-template <typename ScoreBatchFn, typename PrefetchFn>
-struct BeamBatch {
-  static constexpr bool kBatched = true;
-  ScoreBatchFn score;
-  PrefetchFn prefetch;
-  int depth;
-};
-
-template <typename ScoreBatchFn, typename PrefetchFn>
-BeamBatch<ScoreBatchFn, PrefetchFn> MakeBeamBatch(ScoreBatchFn score,
-                                                  PrefetchFn prefetch,
-                                                  int depth_knob) {
-  return {std::move(score), std::move(prefetch),
-          ResolvePrefetchDepth(depth_knob)};
-}
-
-/// The common BeamBatch over a dense row-major vector store plus a flat
-/// per-node adjacency container (`adjacency[u]` is a contiguous list of
-/// uint32 neighbor ids): NSW, Vamana, KNN-graph, FANNG, and DiskANN's
-/// in-memory tier all qualify. `base`/`query`/`adjacency` must outlive
-/// the BeamSearch call.
-template <typename AdjT>
-auto MakeDenseBeamBatch(const Scorer& scorer, const float* base,
-                        std::size_t dim, const AdjT& adjacency,
-                        const float* query, int depth_knob) {
-  return MakeBeamBatch(
-      [&scorer, base, query](const std::uint32_t* ids, std::size_t n,
-                             float* out) {
-        scorer.DistanceBatch(query, base, ids, n, out);
-      },
-      [base, dim, &adjacency](std::uint32_t u) {
-        simd::PrefetchFloats(base + std::size_t{u} * dim, dim);
-        const auto& adj = adjacency[u];
-        simd::PrefetchBytes(adj.data(), adj.size() * sizeof(std::uint32_t));
-      },
-      depth_knob);
-}
+/// Neighbors whose row and adjacency list are prefetched per expansion,
+/// ahead of the batch score, so their cache misses overlap.
+inline constexpr std::size_t kPrefetchDepth = 8;
 
 /// Best-first ("beam") search over an adjacency structure — the single
-/// search procedure shared by every graph index (KNNG, NSW, HNSW layer 0,
-/// Vamana) and the place where the paper's graph hybrid operators live:
+/// search procedure shared by every graph index (KNNG, NSW, HNSW, Vamana,
+/// FANNG) and the place where the paper's graph hybrid operators live:
 ///
 ///  - FilterMode::kVisitFirst — traversal crosses non-matching nodes but
 ///    only matching ones enter the result set (single-stage filtering);
@@ -95,50 +39,82 @@ auto MakeDenseBeamBatch(const Scorer& scorer, const float* base,
 ///    all (blocked index scan; may disconnect the graph, the failure mode
 ///    §2.3 attributes to online blocking).
 ///
-/// `neighbors(u)` returns a span of adjacent node ids; `dist(u)` scores a
-/// node against the query; `admit(u)` checks deletion + predicate.
-/// Returns up to `ef` admissible results, ascending by distance.
+/// Node u's vector is row u of the row-major matrix `base` (`scorer.dim()`
+/// floats per row); `neighbors(u)` returns a span of adjacent node ids and
+/// `admit(u)` checks deletion + predicate. Returns up to `ef` admissible
+/// results, ascending by distance.
+///
+/// Each expansion runs in two passes (memory-level parallelism): collect
+/// the unvisited, unblocked neighbors, prefetch the first kPrefetchDepth
+/// of their rows and adjacency lists, then score them all with one
+/// `Scorer::DistanceBatch` call. Entry points are scored the same way.
+/// Because DistanceBatch is bit-identical per row to `Distance`, and
+/// scoring and admission keep neighbor order, the results and SearchStats
+/// equal those of a one-neighbor-at-a-time loop
+/// (tests/beam_search_reference.h holds that loop; extensions_test checks
+/// the two agree).
 ///
 /// `expanded_out`, when non-null, receives every node whose neighborhood
 /// was expanded, in expansion order — DiskANN's visited set V, whose
 /// far-from-target path nodes are exactly what alpha-RNG pruning turns
 /// into the long edges that keep the graph navigable.
-template <typename NeighborsFn, typename DistFn, typename AdmitFn,
-          typename BatchCtx = NoBeamBatch>
-std::vector<Cand> BeamSearch(std::span<const std::uint32_t> entries,
+template <typename NeighborsFn, typename AdmitFn>
+std::vector<Cand> BeamSearch(const Scorer& scorer, const float* base,
+                             const float* query,
+                             std::span<const std::uint32_t> entries,
                              std::size_t ef, std::size_t num_nodes,
                              FilterMode mode, NeighborsFn&& neighbors,
-                             DistFn&& dist, AdmitFn&& admit,
-                             SearchStats* stats,
-                             std::vector<Cand>* expanded_out = nullptr,
-                             BatchCtx batch = {}) {
+                             AdmitFn&& admit, SearchStats* stats,
+                             std::vector<Cand>* expanded_out = nullptr) {
+  const std::size_t dim = scorer.dim();
   std::priority_queue<Cand, std::vector<Cand>, std::greater<Cand>> frontier;
   // Admissible results, worst on top (bounded by ef).
   std::priority_queue<Cand> results;
   Bitset visited(num_nodes);
-  // Expansion scratch for the batched path, reused across hops.
-  [[maybe_unused]] std::vector<std::uint32_t> pending;
-  [[maybe_unused]] std::vector<float> pending_dist;
+  // Nodes awaiting their batch score, reused across hops.
+  std::vector<std::uint32_t> pending;
+  std::vector<float> pending_dist;
 
   auto lower_bound = [&] {
     return results.size() >= ef ? results.top().dist
                                 : std::numeric_limits<float>::infinity();
   };
-
-  for (std::uint32_t e : entries) {
-    if (e >= num_nodes || visited.Test(e)) continue;
-    visited.Set(e);
-    if (mode == FilterMode::kBlockFirst && !admit(e)) continue;
-    float d = dist(e);
-    if (stats != nullptr) ++stats->distance_comps;
-    frontier.push({d, e});
-    if (admit(e)) {
-      results.push({d, e});
-      while (results.size() > ef) results.pop();
+  // The entry points are the first batch and enter the frontier
+  // unconditionally; each later batch is one expanded node's neighbors,
+  // kept while they beat the bound.
+  std::span<const std::uint32_t> batch = entries;
+  bool entry_batch = true;
+  for (;;) {
+    pending.clear();
+    for (std::uint32_t u : batch) {
+      if (u >= num_nodes || visited.Test(u)) continue;
+      visited.Set(u);
+      if (mode == FilterMode::kBlockFirst && !admit(u)) continue;
+      pending.push_back(u);
     }
-  }
+    const std::size_t pf = std::min(pending.size(), kPrefetchDepth);
+    for (std::size_t i = 0; i < pf; ++i) {
+      simd::PrefetchFloats(base + std::size_t{pending[i]} * dim, dim);
+      std::span<const std::uint32_t> adj = neighbors(pending[i]);
+      simd::PrefetchBytes(adj.data(), adj.size() * sizeof(std::uint32_t));
+    }
+    pending_dist.resize(pending.size());
+    scorer.DistanceBatch(query, base, pending.data(), pending.size(),
+                         pending_dist.data());
+    if (stats != nullptr) stats->distance_comps += pending.size();
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      const float d = pending_dist[i];
+      if (entry_batch || d < lower_bound() || results.size() < ef) {
+        frontier.push({d, pending[i]});
+        if (admit(pending[i])) {
+          results.push({d, pending[i]});
+          while (results.size() > ef) results.pop();
+        }
+      }
+    }
+    entry_batch = false;
 
-  while (!frontier.empty()) {
+    if (frontier.empty()) break;
     Cand c = frontier.top();
     frontier.pop();
     if (c.dist > lower_bound()) break;
@@ -147,54 +123,7 @@ std::vector<Cand> BeamSearch(std::span<const std::uint32_t> entries,
       ++stats->nodes_visited;
     }
     if (expanded_out != nullptr) expanded_out->push_back(c);
-    if constexpr (BatchCtx::kBatched) {
-      // Two-pass expansion (memory-level parallelism): collect the
-      // unvisited admissible neighbors, prefetch their vectors so the
-      // gather's cache misses overlap, then score the whole batch through
-      // the one-query-vs-many kernel. Collection, scoring, and admission
-      // happen in the same neighbor order as the unbatched loop below, so
-      // results and SearchStats are identical.
-      pending.clear();
-      for (std::uint32_t nb : neighbors(c.idx)) {
-        if (visited.Test(nb)) continue;
-        visited.Set(nb);
-        if (mode == FilterMode::kBlockFirst && !admit(nb)) continue;
-        pending.push_back(nb);
-      }
-      std::size_t pf =
-          std::min(pending.size(), static_cast<std::size_t>(
-                                       batch.depth < 0 ? 0 : batch.depth));
-      for (std::size_t i = 0; i < pf; ++i) batch.prefetch(pending[i]);
-      pending_dist.resize(pending.size());
-      batch.score(pending.data(), pending.size(), pending_dist.data());
-      if (stats != nullptr) stats->distance_comps += pending.size();
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        float d = pending_dist[i];
-        std::uint32_t nb = pending[i];
-        if (d < lower_bound() || results.size() < ef) {
-          frontier.push({d, nb});
-          if (admit(nb)) {
-            results.push({d, nb});
-            while (results.size() > ef) results.pop();
-          }
-        }
-      }
-    } else {
-      for (std::uint32_t nb : neighbors(c.idx)) {
-        if (visited.Test(nb)) continue;
-        visited.Set(nb);
-        if (mode == FilterMode::kBlockFirst && !admit(nb)) continue;
-        float d = dist(nb);
-        if (stats != nullptr) ++stats->distance_comps;
-        if (d < lower_bound() || results.size() < ef) {
-          frontier.push({d, nb});
-          if (admit(nb)) {
-            results.push({d, nb});
-            while (results.size() > ef) results.pop();
-          }
-        }
-      }
-    }
+    batch = neighbors(c.idx);
   }
 
   std::vector<Cand> out(results.size());

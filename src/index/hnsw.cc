@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/simd.h"
 #include "index/graph_util.h"
 #include "storage/serializer.h"
 
@@ -12,30 +11,6 @@ constexpr std::uint32_t kHnswMagic = 0x56484E57;  // "VHNW"
 }  // namespace
 
 namespace vdb {
-
-namespace {
-
-/// Layer-0 batch-scoring context: gather-batch distances over the dense
-/// row store plus vector + adjacency prefetch (memory-level parallelism
-/// on the beam hot path).
-template <typename LinksT>
-auto MakeLayer0Batch(const Scorer& scorer, const float* base, std::size_t dim,
-                     const LinksT& links, const float* query,
-                     int depth_knob) {
-  return graph::MakeBeamBatch(
-      [&scorer, base, query](const std::uint32_t* ids, std::size_t n,
-                             float* out) {
-        scorer.DistanceBatch(query, base, ids, n, out);
-      },
-      [base, dim, &links](std::uint32_t u) {
-        simd::PrefetchFloats(base + std::size_t{u} * dim, dim);
-        const auto& adj = links[u][0];
-        simd::PrefetchBytes(adj.data(), adj.size() * sizeof(std::uint32_t));
-      },
-      depth_knob);
-}
-
-}  // namespace
 
 Status HnswIndex::Build(const FloatMatrix& data,
                         std::span<const VectorId> ids) {
@@ -75,38 +50,36 @@ int HnswIndex::RandomLevel(Rng* rng) const {
   return static_cast<int>(-std::log(u) * level_mult_);
 }
 
+std::span<const std::uint32_t> HnswIndex::Neighbors(std::uint32_t u,
+                                                    int level) const {
+  const auto& per_level = links_[u];
+  if (level >= static_cast<int>(per_level.size())) return {};
+  return per_level[level];
+}
+
+std::uint32_t HnswIndex::Descend(const float* query, int down_to,
+                                 SearchStats* stats) const {
+  std::uint32_t cur = entry_point_;
+  for (int l = max_level_; l > down_to; --l) {
+    cur = graph::GreedyDescend(
+        cur, [this, l](std::uint32_t u) { return Neighbors(u, l); },
+        [this, query](std::uint32_t u) {
+          return scorer_.Distance(query, vector(u));
+        },
+        stats);
+  }
+  return cur;
+}
+
 std::vector<std::pair<float, std::uint32_t>> HnswIndex::SearchLayer(
     const float* query, std::uint32_t entry, std::size_t ef,
     int level) const {
   std::uint32_t entries[1] = {entry};
   auto results = graph::BeamSearch(
-      entries, ef, static_cast<std::size_t>(links_.size()), FilterMode::kNone,
-      [this, level](std::uint32_t u) {
-        const auto& per_level = links_[u];
-        static const std::vector<std::uint32_t> kEmpty;
-        const auto& adj = level < static_cast<int>(per_level.size())
-                              ? per_level[level]
-                              : kEmpty;
-        return std::span<const std::uint32_t>(adj);
-      },
-      [this, query](std::uint32_t u) {
-        return scorer_.Distance(query, vector(u));
-      },
-      [](std::uint32_t) { return true; }, nullptr, nullptr,
-      graph::MakeBeamBatch(
-          [this, query](const std::uint32_t* ids, std::size_t n, float* out) {
-            scorer_.DistanceBatch(query, data_.data(), ids, n, out);
-          },
-          [this, level](std::uint32_t u) {
-            simd::PrefetchFloats(vector(u), dim());
-            const auto& per_level = links_[u];
-            if (level < static_cast<int>(per_level.size())) {
-              const auto& adj = per_level[level];
-              simd::PrefetchBytes(adj.data(),
-                                  adj.size() * sizeof(std::uint32_t));
-            }
-          },
-          /*depth_knob=*/-1));
+      scorer_, data_.data(), query, entries, ef, links_.size(),
+      FilterMode::kNone,
+      [this, level](std::uint32_t u) { return Neighbors(u, level); },
+      [](std::uint32_t) { return true; }, nullptr);
   std::vector<std::pair<float, std::uint32_t>> out;
   out.reserve(results.size());
   for (const auto& c : results) out.emplace_back(c.dist, c.idx);
@@ -162,21 +135,8 @@ void HnswIndex::Insert(std::uint32_t idx, Rng* rng) {
   }
 
   const float* q = vector(idx);
-  std::uint32_t cur = entry_point_;
   // Greedy descent through layers above the node's top level.
-  for (int l = max_level_; l > level; --l) {
-    cur = graph::GreedyDescend(
-        cur,
-        [this, l](std::uint32_t u) {
-          const auto& per_level = links_[u];
-          static const std::vector<std::uint32_t> kEmpty;
-          const auto& adj =
-              l < static_cast<int>(per_level.size()) ? per_level[l] : kEmpty;
-          return std::span<const std::uint32_t>(adj);
-        },
-        [this, q](std::uint32_t u) { return scorer_.Distance(q, vector(u)); },
-        nullptr);
-  }
+  std::uint32_t cur = Descend(q, level, nullptr);
 
   for (int l = std::min(level, max_level_); l >= 0; --l) {
     auto candidates = SearchLayer(q, cur, opts_.ef_construction, l);
@@ -215,27 +175,10 @@ Status HnswIndex::SearchWithEntryHint(const float* query, VectorId hint,
   if (it == id_to_idx_.end()) {
     return Status::NotFound("entry hint not indexed");
   }
-  std::size_t ef = params.ef > 0 ? static_cast<std::size_t>(params.ef)
-                                 : opts_.default_ef;
-  ef = std::max(ef, params.k);
   std::uint32_t entries[1] = {it->second};
-  auto results = graph::BeamSearch(
-      entries, ef, links_.size(), params.filter_mode,
-      [this](std::uint32_t u) {
-        return std::span<const std::uint32_t>(links_[u][0]);
-      },
-      [this, query](std::uint32_t u) {
-        return scorer_.Distance(query, vector(u));
-      },
-      [this, &params, stats](std::uint32_t u) {
-        return Admissible(u, params, stats);
-      },
-      stats, nullptr,
-      MakeLayer0Batch(scorer_, data_.data(), dim(), links_, query,
-                      params.prefetch_depth));
-  for (std::size_t i = 0; i < std::min(params.k, results.size()); ++i) {
-    out->push_back({labels_[results[i].idx], results[i].dist});
-  }
+  GraphSearch(
+      query, entries, [this](std::uint32_t u) { return Neighbors(u, 0); },
+      opts_.default_ef, params, out, stats);
   return Status::Ok();
 }
 
@@ -244,45 +187,10 @@ Status HnswIndex::SearchImpl(const float* query, const SearchParams& params,
                              SearchStats* stats) const {
   out->clear();
   if (links_.empty()) return Status::Ok();
-  std::size_t ef = params.ef > 0 ? static_cast<std::size_t>(params.ef)
-                                 : opts_.default_ef;
-  ef = std::max(ef, params.k);
-
-  std::uint32_t cur = entry_point_;
-  for (int l = max_level_; l > 0; --l) {
-    cur = graph::GreedyDescend(
-        cur,
-        [this, l](std::uint32_t u) {
-          const auto& per_level = links_[u];
-          static const std::vector<std::uint32_t> kEmpty;
-          const auto& adj =
-              l < static_cast<int>(per_level.size()) ? per_level[l] : kEmpty;
-          return std::span<const std::uint32_t>(adj);
-        },
-        [this, query](std::uint32_t u) {
-          return scorer_.Distance(query, vector(u));
-        },
-        stats);
-  }
-
-  std::uint32_t entries[1] = {cur};
-  auto results = graph::BeamSearch(
-      entries, ef, links_.size(), params.filter_mode,
-      [this](std::uint32_t u) {
-        return std::span<const std::uint32_t>(links_[u][0]);
-      },
-      [this, query](std::uint32_t u) {
-        return scorer_.Distance(query, vector(u));
-      },
-      [this, &params, stats](std::uint32_t u) {
-        return Admissible(u, params, stats);
-      },
-      stats, nullptr,
-      MakeLayer0Batch(scorer_, data_.data(), dim(), links_, query,
-                      params.prefetch_depth));
-  for (std::size_t i = 0; i < std::min(params.k, results.size()); ++i) {
-    out->push_back({labels_[results[i].idx], results[i].dist});
-  }
+  std::uint32_t entries[1] = {Descend(query, 0, stats)};
+  GraphSearch(
+      query, entries, [this](std::uint32_t u) { return Neighbors(u, 0); },
+      opts_.default_ef, params, out, stats);
   return Status::Ok();
 }
 
@@ -298,22 +206,7 @@ Status HnswIndex::RangeSearch(const float* query, float radius,
   // inside the radius. The halo lets the walk cross small gaps in dense
   // annuli around the boundary.
   const float slack = 1.3f;
-  std::uint32_t cur = entry_point_;
-  for (int l = max_level_; l > 0; --l) {
-    cur = graph::GreedyDescend(
-        cur,
-        [this, l](std::uint32_t u) {
-          const auto& per_level = links_[u];
-          static const std::vector<std::uint32_t> kEmpty;
-          const auto& adj =
-              l < static_cast<int>(per_level.size()) ? per_level[l] : kEmpty;
-          return std::span<const std::uint32_t>(adj);
-        },
-        [this, query](std::uint32_t u) {
-          return scorer_.Distance(query, vector(u));
-        },
-        stats);
-  }
+  std::uint32_t cur = Descend(query, 0, stats);
 
   std::vector<std::uint32_t> frontier = {cur};
   Bitset visited(links_.size());
@@ -348,7 +241,7 @@ Status HnswIndex::RangeSearch(const float* query, float radius,
     std::uint32_t u = frontier.back();
     frontier.pop_back();
     if (stats != nullptr) ++stats->nodes_visited;
-    for (std::uint32_t nb : links_[u][0]) {
+    for (std::uint32_t nb : Neighbors(u, 0)) {
       if (visited.Test(nb)) continue;
       visited.Set(nb);
       float d = scorer_.Distance(query, vector(nb));

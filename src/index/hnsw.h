@@ -77,6 +77,12 @@ class HnswIndex final : public DenseIndexBase {
 
  private:
   int RandomLevel(Rng* rng) const;
+  /// Node u's adjacency at `level` (empty above the node's top level).
+  std::span<const std::uint32_t> Neighbors(std::uint32_t u, int level) const;
+  /// Greedy descent from the entry point through every level above
+  /// `down_to`; returns the node to enter level `down_to` at.
+  std::uint32_t Descend(const float* query, int down_to,
+                        SearchStats* stats) const;
   void Insert(std::uint32_t idx, Rng* rng);
   /// Beam search restricted to one layer.
   std::vector<std::pair<float, std::uint32_t>> SearchLayer(

@@ -73,13 +73,6 @@ struct SearchParams {
   float spann_eps = -1.0f;  ///< SPANN: closure pruning ratio at query time
   bool rerank = true;       ///< compressed indexes: re-rank with full vectors
 
-  /// Graph beam search: neighbors whose vector (and adjacency list) are
-  /// software-prefetched ahead of batch scoring on each expansion.
-  /// Negative selects the default depth (8); 0 disables prefetching.
-  /// Results and stats are identical either way — the knob exists so the
-  /// memory-level-parallelism win is ablatable (bench_recall_qps).
-  int prefetch_depth = -1;
-
   const IdFilter* filter = nullptr;      ///< not owned
   FilterMode filter_mode = FilterMode::kBlockFirst;
   /// Post-filter amplification `a`: retrieve a*k then filter (§2.6(3)).

@@ -217,27 +217,12 @@ Status KnnGraphIndex::SearchImpl(const float* query,
                                  const SearchParams& params,
                                  std::vector<Neighbor>* out,
                                  SearchStats* stats) const {
-  std::size_t ef = params.ef > 0 ? static_cast<std::size_t>(params.ef)
-                                 : opts_.default_ef;
-  ef = std::max(ef, params.k);
-  auto results = graph::BeamSearch(
-      entry_points_, ef, TotalRows(), params.filter_mode,
+  GraphSearch(
+      query, entry_points_,
       [this](std::uint32_t u) {
         return std::span<const std::uint32_t>(adjacency_[u]);
       },
-      [this, query](std::uint32_t u) {
-        return scorer_.Distance(query, vector(u));
-      },
-      [this, &params, stats](std::uint32_t u) {
-        return Admissible(u, params, stats);
-      },
-      stats, nullptr,
-      graph::MakeDenseBeamBatch(scorer_, data_.data(), dim(), adjacency_,
-                                query, params.prefetch_depth));
-  out->clear();
-  for (std::size_t i = 0; i < std::min(params.k, results.size()); ++i) {
-    out->push_back({labels_[results[i].idx], results[i].dist});
-  }
+      opts_.default_ef, params, out, stats);
   return Status::Ok();
 }
 

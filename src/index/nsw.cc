@@ -43,16 +43,12 @@ void NswIndex::Insert(std::uint32_t idx) {
   auto entries = EntryPoints();
   std::size_t ef = std::max(opts_.ef_construction, opts_.m);
   auto nearest = graph::BeamSearch(
-      entries, ef, inserted_, FilterMode::kNone,
+      scorer_, data_.data(), vector(idx), entries, ef, inserted_,
+      FilterMode::kNone,
       [this](std::uint32_t u) {
         return std::span<const std::uint32_t>(adjacency_[u]);
       },
-      [this, idx](std::uint32_t u) {
-        return scorer_.Distance(vector(idx), vector(u));
-      },
-      [](std::uint32_t) { return true; }, nullptr, nullptr,
-      graph::MakeDenseBeamBatch(scorer_, data_.data(), dim(), adjacency_,
-                                vector(idx), /*depth_knob=*/-1));
+      [](std::uint32_t) { return true; }, nullptr);
   std::size_t links = std::min(opts_.m, nearest.size());
   for (std::size_t j = 0; j < links; ++j) {
     std::uint32_t nb = nearest[j].idx;
@@ -65,27 +61,12 @@ void NswIndex::Insert(std::uint32_t idx) {
 Status NswIndex::SearchImpl(const float* query, const SearchParams& params,
                             std::vector<Neighbor>* out,
                             SearchStats* stats) const {
-  std::size_t ef = params.ef > 0 ? static_cast<std::size_t>(params.ef)
-                                 : opts_.default_ef;
-  ef = std::max(ef, params.k);
-  auto results = graph::BeamSearch(
-      EntryPoints(), ef, TotalRows(), params.filter_mode,
+  GraphSearch(
+      query, EntryPoints(),
       [this](std::uint32_t u) {
         return std::span<const std::uint32_t>(adjacency_[u]);
       },
-      [this, query](std::uint32_t u) {
-        return scorer_.Distance(query, vector(u));
-      },
-      [this, &params, stats](std::uint32_t u) {
-        return Admissible(u, params, stats);
-      },
-      stats, nullptr,
-      graph::MakeDenseBeamBatch(scorer_, data_.data(), dim(), adjacency_,
-                                query, params.prefetch_depth));
-  out->clear();
-  for (std::size_t i = 0; i < std::min(params.k, results.size()); ++i) {
-    out->push_back({labels_[results[i].idx], results[i].dist});
-  }
+      opts_.default_ef, params, out, stats);
   return Status::Ok();
 }
 

@@ -54,16 +54,12 @@ Status VamanaIndex::Build(const FloatMatrix& data,
       std::uint32_t entries[1] = {medoid_};
       std::vector<graph::Cand> expanded;
       auto results = graph::BeamSearch(
-          entries, opts_.l, n, FilterMode::kNone,
+          scorer_, data_.data(), vector(p), entries, opts_.l, n,
+          FilterMode::kNone,
           [this](std::uint32_t u) {
             return std::span<const std::uint32_t>(adjacency_[u]);
           },
-          [this, p](std::uint32_t u) {
-            return scorer_.Distance(vector(p), vector(u));
-          },
-          [](std::uint32_t) { return true; }, nullptr, &expanded,
-          graph::MakeDenseBeamBatch(scorer_, data_.data(), dim(), adjacency_,
-                                    vector(p), /*depth_knob=*/-1));
+          [](std::uint32_t) { return true; }, nullptr, &expanded);
 
       std::vector<std::pair<float, std::uint32_t>> candidates;
       candidates.reserve(results.size() + expanded.size() +
@@ -157,28 +153,13 @@ void VamanaIndex::RobustPrune(
 Status VamanaIndex::SearchImpl(const float* query, const SearchParams& params,
                                std::vector<Neighbor>* out,
                                SearchStats* stats) const {
-  std::size_t ef = params.ef > 0 ? static_cast<std::size_t>(params.ef)
-                                 : opts_.default_ef;
-  ef = std::max(ef, params.k);
   std::uint32_t entries[1] = {medoid_};
-  auto results = graph::BeamSearch(
-      entries, ef, TotalRows(), params.filter_mode,
+  GraphSearch(
+      query, entries,
       [this](std::uint32_t u) {
         return std::span<const std::uint32_t>(adjacency_[u]);
       },
-      [this, query](std::uint32_t u) {
-        return scorer_.Distance(query, vector(u));
-      },
-      [this, &params, stats](std::uint32_t u) {
-        return Admissible(u, params, stats);
-      },
-      stats, nullptr,
-      graph::MakeDenseBeamBatch(scorer_, data_.data(), dim(), adjacency_,
-                                query, params.prefetch_depth));
-  out->clear();
-  for (std::size_t i = 0; i < std::min(params.k, results.size()); ++i) {
-    out->push_back({labels_[results[i].idx], results[i].dist});
-  }
+      opts_.default_ef, params, out, stats);
   return Status::Ok();
 }
 

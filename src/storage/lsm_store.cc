@@ -67,6 +67,17 @@ bool LsmVectorStore::Contains(VectorId id) const {
   return live_ids_.contains(id);
 }
 
+std::size_t LsmVectorStore::MemoryBytes() const {
+  std::size_t bytes = memtable_.MemoryBytes() +
+                      (live_ids_.size() + tombstones_.size()) *
+                          sizeof(VectorId);
+  for (const Segment& seg : segments_) {
+    bytes += seg.data.ByteSize() + seg.ids.size() * sizeof(VectorId) +
+             seg.index->MemoryBytes();
+  }
+  return bytes;
+}
+
 Status LsmVectorStore::BuildSegment(FloatMatrix&& data,
                                     std::vector<VectorId>&& ids) {
   Segment seg;

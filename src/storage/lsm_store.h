@@ -54,6 +54,9 @@ class LsmVectorStore {
   std::size_t num_segments() const { return segments_.size(); }
   std::uint64_t flushes() const { return flushes_; }
   std::uint64_t compactions() const { return compactions_; }
+  /// Resident bytes: the memtable, every segment's rows, ids and index,
+  /// and the live-id and tombstone sets (one VectorId per member).
+  std::size_t MemoryBytes() const;
 
   /// Test-only: the index of sealed segment `i` (0-based, creation order).
   const VectorIndex* SegmentIndexForTest(std::size_t i) const {

@@ -28,9 +28,9 @@ struct PagedFileOptions {
 /// fault injection for failure testing.
 ///
 /// Thread-safe: the disk indexes hold a PagedFile `mutable` and read
-/// pages during const Search, so concurrent readers (ConcurrentCollection
-/// shared-lock queries, scatter-gather workers) share the LRU cache and
-/// counters. One mutex guards all of it (DESIGN.md §9); positioned
+/// pages during const Search, so concurrent readers (server workers
+/// sharing one collection, scatter-gather workers) share the LRU cache
+/// and counters. One mutex guards all of it (DESIGN.md §9); positioned
 /// pread/pwrite needs no seek serialization of its own.
 class PagedFile {
  public:

@@ -1,8 +1,8 @@
 // EXPECT: requires holding shared_mutex 'mutex_' exclusively
 //
 // Mutating through a reader (shared) hold — the "checkpoint path
-// quietly started writing" shape ConcurrentCollection's annotations
-// guard against. A ReaderLock licenses reads only; writes need the
+// quietly started writing" shape that VDB_GUARDED_BY on a SharedMutex
+// guards against. A ReaderLock licenses reads only; writes need the
 // exclusive WriterLock. Must be rejected.
 #include "core/sync.h"
 

@@ -4,16 +4,22 @@
 // enough threads and iterations that TSan (cmake -B build-tsan
 // -DVDB_SANITIZE=thread; ctest -L stress) sees every lock/atomic pairing,
 // while staying small enough to finish in seconds on one core at TSan's
-// ~10x slowdown. Functional assertions are deliberately weak (counts,
-// statuses) — the sanitizer is the oracle here; the functional suites own
-// behavioral coverage.
+// ~10x slowdown. Most functional assertions are deliberately weak
+// (counts, statuses) — the sanitizer is the oracle there; the shared
+// Collection suites also check every answer against a sequential pass.
 //
 // VDB_STRESS_SCALE (default 1) multiplies iteration counts for longer
 // local soaks.
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,7 +32,7 @@
 #include "core/telemetry.h"
 #include "core/telemetry_window.h"
 #include "exec/flight_recorder.h"
-#include "db/concurrent.h"
+#include "db/collection.h"
 #include "db/distributed.h"
 #include "index/diskann.h"
 #include "index/hnsw.h"
@@ -80,23 +86,76 @@ void RunThreads(std::size_t n, Fn fn) {
   for (auto& th : threads) th.join();
 }
 
-// ------------------------------------------------- ConcurrentCollection
+// ------------------------------------------------- shared Collection
+//
+// The server-worker pattern (collection.h): `const` queries share one
+// unlocked collection, and writes run single-threaded between rounds.
+// Each reader writes a transcript of its answers; the oracle is a
+// sequential pass over the same round, so a race that changes an answer
+// fails the test even when TSan does not see it.
 
-// Writers insert/upsert/delete and rebuild the index while readers run
-// knn/range/hybrid — the shared_mutex facade must serialize mutation
-// against every query path.
+/// Appends a status (which must be OK) and result rows (ids + distance
+/// bits) to a transcript.
+void Record(std::string* t, const Status& st,
+            const std::vector<Neighbor>& rows = {}) {
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  *t += st.ToString();
+  for (const Neighbor& n : rows) {
+    *t += " " + std::to_string(n.id) + ":" +
+          std::to_string(std::bit_cast<std::uint32_t>(n.dist));
+  }
+  *t += "\n";
+}
+
+/// Checkpoints `coll` to a scratch file and records the file's bytes.
+void RecordCheckpoint(std::string* t, const Collection& coll,
+                      const std::string& tag) {
+  std::string path = TempPath("ckpt_" + tag);
+  Status st = coll.Checkpoint(path);
+  Record(t, st);
+  std::ifstream in(path, std::ios::binary);
+  *t += std::string(std::istreambuf_iterator<char>(in), {});
+  std::remove(path.c_str());
+}
+
+/// `rounds` times: run `reader(t, tag)` once per reader sequentially, then
+/// on `readers` threads at once, and require equal transcripts; then run
+/// `write(round)` alone. `tag` keeps the passes' scratch files apart.
+void RunServerRounds(
+    std::size_t rounds, std::size_t readers,
+    const std::function<std::string(std::size_t, const std::string&)>&
+        reader,
+    const std::function<void(std::size_t)>& write) {
+  for (std::size_t round = 0; round < rounds; ++round) {
+    std::vector<std::string> want(readers), got(readers);
+    for (std::size_t t = 0; t < readers; ++t) {
+      want[t] = reader(t, "seq" + std::to_string(t));
+    }
+    RunThreads(readers, [&](std::size_t t) {
+      got[t] = reader(t, "par" + std::to_string(t));
+    });
+    for (std::size_t t = 0; t < readers; ++t) {
+      EXPECT_TRUE(got[t] == want[t]) << "round " << round << " reader " << t;
+    }
+    write(round);
+  }
+}
+
+// Readers run knn, range, hybrid, batched knn and checkpoints while the
+// writer phase inserts, upserts, deletes and (every other round)
+// rebuilds the index, so rounds alternate between a clean index and one
+// with an unindexed delta and tombstones.
 TEST(ConcurrencyStressTest, CollectionInsertSearchChurn) {
-  const std::size_t kDim = 16;
-  const std::size_t kWriters = 2, kReaders = 4;
-  const std::size_t kOps = 150 * StressScale();
+  const std::size_t kDim = 16, kReaders = 4, kQueries = 6;
+  const std::size_t kRounds = 2 * StressScale(), kWrites = 40;
 
   CollectionOptions opts;
   opts.dim = kDim;
   opts.attributes = {{"category", AttrType::kInt64}};
   opts.index_factory = HnswFactory();
-  auto created = ConcurrentCollection::Create(opts);
+  auto created = Collection::Create(opts);
   ASSERT_TRUE(created.ok());
-  std::unique_ptr<ConcurrentCollection> coll = std::move(created).value();
+  std::unique_ptr<Collection> coll = std::move(created).value();
 
   FloatMatrix seedrows = TestData(64, kDim);
   for (std::size_t i = 0; i < seedrows.rows(); ++i) {
@@ -108,50 +167,60 @@ TEST(ConcurrencyStressTest, CollectionInsertSearchChurn) {
   ASSERT_TRUE(coll->BuildIndex().ok());
 
   FloatMatrix pool = TestData(256, kDim, /*seed=*/11);
-  std::atomic<std::size_t> insert_failures{0};
-
-  RunThreads(kWriters + kReaders + 1, [&](std::size_t t) {
-    if (t < kWriters) {  // writer: insert / upsert / delete cycles
-      for (std::size_t i = 0; i < kOps; ++i) {
-        VectorId id = static_cast<VectorId>(1000 + t * kOps + i);
-        std::size_t row = (t * kOps + i) % pool.rows();
-        if (!coll->Insert(id, {pool.row(row), kDim},
-                          {{"category", std::int64_t(i % 4)}})
-                 .ok()) {
-          insert_failures.fetch_add(1, std::memory_order_relaxed);
+  const Predicate pred =
+      Predicate::Cmp("category", CmpOp::kEq, AttrValue(std::int64_t(1)));
+  std::size_t round = 0;
+  std::size_t live = seedrows.rows();
+  RunServerRounds(
+      kRounds, kReaders,
+      [&](std::size_t t, const std::string& tag) {
+        std::string transcript;
+        FloatMatrix batch(kQueries, kDim);
+        for (std::size_t i = 0; i < kQueries; ++i) {
+          const float* q = pool.row((round * 37 + t * kQueries + i) %
+                                    pool.rows());
+          std::copy_n(q, kDim, batch.row(i));
+          std::vector<Neighbor> out;
+          Status st = coll->Knn({q, kDim}, 5, &out);
+          Record(&transcript, st, out);
+          float radius = out.empty() ? 1.0f : out.back().dist;
+          st = coll->RangeSearch({q, kDim}, radius, &out);
+          Record(&transcript, st, out);
+          st = coll->Hybrid({q, kDim}, pred, 5, &out);
+          Record(&transcript, st, out);
         }
-        if (i % 3 == 0) {
-          (void)coll->Upsert(id, {pool.row((row + 1) % pool.rows()), kDim},
-                             {{"category", std::int64_t(i % 4)}});
-        }
-        if (i % 5 == 0) (void)coll->Delete(id);
-      }
-    } else if (t < kWriters + kReaders) {  // reader: knn + hybrid
-      Predicate pred =
-          Predicate::Cmp("category", CmpOp::kEq, AttrValue(std::int64_t(1)));
-      for (std::size_t i = 0; i < kOps; ++i) {
-        std::vector<Neighbor> out;
-        SearchStats stats;
-        EXPECT_TRUE(
-            coll->Knn({pool.row(i % pool.rows()), kDim}, 5, &out, &stats)
-                .ok());
-        if (i % 4 == 0) {
-          std::vector<Neighbor> hout;
-          EXPECT_TRUE(coll->Hybrid({pool.row(i % pool.rows()), kDim}, pred,
-                                   5, &hout)
+        std::vector<std::vector<Neighbor>> rows;
+        Status st = coll->BatchKnn(batch, 5, &rows);
+        Record(&transcript, st);
+        for (const auto& r : rows) Record(&transcript, st, r);
+        RecordCheckpoint(&transcript, *coll, tag);
+        return transcript;
+      },
+      [&](std::size_t r) {
+        for (std::size_t i = 0; i < kWrites; ++i) {
+          VectorId id = static_cast<VectorId>(1000 + r * kWrites + i);
+          std::size_t row = (r * kWrites + i) % pool.rows();
+          ASSERT_TRUE(coll->Insert(id, {pool.row(row), kDim},
+                                   {{"category", std::int64_t(i % 4)}})
                           .ok());
+          ++live;
+          if (i % 3 == 0) {
+            ASSERT_TRUE(
+                coll->Upsert(id, {pool.row((row + 1) % pool.rows()), kDim},
+                             {{"category", std::int64_t(i % 4)}})
+                    .ok());
+          }
+          if (i % 5 == 0) {
+            ASSERT_TRUE(coll->Delete(id).ok());
+            --live;
+          }
         }
-      }
-    } else {  // rebuilder: periodic full index builds
-      for (std::size_t i = 0; i < 5 * StressScale(); ++i) {
-        EXPECT_TRUE(coll->BuildIndex().ok());
-        std::this_thread::yield();
-      }
-    }
-  });
-
-  EXPECT_EQ(insert_failures.load(), 0u);
-  EXPECT_GT(coll->Size(), 64u);
+        if (r % 2 == 1) {
+          ASSERT_TRUE(coll->BuildIndex().ok());
+        }
+        ++round;
+      });
+  EXPECT_EQ(coll->Size(), live);
 }
 
 // The server-worker pattern: readers plan and run filtered queries on one
@@ -214,39 +283,60 @@ TEST(ConcurrencyStressTest, SharedCollectionColdStatsCache) {
   }
 }
 
-// Checkpoint (shared lock, consistent read) racing writers and readers:
-// the snapshot path walks every store while mutation is in flight.
+// Checkpoints racing readers on the shared collection: every snapshot
+// taken during a round must be byte-identical to the sequential one, and
+// a collection restored from it must hold the round's rows.
 TEST(ConcurrencyStressTest, CheckpointVsWriters) {
-  const std::size_t kDim = 8;
+  const std::size_t kDim = 8, kReaders = 4;
+  const std::size_t kRounds = 2 * StressScale(), kWrites = 50;
   CollectionOptions opts;
   opts.dim = kDim;
   opts.index_factory = HnswFactory();
-  auto created = ConcurrentCollection::Create(opts);
+  auto created = Collection::Create(opts);
   ASSERT_TRUE(created.ok());
-  std::unique_ptr<ConcurrentCollection> coll = std::move(created).value();
+  std::unique_ptr<Collection> coll = std::move(created).value();
 
   FloatMatrix pool = TestData(128, kDim);
-  const std::size_t kOps = 100 * StressScale();
+  std::size_t round = 0;
+  RunServerRounds(
+      kRounds, kReaders,
+      [&](std::size_t t, const std::string& tag) {
+        std::string transcript;
+        if (t % 2 == 0) {  // checkpointer
+          for (int i = 0; i < 2; ++i) {
+            RecordCheckpoint(&transcript, *coll,
+                             tag + "_" + std::to_string(i));
+          }
+        } else {  // reader
+          for (std::size_t i = 0; i < 8; ++i) {
+            std::vector<Neighbor> out;
+            Status st =
+                coll->Knn({pool.row((round + t * 8 + i) % pool.rows()), kDim},
+                          3, &out);
+            Record(&transcript, st, out);
+          }
+        }
+        return transcript;
+      },
+      [&](std::size_t r) {
+        for (std::size_t i = 0; i < kWrites; ++i) {
+          VectorId id = static_cast<VectorId>(r * kWrites + i);
+          ASSERT_TRUE(
+              coll->Insert(id, {pool.row(id % pool.rows()), kDim}).ok());
+        }
+        if (r % 2 == 1) {
+          ASSERT_TRUE(coll->BuildIndex().ok());
+        }
+        ++round;
+      });
 
-  RunThreads(4, [&](std::size_t t) {
-    if (t == 0) {  // checkpointer
-      for (std::size_t i = 0; i < 8 * StressScale(); ++i) {
-        std::string path = TempPath("ckpt_" + std::to_string(i));
-        EXPECT_TRUE(coll->Checkpoint(path).ok());
-        std::remove(path.c_str());
-      }
-    } else if (t == 1) {  // writer
-      for (std::size_t i = 0; i < kOps; ++i) {
-        (void)coll->Insert(static_cast<VectorId>(i),
-                           {pool.row(i % pool.rows()), kDim});
-      }
-    } else {  // readers
-      for (std::size_t i = 0; i < kOps; ++i) {
-        std::vector<Neighbor> out;
-        (void)coll->Knn({pool.row(i % pool.rows()), kDim}, 3, &out);
-      }
-    }
-  });
+  std::string path = TempPath("ckpt_final");
+  ASSERT_TRUE(coll->Checkpoint(path).ok());
+  auto restored = Collection::Restore(opts, path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ((*restored)->Size(), kRounds * kWrites);
+  EXPECT_EQ(coll->Size(), kRounds * kWrites);
 }
 
 // --------------------------------------------------- ShardedCollection

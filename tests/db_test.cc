@@ -18,6 +18,7 @@
 #include "db/database.h"
 #include "db/distributed.h"
 #include "db/embedder.h"
+#include "index/flat.h"
 #include "index/hnsw.h"
 #include "index/vamana.h"
 
@@ -359,6 +360,55 @@ TEST(CollectionTest, LsmModeAbsorbsUpdatesWithoutRebuilds) {
   auto pred = Predicate::Cmp("category", CmpOp::kEq, std::int64_t{1});
   ASSERT_TRUE(c.Hybrid(data.row_view(10), pred, 5, &out).ok());
   for (const auto& nb : out) EXPECT_EQ(nb.id % 2, 1u);
+}
+
+// LSM mode counts its memtable, sealed segments (rows, ids and each
+// segment's index) and id sets. With a flat factory every part has a
+// closed form: a memtable row costs dim floats + one id, a segment row
+// twice that (its rows + the flat index's copy), a live or tombstoned id
+// one VectorId; the collection's own store adds one memtable-sized row
+// per insert (deleted rows stay resident).
+TEST(CollectionTest, LsmMemoryBytesCountsEveryPart) {
+  const std::size_t kDim = 8, kRow = kDim * sizeof(float) + sizeof(VectorId);
+  CollectionOptions opts = BaseOptions(kDim);
+  opts.use_lsm = true;
+  opts.lsm_memtable_limit = 16;
+  opts.lsm_compact_at_segments = 3;
+  opts.index_factory = [] { return std::make_unique<FlatIndex>(); };
+  auto collection = Collection::Create(opts);
+  ASSERT_TRUE(collection.ok());
+  auto& c = **collection;
+  FloatMatrix data = TestData(49, kDim);
+  auto expected = [&](std::size_t stored, std::size_t memtable,
+                      std::size_t segment, std::size_t live,
+                      std::size_t tombstones) {
+    return stored * kRow + memtable * kRow + segment * 2 * kRow +
+           (live + tombstones) * sizeof(VectorId);
+  };
+  auto insert = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      ASSERT_TRUE(c.Insert(i, data.row_view(i)).ok());
+    }
+  };
+
+  insert(0, 10);  // memtable only
+  EXPECT_EQ(c.MemoryBytes(), expected(10, 10, 0, 10, 0));
+  const std::size_t before_flush = c.MemoryBytes();
+  insert(10, 16);  // the 16th row seals segment 1
+  EXPECT_EQ(c.MemoryBytes(), expected(16, 0, 16, 16, 0));
+  EXPECT_GT(c.MemoryBytes(), before_flush);
+  insert(16, 40);  // segment 2 sealed, 8 rows in the memtable
+  ASSERT_TRUE(c.Delete(0).ok());   // sealed: becomes a tombstone
+  ASSERT_TRUE(c.Delete(1).ok());
+  ASSERT_TRUE(c.Delete(35).ok());  // memtable row: stays resident
+  EXPECT_EQ(c.MemoryBytes(), expected(40, 8, 32, 37, 2));
+  const std::size_t before_compact = c.MemoryBytes();
+  // The memtable's 16th live row seals segment 3 (the deleted row is not
+  // sealed), which triggers a compaction that drops the two tombstoned
+  // rows and their tombstones.
+  insert(40, 49);
+  EXPECT_EQ(c.MemoryBytes(), expected(49, 0, 46, 46, 0));
+  EXPECT_GT(c.MemoryBytes(), before_compact);
 }
 
 // --------------------------------------------------------------- Embedder

@@ -14,7 +14,6 @@
 
 #include "core/eval.h"
 #include "core/synthetic.h"
-#include "db/concurrent.h"
 #include "db/collection.h"
 #include "index/fanng.h"
 #include "index/hnsw.h"
@@ -251,6 +250,9 @@ TEST(CheckpointTest, RejectsDimMismatchAndCorruption) {
 
 // ------------------------------------------------------------ Concurrent
 
+// The server-worker pattern: readers share one unlocked collection
+// (`const` queries only) while inserts and deletes run alone between
+// rounds; every concurrent answer must equal the sequential one.
 TEST(ConcurrentCollectionTest, ParallelReadersWithWriter) {
   CollectionOptions opts;
   opts.dim = 8;
@@ -259,42 +261,49 @@ TEST(ConcurrentCollectionTest, ParallelReadersWithWriter) {
     o.m = 8;
     return std::make_unique<HnswIndex>(o);
   };
-  auto cc = ConcurrentCollection::Create(opts);
+  auto cc = Collection::Create(opts);
   ASSERT_TRUE(cc.ok());
+  const Collection& shared = **cc;
   FloatMatrix data = GaussianClusters({2000, 8, 11, 16, 0.15f});
   for (std::size_t i = 0; i < 1000; ++i) {
     ASSERT_TRUE((*cc)->Insert(i, data.row_view(i)).ok());
   }
   ASSERT_TRUE((*cc)->BuildIndex().ok());
 
-  // Bounded readers: continuously spinning shared locks would starve the
-  // writer on a reader-preferring rwlock (observed on 1-core hosts), so
-  // each reader performs a fixed number of queries.
-  std::atomic<int> reader_errors{0};
-  std::atomic<int> reads_done{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&, t] {
-      std::size_t q = 100 * (t + 1);
-      for (int iter = 0; iter < 300; ++iter) {
-        std::vector<Neighbor> out;
-        Status status = (*cc)->Knn(data.row_view(q % 1000), 5, &out);
-        if (!status.ok() || out.empty()) reader_errors.fetch_add(1);
-        reads_done.fetch_add(1);
-        ++q;
+  const int kReaders = 3, kQueries = 100;
+  auto read = [&](int t, std::vector<std::vector<Neighbor>>* answers) {
+    answers->assign(kQueries, {});
+    for (int iter = 0; iter < kQueries; ++iter) {
+      std::size_t q = 100 * (t + 1) + iter;
+      if (!shared.Knn(data.row_view(q % 1000), 5, &(*answers)[iter]).ok()) {
+        (*answers)[iter].clear();
       }
-    });
-  }
-  // Writer: interleave inserts and deletes while readers run.
-  for (std::size_t i = 1000; i < 1400; ++i) {
-    ASSERT_TRUE((*cc)->Insert(i, data.row_view(i)).ok());
-    if (i % 7 == 0) {
-      ASSERT_TRUE((*cc)->Delete(i - 1000).ok());
+    }
+  };
+  for (std::size_t round = 0; round < 4; ++round) {
+    std::vector<std::vector<std::vector<Neighbor>>> want(kReaders),
+        got(kReaders);
+    for (int t = 0; t < kReaders; ++t) read(t, &want[t]);
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back(read, t, &got[t]);
+    }
+    for (auto& r : readers) r.join();
+    for (int t = 0; t < kReaders; ++t) {
+      for (int iter = 0; iter < kQueries; ++iter) {
+        EXPECT_FALSE(want[t][iter].empty());
+        EXPECT_EQ(got[t][iter], want[t][iter])
+            << "round " << round << " reader " << t << " query " << iter;
+      }
+    }
+    // Writer phase: interleave inserts and deletes with no reader running.
+    for (std::size_t i = 1000 + round * 100; i < 1100 + round * 100; ++i) {
+      ASSERT_TRUE((*cc)->Insert(i, data.row_view(i)).ok());
+      if (i % 7 == 0) {
+        ASSERT_TRUE((*cc)->Delete(i - 1000).ok());
+      }
     }
   }
-  for (auto& r : readers) r.join();
-  EXPECT_EQ(reader_errors.load(), 0);
-  EXPECT_GT(reads_done.load(), 0);
   // 1400 inserted minus the multiples of 7 in [1000, 1399] deleted (57).
   EXPECT_EQ((*cc)->Size(), 1400u - 57u);
 }

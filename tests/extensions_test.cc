@@ -1,9 +1,14 @@
 // Tests for the challenge/extension features (paper §2.6): incremental
 // search, automatic score selection, the HNSW neighbor-selection ablation
-// knob, and the shared graph beam-search utility.
+// knob, and the shared graph beam-search utility (checked against the
+// reference loop in beam_search_reference.h).
 
+#include <algorithm>
+#include <bit>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +21,7 @@
 #include "index/flat.h"
 #include "index/graph_util.h"
 #include "index/hnsw.h"
+#include "beam_search_reference.h"
 
 namespace vdb {
 namespace {
@@ -192,23 +198,39 @@ TEST(HnswHeuristicTest, BothModesBuildAndSearch) {
 
 // --------------------------------------------------------- Graph utility
 
-TEST(GraphUtilTest, BeamSearchFindsPathOnLineGraph) {
-  // 0-1-2-...-99 line graph with positions = index: beam from node 0 must
-  // find the node nearest any query point.
-  const std::size_t n = 100;
-  std::vector<std::vector<std::uint32_t>> adj(n);
-  for (std::uint32_t i = 0; i + 1 < n; ++i) {
-    adj[i].push_back(i + 1);
-    adj[i + 1].push_back(i);
+// Line graphs for the beam-search cases: 0-1-2-...-(n-1), node u's
+// one-dimensional row at position u.
+struct LineGraph {
+  explicit LineGraph(std::size_t n)
+      : adj(n), rows(n), scorer(Scorer::Create(MetricSpec::L2(), 1).value()) {
+    for (std::uint32_t i = 0; i + 1 < n; ++i) {
+      adj[i].push_back(i + 1);
+      adj[i + 1].push_back(i);
+    }
+    for (std::size_t i = 0; i < n; ++i) rows[i] = static_cast<float>(i);
   }
-  float target = 73.4f;
-  std::uint32_t entries[1] = {0};
+  template <typename AdmitFn>
+  std::vector<graph::Cand> Search(float target, FilterMode mode,
+                                  AdmitFn admit, SearchStats* stats) const {
+    std::uint32_t entries[1] = {0};
+    return graph::BeamSearch(
+        scorer, rows.data(), &target, entries, 4, adj.size(), mode,
+        [&](std::uint32_t u) { return std::span<const std::uint32_t>(adj[u]); },
+        admit, stats);
+  }
+
+  std::vector<std::vector<std::uint32_t>> adj;
+  std::vector<float> rows;
+  Scorer scorer;
+};
+
+TEST(GraphUtilTest, BeamSearchFindsPathOnLineGraph) {
+  // Line graph with positions = index: beam from node 0 must find the
+  // node nearest any query point.
+  LineGraph line(100);
   SearchStats stats;
-  auto results = graph::BeamSearch(
-      entries, 4, n, FilterMode::kNone,
-      [&](std::uint32_t u) { return std::span<const std::uint32_t>(adj[u]); },
-      [&](std::uint32_t u) { return std::abs(float(u) - target); },
-      [](std::uint32_t) { return true; }, &stats);
+  auto results = line.Search(73.4f, FilterMode::kNone,
+                             [](std::uint32_t) { return true; }, &stats);
   ASSERT_FALSE(results.empty());
   EXPECT_EQ(results[0].idx, 73u);
   EXPECT_GT(stats.hops, 50u);  // walked the line
@@ -216,31 +238,126 @@ TEST(GraphUtilTest, BeamSearchFindsPathOnLineGraph) {
 
 TEST(GraphUtilTest, BlockFirstCannotCrossBlockedCut) {
   // Blocking node 50 on a line graph cuts everything beyond it.
-  const std::size_t n = 100;
-  std::vector<std::vector<std::uint32_t>> adj(n);
-  for (std::uint32_t i = 0; i + 1 < n; ++i) {
-    adj[i].push_back(i + 1);
-    adj[i + 1].push_back(i);
-  }
-  float target = 90.0f;
-  std::uint32_t entries[1] = {0};
+  LineGraph line(100);
   auto admit = [](std::uint32_t u) { return u != 50; };
-  auto blocked = graph::BeamSearch(
-      entries, 4, n, FilterMode::kBlockFirst,
-      [&](std::uint32_t u) { return std::span<const std::uint32_t>(adj[u]); },
-      [&](std::uint32_t u) { return std::abs(float(u) - target); }, admit,
-      nullptr);
+  auto blocked = line.Search(90.0f, FilterMode::kBlockFirst, admit, nullptr);
   // Best reachable is 49 (everything past the cut is unreachable).
   ASSERT_FALSE(blocked.empty());
   EXPECT_EQ(blocked[0].idx, 49u);
   // Visit-first traverses through the blocked node and reaches 90.
-  auto visited = graph::BeamSearch(
-      entries, 4, n, FilterMode::kVisitFirst,
-      [&](std::uint32_t u) { return std::span<const std::uint32_t>(adj[u]); },
-      [&](std::uint32_t u) { return std::abs(float(u) - target); }, admit,
-      nullptr);
+  auto visited = line.Search(90.0f, FilterMode::kVisitFirst, admit, nullptr);
   ASSERT_FALSE(visited.empty());
   EXPECT_EQ(visited[0].idx, 90u);
+}
+
+/// Same ids and distance bits, in the same order.
+bool SameCands(const std::vector<graph::Cand>& a,
+               const std::vector<graph::Cand>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].idx != b[i].idx || std::bit_cast<std::uint32_t>(a[i].dist) !=
+                                    std::bit_cast<std::uint32_t>(b[i].dist)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// graph::BeamSearch against the one-neighbor-at-a-time reference loop
+// (beam_search_reference.h) on seeded random graphs: every result id and
+// distance bit, the expansion order, and all four stats counters must
+// match. Graphs carry self-loops, duplicate edges and isolated nodes;
+// entry lists carry duplicates and out-of-range ids; admit masks run
+// under every filter mode BeamSearch sees; ef runs from 1 past n; and the
+// cosine case takes DistanceBatch's per-row fallback.
+TEST(GraphUtilTest, BeamSearchMatchesReferenceLoop) {
+  const MetricSpec metrics[] = {MetricSpec::L2(), MetricSpec::InnerProduct(),
+                                MetricSpec::Cosine()};
+  const FilterMode modes[] = {FilterMode::kNone, FilterMode::kBlockFirst,
+                              FilterMode::kVisitFirst};
+  const std::size_t sizes[] = {1, 2, 7, 40, 300, 2000};
+  std::size_t cases = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = sizes[seed % std::size(sizes)];
+    const std::size_t dim = 1 + rng.Next(40);
+    FloatMatrix base(n, dim);
+    for (std::size_t i = 0; i < n; ++i) {
+      float* row = base.row(i);
+      if (rng.Next(10) == 0 && i > 0) {  // duplicate row: distance ties
+        std::copy_n(base.row(rng.Next(i)), dim, row);
+      } else if (rng.Next(20) == 0) {  // zero row: cosine's special case
+        std::fill_n(row, dim, 0.0f);
+      } else {
+        for (std::size_t j = 0; j < dim; ++j) row[j] = rng.NextGaussian();
+      }
+    }
+    const std::size_t max_degree = rng.Next(33);  // 0..32
+    std::vector<std::vector<std::uint32_t>> adj(n);
+    for (std::size_t u = 0; u < n; ++u) {
+      const std::size_t degree = max_degree == 0 ? 0 : rng.Next(max_degree + 1);
+      for (std::size_t e = 0; e < degree; ++e) {
+        adj[u].push_back(static_cast<std::uint32_t>(rng.Next(n)));
+      }
+      if (!adj[u].empty() && rng.Next(4) == 0) {
+        adj[u].push_back(static_cast<std::uint32_t>(u));       // self-loop
+        adj[u].push_back(adj[u][rng.Next(adj[u].size())]);    // duplicate
+      }
+    }
+    auto neighbors = [&](std::uint32_t u) {
+      return std::span<const std::uint32_t>(adj[u]);
+    };
+    std::vector<std::uint32_t> entries;
+    for (std::size_t e = 0, ne = 1 + rng.Next(4); e < ne; ++e) {
+      entries.push_back(static_cast<std::uint32_t>(rng.Next(n)));
+    }
+    entries.push_back(entries.front());                             // dup
+    entries.push_back(static_cast<std::uint32_t>(n + rng.Next(3)));  // OOR
+    std::vector<bool> mask(n);
+    const std::size_t admit_pct = rng.Next(101);
+    for (std::size_t u = 0; u < n; ++u) mask[u] = rng.Next(100) < admit_pct;
+    std::vector<float> query(dim);
+    for (float& x : query) x = rng.NextGaussian();
+    // Counts each probe as DenseIndexBase::Admissible does.
+    auto admit_with = [&mask](SearchStats* stats) {
+      return [&mask, stats](std::uint32_t u) {
+        ++stats->filter_checks;
+        return static_cast<bool>(mask[u]);
+      };
+    };
+
+    for (const MetricSpec& metric : metrics) {
+      Scorer scorer = Scorer::Create(metric, dim).value();
+      for (FilterMode mode : modes) {
+        for (std::size_t ef : {std::size_t{1}, std::size_t{10},
+                               std::size_t{100}, n + 5}) {
+          SearchStats want_stats, got_stats;
+          std::vector<graph::Cand> want_expanded, got_expanded;
+          auto want = beam_ref::BeamSearch(
+              entries, ef, n, mode, neighbors,
+              [&](std::uint32_t u) {
+                return scorer.Distance(query.data(), base.row(u));
+              },
+              admit_with(&want_stats), &want_stats, &want_expanded);
+          auto got = graph::BeamSearch(
+              scorer, base.data(), query.data(), entries, ef, n, mode,
+              neighbors, admit_with(&got_stats), &got_stats, &got_expanded);
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " n " << n << " dim " << dim
+                       << " metric " << static_cast<int>(metric.metric)
+                       << " mode " << static_cast<int>(mode) << " ef " << ef);
+          EXPECT_TRUE(SameCands(got, want));
+          EXPECT_TRUE(SameCands(got_expanded, want_expanded));
+          EXPECT_EQ(got_stats.distance_comps, want_stats.distance_comps);
+          EXPECT_EQ(got_stats.hops, want_stats.hops);
+          EXPECT_EQ(got_stats.nodes_visited, want_stats.nodes_visited);
+          EXPECT_EQ(got_stats.filter_checks, want_stats.filter_checks);
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 24u * 3 * 3 * 4);
 }
 
 TEST(GraphUtilTest, GreedyDescendReachesLocalMinimum) {

@@ -1,12 +1,16 @@
 // Randomized model-checking ("fuzz") tests for the durability- and
 // correctness-critical substrates: WAL corruption robustness, PagedFile
 // vs an in-memory model, Bitset vs std::vector<bool>, random predicate
-// trees vs a row-wise oracle, and the SQL parser on mutated inputs.
+// trees vs a row-wise oracle, the SQL parser on mutated inputs, and the
+// wire-protocol decoder on mutated and random frames.
 
 #include <unistd.h>
 
+#include <bit>
+#include <cstdint>
 #include <fstream>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,6 +19,7 @@
 #include "core/rng.h"
 #include "db/query_language.h"
 #include "exec/predicate.h"
+#include "net/protocol.h"
 #include "storage/attribute_store.h"
 #include "storage/paged_file.h"
 #include "storage/wal.h"
@@ -259,6 +264,199 @@ TEST(QueryParseFuzzTest, MutatedQueriesNeverCrash) {
   // Sanity: the fuzz actually exercised both accept and reject paths.
   EXPECT_GT(parsed_ok, 0);
   EXPECT_LT(parsed_ok, 2000);
+}
+
+// --------------------------------------------------------- Wire protocol
+
+std::string RandomBytes(Rng* rng, std::size_t max_len) {
+  std::string s(rng->Next(max_len + 1), '\0');
+  for (char& c : s) c = static_cast<char>(rng->Next(256));
+  return s;
+}
+
+net::Request RandomRequest(Rng* rng) {
+  const net::MsgType types[] = {net::MsgType::kQuery, net::MsgType::kPing,
+                                net::MsgType::kMetrics, net::MsgType::kStats};
+  net::Request req;
+  req.type = types[rng->Next(4)];
+  req.request_id = rng->Next(~0ull);
+  if (req.type == net::MsgType::kQuery) {
+    req.tenant = RandomBytes(rng, 12);
+    req.deadline_ms = static_cast<std::uint32_t>(rng->Next(1ull << 32));
+    req.trace = rng->Next(2) == 1;
+    req.text = RandomBytes(rng, 80);
+  }
+  return req;
+}
+
+net::Response RandomResponse(Rng* rng) {
+  net::Response resp;
+  resp.request_id = rng->Next(~0ull);
+  resp.status = static_cast<net::WireStatus>(
+      rng->Next(static_cast<std::uint64_t>(net::WireStatus::kMalformed) + 1));
+  resp.retry_after_ms = static_cast<std::uint32_t>(rng->Next(1ull << 32));
+  resp.message = RandomBytes(rng, 24);
+  resp.rows.resize(rng->Next(9));
+  for (Neighbor& n : resp.rows) {
+    n.id = rng->Next(~0ull);
+    // Any bit pattern, NaN and infinities included.
+    n.dist = std::bit_cast<float>(
+        static_cast<std::uint32_t>(rng->Next(1ull << 32)));
+  }
+  resp.body = RandomBytes(rng, 40);
+  return resp;
+}
+
+bool SameRequest(const net::Request& a, const net::Request& b) {
+  return a.type == b.type && a.request_id == b.request_id &&
+         a.tenant == b.tenant && a.deadline_ms == b.deadline_ms &&
+         a.trace == b.trace && a.text == b.text;
+}
+
+bool SameResponse(const net::Response& a, const net::Response& b) {
+  if (a.rows.size() != b.rows.size()) return false;
+  for (std::size_t i = 0; i < a.rows.size(); ++i) {
+    if (a.rows[i].id != b.rows[i].id ||
+        std::bit_cast<std::uint32_t>(a.rows[i].dist) !=
+            std::bit_cast<std::uint32_t>(b.rows[i].dist)) {
+      return false;
+    }
+  }
+  return a.request_id == b.request_id && a.status == b.status &&
+         a.retry_after_ms == b.retry_after_ms && a.message == b.message &&
+         a.body == b.body;
+}
+
+struct DecodeCounts {
+  std::size_t requests = 0, responses = 0, too_large = 0;
+};
+
+/// Feeds one payload to both decoders. Whatever decodes must survive a
+/// round trip: encode, extract, decode again, equal message.
+void CheckPayload(std::span<const std::uint8_t> payload, DecodeCounts* n) {
+  std::span<const std::uint8_t> again;
+  std::size_t consumed = 0;
+  if (auto req = net::DecodeRequest(payload); req.ok()) {
+    ++n->requests;
+    std::vector<std::uint8_t> frame;
+    net::EncodeRequest(*req, &frame);
+    ASSERT_EQ(net::ExtractFrame(frame, &again, &consumed),
+              net::FrameResult::kReady);
+    EXPECT_EQ(consumed, frame.size());
+    auto decoded = net::DecodeRequest(again);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_TRUE(SameRequest(*decoded, *req));
+  }
+  if (auto resp = net::DecodeResponse(payload); resp.ok()) {
+    ++n->responses;
+    std::vector<std::uint8_t> frame;
+    net::EncodeResponse(*resp, &frame);
+    ASSERT_EQ(net::ExtractFrame(frame, &again, &consumed),
+              net::FrameResult::kReady);
+    EXPECT_EQ(consumed, frame.size());
+    auto decoded = net::DecodeResponse(again);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_TRUE(SameResponse(*decoded, *resp));
+  }
+}
+
+/// Feeds one receive buffer to ExtractFrame (checking its verdict against
+/// the declared length) and both decoders.
+void CheckBuffer(const std::vector<std::uint8_t>& buf, DecodeCounts* n) {
+  std::span<const std::uint8_t> payload;
+  std::size_t consumed = 0;
+  net::FrameResult r = net::ExtractFrame(buf, &payload, &consumed);
+  if (buf.size() < 4) {
+    EXPECT_EQ(r, net::FrameResult::kNeedMore);
+    CheckPayload(buf, n);
+    return;
+  }
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) len |= std::uint32_t{buf[i]} << (8 * i);
+  if (len > net::kMaxFrameBytes) {
+    EXPECT_EQ(r, net::FrameResult::kTooLarge) << len;
+    ++n->too_large;
+  } else if (buf.size() < 4u + len) {
+    EXPECT_EQ(r, net::FrameResult::kNeedMore);
+  } else {
+    ASSERT_EQ(r, net::FrameResult::kReady);
+    EXPECT_EQ(consumed, 4u + len);
+    EXPECT_EQ(payload.data(), buf.data() + 4);
+    EXPECT_EQ(payload.size(), len);
+  }
+  // The decoders also see whatever follows the prefix, as a server that
+  // trusted a forged length would hand them.
+  CheckPayload(std::span<const std::uint8_t>(buf).subspan(4), n);
+}
+
+TEST(ProtocolFuzzTest, MutatedFramesDecodeConsistentlyOrNotAtAll) {
+  Rng rng(20260);
+  const std::uint32_t kLengths[] = {
+      0, 1, static_cast<std::uint32_t>(net::kMaxFrameBytes - 1),
+      static_cast<std::uint32_t>(net::kMaxFrameBytes),
+      static_cast<std::uint32_t>(net::kMaxFrameBytes + 1), 0xFFFFFFFFu};
+  auto valid_frame = [&] {
+    std::vector<std::uint8_t> frame;
+    if (rng.Next(2) == 0) {
+      net::EncodeRequest(RandomRequest(&rng), &frame);
+    } else {
+      net::EncodeResponse(RandomResponse(&rng), &frame);
+    }
+    return frame;
+  };
+  auto put_u32 = [](std::vector<std::uint8_t>* buf, std::size_t at,
+                    std::uint32_t v) {
+    for (int i = 0; i < 4 && at + i < buf->size(); ++i) {
+      (*buf)[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  DecodeCounts n;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<std::uint8_t> buf = valid_frame();
+    switch (rng.Next(7)) {
+      case 0:  // unmodified: must round-trip
+        break;
+      case 1:  // bit flips
+        for (std::size_t f = 0, nf = 1 + rng.Next(4); f < nf; ++f) {
+          buf[rng.Next(buf.size())] ^= std::uint8_t(1u << rng.Next(8));
+        }
+        break;
+      case 2: {  // splice two frames at random cut points
+        std::vector<std::uint8_t> other = valid_frame();
+        buf.resize(rng.Next(buf.size() + 1));
+        buf.insert(buf.end(), other.begin() + rng.Next(other.size() + 1),
+                   other.end());
+        break;
+      }
+      case 3:  // truncate
+        buf.resize(rng.Next(buf.size() + 1));
+        break;
+      case 4:  // extend with random bytes, keeping or fixing the prefix
+        for (std::size_t e = 0, ne = 1 + rng.Next(16); e < ne; ++e) {
+          buf.push_back(static_cast<std::uint8_t>(rng.Next(256)));
+        }
+        if (rng.Next(2) == 0) {
+          put_u32(&buf, 0, static_cast<std::uint32_t>(buf.size() - 4));
+        }
+        break;
+      case 5:  // forged length: the prefix or an inner length field
+        put_u32(&buf, rng.Next(2) == 0 ? 0 : 4 + rng.Next(buf.size() - 4),
+                kLengths[rng.Next(std::size(kLengths))] -
+                    static_cast<std::uint32_t>(rng.Next(3)));
+        break;
+      case 6:  // fully random buffer
+        buf.resize(rng.Next(64));
+        for (auto& b : buf) b = static_cast<std::uint8_t>(rng.Next(256));
+        break;
+    }
+    CheckBuffer(buf, &n);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // Non-vacuous: the valid and lightly mutated frames decoded, and the
+  // forged prefixes hit the cap.
+  EXPECT_GT(n.requests, 1000u);
+  EXPECT_GT(n.responses, 1000u);
+  EXPECT_GT(n.too_large, 100u);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// Dispatch-parity suite for the tiered SIMD kernels (DESIGN.md §11) plus
-// the beam-search prefetch ablation.
+// Dispatch-parity suite for the tiered SIMD kernels (DESIGN.md §11).
 //
 // Two distinct contracts are pinned here:
 //   1. Across tiers (scalar / AVX2 / AVX-512) a kernel agrees to float
@@ -21,10 +20,6 @@
 
 #include "core/rng.h"
 #include "core/simd.h"
-#include "core/synthetic.h"
-#include "index/hnsw.h"
-#include "index/nsw.h"
-#include "index/vamana.h"
 
 namespace vdb {
 namespace {
@@ -355,78 +350,6 @@ TEST(SimdDispatchTest, QuickAdcBlockExactAcrossTiers) {
     simd::QuickAdcBlock(luts.data(), codes.data(), m, got.data());
     EXPECT_EQ(ref, got);
   }
-}
-
-// ------------------------------------------------- prefetch ablation
-//
-// prefetch_depth is a pure memory-latency knob: results AND per-query
-// stats must be identical with prefetching off (0), default (-1), and
-// deeper than any beam (64), because the batched expansion scores and
-// pushes neighbors in exactly the unbatched order.
-
-FloatMatrix AblationData() {
-  SyntheticOptions opts;
-  opts.n = 1200;
-  opts.dim = 24;
-  opts.num_clusters = 8;
-  opts.seed = 23;
-  return GaussianClusters(opts);
-}
-
-template <typename IndexT>
-void RunPrefetchAblation(IndexT& index) {
-  FloatMatrix data = AblationData();
-  ASSERT_TRUE(index.Build(data, {}).ok());
-  FloatMatrix queries = PerturbedQueries(data, 20, 0.05f, 29);
-  for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
-    std::vector<std::vector<Neighbor>> results;
-    std::vector<SearchStats> stats;
-    for (int depth : {0, -1, 64}) {
-      SearchParams p;
-      p.k = 10;
-      p.ef = 48;
-      p.prefetch_depth = depth;
-      std::vector<Neighbor> out;
-      SearchStats st;
-      ASSERT_TRUE(index.Search(queries.row(qi), p, &out, &st).ok());
-      results.push_back(std::move(out));
-      stats.push_back(st);
-    }
-    for (std::size_t v = 1; v < results.size(); ++v) {
-      ASSERT_EQ(results[v].size(), results[0].size());
-      for (std::size_t i = 0; i < results[0].size(); ++i) {
-        EXPECT_EQ(results[v][i].id, results[0][i].id);
-        EXPECT_EQ(results[v][i].dist, results[0][i].dist);
-      }
-      EXPECT_EQ(stats[v].distance_comps, stats[0].distance_comps);
-      EXPECT_EQ(stats[v].nodes_visited, stats[0].nodes_visited);
-      EXPECT_EQ(stats[v].hops, stats[0].hops);
-    }
-  }
-}
-
-TEST(PrefetchAblationTest, HnswResultsAndStatsUnchanged) {
-  HnswOptions opts;
-  opts.m = 8;
-  opts.ef_construction = 48;
-  HnswIndex index(opts);
-  RunPrefetchAblation(index);
-}
-
-TEST(PrefetchAblationTest, VamanaResultsAndStatsUnchanged) {
-  VamanaOptions opts;
-  opts.r = 16;
-  opts.l = 48;
-  VamanaIndex index(opts);
-  RunPrefetchAblation(index);
-}
-
-TEST(PrefetchAblationTest, NswResultsAndStatsUnchanged) {
-  NswOptions opts;
-  opts.m = 8;
-  opts.ef_construction = 48;
-  NswIndex index(opts);
-  RunPrefetchAblation(index);
 }
 
 }  // namespace

@@ -30,10 +30,11 @@ pass --root):
   7. SIMD confinement: `_mm*` intrinsics, `__m128/256/512` vector
      types, and `target(...)` function attributes live only in
      src/core/simd.cc (one TU owns every kernel, so the portable build
-     and the dispatch contract cannot be bypassed); software prefetch
-     (`__builtin_prefetch`) is allowed only in src/core/simd.h and
-     src/index/graph_util.h — every other layer prefetches through the
-     simd::Prefetch* helpers.
+     and the dispatch contract cannot be bypassed). One prefetch policy:
+     `__builtin_prefetch` is spelled only in src/core/simd.h (the
+     simd::Prefetch* helpers), and those helpers are called only from
+     src/core/simd.cc and src/index/graph_util.h (graph beam search
+     prefetches for every graph family at one fixed depth).
   8. Sync-primitive confinement, both directions: raw std
      synchronization types (`std::mutex`, `std::shared_mutex`,
      `std::lock_guard`, `std::unique_lock`, `std::scoped_lock`,
@@ -83,6 +84,7 @@ SIMD_INTRINSIC = re.compile(
     r"(?:^|[^\w])(_mm\d*_\w+\s*\(|__m(?:128|256|512)[di]?\b|"
     r"target\s*\(\s*\")")
 PREFETCH = re.compile(r"__builtin_prefetch\s*\(")
+PREFETCH_CALL = re.compile(r"\bPrefetch(?:Bytes|Floats)\s*\(")
 NET_IO = re.compile(
     r"::(?:socket|bind|listen|accept4?|connect|recv|send|"
     r"epoll_(?:create1|ctl|wait)|eventfd(?:_read|_write)?)\s*\(")
@@ -93,10 +95,12 @@ RAW_IO_ALLOWED_PREFIX = "src/storage/"
 # Files allowed to issue socket/epoll syscalls.
 NET_IO_ALLOWED_PREFIX = "src/net/"
 
-# Invariant 7: the one TU allowed to spell intrinsics, and the only
-# headers allowed to spell __builtin_prefetch.
+# Invariant 7: the one TU allowed to spell intrinsics, the one header
+# allowed to spell __builtin_prefetch (it defines the simd::Prefetch*
+# helpers), and the only files allowed to call those helpers.
 SIMD_IMPL = "src/core/simd.cc"
-PREFETCH_ALLOWED = ("src/core/simd.h", "src/index/graph_util.h")
+SIMD_HEADER = "src/core/simd.h"
+PREFETCH_CALLERS = (SIMD_IMPL, "src/index/graph_util.h")
 
 # Subsystem prefix ownership (invariant 5): name prefix <-> source dir.
 FAILPOINT_OWNERS = {"net.": "src/net/"}
@@ -285,8 +289,9 @@ def check_raw_io(root, errors):
 
 def check_simd_confinement(root, errors):
     """Invariant 7, both directions: intrinsics/target attrs only in
-    src/core/simd.cc; __builtin_prefetch only in the two sanctioned
-    headers (simd.cc itself excluded — it calls the inline helpers)."""
+    src/core/simd.cc; __builtin_prefetch only in src/core/simd.h; and
+    the simd::Prefetch* helpers called only from simd.cc and the graph
+    beam search."""
     for path in source_files(root):
         rel = path.relative_to(root).as_posix()
         text = strip_comments(path.read_text())
@@ -296,12 +301,18 @@ def check_simd_confinement(root, errors):
                 errors.append(f"{rel}:{line}: SIMD intrinsic/target attr "
                               f"('{m.group(1)}...') outside {SIMD_IMPL} — "
                               f"kernels live in one TU")
-        if rel not in PREFETCH_ALLOWED:
+        if rel != SIMD_HEADER:
             for m in PREFETCH.finditer(text):
                 line = text.count("\n", 0, m.start()) + 1
                 errors.append(f"{rel}:{line}: __builtin_prefetch outside "
-                              f"{', '.join(PREFETCH_ALLOWED)} — use the "
-                              f"simd::Prefetch* helpers")
+                              f"{SIMD_HEADER} — use the simd::Prefetch* "
+                              f"helpers")
+        if rel not in PREFETCH_CALLERS and rel != SIMD_HEADER:
+            for m in PREFETCH_CALL.finditer(text):
+                line = text.count("\n", 0, m.start()) + 1
+                errors.append(f"{rel}:{line}: simd::Prefetch* call outside "
+                              f"{', '.join(PREFETCH_CALLERS)} — graph "
+                              f"beam search owns the prefetch policy")
 
 
 def check_sync_confinement(root, errors):
