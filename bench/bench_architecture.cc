@@ -32,7 +32,6 @@
 #include "index/spann.h"
 #include "index/spectral_hash.h"
 #include "index/vamana.h"
-#include "storage/lsm_store.h"
 #include "core/failpoint.h"
 #include "core/simd.h"
 #include "core/telemetry.h"
@@ -205,11 +204,14 @@ int main() {
     ok = wal.ok() && (*wal)->AppendDelete(1).ok();
     bench::Row("    write-ahead log (CRC framed, torn-tail safe) ..... %s",
                Check(ok));
-    LsmOptions lsm;
-    lsm.factory = [] { return std::make_unique<FlatIndex>(); };
-    auto store2 = LsmVectorStore::Create(16, lsm);
-    ok = store2.ok() && (*store2)->Insert(1, w.data.row(0)).ok();
-    bench::Row("    LSM out-of-place updates (memtable/segments) ..... %s",
+    CollectionOptions lsm;
+    lsm.dim = 16;
+    lsm.lsm_memtable_limit = 1;
+    lsm.index_factory = [] { return std::make_unique<FlatIndex>(); };
+    auto store2 = Collection::Create(lsm);
+    ok = store2.ok() && (*store2)->Insert(1, w.data.row_view(0)).ok() &&
+         (*store2)->SegmentCount() == 1;
+    bench::Row("    out-of-place updates (growing/sealed segments) ... %s",
                Check(ok));
     bench::Row("    paged file + LRU cache + fault injection ......... ok");
   }

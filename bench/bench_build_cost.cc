@@ -92,8 +92,8 @@ int main() {
     std::copy_n(w.data.row(i), w.data.cols(), build_data.row(i));
   }
 
-  bench::Row("%-10s %9s %10s %7s %8s %14s", "index", "build(s)", "mem(MB)",
-             "add?", "remove?", "100 adds (ms)");
+  bench::Row("%-10s %9s %10s %7s %14s", "index", "build(s)", "mem(MB)",
+             "add?", "100 adds (ms)");
   for (const auto& entry : entries) {
     auto index = entry.make();
     double build_s =
@@ -112,10 +112,9 @@ int main() {
     } else {
       std::snprintf(add_buf, sizeof(add_buf), "rebuild");
     }
-    bench::Row("%-10s %9.2f %10.1f %7s %8s %14s", entry.name.c_str(),
-               build_s, double(index->MemoryBytes()) / (1024.0 * 1024.0),
-               index->SupportsAdd() ? "yes" : "no",
-               index->SupportsRemove() ? "yes" : "no", add_buf);
+    bench::Row("%-10s %9.2f %10.1f %7s %14s", entry.name.c_str(), build_s,
+               double(index->MemoryBytes()) / (1024.0 * 1024.0),
+               index->SupportsAdd() ? "yes" : "no", add_buf);
   }
   return 0;
 }

@@ -25,7 +25,7 @@ struct HybridBench {
   FloatMatrix queries;
   VectorStore vectors{0};
   AttributeStore attrs;
-  std::unique_ptr<VectorIndex> index;
+  Segment segment;  ///< one sealed segment over every row
   Scorer scorer;
 };
 
@@ -40,8 +40,7 @@ std::vector<Neighbor> Oracle(const HybridBench& b, const float* query,
 }
 
 void RunIndexSweep(HybridBench& b) {
-  CollectionView view{&b.vectors, &b.attrs, b.index.get(), nullptr,
-                      &b.scorer};
+  CollectionView view{&b.vectors, &b.attrs, {&b.segment, 1}, &b.scorer};
   HybridExecutor executor(view);
 
   const HybridPlan plans[] = {
@@ -118,8 +117,8 @@ int main() {
   bench::Row("-- HNSW index --");
   HnswOptions ho;
   ho.ef_construction = 80;
-  b.index = std::make_unique<HnswIndex>(ho);
-  (void)b.index->Build(b.data, {});
+  b.segment.index = std::make_unique<HnswIndex>(ho);
+  (void)b.segment.index->Build(b.data, {});
   RunIndexSweep(b);
 
   // Table index: blocking only skips scoring inside scanned buckets, so
@@ -128,8 +127,8 @@ int main() {
   IvfOptions io;
   io.nlist = 128;
   io.default_nprobe = 16;
-  b.index = std::make_unique<IvfFlatIndex>(io);
-  (void)b.index->Build(b.data, {});
+  b.segment.index = std::make_unique<IvfFlatIndex>(io);
+  (void)b.segment.index->Build(b.data, {});
   RunIndexSweep(b);
   return 0;
 }

@@ -38,9 +38,10 @@ int main() {
   }
   HnswOptions ho;
   ho.ef_construction = 80;
-  HnswIndex index(ho);
-  (void)index.Build(data, {});
-  CollectionView view{&vectors, &attrs, &index, nullptr, &scorer};
+  Segment segment;
+  segment.index = std::make_unique<HnswIndex>(ho);
+  (void)segment.index->Build(data, {});
+  CollectionView view{&vectors, &attrs, {&segment, 1}, &scorer};
   HybridExecutor executor(view);
   RuleBasedOptimizer rule;
   CostBasedOptimizer cost;

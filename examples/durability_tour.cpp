@@ -1,6 +1,7 @@
 // Durability tour: the storage-manager lifecycle of a production VDBMS —
 // WAL-backed writes, crash recovery by replay, checkpointing, index
-// persistence, and LSM out-of-place updates — composed end to end.
+// persistence, and out-of-place (flush-policy) updates — composed end to
+// end.
 //
 //   ./build/examples/durability_tour
 
@@ -120,11 +121,10 @@ int main() {
                 "insert -> %s\n", s.ToString().c_str());
   }
 
-  // --- LSM mode: writes never block on index rebuilds. ------------------
+  // --- Flush policy: writes never block on index rebuilds. -------------
   {
     CollectionOptions lsm = options;
     lsm.wal_path.clear();
-    lsm.use_lsm = true;
     lsm.lsm_memtable_limit = 512;
     auto c = Collection::Create(lsm);
     for (std::size_t i = 0; i < 5000; ++i) {
@@ -132,8 +132,10 @@ int main() {
     }
     std::vector<Neighbor> out;
     OrDie((*c)->Knn(data.row_view(4999), 1, &out));
-    std::printf("\nlsm mode: 5000 streamed inserts, last row immediately "
+    std::printf("\nflush policy: 5000 streamed inserts (%zu sealed "
+                "segments, %zu growing rows), last row immediately "
                 "searchable -> id=%llu\n",
+                (*c)->SegmentCount(), (*c)->UnindexedRows(),
                 (unsigned long long)out[0].id);
   }
   return 0;

@@ -1,9 +1,9 @@
 // Retrieval-augmented generation (RAG) document store — the paper's §1
 // motivating application for VDBMSs. Documents are chunked; each document
 // is a *multi-vector entity* (one vector per chunk) queried with aggregate
-// scores (§2.1, §2.6(6)). Updates arrive continuously, absorbed by the LSM
-// out-of-place update path (§2.3(3)) so the graph index never blocks
-// writes.
+// scores (§2.1, §2.6(6)). Updates arrive continuously; rows no index
+// holds yet form the collection's growing segment (§2.3(3)), which every
+// query brute-forces, so new chunks are searchable at once.
 //
 //   ./build/examples/rag_retrieval
 

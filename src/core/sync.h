@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 namespace vdb {
 
@@ -41,7 +40,7 @@ namespace vdb {
 #define VDB_THREAD_ANNOTATION(x)  // no-op outside Clang
 #endif
 
-/// A type that is a lock (vdb::Mutex / vdb::SharedMutex below).
+/// A type that is a lock (vdb::Mutex below).
 #define VDB_CAPABILITY(x) VDB_THREAD_ANNOTATION(capability(x))
 
 /// An RAII type whose lifetime equals a hold of some capability.
@@ -54,19 +53,13 @@ namespace vdb {
 /// (the pointer value itself may be read freely).
 #define VDB_PT_GUARDED_BY(x) VDB_THREAD_ANNOTATION(pt_guarded_by(x))
 
-/// Caller must hold the capability (exclusively / shared).
+/// Caller must hold the capability.
 #define VDB_REQUIRES(...) \
   VDB_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define VDB_REQUIRES_SHARED(...) \
-  VDB_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 /// Function acquires / releases the capability.
 #define VDB_ACQUIRE(...) VDB_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define VDB_ACQUIRE_SHARED(...) \
-  VDB_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define VDB_RELEASE(...) VDB_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define VDB_RELEASE_SHARED(...) \
-  VDB_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 #define VDB_TRY_ACQUIRE(...) \
   VDB_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
@@ -112,22 +105,6 @@ class VDB_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Annotated reader/writer mutex over `std::shared_mutex`.
-class VDB_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() VDB_ACQUIRE() { mu_.lock(); }
-  void Unlock() VDB_RELEASE() { mu_.unlock(); }
-  void ReaderLock() VDB_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void ReaderUnlock() VDB_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// Scoped exclusive hold of a Mutex (the repo's `std::lock_guard`
 /// replacement). Non-movable: the hold spans exactly this scope.
 class VDB_SCOPED_CAPABILITY MutexLock {
@@ -139,34 +116,6 @@ class VDB_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Scoped exclusive hold of a SharedMutex (writer side).
-class VDB_SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) VDB_ACQUIRE(mu) : mu_(mu) {
-    mu_.Lock();
-  }
-  ~WriterLock() VDB_RELEASE() { mu_.Unlock(); }
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Scoped shared hold of a SharedMutex (reader side).
-class VDB_SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) VDB_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.ReaderLock();
-  }
-  ~ReaderLock() VDB_RELEASE() { mu_.ReaderUnlock(); }
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable usable with vdb::Mutex. Wait takes the Mutex the

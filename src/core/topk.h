@@ -56,7 +56,7 @@ class TopK {
 
 /// Merges several per-source top-k lists (each ascending) into one global
 /// ascending top-k — the scatter-gather reduce step for distributed search
-/// and LSM segment search.
+/// and per-segment collection search.
 inline std::vector<Neighbor> MergeTopK(
     const std::vector<std::vector<Neighbor>>& parts, std::size_t k) {
   TopK top(k);

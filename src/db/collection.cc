@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_set>
 
+#include "core/failpoint.h"
+#include "core/telemetry.h"
 #include "core/topk.h"
 #include "exec/batch.h"
 #include "exec/trace.h"
@@ -19,22 +22,6 @@ namespace {
 /// Ids at or above this are internal multi-vector member rows.
 constexpr VectorId kInternalIdBase = VectorId{1} << 62;
 
-/// Composes: user filter AND not-tombstoned AND id-is-in-index guard.
-class ComposedFilter final : public IdFilter {
- public:
-  ComposedFilter(const IdFilter* user,
-                 const std::unordered_set<VectorId>* tombstones)
-      : user_(user), tombstones_(tombstones) {}
-  bool Matches(VectorId id) const override {
-    if (tombstones_ != nullptr && tombstones_->contains(id)) return false;
-    return user_ == nullptr || user_->Matches(id);
-  }
-
- private:
-  const IdFilter* user_;
-  const std::unordered_set<VectorId>* tombstones_;
-};
-
 }  // namespace
 
 Result<std::unique_ptr<Collection>> Collection::Create(
@@ -43,8 +30,8 @@ Result<std::unique_ptr<Collection>> Collection::Create(
   if (opts.embedder != nullptr && opts.embedder->dim() != opts.dim) {
     return Status::InvalidArgument("embedder dim mismatch");
   }
-  if (opts.use_lsm && !opts.index_factory) {
-    return Status::InvalidArgument("LSM mode requires an index factory");
+  if (opts.lsm_memtable_limit > 0 && !opts.index_factory) {
+    return Status::InvalidArgument("a flush policy requires an index factory");
   }
   auto collection = std::unique_ptr<Collection>(new Collection(std::move(opts)));
   auto& c = *collection;
@@ -59,14 +46,6 @@ Result<std::unique_ptr<Collection>> Collection::Create(
     if (type != AttrType::kInt64) {
       return Status::InvalidArgument("partition column must be int64");
     }
-  }
-  if (c.opts_.use_lsm) {
-    LsmOptions lsm;
-    lsm.metric = c.opts_.metric;
-    lsm.memtable_limit = c.opts_.lsm_memtable_limit;
-    lsm.compact_at_segments = c.opts_.lsm_compact_at_segments;
-    lsm.factory = c.opts_.index_factory;
-    VDB_ASSIGN_OR_RETURN(c.lsm_, LsmVectorStore::Create(c.opts_.dim, lsm));
   }
   switch (c.opts_.plan_mode) {
     case PlanMode::kCostBased:
@@ -138,50 +117,51 @@ Status Collection::SyncWal() {
 }
 
 Status Collection::SaveIndexSnapshot(const std::string& path) const {
-  if (index_ == nullptr) {
-    return Status::Unsupported("no monolithic index to snapshot");
-  }
+  if (segments_.empty()) return Status::Unsupported("no index to snapshot");
   // The snapshot stands in for "the index over exactly the live rows of
-  // the matching checkpoint"; a dirty index (delta rows it cannot see,
-  // tombstones it still reports) would break that equation on load.
-  if (!index_tombstones_.empty() ||
-      indexed_ids_.size() != vectors_.live_count()) {
+  // the matching checkpoint"; growing rows it cannot see, removed rows it
+  // still holds, or a second segment would break that equation on load.
+  if (!Clean()) {
     return Status::Unsupported("index not clean; rebuild on recovery");
   }
-  if (auto* hnsw = dynamic_cast<const HnswIndex*>(index_.get())) {
+  const VectorIndex* index = segments_.front().index.get();
+  if (auto* hnsw = dynamic_cast<const HnswIndex*>(index)) {
     return hnsw->Save(path);
   }
-  if (auto* ivf = dynamic_cast<const IvfFlatIndex*>(index_.get())) {
+  if (auto* ivf = dynamic_cast<const IvfFlatIndex*>(index)) {
     return ivf->Save(path);
   }
-  if (auto* ivfpq = dynamic_cast<const IvfPqIndex*>(index_.get())) {
+  if (auto* ivfpq = dynamic_cast<const IvfPqIndex*>(index)) {
     return ivfpq->Save(path);
   }
   return Status::Unsupported("index type has no serializer");
 }
 
 Status Collection::LoadIndexSnapshot(const std::string& path) {
-  if (lsm_ != nullptr) {
-    return Status::Unsupported("LSM collections have no monolithic index");
-  }
   // Each loader validates its own magic up front, so probing in sequence
   // is a cheap dispatch (the magic constants are private to each index).
-  std::unique_ptr<VectorIndex> loaded;
+  Segment seg;
   if (auto hnsw = HnswIndex::Load(path); hnsw.ok()) {
-    loaded = std::move(*hnsw);
+    seg.index = std::move(*hnsw);
   } else if (auto ivf = IvfFlatIndex::Load(path); ivf.ok()) {
-    loaded = std::move(*ivf);
+    seg.index = std::move(*ivf);
   } else if (auto ivfpq = IvfPqIndex::Load(path); ivfpq.ok()) {
-    loaded = std::move(*ivfpq);
+    seg.index = std::move(*ivfpq);
   } else {
     return hnsw.status();  // the most informative of the three
   }
-  index_ = std::move(loaded);
   // Contract: called right after Restore of the matching checkpoint, so
   // the snapshot covers exactly today's live rows.
-  std::vector<VectorId> live = vectors_.LiveIds();
-  indexed_ids_ = {live.begin(), live.end()};
-  index_tombstones_.clear();
+  if (seg.index->Size() != vectors_.live_count()) {
+    return Status::FailedPrecondition("snapshot does not match the rows");
+  }
+  if (!opts_.partition_column.empty()) {
+    FloatMatrix data;
+    std::vector<VectorId> ids;
+    vectors_.Snapshot(&data, &ids);
+    VDB_ASSIGN_OR_RETURN(seg.partitioned, BuildPartitions(data, ids));
+  }
+  SealAll(std::move(seg));
   return Status::Ok();
 }
 
@@ -197,20 +177,29 @@ Status Collection::InsertInternal(VectorId id, const float* vec,
   if (id < kInternalIdBase) {
     VDB_RETURN_IF_ERROR(attrs_.PutRow(id, attrs));
   }
-  if (lsm_ != nullptr) {
-    VDB_RETURN_IF_ERROR(lsm_->Insert(id, vec));
-  } else if (index_ != nullptr && index_->SupportsAdd()) {
-    Status added = index_->Add(vec, id);
-    if (added.ok()) {
-      indexed_ids_.insert(id);
-    } else if (added.code() != StatusCode::kAlreadyExists) {
+  // The one branch on the update policy.
+  if (opts_.lsm_memtable_limit == 0) {
+    // In place: the row joins the single sealed segment when no growing
+    // row precedes it and the index can take it. A partitioned segment
+    // takes no Add (the row's partition may not exist yet).
+    if (segments_.size() == 1 && growing_live_ == 0 &&
+        segments_.front().partitioned == nullptr &&
+        segments_.front().index->SupportsAdd()) {
+      Status added = segments_.front().index->Add(vec, id);
+      if (added.ok()) {
+        growing_from_ = vectors_.total_rows();
+      } else {
+        ++growing_live_;  // still served from the growing rows
+      }
       return added;
     }
-    // AlreadyExists: the id is tombstoned inside the index (deleted then
-    // re-inserted); the fresh row is served from the unindexed delta until
-    // the next BuildIndex.
+    ++growing_live_;
+    return Status::Ok();
   }
-  // Otherwise the row stays in the unindexed delta until BuildIndex.
+  ++growing_live_;
+  // Out of place: a full growing segment is sealed. Replay and Restore
+  // (log == false) leave sealing to BuildIndex or the next live insert.
+  if (log && growing_live_ >= opts_.lsm_memtable_limit) return Flush();
   return Status::Ok();
 }
 
@@ -276,16 +265,19 @@ Status Collection::DeleteInternal(VectorId id, bool log) {
     VDB_RETURN_IF_ERROR(wal_->AppendDelete(id));
   }
   VDB_RETURN_IF_ERROR(vectors_.Delete(id));
-  if (lsm_ != nullptr) {
-    VDB_RETURN_IF_ERROR(lsm_->Delete(id));
-  } else if (indexed_ids_.contains(id)) {
-    if (index_ != nullptr && index_->SupportsRemove()) {
-      VDB_RETURN_IF_ERROR(index_->Remove(id));
-    } else {
-      index_tombstones_.insert(id);
+  // The live row is in exactly one sealed segment or in the growing rows.
+  // An older sealed copy of the id was removed when that copy was deleted.
+  for (Segment& seg : segments_) {
+    Status removed = seg.index->Remove(id);
+    if (removed.code() == StatusCode::kNotFound) continue;
+    VDB_RETURN_IF_ERROR(removed);
+    if (seg.partitioned != nullptr) {
+      VDB_RETURN_IF_ERROR(seg.partitioned->Remove(PartitionValue(id), id));
     }
-    indexed_ids_.erase(id);
+    ++sealed_removals_;
+    return Status::Ok();
   }
+  --growing_live_;
   return Status::Ok();
 }
 
@@ -302,37 +294,96 @@ Status Collection::Upsert(VectorId id, VectorView vec,
   return Insert(id, vec, attrs);
 }
 
+std::int64_t Collection::PartitionValue(VectorId id) const {
+  const auto* column = attrs_.Int64Column(opts_.partition_column);
+  return column != nullptr && id < column->size() ? (*column)[id] : 0;
+}
+
+Result<std::unique_ptr<AttributePartitionedIndex>>
+Collection::BuildPartitions(const FloatMatrix& data,
+                            const std::vector<VectorId>& ids) const {
+  std::vector<std::int64_t> values(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    values[i] = PartitionValue(ids[i]);
+  }
+  return AttributePartitionedIndex::Build(data, ids, values,
+                                          opts_.index_factory,
+                                          opts_.partition_column);
+}
+
+Result<Segment> Collection::BuildSegment(std::size_t first_row,
+                                         std::size_t end_row) const {
+  FloatMatrix data;
+  std::vector<VectorId> ids;
+  vectors_.Snapshot(&data, &ids, first_row, end_row);
+  Segment seg;
+  seg.index = opts_.index_factory();
+  if (seg.index == nullptr) return Status::Internal("factory returned null");
+  VDB_RETURN_IF_ERROR(seg.index->Build(data, ids));
+  if (!opts_.partition_column.empty()) {
+    VDB_ASSIGN_OR_RETURN(seg.partitioned, BuildPartitions(data, ids));
+  }
+  return seg;
+}
+
+void Collection::SealAll(Segment seg) {
+  segments_.clear();
+  segments_.push_back(std::move(seg));
+  growing_from_ = vectors_.total_rows();
+  growing_live_ = 0;
+  sealed_removals_ = 0;
+}
+
 Status Collection::BuildIndex() {
-  if (lsm_ != nullptr) return Status::Ok();  // segments self-index
   if (!opts_.index_factory) {
     return Status::FailedPrecondition("no index factory configured");
   }
-  FloatMatrix data;
-  std::vector<VectorId> ids;
-  vectors_.Snapshot(&data, &ids);
-  if (data.empty()) return Status::FailedPrecondition("collection is empty");
-
-  index_ = opts_.index_factory();
-  if (index_ == nullptr) return Status::Internal("factory returned null");
-  VDB_RETURN_IF_ERROR(index_->Build(data, ids));
-  indexed_ids_ = {ids.begin(), ids.end()};
-  index_tombstones_.clear();
-
-  if (!opts_.partition_column.empty()) {
-    std::vector<std::int64_t> partition_values(ids.size(), 0);
-    const auto* column = attrs_.Int64Column(opts_.partition_column);
-    if (column == nullptr) {
-      return Status::NotFound("partition column missing");
-    }
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] < column->size()) partition_values[i] = (*column)[ids[i]];
-    }
-    VDB_ASSIGN_OR_RETURN(
-        partitioned_,
-        AttributePartitionedIndex::Build(data, ids, partition_values,
-                                         opts_.index_factory,
-                                         opts_.partition_column));
+  if (Clean()) return Status::Ok();
+  if (vectors_.live_count() == 0) {
+    return Status::FailedPrecondition("collection is empty");
   }
+  VDB_ASSIGN_OR_RETURN(Segment seg, BuildSegment(0, vectors_.total_rows()));
+  SealAll(std::move(seg));
+  return Status::Ok();
+}
+
+Status Collection::Flush() {
+  if (growing_live_ == 0) return Status::Ok();
+  if (!opts_.index_factory) {
+    return Status::FailedPrecondition("no index factory configured");
+  }
+  if (FailpointFires("lsm.flush.fail")) {
+    // Fails *before* touching state: the growing rows stay searchable and
+    // a retry can succeed — flush must be all-or-nothing.
+    return Status::IoError("injected failure: lsm.flush.fail");
+  }
+  VDB_ASSIGN_OR_RETURN(Segment seg,
+                       BuildSegment(growing_from_, vectors_.total_rows()));
+  segments_.push_back(std::move(seg));
+  growing_from_ = vectors_.total_rows();
+  growing_live_ = 0;
+  static Counter& flushes =
+      Registry::Global().GetCounter("vdb_lsm_flushes_total");
+  flushes.Inc();
+  if (segments_.size() >= opts_.lsm_compact_at_segments) return Compact();
+  return Status::Ok();
+}
+
+Status Collection::Compact() {
+  if (segments_.empty()) return Status::Ok();
+  if (FailpointFires("lsm.compact.fail")) {
+    return Status::IoError("injected failure: lsm.compact.fail");
+  }
+  std::vector<Segment> merged;
+  if (vectors_.live_count() > growing_live_) {
+    VDB_ASSIGN_OR_RETURN(Segment seg, BuildSegment(0, growing_from_));
+    merged.push_back(std::move(seg));
+  }
+  segments_ = std::move(merged);
+  sealed_removals_ = 0;
+  static Counter& compactions =
+      Registry::Global().GetCounter("vdb_lsm_compactions_total");
+  compactions.Inc();
   return Status::Ok();
 }
 
@@ -400,45 +451,7 @@ Result<std::unique_ptr<Collection>> Collection::Restore(
 }
 
 CollectionView Collection::View() const {
-  return {&vectors_, &attrs_, index_.get(), partitioned_.get(), &scorer_};
-}
-
-Status Collection::SearchMerged(const float* query, const SearchParams& params,
-                                std::vector<Neighbor>* out,
-                                SearchStats* stats) const {
-  if (lsm_ != nullptr) {
-    return lsm_->Search(query, params, out, stats);
-  }
-  std::vector<std::vector<Neighbor>> parts;
-  if (index_ != nullptr) {
-    ComposedFilter filter(params.filter, &index_tombstones_);
-    SearchParams inner = params;
-    inner.filter = &filter;
-    // Tombstones must remain traversable in graph indexes: single-stage.
-    inner.filter_mode = FilterMode::kVisitFirst;
-    std::vector<Neighbor> part;
-    VDB_RETURN_IF_ERROR(index_->Search(query, inner, &part, stats));
-    parts.push_back(std::move(part));
-  }
-  // Brute-force the unindexed delta (and everything, if no index).
-  {
-    TraceScope span(params.trace,
-                    index_ != nullptr ? "delta_scan" : "full_scan");
-    TopK top(params.k);
-    for (VectorId id : vectors_.LiveIds()) {
-      if (index_ != nullptr && indexed_ids_.contains(id)) continue;
-      if (params.filter != nullptr) {
-        if (stats != nullptr) ++stats->filter_checks;
-        if (!params.filter->Matches(id)) continue;
-      }
-      float dist = scorer_.Distance(query, vectors_.Get(id));
-      if (stats != nullptr) ++stats->distance_comps;
-      top.Push(id, dist);
-    }
-    parts.push_back(top.Take());
-  }
-  *out = MergeTopK(parts, params.k);
-  return Status::Ok();
+  return {&vectors_, &attrs_, segments_, &scorer_, growing_from_};
 }
 
 Status Collection::Knn(VectorView query, std::size_t k,
@@ -454,7 +467,8 @@ Status Collection::Knn(VectorView query, std::size_t k,
   // Over-fetch when multi-vector entities exist so entity dedup can still
   // fill k slots.
   if (!entity_vectors_.empty()) p.k = k * 4;
-  VDB_RETURN_IF_ERROR(SearchMerged(query.data(), p, &raw, stats));
+  VDB_RETURN_IF_ERROR(
+      HybridExecutor(View()).Search(query.data(), p, &raw, stats));
   if (entity_vectors_.empty()) {
     *out = std::move(raw);
     return Status::Ok();
@@ -480,14 +494,16 @@ Status Collection::RangeSearch(VectorView query, float radius,
   // Exact by construction: scan the vector store (range semantics demand
   // completeness; index-accelerated range search is available directly on
   // FlatIndex / graph indexes for approximate variants).
-  for (VectorId id : vectors_.LiveIds()) {
-    float dist = scorer_.Distance(query.data(), vectors_.Get(id));
-    if (stats != nullptr) ++stats->distance_comps;
-    if (dist <= radius) {
-      auto it = entity_of_vector_.find(id);
-      out->push_back({it != entity_of_vector_.end() ? it->second : id, dist});
-    }
-  }
+  vectors_.ForEachLive(
+      0, vectors_.total_rows(), [&](VectorId id, const float* vec) {
+        float dist = scorer_.Distance(query.data(), vec);
+        if (stats != nullptr) ++stats->distance_comps;
+        if (dist <= radius) {
+          auto it = entity_of_vector_.find(id);
+          out->push_back(
+              {it != entity_of_vector_.end() ? it->second : id, dist});
+        }
+      });
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end(),
                          [](const Neighbor& a, const Neighbor& b) {
@@ -503,9 +519,10 @@ Result<CkSearchResult> Collection::CkSearch(VectorView query, double c,
   if (c < 1.0) return Status::InvalidArgument("c must be >= 1");
   // Exact k-th distance (the verification oracle).
   TopK exact(k);
-  for (VectorId id : vectors_.LiveIds()) {
-    exact.Push(id, scorer_.Distance(query.data(), vectors_.Get(id)));
-  }
+  vectors_.ForEachLive(
+      0, vectors_.total_rows(), [&](VectorId id, const float* vec) {
+        exact.Push(id, scorer_.Distance(query.data(), vec));
+      });
   auto truth = exact.Take();
   if (truth.empty()) return Status::FailedPrecondition("collection is empty");
   double exact_kth = truth.back().dist;
@@ -513,10 +530,11 @@ Result<CkSearchResult> Collection::CkSearch(VectorView query, double c,
   CkSearchResult result;
   SearchParams p;
   p.k = k;
+  HybridExecutor executor(View());
   for (int ef = 32; ef <= 4096; ef *= 4) {
     p.ef = ef;
     VDB_RETURN_IF_ERROR(
-        SearchMerged(query.data(), p, &result.neighbors, stats));
+        executor.Search(query.data(), p, &result.neighbors, stats));
     double worst = result.neighbors.empty()
                        ? std::numeric_limits<double>::infinity()
                        : result.neighbors.back().dist;
@@ -537,18 +555,6 @@ Status Collection::Hybrid(VectorView query, const Predicate& pred,
   SearchParams p = params != nullptr ? *params : SearchParams{};
   p.k = k;
 
-  if (lsm_ != nullptr) {
-    // LSM collections run single-stage filtering through the segments.
-    if (stats != nullptr) {
-      stats->plan = HybridPlan{PlanKind::kVisitFirstIndexScan, 3.0f};
-    }
-    PredicateIdFilter filter(&pred, &attrs_);
-    p.filter = &filter;
-    p.filter_mode = FilterMode::kVisitFirst;
-    return lsm_->Search(query.data(), p, out,
-                        stats != nullptr ? &stats->search : nullptr);
-  }
-
   HybridPlan plan;
   if (forced_plan != nullptr) {
     plan = *forced_plan;
@@ -561,7 +567,7 @@ Status Collection::Hybrid(VectorView query, const Predicate& pred,
     plan_span.Note("chosen", plan.ToString());
   } else {
     plan = opts_.predefined_plan;
-    if (index_ == nullptr) plan.kind = PlanKind::kBruteForceHybrid;
+    if (segments_.empty()) plan.kind = PlanKind::kBruteForceHybrid;
   }
   if (stats != nullptr) stats->plan = plan;
   HybridExecutor executor(View());
@@ -581,16 +587,13 @@ Status Collection::BatchKnn(const FloatMatrix& queries, std::size_t k,
   if (out == nullptr) return Status::InvalidArgument("out must not be null");
   SearchParams p;
   p.k = k;
-  // Fast paths need a self-contained monolithic index.
-  const bool clean = lsm_ == nullptr && index_ != nullptr &&
-                     index_tombstones_.empty() &&
-                     indexed_ids_.size() == vectors_.live_count() &&
-                     entity_vectors_.empty();
-  if (clean) {
-    if (auto* ivf = dynamic_cast<const IvfFlatIndex*>(index_.get())) {
+  // Fast paths need one segment whose index covers every live row.
+  if (Clean() && entity_vectors_.empty()) {
+    const VectorIndex* index = segments_.front().index.get();
+    if (auto* ivf = dynamic_cast<const IvfFlatIndex*>(index)) {
       return ivf->BatchSearch(queries, p, out, stats);
     }
-    if (auto* hnsw = dynamic_cast<const HnswIndex*>(index_.get())) {
+    if (auto* hnsw = dynamic_cast<const HnswIndex*>(index)) {
       return SharedEntryBatch(*hnsw, queries, p, out, stats);
     }
   }
@@ -616,10 +619,11 @@ Status Collection::MultiVectorKnn(const FloatMatrix& query_vectors,
   std::unordered_set<VectorId> candidates;
   SearchParams p;
   p.k = std::max<std::size_t>(k * 4, 8);
+  HybridExecutor executor(View());
   for (std::size_t qv = 0; qv < query_vectors.rows(); ++qv) {
     std::vector<Neighbor> hits;
     VDB_RETURN_IF_ERROR(
-        SearchMerged(query_vectors.row(qv), p, &hits, stats));
+        executor.Search(query_vectors.row(qv), p, &hits, stats));
     for (const auto& h : hits) {
       auto it = entity_of_vector_.find(h.id);
       if (it != entity_of_vector_.end()) candidates.insert(it->second);
@@ -654,16 +658,9 @@ std::size_t Collection::Size() const {
   }() + entity_vectors_.size();
 }
 
-std::size_t Collection::UnindexedRows() const {
-  if (lsm_ != nullptr || index_ == nullptr) return 0;
-  return vectors_.live_count() - indexed_ids_.size() +
-         index_tombstones_.size();
-}
-
 std::size_t Collection::MemoryBytes() const {
   std::size_t bytes = vectors_.MemoryBytes();
-  if (index_ != nullptr) bytes += index_->MemoryBytes();
-  if (lsm_ != nullptr) bytes += lsm_->MemoryBytes();
+  for (const Segment& seg : segments_) bytes += seg.index->MemoryBytes();
   return bytes;
 }
 

@@ -4,7 +4,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/aggregate.h"
@@ -15,7 +14,6 @@
 #include "exec/partitioned_index.h"
 #include "exec/predicate.h"
 #include "storage/attribute_store.h"
-#include "storage/lsm_store.h"
 #include "storage/vector_store.h"
 #include "storage/wal.h"
 
@@ -35,8 +33,8 @@ struct CollectionOptions {
   /// Attribute schema: name -> type.
   std::vector<std::pair<std::string, AttrType>> attributes;
 
-  /// Builds the secondary search index (BuildIndex / LSM segments).
-  /// Unset: every query brute-forces (the SingleStore §2.4(2) baseline).
+  /// Builds the index of each sealed segment. Unset: every query
+  /// brute-forces (the SingleStore §2.4(2) baseline).
   IndexFactory index_factory;
 
   /// Optional int64 column for offline attribute partitioning (§2.3(1)).
@@ -45,10 +43,12 @@ struct CollectionOptions {
   PlanMode plan_mode = PlanMode::kCostBased;
   HybridPlan predefined_plan{PlanKind::kPostFilterIndexScan, 3.0f};
 
-  /// Out-of-place updates: vectors live in an LSM store (memtable +
-  /// sealed indexed segments) instead of one monolithic index.
-  bool use_lsm = false;
-  std::size_t lsm_memtable_limit = 2048;
+  /// Update policy (§2.3(3)). 0: in place — an insert joins the single
+  /// sealed segment when its index can `Add` it. N > 0: out of place — the
+  /// growing segment is sealed into a new indexed segment (`Flush`) once
+  /// it holds N rows; requires `index_factory`.
+  std::size_t lsm_memtable_limit = 0;
+  /// Sealed segments at which a flush triggers `Compact`.
   std::size_t lsm_compact_at_segments = 6;
 
   /// Durability: append inserts/deletes to this WAL; Open() replays it.
@@ -71,7 +71,13 @@ struct CkSearchResult {
 /// vector + attribute storage, a configurable search index, the hybrid
 /// query optimizer/executor, and every query type of §2.1 (k-NN, range,
 /// (c,k)-search, hybrid, batched, multi-vector), with optional WAL
-/// durability and LSM out-of-place updates.
+/// durability.
+///
+/// Storage is the Milvus/Manu segment layout (§2.3(3)): every row lives
+/// once in the vector store; sealed segments each index a fixed set of
+/// those rows, and the live rows no sealed segment holds form the growing
+/// segment, which every read brute-forces. Deletes reach the segment
+/// indexes directly. The in-place index is the case of one sealed segment.
 ///
 /// Not thread-safe for writers; external synchronization required for
 /// concurrent use (ShardedCollection provides the parallel read path).
@@ -98,9 +104,17 @@ class Collection {
   Status Upsert(VectorId id, VectorView vec,
                 const std::vector<AttrBinding>& attrs = {});
 
-  /// (Re)builds the search index (and partitioned index) over the current
-  /// live vectors. No-op in LSM mode (segments self-index).
+  /// Seals every live row into one new segment (index plus partitioned
+  /// index), replacing all segments, under either policy. No-op on a clean
+  /// collection: one segment, no growing rows, no removals since the seal.
   Status BuildIndex();
+  /// Seals the growing rows into a new segment (no-op when there are
+  /// none); may trigger `Compact`. All-or-nothing.
+  Status Flush();
+  /// Merges the sealed segments into one segment over their live rows,
+  /// dropping removed rows. The growing rows stay growing (BuildIndex
+  /// seals those too). All-or-nothing.
+  Status Compact();
 
   /// Serializes the data plane (vectors, attributes, multi-vector entity
   /// maps) to one CRC-guarded snapshot file, installed atomically (temp
@@ -128,14 +142,15 @@ class Collection {
   /// fsyncs the attached WAL; acknowledged writes survive any crash after
   /// this returns. No-op without a WAL.
   Status SyncWal();
-  /// Serializes the monolithic search index (HNSW / IVF-Flat / IVF-PQ) to
-  /// a CRC-guarded snapshot. Unsupported when there is no index, the index
-  /// type has no serializer, or the index is not clean (unindexed delta
-  /// rows or tombstones) — callers fall back to BuildIndex on recovery.
+  /// Serializes the one sealed segment's index (HNSW / IVF-Flat / IVF-PQ)
+  /// to a CRC-guarded snapshot. Unsupported when the collection is not
+  /// clean (see BuildIndex) or the index type has no serializer — callers
+  /// fall back to BuildIndex on recovery.
   Status SaveIndexSnapshot(const std::string& path) const;
-  /// Installs an index snapshot saved by `SaveIndexSnapshot`. Must be
-  /// called on a collection restored from the *matching* checkpoint,
-  /// before any WAL replay, so the snapshot covers exactly the live rows.
+  /// Installs an index snapshot saved by `SaveIndexSnapshot` as the one
+  /// sealed segment. Must be called on a collection restored from the
+  /// *matching* checkpoint, before any WAL replay, so the snapshot covers
+  /// exactly the live rows.
   Status LoadIndexSnapshot(const std::string& path);
 
   // ------------------------------------------------------------ queries
@@ -180,10 +195,11 @@ class Collection {
   std::size_t dim() const { return opts_.dim; }
   const Scorer& scorer() const { return scorer_; }
   const AttributeStore& attributes() const { return attrs_; }
-  bool HasIndex() const { return index_ != nullptr || lsm_ != nullptr; }
-  /// Rows inserted since the last BuildIndex that only brute-force search
-  /// can see (the freshness delta; LSM mode keeps this at zero).
-  std::size_t UnindexedRows() const;
+  bool HasIndex() const { return !segments_.empty(); }
+  /// Live rows of the growing segment: no sealed segment holds them, so
+  /// every read brute-forces them.
+  std::size_t UnindexedRows() const { return growing_live_; }
+  std::size_t SegmentCount() const { return segments_.size(); }
   std::size_t MemoryBytes() const;
 
  private:
@@ -193,24 +209,38 @@ class Collection {
                         const std::vector<AttrBinding>& attrs, bool log);
   Status DeleteInternal(VectorId id, bool log);
   CollectionView View() const;
-  /// Search merging index, unindexed delta, and deletions.
-  Status SearchMerged(const float* query, const SearchParams& params,
-                      std::vector<Neighbor>* out, SearchStats* stats) const;
+  /// One segment, no growing rows, no removals since the seal: the one
+  /// segment's index covers exactly the live rows.
+  bool Clean() const {
+    return segments_.size() == 1 && growing_live_ == 0 &&
+           sealed_removals_ == 0;
+  }
+  /// Builds a segment over the live rows in [first_row, end_row).
+  Result<Segment> BuildSegment(std::size_t first_row,
+                               std::size_t end_row) const;
+  /// The partitioned index over `data` (whose rows `ids` label).
+  Result<std::unique_ptr<AttributePartitionedIndex>> BuildPartitions(
+      const FloatMatrix& data, const std::vector<VectorId>& ids) const;
+  /// Replaces every segment with `seg`, which holds every live row.
+  void SealAll(Segment seg);
+  /// The row's partition key: its `partition_column` value (0 if unset).
+  std::int64_t PartitionValue(VectorId id) const;
 
   CollectionOptions opts_;
   Scorer scorer_;
   VectorStore vectors_{0};
   AttributeStore attrs_;
-  std::unique_ptr<VectorIndex> index_;
-  std::unique_ptr<AttributePartitionedIndex> partitioned_;
-  std::unique_ptr<LsmVectorStore> lsm_;
   std::unique_ptr<Wal> wal_;
   std::unique_ptr<PlanOptimizer> optimizer_;
 
-  /// Ids present in the monolithic index (labels at last build/Add).
-  std::unordered_set<VectorId> indexed_ids_;
-  /// Ids removed since last build when the index cannot Remove.
-  std::unordered_set<VectorId> index_tombstones_;
+  /// Sealed segments, oldest first. A live row of `vectors_` before
+  /// `growing_from_` is held by exactly one of them; the live rows from
+  /// `growing_from_` on are the growing segment.
+  std::vector<Segment> segments_;
+  std::size_t growing_from_ = 0;
+  std::size_t growing_live_ = 0;
+  /// Rows removed from sealed segments since the last BuildIndex/Compact.
+  std::size_t sealed_removals_ = 0;
 
   /// Multi-vector bookkeeping: entity -> member vector ids and back.
   std::unordered_map<VectorId, std::vector<VectorId>> entity_vectors_;

@@ -99,9 +99,8 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
 
     // Decision 2: index snapshot if present and valid, else rebuild. The
     // snapshot must install *before* WAL replay so replayed inserts flow
-    // into the index (or its delta) like live traffic.
-    bool need_index =
-        static_cast<bool>(o.collection.index_factory) && !o.collection.use_lsm;
+    // into its segment (or the growing rows) like live traffic.
+    bool need_index = static_cast<bool>(o.collection.index_factory);
     if (need_index && !chosen->index_file.empty()) {
       Status s =
           mgr->collection_->LoadIndexSnapshot(mgr->PathOf(chosen->index_file));

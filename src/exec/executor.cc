@@ -19,6 +19,57 @@ Result<Bitset> EvaluatePredicate(const Predicate& pred,
 
 }  // namespace
 
+template <typename SearchSegment>
+Status HybridExecutor::SearchSegments(const float* query,
+                                      const SearchParams& params,
+                                      const IdFilter* growing_filter,
+                                      SearchSegment&& search,
+                                      std::vector<Neighbor>* out,
+                                      SearchStats* stats) const {
+  const bool growing = view_.growing_from < view_.vectors->total_rows();
+  if (view_.segments.size() == 1 && !growing) {
+    return search(view_.segments.front(), out);  // a clean collection
+  }
+  std::vector<std::vector<Neighbor>> parts(view_.segments.size());
+  for (std::size_t s = 0; s < view_.segments.size(); ++s) {
+    VDB_RETURN_IF_ERROR(search(view_.segments[s], &parts[s]));
+  }
+  if (growing) {
+    TraceScope span(params.trace, "growing_scan");
+    TopK top(params.k);
+    view_.vectors->ForEachLive(
+        view_.growing_from, view_.vectors->total_rows(),
+        [&](VectorId id, const float* vec) {
+          if (growing_filter != nullptr) {
+            if (stats != nullptr) ++stats->filter_checks;
+            if (!growing_filter->Matches(id)) return;
+          }
+          float dist = view_.scorer->Distance(query, vec);
+          if (stats != nullptr) ++stats->distance_comps;
+          top.Push(id, dist);
+        });
+    parts.push_back(top.Take());
+  }
+  if (parts.size() == 1) {
+    *out = std::move(parts.front());
+  } else {
+    *out = MergeTopK(parts, params.k);
+  }
+  return Status::Ok();
+}
+
+Status HybridExecutor::Search(const float* query, const SearchParams& params,
+                              std::vector<Neighbor>* out,
+                              SearchStats* stats) const {
+  if (out == nullptr) return Status::InvalidArgument("out must not be null");
+  return SearchSegments(
+      query, params, params.filter,
+      [&](const Segment& seg, std::vector<Neighbor>* part) {
+        return seg.index->Search(query, params, part, stats);
+      },
+      out, stats);
+}
+
 Status HybridExecutor::BruteForce(const Predicate& pred, const float* query,
                                   const SearchParams& params,
                                   std::vector<Neighbor>* out,
@@ -31,13 +82,15 @@ Status HybridExecutor::BruteForce(const Predicate& pred, const float* query,
   }
   TraceScope scan_span(params.trace, "brute_force_scan");
   TopK top(params.k);
-  for (VectorId id : view_.vectors->LiveIds()) {
-    if (id < bits.size() && !bits.Test(static_cast<std::size_t>(id))) continue;
-    const float* vec = view_.vectors->Get(id);
-    float dist = view_.scorer->Distance(query, vec);
-    if (stats != nullptr) ++stats->search.distance_comps;
-    top.Push(id, dist);
-  }
+  view_.vectors->ForEachLive(
+      0, view_.vectors->total_rows(), [&](VectorId id, const float* vec) {
+        if (id < bits.size() && !bits.Test(static_cast<std::size_t>(id))) {
+          return;
+        }
+        float dist = view_.scorer->Distance(query, vec);
+        if (stats != nullptr) ++stats->search.distance_comps;
+        top.Push(id, dist);
+      });
   *out = top.Take();
   return Status::Ok();
 }
@@ -52,15 +105,22 @@ Status HybridExecutor::Execute(const HybridPlan& plan, const Predicate& pred,
   }
   if (out == nullptr) return Status::InvalidArgument("out must not be null");
   out->clear();
+  if (plan.kind == PlanKind::kBruteForceHybrid) {
+    return BruteForce(pred, query, params, out, stats);
+  }
+  if (view_.segments.empty()) {
+    return Status::FailedPrecondition("plan requires an index");
+  }
+  SearchStats* search_stats = stats != nullptr ? &stats->search : nullptr;
+  PredicateIdFilter pred_filter(&pred, view_.attrs);
+  SearchParams p = params;
+  p.filter = &pred_filter;
 
   switch (plan.kind) {
     case PlanKind::kBruteForceHybrid:
-      return BruteForce(pred, query, params, out, stats);
+      break;  // handled above
 
     case PlanKind::kPreFilterIndexScan: {
-      if (view_.index == nullptr) {
-        return Status::FailedPrecondition("plan requires an index");
-      }
       VDB_ASSIGN_OR_RETURN(
           Bitset bits, EvaluatePredicate(pred, *view_.attrs, params.trace));
       if (stats != nullptr) {
@@ -68,53 +128,44 @@ Status HybridExecutor::Execute(const HybridPlan& plan, const Predicate& pred,
         stats->matching_rows += bits.Count();
       }
       BitsetIdFilter filter(&bits);
-      SearchParams p = params;
       p.filter = &filter;
       p.filter_mode = FilterMode::kBlockFirst;
-      return view_.index->Search(query, p, out,
-                                 stats != nullptr ? &stats->search : nullptr);
+      return Search(query, p, out, search_stats);
     }
 
-    case PlanKind::kPostFilterIndexScan: {
-      if (view_.index == nullptr) {
-        return Status::FailedPrecondition("plan requires an index");
-      }
-      PredicateIdFilter filter(&pred, view_.attrs);
-      SearchParams p = params;
-      p.filter = &filter;
+    case PlanKind::kPostFilterIndexScan:
       p.filter_mode = FilterMode::kPostFilter;
       p.post_filter_amplification = plan.amplification;
-      return view_.index->Search(query, p, out,
-                                 stats != nullptr ? &stats->search : nullptr);
-    }
+      return Search(query, p, out, search_stats);
 
-    case PlanKind::kVisitFirstIndexScan: {
-      if (view_.index == nullptr) {
-        return Status::FailedPrecondition("plan requires an index");
-      }
-      PredicateIdFilter filter(&pred, view_.attrs);
-      SearchParams p = params;
-      p.filter = &filter;
+    case PlanKind::kVisitFirstIndexScan:
       p.filter_mode = FilterMode::kVisitFirst;
-      return view_.index->Search(query, p, out,
-                                 stats != nullptr ? &stats->search : nullptr);
-    }
+      return Search(query, p, out, search_stats);
 
     case PlanKind::kPartitionPruned: {
-      if (view_.partitioned == nullptr) {
-        return Status::FailedPrecondition("plan requires a partitioned index");
-      }
       std::string column;
       AttrValue value;
+      for (const Segment& seg : view_.segments) {
+        if (seg.partitioned == nullptr) {
+          return Status::FailedPrecondition(
+              "plan requires a partitioned index");
+        }
+      }
       if (!pred.AsSingleEquality(&column, &value) ||
-          column != view_.partitioned->column() ||
+          column != view_.segments.front().partitioned->column() ||
           TypeOf(value) != AttrType::kInt64) {
         return Status::InvalidArgument(
             "partition-pruned plan needs `partition_column = <int>`");
       }
-      return view_.partitioned->Search(
-          std::get<std::int64_t>(value), query, params, out,
-          stats != nullptr ? &stats->search : nullptr);
+      // The partition holds only matching rows, so segments search it
+      // unfiltered; the growing rows still need the predicate.
+      return SearchSegments(
+          query, params, &pred_filter,
+          [&](const Segment& seg, std::vector<Neighbor>* part) {
+            return seg.partitioned->Search(std::get<std::int64_t>(value),
+                                           query, params, part, search_stats);
+          },
+          out, search_stats);
     }
   }
   return Status::Internal("bad plan kind");

@@ -1,6 +1,9 @@
 #ifndef VDB_EXEC_EXECUTOR_H_
 #define VDB_EXEC_EXECUTOR_H_
 
+#include <limits>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/distance.h"
@@ -13,14 +16,26 @@
 
 namespace vdb {
 
-/// Read-only handles to everything a hybrid plan may touch. Null members
-/// simply remove the corresponding plans from the search space.
+/// One sealed segment (§2.3(3), the Milvus/Manu layout): an index over a
+/// fixed set of a collection's rows and, when the collection has a
+/// partition column, one sub-index per attribute value over the same rows
+/// (offline blocking, §2.3(1)).
+struct Segment {
+  std::unique_ptr<VectorIndex> index;
+  std::unique_ptr<AttributePartitionedIndex> partitioned;  ///< optional
+};
+
+/// Read-only handles to everything a hybrid plan may touch. No segments
+/// leaves brute force as the only plan.
 struct CollectionView {
   const VectorStore* vectors = nullptr;       ///< required
   const AttributeStore* attrs = nullptr;      ///< required for predicates
-  const VectorIndex* index = nullptr;         ///< enables index plans
-  const AttributePartitionedIndex* partitioned = nullptr;  ///< offline blocking
+  std::span<const Segment> segments;          ///< the sealed segments
   const Scorer* scorer = nullptr;             ///< required
+  /// First row of the growing segment: the live rows of `vectors` from
+  /// this row on are in no sealed segment, so every read brute-forces
+  /// them. The default says the segments hold every live row.
+  std::size_t growing_from = std::numeric_limits<std::size_t>::max();
 };
 
 /// Executes a chosen hybrid plan against a collection snapshot — the
@@ -28,6 +43,11 @@ struct CollectionView {
 class HybridExecutor {
  public:
   explicit HybridExecutor(const CollectionView& view) : view_(view) {}
+
+  /// k-NN under `params` (including its optional id filter) over every
+  /// sealed segment and the growing rows.
+  Status Search(const float* query, const SearchParams& params,
+                std::vector<Neighbor>* out, SearchStats* stats) const;
 
   /// Runs `plan` for `query` under `pred`. `params.filter/filter_mode` are
   /// overwritten by the plan's strategy.
@@ -39,6 +59,15 @@ class HybridExecutor {
   Status BruteForce(const Predicate& pred, const float* query,
                     const SearchParams& params, std::vector<Neighbor>* out,
                     ExecStats* stats) const;
+
+  /// The one read loop: `search(segment, &part)` on every sealed segment,
+  /// the growing rows that `growing_filter` admits (null: all) scored
+  /// exactly, and the parts merged into the top `params.k`.
+  template <typename SearchSegment>
+  Status SearchSegments(const float* query, const SearchParams& params,
+                        const IdFilter* growing_filter,
+                        SearchSegment&& search, std::vector<Neighbor>* out,
+                        SearchStats* stats) const;
 
   CollectionView view_;
 };

@@ -10,16 +10,18 @@ std::vector<HybridPlan> EnumeratePlans(const CollectionView& view,
                                        const Predicate& pred) {
   std::vector<HybridPlan> plans;
   plans.push_back({PlanKind::kBruteForceHybrid, 3.0f});
-  if (view.index != nullptr) {
-    plans.push_back({PlanKind::kPreFilterIndexScan, 3.0f});
-    plans.push_back({PlanKind::kPostFilterIndexScan, 3.0f});
-    plans.push_back({PlanKind::kVisitFirstIndexScan, 3.0f});
-  }
-  if (view.partitioned != nullptr) {
+  if (view.segments.empty()) return plans;
+  plans.push_back({PlanKind::kPreFilterIndexScan, 3.0f});
+  plans.push_back({PlanKind::kPostFilterIndexScan, 3.0f});
+  plans.push_back({PlanKind::kVisitFirstIndexScan, 3.0f});
+  // Every segment carries partitions when the collection has a column.
+  const AttributePartitionedIndex* partitioned =
+      view.segments.front().partitioned.get();
+  if (partitioned != nullptr) {
     std::string column;
     AttrValue value;
     if (pred.AsSingleEquality(&column, &value) &&
-        column == view.partitioned->column() &&
+        column == partitioned->column() &&
         TypeOf(value) == AttrType::kInt64) {
       plans.push_back({PlanKind::kPartitionPruned, 3.0f});
     }
@@ -32,7 +34,7 @@ Result<HybridPlan> RuleBasedOptimizer::Choose(const Predicate& pred,
                                               const SearchParams& params,
                                               double* est_selectivity) const {
   (void)params;
-  if (view.index == nullptr) {
+  if (view.segments.empty()) {
     return HybridPlan{PlanKind::kBruteForceHybrid, 3.0f};
   }
   VDB_ASSIGN_OR_RETURN(double s, pred.EstimateSelectivity(*view.attrs));

@@ -33,6 +33,12 @@ AttributePartitionedIndex::Build(const FloatMatrix& data,
   return index;
 }
 
+Status AttributePartitionedIndex::Remove(std::int64_t value, VectorId id) {
+  auto it = partitions_.find(value);
+  if (it == partitions_.end()) return Status::NotFound("no such partition");
+  return it->second->Remove(id);
+}
+
 Status AttributePartitionedIndex::Search(std::int64_t value,
                                          const float* query,
                                          const SearchParams& params,

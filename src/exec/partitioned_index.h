@@ -8,7 +8,6 @@
 
 #include "index/index.h"
 #include "storage/attribute_store.h"
-#include "storage/lsm_store.h"
 
 namespace vdb {
 
@@ -28,6 +27,10 @@ class AttributePartitionedIndex {
 
   const std::string& column() const { return column_; }
   std::size_t num_partitions() const { return partitions_.size(); }
+
+  /// Removes `id` from the partition holding `value` (the row's partition
+  /// key); NotFound when that partition does not hold it.
+  Status Remove(std::int64_t value, VectorId id);
 
   /// Searches only the partition holding `value`; empty result if no such
   /// partition exists.

@@ -21,7 +21,6 @@ class BspForest : public DenseIndexBase {
  public:
   std::size_t MemoryBytes() const override;
   Status Remove(VectorId id) override { return RemoveBase(id).status(); }
-  bool SupportsRemove() const override { return true; }
 
   /// Total leaves across the forest (the budget for an exhaustive search).
   std::size_t TotalLeaves() const;

@@ -45,11 +45,14 @@ class DenseIndexBase : public VectorIndex {
   }
 
   /// Appends one vector (for incremental indexes); returns internal index.
+  /// A removed label may be added again: its old row stays a tombstone and
+  /// the label maps to the new row.
   Result<std::uint32_t> AddBase(const float* vec, VectorId id) {
     if (data_.cols() == 0) {
       return Status::FailedPrecondition("index not built");
     }
-    if (id_to_idx_.contains(id)) {
+    auto it = id_to_idx_.find(id);
+    if (it != id_to_idx_.end() && !deleted_.Test(it->second)) {
       return Status::AlreadyExists("id already indexed");
     }
     std::uint32_t idx = static_cast<std::uint32_t>(data_.rows());
@@ -65,10 +68,17 @@ class DenseIndexBase : public VectorIndex {
   Result<std::uint32_t> RemoveBase(VectorId id) {
     auto it = id_to_idx_.find(id);
     if (it == id_to_idx_.end()) return Status::NotFound("id not indexed");
-    if (deleted_.Test(it->second)) return Status::NotFound("id deleted");
-    deleted_.Set(it->second);
-    --live_count_;
+    VDB_RETURN_IF_ERROR(DeleteRow(it->second));
     return it->second;
+  }
+
+  /// Tombstones internal row `idx`. Snapshot loaders restore tombstones by
+  /// row: a removed and re-added label has two rows.
+  Status DeleteRow(std::uint32_t idx) {
+    if (deleted_.Test(idx)) return Status::NotFound("id deleted");
+    deleted_.Set(idx);
+    --live_count_;
+    return Status::Ok();
   }
 
   bool IsDeleted(std::uint32_t idx) const { return deleted_.Test(idx); }

@@ -36,7 +36,6 @@ class DiskAnnIndex final : public VectorIndex {
   std::string Name() const override { return "diskann"; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
   Status Remove(VectorId id) override;
-  bool SupportsRemove() const override { return true; }
   std::size_t Size() const override { return live_count_; }
   /// In-memory footprint only (codes, labels, codebooks) — the number the
   /// paper contrasts with in-memory indexes.

@@ -33,7 +33,6 @@ class FanngIndex final : public DenseIndexBase {
   std::string Name() const override { return "fanng"; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
   Status Remove(VectorId id) override { return RemoveBase(id).status(); }
-  bool SupportsRemove() const override { return true; }
   std::size_t MemoryBytes() const override;
 
   /// Trials that required an edge insertion (diagnostic: decays as the

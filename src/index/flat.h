@@ -26,7 +26,6 @@ class FlatIndex final : public DenseIndexBase {
                      SearchStats* stats = nullptr) const override;
   std::size_t MemoryBytes() const override { return BaseMemoryBytes(); }
   bool SupportsAdd() const override { return true; }
-  bool SupportsRemove() const override { return true; }
 
  protected:
   Status SearchImpl(const float* query, const SearchParams& params,

@@ -38,7 +38,6 @@ class HnswIndex final : public DenseIndexBase {
   Status Add(const float* vec, VectorId id) override;
   Status Remove(VectorId id) override;
   bool SupportsAdd() const override { return true; }
-  bool SupportsRemove() const override { return true; }
   std::size_t MemoryBytes() const override;
 
   /// Approximate range search: beam search whose frontier keeps expanding

@@ -55,10 +55,6 @@ Status VectorIndex::Add(const float*, VectorId) {
   return Status::Unsupported(Name() + ": incremental add not supported");
 }
 
-Status VectorIndex::Remove(VectorId) {
-  return Status::Unsupported(Name() + ": remove not supported");
-}
-
 Status VectorIndex::RangeSearch(const float*, float, std::vector<Neighbor>*,
                                 SearchStats*) const {
   return Status::Unsupported(Name() + ": range search not supported");

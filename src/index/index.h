@@ -2,6 +2,7 @@
 #define VDB_INDEX_INDEX_H_
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -115,8 +116,9 @@ class VectorIndex {
   /// update" indexes — callers fall back to out-of-place updates).
   virtual Status Add(const float* vec, VectorId id);
 
-  /// Tombstone removal. Default: unsupported.
-  virtual Status Remove(VectorId id);
+  /// Removes `id` from results (most families tombstone it). NotFound
+  /// when the index holds no live row labelled `id`.
+  virtual Status Remove(VectorId id) = 0;
 
   /// k-NN search. Applies `params.filter` per `params.filter_mode`;
   /// post-filtering is handled generically for every index.
@@ -136,7 +138,6 @@ class VectorIndex {
   virtual std::size_t MemoryBytes() const = 0;
 
   virtual bool SupportsAdd() const { return false; }
-  virtual bool SupportsRemove() const { return false; }
 
  protected:
   /// Family-specific search; `params.filter_mode` is never kPostFilter
@@ -145,6 +146,9 @@ class VectorIndex {
                             std::vector<Neighbor>* out,
                             SearchStats* stats) const = 0;
 };
+
+/// Creates an empty index; a collection builds one per sealed segment.
+using IndexFactory = std::function<std::unique_ptr<VectorIndex>()>;
 
 /// Convenience: applies a filter to `results`, keeping order, truncating
 /// to k. Used by post-filtering and by operators that re-check predicates.

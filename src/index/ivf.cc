@@ -146,7 +146,7 @@ Result<std::unique_ptr<IvfFlatIndex>> IvfFlatIndex::Load(
   VDB_ASSIGN_OR_RETURN(std::vector<std::uint32_t> deleted, r.U32Vector());
   for (std::uint32_t idx : deleted) {
     if (idx >= data.rows()) return Status::Corruption("bad tombstone");
-    VDB_RETURN_IF_ERROR(index->RemoveBase(labels[idx]).status());
+    VDB_RETURN_IF_ERROR(index->DeleteRow(idx));
   }
   VDB_ASSIGN_OR_RETURN(index->centroids_, r.Matrix());
   VDB_ASSIGN_OR_RETURN(std::uint64_t nlists, r.U64());

@@ -57,7 +57,6 @@ class IvfFlatIndex final : public IvfBase {
   Status Remove(VectorId id) override;
   std::size_t MemoryBytes() const override;
   bool SupportsAdd() const override { return true; }
-  bool SupportsRemove() const override { return true; }
 
   /// Serializes the index (vectors, labels, tombstones, centroids,
   /// inverted lists, options) to a CRC-guarded binary file.

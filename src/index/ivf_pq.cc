@@ -8,7 +8,9 @@
 #include "storage/serializer.h"
 
 namespace {
-constexpr std::uint32_t kIvfPqMagic = 0x56495051;  // "VIPQ"
+// Format 2: the PQ section carries no SDC tables. Format-1 snapshots
+// ("VIPQ", 0x56495051) fail the magic check, so recovery rebuilds.
+constexpr std::uint32_t kIvfPqMagic = 0x56495032;  // "VIP2"
 }  // namespace
 
 namespace vdb {
@@ -179,7 +181,7 @@ Result<std::unique_ptr<IvfPqIndex>> IvfPqIndex::Load(
   VDB_ASSIGN_OR_RETURN(std::vector<std::uint32_t> deleted, r.U32Vector());
   for (std::uint32_t idx : deleted) {
     if (idx >= data.rows()) return Status::Corruption("bad tombstone");
-    VDB_RETURN_IF_ERROR(index->RemoveBase(labels[idx]).status());
+    VDB_RETURN_IF_ERROR(index->DeleteRow(idx));
   }
   VDB_ASSIGN_OR_RETURN(index->centroids_, r.Matrix());
   VDB_ASSIGN_OR_RETURN(std::uint64_t nlists, r.U64());

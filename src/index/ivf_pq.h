@@ -38,7 +38,6 @@ class IvfPqIndex final : public IvfBase {
   Status Remove(VectorId id) override;
   std::size_t MemoryBytes() const override;
   bool SupportsAdd() const override { return true; }
-  bool SupportsRemove() const override { return true; }
 
   std::size_t CodeBytesPerVector() const { return pq_.code_size(); }
 

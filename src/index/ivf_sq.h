@@ -24,7 +24,6 @@ class IvfSqIndex final : public IvfBase {
   Status Remove(VectorId id) override;
   std::size_t MemoryBytes() const override;
   bool SupportsAdd() const override { return true; }
-  bool SupportsRemove() const override { return true; }
 
   /// Bytes of compressed payload per vector (the storage the paper's
   /// compression claims are about; full vectors kept only for re-rank).

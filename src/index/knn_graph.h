@@ -44,7 +44,6 @@ class KnnGraphIndex final : public DenseIndexBase {
   }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
   Status Remove(VectorId id) override { return RemoveBase(id).status(); }
-  bool SupportsRemove() const override { return true; }
   std::size_t MemoryBytes() const override;
 
   /// Fraction of edges of the exact KNN graph present in this graph

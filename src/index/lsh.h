@@ -44,7 +44,6 @@ class LshIndex final : public DenseIndexBase {
   Status Remove(VectorId id) override;
   std::size_t MemoryBytes() const override;
   bool SupportsAdd() const override { return true; }
-  bool SupportsRemove() const override { return true; }
 
  protected:
   Status SearchImpl(const float* query, const SearchParams& params,

@@ -32,7 +32,6 @@ class NswIndex final : public DenseIndexBase {
   Status Add(const float* vec, VectorId id) override;
   Status Remove(VectorId id) override { return RemoveBase(id).status(); }
   bool SupportsAdd() const override { return true; }
-  bool SupportsRemove() const override { return true; }
   std::size_t MemoryBytes() const override;
 
   /// Mean node degree (diagnostic for the degree-growth behaviour).

@@ -41,7 +41,6 @@ class SpannIndex final : public VectorIndex {
   std::string Name() const override { return "spann"; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
   Status Remove(VectorId id) override;
-  bool SupportsRemove() const override { return true; }
   std::size_t Size() const override { return live_count_; }
   std::size_t MemoryBytes() const override;
   std::size_t DiskBytes() const;

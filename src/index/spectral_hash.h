@@ -35,7 +35,6 @@ class SpectralHashIndex final : public DenseIndexBase {
   Status Add(const float* vec, VectorId id) override;
   Status Remove(VectorId id) override { return RemoveBase(id).status(); }
   bool SupportsAdd() const override { return true; }
-  bool SupportsRemove() const override { return true; }
   std::size_t MemoryBytes() const override;
 
   /// The 64-bit spectral code of an arbitrary vector.

@@ -30,7 +30,6 @@ class VamanaIndex final : public DenseIndexBase {
   std::string Name() const override { return "vamana"; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
   Status Remove(VectorId id) override { return RemoveBase(id).status(); }
-  bool SupportsRemove() const override { return true; }
   std::size_t MemoryBytes() const override;
 
   std::uint32_t medoid() const { return medoid_; }

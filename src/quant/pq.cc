@@ -44,21 +44,6 @@ Status ProductQuantizer::Train(const FloatMatrix& data) {
                   codebooks_.row(s * ksub_ + c));
     }
   }
-
-  // SDC tables: row a scores centroid a against centroids a+1.. in one
-  // batched call; the lower triangle mirrors it.
-  sdc_tables_.assign(opts_.m * ksub_ * ksub_, 0.0f);
-  for (std::size_t s = 0; s < opts_.m; ++s) {
-    float* table = sdc_tables_.data() + s * ksub_ * ksub_;
-    for (std::size_t a = 0; a + 1 < ksub_; ++a) {
-      float* upper = table + a * ksub_ + a + 1;
-      simd::L2SqBatch(Centroid(s, a), Centroid(s, a + 1), dsub_,
-                      ksub_ - a - 1, upper);
-      for (std::size_t b = a + 1; b < ksub_; ++b) {
-        table[b * ksub_ + a] = table[a * ksub_ + b];
-      }
-    }
-  }
   return Status::Ok();
 }
 
@@ -100,8 +85,6 @@ void ProductQuantizer::SaveTo(BinaryWriter* writer) const {
   writer->U64(opts_.seed);
   writer->U64(dim_);
   writer->Matrix(codebooks_);
-  writer->U64(sdc_tables_.size());
-  writer->Bytes(sdc_tables_.data(), sdc_tables_.size() * sizeof(float));
 }
 
 Status ProductQuantizer::LoadFrom(BinaryReader* reader) {
@@ -121,20 +104,21 @@ Status ProductQuantizer::LoadFrom(BinaryReader* reader) {
   if (codebooks_.rows() != opts_.m * ksub_ || codebooks_.cols() != dsub_) {
     return Status::Corruption("bad pq codebook shape");
   }
-  VDB_ASSIGN_OR_RETURN(std::uint64_t n, reader->U64());
-  if (n != opts_.m * ksub_ * ksub_) return Status::Corruption("bad sdc size");
-  sdc_tables_.resize(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    VDB_ASSIGN_OR_RETURN(sdc_tables_[i], reader->F32());
-  }
   return Status::Ok();
 }
 
 float ProductQuantizer::SdcDistance(const std::uint8_t* a,
                                     const std::uint8_t* b) const {
+  // Each term scores the lower-numbered centroid against the higher one,
+  // the pair order of the m x ksub x ksub table this replaces, so the sum
+  // is bit-identical to that table's.
   float acc = 0.0f;
   for (std::size_t s = 0; s < opts_.m; ++s) {
-    acc += sdc_tables_[(s * ksub_ + a[s]) * ksub_ + b[s]];
+    if (a[s] == b[s]) continue;  // zero diagonal
+    float d;
+    simd::L2SqBatch(Centroid(s, std::min(a[s], b[s])),
+                    Centroid(s, std::max(a[s], b[s])), dsub_, 1, &d);
+    acc += d;
   }
   return acc;
 }

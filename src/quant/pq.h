@@ -43,7 +43,9 @@ class ProductQuantizer final : public Quantizer {
   /// Asymmetric (query vs code) distance via precomputed tables.
   float AdcDistance(const float* tables, const std::uint8_t* code) const;
 
-  /// Symmetric (code vs code) distance via the precomputed SDC tables.
+  /// Symmetric (code vs code) distance: the sum over subspaces of the
+  /// squared L2 between the two codes' centroids, computed on demand from
+  /// the codebook (no m x ksub x ksub table is kept).
   float SdcDistance(const std::uint8_t* a, const std::uint8_t* b) const;
 
   /// Centroid `idx` of subspace `sub` (length dsub()). Read-only access
@@ -64,8 +66,6 @@ class ProductQuantizer final : public Quantizer {
   std::size_t ksub_ = 256;
   /// (m * ksub) x dsub; codebook of subspace s occupies rows [s*ksub, ...).
   FloatMatrix codebooks_;
-  /// SDC tables: m x ksub x ksub pairwise centroid distances.
-  std::vector<float> sdc_tables_;
 };
 
 }  // namespace vdb

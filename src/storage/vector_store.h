@@ -1,6 +1,7 @@
 #ifndef VDB_STORAGE_VECTOR_STORE_H_
 #define VDB_STORAGE_VECTOR_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -61,28 +62,35 @@ class VectorStore {
     return Status::Ok();
   }
 
-  /// Copies all live vectors (and their ids) into a dense matrix — the
-  /// input of an index build or segment compaction.
-  void Snapshot(FloatMatrix* vectors, std::vector<VectorId>* ids) const {
-    *vectors = FloatMatrix(live_count_, dim_);
-    ids->clear();
-    ids->reserve(live_count_);
-    std::size_t at = 0;
-    for (std::size_t row = 0; row < data_.rows(); ++row) {
-      if (deleted_.Test(row)) continue;
-      std::copy_n(data_.row(row), dim_, vectors->row(at++));
-      ids->push_back(ids_[row]);
+  /// Copies the live vectors of rows [first_row, end_row) (and their ids)
+  /// into a dense matrix — the input of an index build, segment flush or
+  /// compaction.
+  void Snapshot(FloatMatrix* vectors, std::vector<VectorId>* ids,
+                std::size_t first_row = 0,
+                std::size_t end_row = static_cast<std::size_t>(-1)) const {
+    end_row = std::min(end_row, data_.rows());
+    std::size_t live = 0;
+    for (std::size_t row = first_row; row < end_row; ++row) {
+      live += deleted_.Test(row) ? 0 : 1;
     }
+    *vectors = FloatMatrix(live, dim_);
+    ids->clear();
+    ids->reserve(live);
+    std::size_t at = 0;
+    ForEachLive(first_row, end_row, [&](VectorId id, const float* vec) {
+      std::copy_n(vec, dim_, vectors->row(at++));
+      ids->push_back(id);
+    });
   }
 
-  /// All live ids, in insertion order.
-  std::vector<VectorId> LiveIds() const {
-    std::vector<VectorId> out;
-    out.reserve(live_count_);
-    for (std::size_t row = 0; row < data_.rows(); ++row) {
-      if (!deleted_.Test(row)) out.push_back(ids_[row]);
+  /// Calls fn(id, vector) for each live row in [first_row, end_row), in
+  /// row (insertion) order.
+  template <typename Fn>
+  void ForEachLive(std::size_t first_row, std::size_t end_row, Fn&& fn) const {
+    end_row = std::min(end_row, data_.rows());
+    for (std::size_t row = first_row; row < end_row; ++row) {
+      if (!deleted_.Test(row)) fn(ids_[row], data_.row(row));
     }
-    return out;
   }
 
   std::size_t MemoryBytes() const {

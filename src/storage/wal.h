@@ -16,7 +16,8 @@ namespace vdb {
 /// Minimal append-only write-ahead log for a vector collection: insert and
 /// delete records, each CRC-guarded. Replay stops cleanly at the first
 /// torn/corrupt record (crash-consistent tail). This is the durability leg
-/// of the storage manager; the LSM store provides the in-memory buffering.
+/// of the storage manager; the collection's growing segment is the
+/// in-memory buffer.
 class Wal {
  public:
   /// Replay callbacks. Invoked in log order.

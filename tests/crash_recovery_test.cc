@@ -42,6 +42,7 @@
 #include "db/recovery.h"
 #include "db/scrubber.h"
 #include "index/hnsw.h"
+#include "index/ivf_pq.h"
 #include "storage/manifest.h"
 #include "storage/serializer.h"
 #include "storage/wal.h"
@@ -691,6 +692,55 @@ TEST(RecoveryTest, IndexSnapshotIsLoadedNotRebuilt) {
   ASSERT_TRUE(mgr.ok());
   EXPECT_TRUE(report.index_loaded_from_snapshot);
   EXPECT_FALSE(report.index_rebuilt);
+  std::vector<Neighbor> hit;
+  ASSERT_TRUE((*mgr)->collection().Knn(VecOf(17), 1, &hit).ok());
+  ASSERT_EQ(hit.size(), 1u);
+  EXPECT_EQ(hit[0].id, 17u);
+  RemoveTree(dir);
+}
+
+// An IVF-PQ snapshot in format 1 (which carried PQ SDC tables) must be
+// rejected, and recovery must rebuild the index instead of loading it.
+TEST(RecoveryTest, OldFormatIvfPqSnapshotFallsBackToRebuild) {
+  std::string dir = TempPath("ivfpq_v1");
+  RemoveTree(dir);
+  RecoveryOptions ro;
+  ro.dir = dir;
+  ro.collection.dim = kDim;
+  ro.collection.index_factory = [] {
+    IvfPqOptions o;
+    o.ivf.nlist = 4;
+    o.ivf.default_nprobe = 4;
+    o.pq.m = 2;
+    return std::make_unique<IvfPqIndex>(o);
+  };
+  {
+    auto mgr = RecoveryManager::Open(ro);
+    ASSERT_TRUE(mgr.ok());
+    Collection& c = (*mgr)->collection();
+    for (std::uint64_t id = 1; id <= 64; ++id) {
+      ASSERT_TRUE(c.Insert(id, VecOf(id)).ok());
+    }
+    ASSERT_TRUE(c.BuildIndex().ok());
+    ASSERT_TRUE((*mgr)->Checkpoint().ok());
+  }
+  // Stamp the format-1 magic ("VIPQ") on the snapshot. The payload CRC
+  // does not cover the magic, so only the format check can reject it.
+  const std::string snap = dir + "/" + ManifestGeneration::IndexName(1);
+  ASSERT_TRUE(IvfPqIndex::Load(snap).ok());
+  {
+    std::fstream f(snap, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    const std::uint8_t v1[4] = {0x51, 0x50, 0x49, 0x56};  // 0x56495051
+    f.write(reinterpret_cast<const char*>(v1), sizeof(v1));
+  }
+  EXPECT_FALSE(IvfPqIndex::Load(snap).ok());
+
+  RecoveryReport report;
+  auto mgr = RecoveryManager::Open(ro, &report);
+  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+  EXPECT_FALSE(report.index_loaded_from_snapshot);
+  EXPECT_TRUE(report.index_rebuilt);
   std::vector<Neighbor> hit;
   ASSERT_TRUE((*mgr)->collection().Knn(VecOf(17), 1, &hit).ok());
   ASSERT_EQ(hit.size(), 1u);

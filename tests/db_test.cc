@@ -1,6 +1,6 @@
 // Tests for the VDBMS facade: Collection lifecycle (insert/delete/upsert,
 // index building, delta visibility), every query type (knn, range, (c,k),
-// hybrid, batched, multi-vector), WAL recovery, LSM mode, the Database
+// hybrid, batched, multi-vector), WAL recovery, the flush policy, the Database
 // registry, the embedder, and distributed scatter-gather with replicas.
 
 #include <unistd.h>
@@ -63,9 +63,9 @@ TEST(CollectionTest, ValidatesOptions) {
   CollectionOptions bad;
   EXPECT_FALSE(Collection::Create(bad).ok());  // dim 0
   CollectionOptions lsm = BaseOptions();
-  lsm.use_lsm = true;
+  lsm.lsm_memtable_limit = 64;
   lsm.index_factory = nullptr;
-  EXPECT_FALSE(Collection::Create(lsm).ok());  // LSM without factory
+  EXPECT_FALSE(Collection::Create(lsm).ok());  // flush policy, no factory
   CollectionOptions emb = BaseOptions(8);
   emb.embedder = std::make_shared<HashingNgramEmbedder>(16);
   EXPECT_FALSE(Collection::Create(emb).ok());  // dim mismatch
@@ -338,7 +338,6 @@ TEST(CollectionTest, WalRecoveryRoundTrip) {
 
 TEST(CollectionTest, LsmModeAbsorbsUpdatesWithoutRebuilds) {
   CollectionOptions opts = BaseOptions();
-  opts.use_lsm = true;
   opts.lsm_memtable_limit = 64;
   auto collection = Collection::Create(opts);
   ASSERT_TRUE(collection.ok());
@@ -349,29 +348,29 @@ TEST(CollectionTest, LsmModeAbsorbsUpdatesWithoutRebuilds) {
                          {{"category", std::int64_t(i % 2)}})
                     .ok());
   }
-  EXPECT_EQ(c.UnindexedRows(), 0u);  // LSM mode: segments self-index
+  // Six flushes of 64 rows (compacted into one segment); 400 - 384 rows
+  // are still growing.
+  EXPECT_EQ(c.UnindexedRows(), 16u);
   std::vector<Neighbor> out;
   ASSERT_TRUE(c.Knn(data.row_view(123), 1, &out).ok());
   EXPECT_EQ(out[0].id, 123u);
   ASSERT_TRUE(c.Delete(123).ok());
   ASSERT_TRUE(c.Knn(data.row_view(123), 1, &out).ok());
   EXPECT_NE(out[0].id, 123u);
-  // Hybrid in LSM mode (single-stage through segments).
+  // Hybrid over the segments and the growing rows.
   auto pred = Predicate::Cmp("category", CmpOp::kEq, std::int64_t{1});
   ASSERT_TRUE(c.Hybrid(data.row_view(10), pred, 5, &out).ok());
   for (const auto& nb : out) EXPECT_EQ(nb.id % 2, 1u);
 }
 
-// LSM mode counts its memtable, sealed segments (rows, ids and each
-// segment's index) and id sets. With a flat factory every part has a
-// closed form: a memtable row costs dim floats + one id, a segment row
-// twice that (its rows + the flat index's copy), a live or tombstoned id
-// one VectorId; the collection's own store adds one memtable-sized row
-// per insert (deleted rows stay resident).
-TEST(CollectionTest, LsmMemoryBytesCountsEveryPart) {
+// The flush policy holds each row once in the vector store plus once in
+// the flat index of the segment that seals it. With a flat factory every
+// part has a closed form: a stored row costs dim floats + one id (deleted
+// rows stay resident), and so does a sealed row (removed rows stay in the
+// flat index until compaction).
+TEST(CollectionTest, FlushPolicyMemoryBytesCountsEveryPart) {
   const std::size_t kDim = 8, kRow = kDim * sizeof(float) + sizeof(VectorId);
   CollectionOptions opts = BaseOptions(kDim);
-  opts.use_lsm = true;
   opts.lsm_memtable_limit = 16;
   opts.lsm_compact_at_segments = 3;
   opts.index_factory = [] { return std::make_unique<FlatIndex>(); };
@@ -379,11 +378,8 @@ TEST(CollectionTest, LsmMemoryBytesCountsEveryPart) {
   ASSERT_TRUE(collection.ok());
   auto& c = **collection;
   FloatMatrix data = TestData(49, kDim);
-  auto expected = [&](std::size_t stored, std::size_t memtable,
-                      std::size_t segment, std::size_t live,
-                      std::size_t tombstones) {
-    return stored * kRow + memtable * kRow + segment * 2 * kRow +
-           (live + tombstones) * sizeof(VectorId);
+  auto expected = [&](std::size_t stored, std::size_t sealed) {
+    return (stored + sealed) * kRow;
   };
   auto insert = [&](std::size_t from, std::size_t to) {
     for (std::size_t i = from; i < to; ++i) {
@@ -391,24 +387,68 @@ TEST(CollectionTest, LsmMemoryBytesCountsEveryPart) {
     }
   };
 
-  insert(0, 10);  // memtable only
-  EXPECT_EQ(c.MemoryBytes(), expected(10, 10, 0, 10, 0));
+  insert(0, 10);  // growing only
+  EXPECT_EQ(c.MemoryBytes(), expected(10, 0));
   const std::size_t before_flush = c.MemoryBytes();
   insert(10, 16);  // the 16th row seals segment 1
-  EXPECT_EQ(c.MemoryBytes(), expected(16, 0, 16, 16, 0));
+  EXPECT_EQ(c.MemoryBytes(), expected(16, 16));
   EXPECT_GT(c.MemoryBytes(), before_flush);
-  insert(16, 40);  // segment 2 sealed, 8 rows in the memtable
-  ASSERT_TRUE(c.Delete(0).ok());   // sealed: becomes a tombstone
+  insert(16, 40);  // segment 2 sealed, 8 rows growing
+  ASSERT_TRUE(c.Delete(0).ok());   // sealed: removed from its segment
   ASSERT_TRUE(c.Delete(1).ok());
-  ASSERT_TRUE(c.Delete(35).ok());  // memtable row: stays resident
-  EXPECT_EQ(c.MemoryBytes(), expected(40, 8, 32, 37, 2));
+  ASSERT_TRUE(c.Delete(35).ok());  // growing row: stays resident
+  EXPECT_EQ(c.MemoryBytes(), expected(40, 32));
+  EXPECT_EQ(c.SegmentCount(), 2u);
+  EXPECT_EQ(c.UnindexedRows(), 7u);
   const std::size_t before_compact = c.MemoryBytes();
-  // The memtable's 16th live row seals segment 3 (the deleted row is not
-  // sealed), which triggers a compaction that drops the two tombstoned
-  // rows and their tombstones.
+  // The 16th live growing row seals segment 3 (the deleted row is not
+  // sealed), which triggers a compaction that drops the two removed rows.
   insert(40, 49);
-  EXPECT_EQ(c.MemoryBytes(), expected(49, 0, 46, 46, 0));
+  EXPECT_EQ(c.MemoryBytes(), expected(49, 46));
+  EXPECT_EQ(c.SegmentCount(), 1u);
+  EXPECT_EQ(c.UnindexedRows(), 0u);
   EXPECT_GT(c.MemoryBytes(), before_compact);
+}
+
+// Compact merges the sealed segments only; BuildIndex also seals the
+// growing rows. Pins both row counts (sealed = Size - growing), and that
+// BuildIndex on a clean collection builds nothing.
+TEST(CollectionTest, CompactMergesSealedRowsBuildIndexSealsAll) {
+  int builds = 0;
+  CollectionOptions opts = BaseOptions();
+  opts.lsm_memtable_limit = 16;
+  opts.lsm_compact_at_segments = 10;
+  opts.index_factory = [&builds] {
+    ++builds;
+    return std::make_unique<FlatIndex>();
+  };
+  auto collection = Collection::Create(opts);
+  ASSERT_TRUE(collection.ok());
+  auto& c = **collection;
+  FloatMatrix data = TestData(40, 8);
+  for (std::size_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(c.Insert(i, data.row_view(i)).ok());
+  }
+  EXPECT_EQ(c.SegmentCount(), 2u);
+  EXPECT_EQ(c.UnindexedRows(), 8u);
+
+  ASSERT_TRUE(c.Compact().ok());
+  EXPECT_EQ(c.SegmentCount(), 1u);
+  EXPECT_EQ(c.Size() - c.UnindexedRows(), 32u);  // sealed rows
+  EXPECT_EQ(c.UnindexedRows(), 8u);              // still growing
+
+  ASSERT_TRUE(c.BuildIndex().ok());
+  EXPECT_EQ(c.SegmentCount(), 1u);
+  EXPECT_EQ(c.Size() - c.UnindexedRows(), 40u);
+  EXPECT_EQ(c.UnindexedRows(), 0u);
+
+  const int built = builds;
+  ASSERT_TRUE(c.BuildIndex().ok());  // clean: no-op
+  EXPECT_EQ(builds, built);
+  ASSERT_TRUE(c.Delete(7).ok());
+  ASSERT_TRUE(c.BuildIndex().ok());  // a removal since the seal: rebuild
+  EXPECT_EQ(builds, built + 1);
+  EXPECT_EQ(c.Size() - c.UnindexedRows(), 39u);
 }
 
 // --------------------------------------------------------------- Embedder

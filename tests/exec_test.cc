@@ -45,9 +45,12 @@ struct HybridFixture {
   FloatMatrix queries;
   VectorStore vectors{16};
   AttributeStore attrs;
-  std::unique_ptr<HnswIndex> index;
-  std::unique_ptr<IvfFlatIndex> ivf;
-  std::unique_ptr<AttributePartitionedIndex> partitioned;
+  /// One sealed segment over every row: HNSW plus per-cluster partitions.
+  Segment hnsw;
+  /// The same rows under IVF-Flat, without partitions.
+  Segment ivf;
+  const HnswIndex* index = nullptr;  ///< hnsw.index
+  const AttributePartitionedIndex* partitioned = nullptr;
   Scorer scorer;
   std::vector<std::int64_t> cluster_attr;
 
@@ -84,13 +87,15 @@ struct HybridFixture {
     }
     HnswOptions ho;
     ho.ef_construction = 64;
-    index = std::make_unique<HnswIndex>(ho);
-    Must(index->Build(data, {}));
+    auto built_hnsw = std::make_unique<HnswIndex>(ho);
+    Must(built_hnsw->Build(data, {}));
+    index = built_hnsw.get();
+    hnsw.index = std::move(built_hnsw);
 
     IvfOptions io;
     io.nlist = 32;
-    ivf = std::make_unique<IvfFlatIndex>(io);
-    Must(ivf->Build(data, {}));
+    ivf.index = std::make_unique<IvfFlatIndex>(io);
+    Must(ivf.index->Build(data, {}));
 
     IndexFactory factory = [] {
       HnswOptions o;
@@ -100,17 +105,18 @@ struct HybridFixture {
     };
     auto built = AttributePartitionedIndex::Build(
         data, {}, workload.cluster_attr, factory, "cluster");
-    partitioned = std::move(built).value();
+    hnsw.partitioned = std::move(built).value();
+    partitioned = hnsw.partitioned.get();
   }
 
   CollectionView View() const {
-    return {&vectors, &attrs, index.get(), partitioned.get(), &scorer};
+    return {&vectors, &attrs, {&hnsw, 1}, &scorer};
   }
   /// View backed by the IVF index — the natural carrier for bitmask
   /// (block-first) filtering, where blocking skips scoring but cannot
   /// damage traversal structure.
   CollectionView ViewIvf() const {
-    return {&vectors, &attrs, ivf.get(), partitioned.get(), &scorer};
+    return {&vectors, &attrs, {&ivf, 1}, &scorer};
   }
 };
 
@@ -751,8 +757,7 @@ TEST(EnumerationTest, PlanSpaceTracksAvailability) {
   EXPECT_EQ(plans.size(), 5u);  // all plans incl. partition-pruned
 
   CollectionView no_index = fx.View();
-  no_index.index = nullptr;
-  no_index.partitioned = nullptr;
+  no_index.segments = {};
   EXPECT_EQ(EnumeratePlans(no_index, eq).size(), 1u);
 
   // Partition pruning only offered for equality on the partition column.

@@ -24,7 +24,6 @@
 #include "db/distributed.h"
 #include "index/flat.h"
 #include "storage/attribute_store.h"
-#include "storage/lsm_store.h"
 #include "storage/paged_file.h"
 #include "storage/serializer.h"
 #include "storage/wal.h"
@@ -374,36 +373,37 @@ TEST_F(StorageFaultTest, PagedFileBatchReadFaults) {
 }
 
 TEST_F(StorageFaultTest, LsmFlushFailureIsAllOrNothing) {
-  LsmOptions opts;
-  opts.factory = [] { return std::make_unique<FlatIndex>(); };
-  auto store = LsmVectorStore::Create(2, opts);
+  CollectionOptions opts;
+  opts.dim = 2;
+  opts.lsm_memtable_limit = 2048;
+  opts.index_factory = [] { return std::make_unique<FlatIndex>(); };
+  auto store = Collection::Create(opts);
   ASSERT_TRUE(store.ok());
   float v[2] = {1.0f, 2.0f};
   for (VectorId id = 0; id < 8; ++id) {
     v[0] = static_cast<float>(id);
-    ASSERT_TRUE((*store)->Insert(id, v).ok());
+    ASSERT_TRUE((*store)->Insert(id, {v, 2}).ok());
   }
   {
     ScopedFailpoint fp("lsm.flush.fail", "times:1");
     EXPECT_EQ((*store)->Flush().code(), StatusCode::kIoError);
   }
-  // Failed flush left the memtable intact and searchable.
-  EXPECT_EQ((*store)->memtable_rows(), 8u);
-  EXPECT_EQ((*store)->num_segments(), 0u);
-  SearchParams params;
-  params.k = 1;
+  // Failed flush left the growing rows intact and searchable.
+  EXPECT_EQ((*store)->UnindexedRows(), 8u);
+  EXPECT_EQ((*store)->SegmentCount(), 0u);
   std::vector<Neighbor> out;
   float q[2] = {5.0f, 2.0f};
-  ASSERT_TRUE((*store)->Search(q, params, &out).ok());
+  ASSERT_TRUE((*store)->Knn({q, 2}, 1, &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 5u);
   // And the retry succeeds.
   ASSERT_TRUE((*store)->Flush().ok());
-  EXPECT_EQ((*store)->num_segments(), 1u);
+  EXPECT_EQ((*store)->SegmentCount(), 1u);
   {
     ScopedFailpoint fp("lsm.compact.fail", "times:1");
     EXPECT_EQ((*store)->Compact().code(), StatusCode::kIoError);
   }
+  EXPECT_EQ((*store)->SegmentCount(), 1u);  // the failed compaction kept it
   EXPECT_TRUE((*store)->Compact().ok());
 }
 

@@ -3,6 +3,7 @@
 // post-filter), deletions, incremental adds, and per-index invariants.
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -285,7 +286,6 @@ TEST_P(IndexFamilyTest, DeletedIdsNeverReturned) {
   const auto& c = GetParam();
   auto index = c.make();
   ASSERT_TRUE(index->Build(fx.data, {}).ok());
-  if (!index->SupportsRemove()) GTEST_SKIP();
 
   // Delete the true top-3 of query 0, then search: none may appear.
   std::vector<VectorId> removed;
@@ -331,6 +331,19 @@ TEST_P(IndexFamilyTest, IncrementalAddIsSearchable) {
 
   // Duplicate id rejected.
   EXPECT_EQ(index->Add(fx.data.row(0), 0).code(), StatusCode::kAlreadyExists);
+
+  // A removed id may be added again, here with row 1's vector: it is
+  // found at row 1's distance, once.
+  ASSERT_TRUE(index->Remove(0).ok());
+  ASSERT_TRUE(index->Add(fx.data.row(1), 0).ok());
+  EXPECT_EQ(index->Size(), fx.data.rows());
+  std::vector<Neighbor> out;
+  ASSERT_TRUE(index->Search(fx.data.row(1), c.params, &out).ok());
+  std::map<VectorId, std::vector<float>> dists;
+  for (const auto& nb : out) dists[nb.id].push_back(nb.dist);
+  ASSERT_EQ(dists[0].size(), 1u) << c.label;
+  ASSERT_EQ(dists[1].size(), 1u) << c.label;
+  EXPECT_EQ(dists[0][0], dists[1][0]) << c.label;
 }
 
 TEST_P(IndexFamilyTest, KZeroAndEmptyOutValidation) {

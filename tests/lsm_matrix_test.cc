@@ -1,6 +1,7 @@
-// LSM store x segment-index-family grid: the out-of-place update pattern
-// must hold for any index factory (graphs, tables, trees), since the
-// paper's systems pair LSM levels with whatever index the workload wants.
+// Flush policy x segment-index-family grid: the out-of-place update
+// pattern (growing segment + sealed indexed segments + compaction) must
+// hold for any index factory (graphs, tables, trees), since the paper's
+// systems pair LSM levels with whatever index the workload wants.
 
 #include <functional>
 #include <map>
@@ -12,12 +13,12 @@
 #include "core/eval.h"
 #include "core/rng.h"
 #include "core/synthetic.h"
+#include "db/collection.h"
 #include "index/flat.h"
 #include "index/hnsw.h"
 #include "index/ivf.h"
 #include "index/kd_tree.h"
 #include "index/vamana.h"
-#include "storage/lsm_store.h"
 
 namespace vdb {
 namespace {
@@ -78,11 +79,12 @@ class LsmMatrixTest : public ::testing::TestWithParam<LsmCase> {};
 
 TEST_P(LsmMatrixTest, InterleavedInsertDeleteMatchesOracleTop1) {
   const auto& c = GetParam();
-  LsmOptions opts;
-  opts.memtable_limit = 48;
-  opts.compact_at_segments = 3;
-  opts.factory = c.factory;
-  auto store = LsmVectorStore::Create(8, opts);
+  CollectionOptions opts;
+  opts.dim = 8;
+  opts.lsm_memtable_limit = 48;
+  opts.lsm_compact_at_segments = 3;
+  opts.index_factory = c.factory;
+  auto store = Collection::Create(opts);
   ASSERT_TRUE(store.ok());
 
   Rng rng(61);
@@ -92,7 +94,7 @@ TEST_P(LsmMatrixTest, InterleavedInsertDeleteMatchesOracleTop1) {
     if (oracle.empty() || rng.NextDouble() < 0.75) {
       std::vector<float> v(8);
       for (auto& x : v) x = rng.NextGaussian();
-      ASSERT_TRUE((*store)->Insert(next_id, v.data()).ok());
+      ASSERT_TRUE((*store)->Insert(next_id, v).ok());
       oracle[next_id] = v;
       ++next_id;
     } else {
@@ -102,7 +104,7 @@ TEST_P(LsmMatrixTest, InterleavedInsertDeleteMatchesOracleTop1) {
       oracle.erase(it);
     }
   }
-  EXPECT_EQ((*store)->live_count(), oracle.size());
+  EXPECT_EQ((*store)->Size(), oracle.size());
 
   auto scorer = Scorer::Create(MetricSpec::L2(), 8).value();
   Rng qrng(3);
@@ -112,7 +114,8 @@ TEST_P(LsmMatrixTest, InterleavedInsertDeleteMatchesOracleTop1) {
     std::vector<float> query(8);
     for (auto& x : query) x = qrng.NextGaussian();
     std::vector<Neighbor> got;
-    ASSERT_TRUE((*store)->Search(query.data(), c.params, &got).ok());
+    ASSERT_TRUE(
+        (*store)->Knn(query, c.params.k, &got, nullptr, &c.params).ok());
     VectorId best = kInvalidVectorId;
     float best_dist = std::numeric_limits<float>::max();
     for (const auto& [id, vec] : oracle) {

@@ -87,6 +87,32 @@ TEST(HnswPersistenceTest, RoundTripIsBitIdentical) {
   EXPECT_EQ(out[0].id, 99999u);
 }
 
+// A removed and re-added label has two rows; the tombstone must land on
+// the old one after a round trip.
+TEST(HnswPersistenceTest, ReAddedLabelSurvivesRoundTrip) {
+  PersistFixture fx;
+  HnswIndex original;
+  ASSERT_TRUE(original.Build(fx.data, {}).ok());
+  ASSERT_TRUE(original.Remove(3).ok());
+  std::vector<float> fresh(fx.data.cols(), 0.5f);
+  ASSERT_TRUE(original.Add(fresh.data(), 3).ok());
+
+  std::string path = TempPath("hnsw_readd");
+  ASSERT_TRUE(original.Save(path).ok());
+  auto loaded = HnswIndex::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->Size(), fx.data.rows());
+  SearchParams p;
+  p.k = 10;
+  p.ef = 64;
+  ExpectIdenticalResults(original, **loaded, fx.queries, p);
+  std::vector<Neighbor> out;
+  ASSERT_TRUE((*loaded)->Search(fresh.data(), p, &out).ok());
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out[0].id, 3u);
+  EXPECT_EQ(out[0].dist, 0.0f);
+}
+
 TEST(IvfPersistenceTest, RoundTripIsBitIdentical) {
   PersistFixture fx;
   IvfOptions opts;

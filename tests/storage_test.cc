@@ -18,11 +18,11 @@
 #include "core/eval.h"
 #include "core/rng.h"
 #include "core/synthetic.h"
+#include "db/collection.h"
 #include "exec/predicate.h"
 #include "index/hnsw.h"
 #include "index/flat.h"
 #include "storage/attribute_store.h"
-#include "storage/lsm_store.h"
 #include "storage/serializer.h"
 #include "storage/vector_store.h"
 #include "storage/wal.h"
@@ -63,7 +63,14 @@ TEST(VectorStoreTest, SnapshotSkipsDeleted) {
   store.Snapshot(&data, &ids);
   EXPECT_EQ(data.rows(), 4u);
   EXPECT_EQ(ids, (std::vector<VectorId>{0, 1, 3, 4}));
-  EXPECT_EQ(store.LiveIds(), ids);
+  std::vector<VectorId> live;
+  store.ForEachLive(0, store.total_rows(),
+                    [&](VectorId id, const float*) { live.push_back(id); });
+  EXPECT_EQ(live, ids);
+  // A row range: rows [2, 5) hold ids 2 (deleted), 3 and 4.
+  store.Snapshot(&data, &ids, 2, 5);
+  EXPECT_EQ(ids, (std::vector<VectorId>{3, 4}));
+  EXPECT_EQ(data.at(0, 0), 3.0f);
 }
 
 // --------------------------------------------------------- AttributeStore
@@ -404,13 +411,17 @@ TEST(WalTest, CorruptCrcStopsReplay) {
   EXPECT_EQ(applied, 0u);  // first record corrupt: stop immediately
 }
 
-// -------------------------------------------------------------- LSM store
+// ------------------------------------------- out-of-place (flush) policy
 
-LsmOptions SmallLsmOptions(std::size_t memtable_limit = 64) {
-  LsmOptions opts;
-  opts.memtable_limit = memtable_limit;
-  opts.compact_at_segments = 4;
-  opts.factory = [] {
+// A collection under the flush policy: `memtable_limit` growing rows seal
+// into an HNSW segment; four segments compact into one.
+CollectionOptions FlushPolicyOptions(std::size_t dim,
+                                     std::size_t memtable_limit = 64) {
+  CollectionOptions opts;
+  opts.dim = dim;
+  opts.lsm_memtable_limit = memtable_limit;
+  opts.lsm_compact_at_segments = 4;
+  opts.index_factory = [] {
     HnswOptions o;
     o.m = 8;
     o.ef_construction = 48;
@@ -419,74 +430,72 @@ LsmOptions SmallLsmOptions(std::size_t memtable_limit = 64) {
   return opts;
 }
 
-TEST(LsmStoreTest, RequiresFactory) {
-  LsmOptions opts;
-  EXPECT_FALSE(LsmVectorStore::Create(4, opts).ok());
+TEST(FlushPolicyTest, RequiresFactory) {
+  CollectionOptions opts = FlushPolicyOptions(4);
+  opts.index_factory = nullptr;
+  EXPECT_FALSE(Collection::Create(opts).ok());
 }
 
-TEST(LsmStoreTest, InsertSearchFlushCompact) {
-  auto store = LsmVectorStore::Create(4, SmallLsmOptions(32));
+TEST(FlushPolicyTest, InsertSearchFlushCompact) {
+  auto store = Collection::Create(FlushPolicyOptions(4, 32));
   ASSERT_TRUE(store.ok());
   Rng rng(3);
   FloatMatrix data(200, 4);
   for (std::size_t i = 0; i < 200; ++i) {
     for (std::size_t j = 0; j < 4; ++j) data.at(i, j) = rng.NextGaussian();
-    ASSERT_TRUE((*store)->Insert(i, data.row(i)).ok());
+    ASSERT_TRUE((*store)->Insert(i, data.row_view(i)).ok());
   }
-  EXPECT_GT((*store)->flushes(), 0u);
-  EXPECT_GT((*store)->num_segments(), 0u);
+  EXPECT_GT((*store)->SegmentCount(), 0u);
 
   // Every inserted vector findable as its own nearest neighbor.
   SearchParams p;
-  p.k = 1;
   p.ef = 64;
   for (std::size_t i = 0; i < 200; i += 17) {
     std::vector<Neighbor> out;
-    ASSERT_TRUE((*store)->Search(data.row(i), p, &out).ok());
+    ASSERT_TRUE((*store)->Knn(data.row_view(i), 1, &out, nullptr, &p).ok());
     ASSERT_FALSE(out.empty());
     EXPECT_EQ(out[0].id, i);
   }
 
   ASSERT_TRUE((*store)->Compact().ok());
-  EXPECT_EQ((*store)->num_segments(), 1u);
+  EXPECT_EQ((*store)->SegmentCount(), 1u);
   std::vector<Neighbor> out;
-  ASSERT_TRUE((*store)->Search(data.row(5), p, &out).ok());
+  ASSERT_TRUE((*store)->Knn(data.row_view(5), 1, &out, nullptr, &p).ok());
   EXPECT_EQ(out[0].id, 5u);
 }
 
-TEST(LsmStoreTest, DeleteHonoredAcrossSegments) {
-  auto store = LsmVectorStore::Create(2, SmallLsmOptions(16));
+TEST(FlushPolicyTest, DeleteHonoredAcrossSegments) {
+  auto store = Collection::Create(FlushPolicyOptions(2, 16));
   ASSERT_TRUE(store.ok());
   for (int i = 0; i < 64; ++i) {
     float v[] = {static_cast<float>(i), 0.0f};
-    ASSERT_TRUE((*store)->Insert(i, v).ok());
+    ASSERT_TRUE((*store)->Insert(i, {v, 2}).ok());
   }
-  // Delete ids both in sealed segments (old) and memtable (fresh).
+  // Delete ids in sealed segments.
   ASSERT_TRUE((*store)->Delete(3).ok());
   ASSERT_TRUE((*store)->Delete(63).ok());
-  EXPECT_FALSE((*store)->Contains(3));
+  EXPECT_EQ((*store)->Size(), 62u);
   EXPECT_EQ((*store)->Delete(3).code(), StatusCode::kNotFound);
 
   float q[] = {3.0f, 0.0f};
   SearchParams p;
-  p.k = 5;
   p.ef = 64;
   std::vector<Neighbor> out;
-  ASSERT_TRUE((*store)->Search(q, p, &out).ok());
+  ASSERT_TRUE((*store)->Knn({q, 2}, 5, &out, nullptr, &p).ok());
   for (const auto& nb : out) EXPECT_NE(nb.id, 3u);
 
-  // Compaction physically drops tombstoned rows; reinsert is allowed.
+  // Compaction physically drops removed rows; reinsert is allowed.
   ASSERT_TRUE((*store)->Compact().ok());
   float v3[] = {3.0f, 0.0f};
-  ASSERT_TRUE((*store)->Insert(3, v3).ok());
-  ASSERT_TRUE((*store)->Search(q, p, &out).ok());
+  ASSERT_TRUE((*store)->Insert(3, {v3, 2}).ok());
+  ASSERT_TRUE((*store)->Knn({q, 2}, 5, &out, nullptr, &p).ok());
   EXPECT_EQ(out[0].id, 3u);
 }
 
-TEST(LsmStoreTest, RandomInterleavingMatchesFlatOracle) {
-  // Property test: after any interleaving of inserts/deletes, LSM search
+TEST(FlushPolicyTest, RandomInterleavingMatchesFlatOracle) {
+  // Property test: after any interleaving of inserts/deletes, search
   // equals a brute-force oracle over the surviving set.
-  auto store = LsmVectorStore::Create(8, SmallLsmOptions(32));
+  auto store = Collection::Create(FlushPolicyOptions(8, 32));
   ASSERT_TRUE(store.ok());
   Rng rng(77);
   std::map<VectorId, std::vector<float>> oracle;
@@ -496,7 +505,7 @@ TEST(LsmStoreTest, RandomInterleavingMatchesFlatOracle) {
     if (do_insert) {
       std::vector<float> v(8);
       for (auto& x : v) x = rng.NextGaussian();
-      ASSERT_TRUE((*store)->Insert(next_id, v.data()).ok());
+      ASSERT_TRUE((*store)->Insert(next_id, v).ok());
       oracle[next_id] = v;
       ++next_id;
     } else {
@@ -506,7 +515,7 @@ TEST(LsmStoreTest, RandomInterleavingMatchesFlatOracle) {
       oracle.erase(it);
     }
   }
-  EXPECT_EQ((*store)->live_count(), oracle.size());
+  EXPECT_EQ((*store)->Size(), oracle.size());
 
   // Exact-oracle comparison on fresh queries (use generous ef; HNSW inside
   // segments is approximate, so compare top-1 which is near-certain).
@@ -518,10 +527,9 @@ TEST(LsmStoreTest, RandomInterleavingMatchesFlatOracle) {
     std::vector<float> query(8);
     for (auto& x : query) x = qrng.NextGaussian();
     SearchParams p;
-    p.k = 1;
     p.ef = 256;
     std::vector<Neighbor> got;
-    ASSERT_TRUE((*store)->Search(query.data(), p, &got).ok());
+    ASSERT_TRUE((*store)->Knn(query, 1, &got, nullptr, &p).ok());
     VectorId best = kInvalidVectorId;
     float best_dist = std::numeric_limits<float>::max();
     for (const auto& [id, vec] : oracle) {
