@@ -17,7 +17,8 @@
 // like top(1).
 //
 // Commands may also be given on the command line (`vdbsh .serve 7070`).
-// With no stdin input (e.g. under ctest) it runs a canned demo script.
+// `vdbsh .demo` runs a canned demo script without reading stdin (the ctest
+// smoke path); so does an empty stdin.
 //
 //   echo "SELECT knn(3) FROM products WHERE price < 50.0 ORDER BY
 //         distance([...])" | ./build/examples/vdbsh
@@ -306,10 +307,33 @@ int main(int argc, char** argv) {
     }
   };
 
+  auto demo = [&] {
+    std::string vec = VectorLiteral(data, 42);
+    std::string demos[] = {
+        "SELECT knn(3) FROM products ORDER BY distance(" + vec + ")",
+        "SELECT knn(3) FROM products WHERE price < 50.0 AND brand = 'acme' "
+        "ORDER BY distance(" + vec + ")",
+        "SELECT knn(3) FROM products WHERE category IN (1, 2) "
+        "ORDER BY distance(" + vec + ")",
+        "EXPLAIN ANALYZE SELECT knn(3) FROM products WHERE price < 50.0 "
+        "ORDER BY distance(" + vec + ")",
+        "SELECT knn(3) FROM missing ORDER BY distance(" + vec + ")",
+    };
+    for (const auto& line : demos) {
+      std::printf("> %s\n", line.c_str());
+      run(line);
+      std::printf("\n");
+    }
+  };
+
   // Command-line mode: `vdbsh .serve 7070` etc. — one command, no stdin.
   if (argc > 1) {
     std::string line = argv[1];
     for (int i = 2; i < argc; ++i) line += std::string(" ") + argv[i];
+    if (line == ".demo") {
+      demo();
+      return 0;
+    }
     std::printf("> %s\n", line.c_str());
     run(line);
     return 0;
@@ -323,24 +347,6 @@ int main(int argc, char** argv) {
     std::printf("> %s\n", line.c_str());
     run(line);
   }
-  if (!got_input) {
-    // Canned demo (also the ctest smoke path).
-    std::string vec = VectorLiteral(data, 42);
-    std::string demos[] = {
-        "SELECT knn(3) FROM products ORDER BY distance(" + vec + ")",
-        "SELECT knn(3) FROM products WHERE price < 50.0 AND brand = 'acme' "
-        "ORDER BY distance(" + vec + ")",
-        "SELECT knn(3) FROM products WHERE category IN (1, 2) "
-        "ORDER BY distance(" + vec + ")",
-        "EXPLAIN ANALYZE SELECT knn(3) FROM products WHERE price < 50.0 "
-        "ORDER BY distance(" + vec + ")",
-        "SELECT knn(3) FROM missing ORDER BY distance(" + vec + ")",
-    };
-    for (const auto& demo : demos) {
-      std::printf("> %s\n", demo.c_str());
-      run(demo);
-      std::printf("\n");
-    }
-  }
+  if (!got_input) demo();
   return 0;
 }

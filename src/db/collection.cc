@@ -660,7 +660,10 @@ std::size_t Collection::Size() const {
 
 std::size_t Collection::MemoryBytes() const {
   std::size_t bytes = vectors_.MemoryBytes();
-  for (const Segment& seg : segments_) bytes += seg.index->MemoryBytes();
+  for (const Segment& seg : segments_) {
+    bytes += seg.index->MemoryBytes();
+    if (seg.partitioned != nullptr) bytes += seg.partitioned->MemoryBytes();
+  }
   return bytes;
 }
 

@@ -1,5 +1,7 @@
 #include "exec/executor.h"
 
+#include <algorithm>
+
 #include "core/topk.h"
 #include "exec/trace.h"
 
@@ -133,10 +135,34 @@ Status HybridExecutor::Execute(const HybridPlan& plan, const Predicate& pred,
       return Search(query, p, out, search_stats);
     }
 
-    case PlanKind::kPostFilterIndexScan:
+    case PlanKind::kPostFilterIndexScan: {
       p.filter_mode = FilterMode::kPostFilter;
-      p.post_filter_amplification = plan.amplification;
-      return Search(query, p, out, search_stats);
+      p.post_filter_amplification = std::max(plan.amplification, 1.0f);
+      VDB_RETURN_IF_ERROR(Search(query, p, out, search_stats));
+      // k-complete: a pass keeps only what its a·k candidates yield, so it
+      // can come back short (§2.6(3)). Refill with a doubled `a` until k
+      // rows survive; once a pass adds no row or a·k covers every live
+      // row, the exact plan answers.
+      const double live = static_cast<double>(view_.vectors->live_count());
+      bool exhausted = false;
+      while (out->size() < params.k) {
+        if (stats != nullptr) ++stats->refills;
+        TraceScope refill(params.trace, "post_filter_refill");
+        if (exhausted ||
+            static_cast<double>(params.k) * p.post_filter_amplification >=
+                live) {
+          refill.Note("plan", "brute-force");
+          return BruteForce(pred, query, params, out, stats);
+        }
+        p.post_filter_amplification *= 2.0f;
+        refill.Note("amplification",
+                    std::to_string(p.post_filter_amplification));
+        const std::size_t kept = out->size();
+        VDB_RETURN_IF_ERROR(Search(query, p, out, search_stats));
+        exhausted = out->size() <= kept;
+      }
+      return Status::Ok();
+    }
 
     case PlanKind::kVisitFirstIndexScan:
       p.filter_mode = FilterMode::kVisitFirst;

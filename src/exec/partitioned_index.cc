@@ -33,6 +33,12 @@ AttributePartitionedIndex::Build(const FloatMatrix& data,
   return index;
 }
 
+std::size_t AttributePartitionedIndex::MemoryBytes() const {
+  std::size_t bytes = 0;
+  for (const auto& [value, index] : partitions_) bytes += index->MemoryBytes();
+  return bytes;
+}
+
 Status AttributePartitionedIndex::Remove(std::int64_t value, VectorId id) {
   auto it = partitions_.find(value);
   if (it == partitions_.end()) return Status::NotFound("no such partition");

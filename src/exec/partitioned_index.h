@@ -27,6 +27,8 @@ class AttributePartitionedIndex {
 
   const std::string& column() const { return column_; }
   std::size_t num_partitions() const { return partitions_.size(); }
+  /// Sum of the partitions' index footprints.
+  std::size_t MemoryBytes() const;
 
   /// Removes `id` from the partition holding `value` (the row's partition
   /// key); NotFound when that partition does not hold it.

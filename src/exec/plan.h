@@ -16,8 +16,9 @@ enum class PlanKind {
   kBruteForceHybrid,
   /// Pre-filtering (block-first): bitmask, then a blocked index scan.
   kPreFilterIndexScan,
-  /// Post-filtering: unfiltered index scan of a*k, filter afterwards.
-  /// May return fewer than k results (the §2.6(3) deficit).
+  /// Post-filtering: unfiltered index scan of a*k, filter afterwards. One
+  /// pass may keep fewer than k results (the §2.6(3) deficit); the
+  /// executor refills such a pass, so the plan returns min(k, matching).
   kPostFilterIndexScan,
   /// Single-stage (visit-first): predicate probed during index traversal.
   kVisitFirstIndexScan,
@@ -51,6 +52,9 @@ struct ExecStats {
   std::size_t bitmask_rows = 0;   ///< rows touched building a bitmask
   std::size_t matching_rows = 0;  ///< bitmask cardinality (when built)
   double est_selectivity = -1.0;  ///< optimizer's estimate (when consulted)
+  /// Post-filter passes run after a short first pass, the exact
+  /// brute-force fallback included.
+  std::size_t refills = 0;
   std::optional<HybridPlan> plan;  ///< the plan Collection::Hybrid executed
 };
 

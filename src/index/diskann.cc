@@ -75,41 +75,6 @@ Status DiskAnnIndex::Build(const FloatMatrix& data,
   return Status::Ok();
 }
 
-void DiskAnnIndex::ParseNode(const std::uint8_t* page, std::uint32_t idx,
-                             NodeBlock* node) const {
-  const std::uint8_t* at = page + (idx % nodes_per_page_) * node_stride_;
-  std::uint32_t degree;
-  std::memcpy(&degree, at, sizeof(degree));
-  at += sizeof(degree);
-  node->neighbors.resize(degree);
-  std::memcpy(node->neighbors.data(), at, degree * sizeof(std::uint32_t));
-  at += opts_.vamana.r * sizeof(std::uint32_t);
-  node->vec.resize(dim_);
-  std::memcpy(node->vec.data(), at, dim_ * sizeof(float));
-}
-
-Status DiskAnnIndex::ReadNode(std::uint32_t idx, NodeBlock* node) const {
-  std::vector<std::uint8_t> page(opts_.file.page_size);
-  VDB_RETURN_IF_ERROR(file_->ReadPage(idx / nodes_per_page_, page.data()));
-  ParseNode(page.data(), idx, node);
-  return Status::Ok();
-}
-
-Status DiskAnnIndex::ReadNodes(std::span<const std::uint32_t> idxs,
-                               std::vector<NodeBlock>* nodes) const {
-  nodes->resize(idxs.size());
-  std::vector<std::uint64_t> pages(idxs.size());
-  for (std::size_t i = 0; i < idxs.size(); ++i) {
-    pages[i] = idxs[i] / nodes_per_page_;
-  }
-  std::vector<std::uint8_t> bufs(idxs.size() * opts_.file.page_size);
-  VDB_RETURN_IF_ERROR(file_->ReadPages(pages, bufs.data()));
-  for (std::size_t i = 0; i < idxs.size(); ++i) {
-    ParseNode(bufs.data() + i * opts_.file.page_size, idxs[i], &(*nodes)[i]);
-  }
-  return Status::Ok();
-}
-
 Status DiskAnnIndex::Remove(VectorId id) {
   auto it = id_to_idx_.find(id);
   if (it == id_to_idx_.end() || deleted_.Test(it->second)) {
@@ -170,25 +135,50 @@ Status DiskAnnIndex::SearchImpl(const float* query,
 
   // Exact distances of expanded (read) nodes, for final re-ranking.
   TopK exact(std::max(params.k, ef));
-  std::vector<NodeBlock> nodes;
+  // The beam's node blocks, parsed in place; ReadBlocks copies only them.
+  std::vector<std::uint8_t> blocks(beam * node_stride_);
+  std::vector<std::uint32_t> batch;
+  std::vector<std::uint64_t> offsets;
+  batch.reserve(beam);
+  offsets.reserve(beam);
+  const std::size_t vec_at = sizeof(std::uint32_t) * (1 + opts_.vamana.r);
+  auto offset_of = [&](std::uint32_t idx) -> std::uint64_t {
+    return idx / nodes_per_page_ * opts_.file.page_size +
+           idx % nodes_per_page_ * node_stride_;
+  };
   while (true) {
-    std::vector<std::uint32_t> batch;
+    batch.clear();
+    offsets.clear();
     for (std::size_t i = 0; i < cands.size() && batch.size() < beam; ++i) {
-      if (!expanded.Test(cands[i].idx)) batch.push_back(cands[i].idx);
+      if (expanded.Test(cands[i].idx)) continue;
+      batch.push_back(cands[i].idx);
+      offsets.push_back(offset_of(cands[i].idx));
     }
     if (batch.empty()) break;
     // One coalesced batch read for the whole beam: B candidates cost
     // O(page runs) syscalls and one PagedFile lock acquisition.
-    VDB_RETURN_IF_ERROR(ReadNodes(batch, &nodes));
+    VDB_RETURN_IF_ERROR(
+        file_->ReadBlocks(offsets, node_stride_, blocks.data()));
     for (std::size_t b = 0; b < batch.size(); ++b) {
       std::uint32_t idx = batch[b];
-      const NodeBlock& node = nodes[b];
+      // Block layout (see Build): [degree][R neighbor ids][vector]. The
+      // memcpy that filled `blocks` created the uint32/float objects the
+      // pointers below read.
+      const std::uint8_t* block = blocks.data() + b * node_stride_;
+      std::uint32_t degree;
+      std::memcpy(&degree, block, sizeof(degree));
+      if (degree > opts_.vamana.r) {
+        return Status::Corruption("diskann node block degree exceeds R");
+      }
+      const auto* neighbors =
+          reinterpret_cast<const std::uint32_t*>(block + sizeof(degree));
+      const auto* vec = reinterpret_cast<const float*>(block + vec_at);
       expanded.Set(idx);
       if (stats != nullptr) ++stats->nodes_visited;
-      float dist = scorer_.Distance(query, node.vec.data());
+      float dist = scorer_.Distance(query, vec);
       if (stats != nullptr) ++stats->distance_comps;
       if (admit(idx)) exact.Push(static_cast<VectorId>(idx), dist);
-      for (std::uint32_t nb : node.neighbors) insert_cand(nb);
+      for (std::uint32_t j = 0; j < degree; ++j) insert_cand(neighbors[j]);
     }
     if (stats != nullptr) ++stats->hops;
   }

@@ -51,20 +51,6 @@ class DiskAnnIndex final : public VectorIndex {
                     SearchStats* stats) const override;
 
  private:
-  struct NodeBlock {
-    std::vector<std::uint32_t> neighbors;
-    std::vector<float> vec;
-  };
-  Status ReadNode(std::uint32_t idx, NodeBlock* node) const;
-  /// Batched beam I/O: reads every node of the beam through
-  /// PagedFile::ReadPages (one coalesced, single-lock batch read), then
-  /// parses each node from its page. nodes->at(i) corresponds to idxs[i].
-  Status ReadNodes(std::span<const std::uint32_t> idxs,
-                   std::vector<NodeBlock>* nodes) const;
-  /// Extracts node `idx`'s block from the page that holds it.
-  void ParseNode(const std::uint8_t* page, std::uint32_t idx,
-                 NodeBlock* node) const;
-
   std::string path_;
   DiskAnnOptions opts_;
   std::size_t dim_ = 0;

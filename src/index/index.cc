@@ -77,7 +77,11 @@ Status VectorIndex::Search(const float* query, const SearchParams& params,
   SearchStats local;
   SearchStats* st = stats != nullptr ? stats : &local;
   const SearchStats before = *st;
-  TraceScope span(params.trace, "index_search:" + Name());
+  // The span name costs a virtual call and a heap string: untraced
+  // searches skip it.
+  TraceScope span(params.trace, params.trace != nullptr
+                                    ? "index_search:" + Name()
+                                    : std::string());
   const auto start = std::chrono::steady_clock::now();
 
   Status status;

@@ -13,10 +13,74 @@
 
 namespace vdb {
 
+PagedFile::PageTable::PageTable(std::size_t frames) {
+  if (frames == 0) return;
+  std::size_t size = 2;
+  int bits = 1;
+  while (size < 2 * frames) {
+    size *= 2;
+    ++bits;
+  }
+  slots_.resize(size);
+  shift_ = 64 - bits;
+}
+
+std::size_t PagedFile::PageTable::Home(std::uint64_t page) const {
+  return static_cast<std::size_t>((page * 0x9E3779B97F4A7C15ull) >> shift_);
+}
+
+std::uint32_t PagedFile::PageTable::Find(std::uint64_t page) const {
+  if (slots_.empty()) return kNoFrame;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = Home(page);; i = (i + 1) & mask) {
+    if (slots_[i].frame == kNoFrame) return kNoFrame;
+    if (slots_[i].page == page) return slots_[i].frame;
+  }
+}
+
+void PagedFile::PageTable::Insert(std::uint64_t page, std::uint32_t frame) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = Home(page);
+  while (slots_[i].frame != kNoFrame) i = (i + 1) & mask;
+  slots_[i] = {page, frame};
+}
+
+void PagedFile::PageTable::Erase(std::uint64_t page) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = Home(page);
+  while (slots_[hole].page != page || slots_[hole].frame == kNoFrame) {
+    hole = (hole + 1) & mask;
+  }
+  // Backward shift: pull up each later entry of the probe chain whose home
+  // does not lie cyclically in (hole, j], so every lookup still reaches it.
+  for (std::size_t j = (hole + 1) & mask; slots_[j].frame != kNoFrame;
+       j = (j + 1) & mask) {
+    std::size_t home = Home(slots_[j].page);
+    bool stays = hole < j ? (home > hole && home <= j)
+                          : (home > hole || home <= j);
+    if (stays) continue;
+    slots_[hole] = slots_[j];
+    hole = j;
+  }
+  slots_[hole].frame = kNoFrame;
+}
+
+PagedFile::PagedFile(int fd, const PagedFileOptions& opts,
+                     std::uint64_t num_pages)
+    : fd_(fd),
+      opts_(opts),
+      num_pages_(num_pages),
+      frames_((opts.cache_pages + 1) * opts.page_size),
+      links_(opts.cache_pages + 1),
+      page_table_(opts.cache_pages) {}
+
 Result<std::unique_ptr<PagedFile>> PagedFile::OpenImpl(
     const std::string& path, const PagedFileOptions& opts, bool truncate) {
   if (opts.page_size == 0 || opts.page_size % 512 != 0) {
     return Status::InvalidArgument("page_size must be a positive multiple of 512");
+  }
+  if (opts.cache_pages >= kNoFrame) {
+    return Status::InvalidArgument("cache_pages too large");
   }
   int flags = O_RDWR | O_CREAT | (truncate ? O_TRUNC : 0);
   int fd = ::open(path.c_str(), flags, 0644);
@@ -47,40 +111,57 @@ PagedFile::~PagedFile() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-bool PagedFile::CacheLookup(std::uint64_t page_id, std::uint8_t* buf) {
-  auto it = cache_.find(page_id);
-  if (it == cache_.end()) return false;
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(page_id);
-  it->second.lru_it = lru_.begin();
-  std::memcpy(buf, it->second.data.data(), opts_.page_size);
-  ++cache_hits_;
-  return true;
+void PagedFile::LruUnlink(std::uint32_t f) {
+  FrameLinks& l = links_[f];
+  (l.prev != kNoFrame ? links_[l.prev].next : lru_head_) = l.next;
+  (l.next != kNoFrame ? links_[l.next].prev : lru_tail_) = l.prev;
+  l.prev = l.next = kNoFrame;
 }
 
-void PagedFile::CacheInsert(std::uint64_t page_id, const std::uint8_t* buf) {
+void PagedFile::LruPushFront(std::uint32_t f) {
+  links_[f].next = lru_head_;
+  (lru_head_ != kNoFrame ? links_[lru_head_].prev : lru_tail_) = f;
+  lru_head_ = f;
+}
+
+std::uint32_t PagedFile::CacheLookup(std::uint64_t page_id) {
+  std::uint32_t f = page_table_.Find(page_id);
+  if (f == kNoFrame) return kNoFrame;
+  LruUnlink(f);
+  LruPushFront(f);
+  ++cache_hits_;
+  static Counter& cache_hit_count =
+      Registry::Global().GetCounter("vdb_paged_file_cache_hits_total");
+  cache_hit_count.Inc();
+  return f;
+}
+
+void PagedFile::CacheInsert(std::uint64_t page_id, const std::uint8_t* data) {
   if (opts_.cache_pages == 0) return;
-  auto it = cache_.find(page_id);
-  if (it != cache_.end()) {
-    std::memcpy(it->second.data.data(), buf, opts_.page_size);
-    lru_.erase(it->second.lru_it);
-    lru_.push_front(page_id);
-    it->second.lru_it = lru_.begin();
+  std::uint32_t f = page_table_.Find(page_id);
+  if (f != kNoFrame) {  // a write over a cached page
+    std::memcpy(FrameData(f), data, opts_.page_size);
+    LruUnlink(f);
+    LruPushFront(f);
     return;
   }
-  while (cache_.size() >= opts_.cache_pages && !lru_.empty()) {
-    cache_.erase(lru_.back());
-    lru_.pop_back();
+  f = spare_;
+  if (data != FrameData(f)) std::memcpy(FrameData(f), data, opts_.page_size);
+  if (cached_ < opts_.cache_pages) {
+    // Filling up: frames [0, cached_] have been handed out in order.
+    spare_ = static_cast<std::uint32_t>(++cached_);
+  } else {
+    spare_ = lru_tail_;
+    page_table_.Erase(links_[spare_].page);
+    LruUnlink(spare_);
   }
-  lru_.push_front(page_id);
-  CacheEntry entry;
-  entry.lru_it = lru_.begin();
-  entry.data.assign(buf, buf + opts_.page_size);
-  cache_.emplace(page_id, std::move(entry));
+  links_[f].page = page_id;
+  page_table_.Insert(page_id, f);
+  LruPushFront(f);
 }
 
 Status PagedFile::ReadRunLocked(std::uint64_t first_page, std::size_t npages,
-                                std::uint8_t* buf) {
+                                const std::uint8_t** data) {
   auto& reg = Registry::Global();
   static Counter& read_count = reg.GetCounter("vdb_paged_file_reads_total");
   static Counter& read_failures =
@@ -99,15 +180,19 @@ Status PagedFile::ReadRunLocked(std::uint64_t first_page, std::size_t npages,
     read_failures.Inc();
     return Status::IoError("injected failure: paged_file.read.fail");
   }
+  std::uint8_t* buf = FrameData(spare_);
+  if (npages > 1) {
+    run_buf_.resize(npages * opts_.page_size);
+    buf = run_buf_.data();
+  }
   Status read_status = posix_io::PreadFully(
       fd_, buf, npages * opts_.page_size,
-      static_cast<off_t>(first_page * opts_.page_size),
-      ("pread pages " + std::to_string(first_page) + "+" +
-       std::to_string(npages))
-          .c_str());
+      static_cast<off_t>(first_page * opts_.page_size), "pread");
   if (!read_status.ok()) {
     read_failures.Inc();
-    return read_status;
+    return Status::IoError("pages " + std::to_string(first_page) + "+" +
+                           std::to_string(npages) + ": " +
+                           read_status.message());
   }
   reads_ += npages;
   read_count.Inc(npages);
@@ -121,6 +206,7 @@ Status PagedFile::ReadRunLocked(std::uint64_t first_page, std::size_t npages,
     }
     CacheInsert(first_page + i, page);
   }
+  *data = buf;
   return Status::Ok();
 }
 
@@ -129,77 +215,97 @@ Status PagedFile::ReadPage(std::uint64_t page_id, std::uint8_t* buf) {
   if (page_id >= num_pages_) {
     return Status::OutOfRange("page beyond end of file");
   }
-  static Counter& cache_hit_count =
-      Registry::Global().GetCounter("vdb_paged_file_cache_hits_total");
-  if (CacheLookup(page_id, buf)) {
-    cache_hit_count.Inc();
-    return Status::Ok();
+  const std::uint8_t* data = nullptr;
+  std::uint32_t f = CacheLookup(page_id);
+  if (f != kNoFrame) {
+    data = FrameData(f);
+  } else {
+    VDB_RETURN_IF_ERROR(ReadRunLocked(page_id, 1, &data));
   }
-  return ReadRunLocked(page_id, 1, buf);
+  std::memcpy(buf, data, opts_.page_size);
+  return Status::Ok();
+}
+
+Status PagedFile::ReadBlocks(std::span<const std::uint64_t> offsets,
+                             std::size_t len, std::uint8_t* out) {
+  if (offsets.empty()) return Status::Ok();
+  MutexLock lock(mu_);
+  return ReadBlocksLocked(offsets, len, out);
 }
 
 Status PagedFile::ReadPages(std::span<const std::uint64_t> page_ids,
                             std::uint8_t* out) {
   if (page_ids.empty()) return Status::Ok();
   MutexLock lock(mu_);
+  page_offsets_.clear();
   for (std::uint64_t id : page_ids) {
     if (id >= num_pages_) {
       return Status::OutOfRange("page beyond end of file");
     }
+    page_offsets_.push_back(id * opts_.page_size);
+  }
+  return ReadBlocksLocked(page_offsets_, opts_.page_size, out);
+}
+
+Status PagedFile::ReadBlocksLocked(std::span<const std::uint64_t> offsets,
+                                   std::size_t len, std::uint8_t* out) {
+  const std::size_t ps = opts_.page_size;
+  if (len == 0 || len > ps) {
+    return Status::InvalidArgument("block length must be in [1, page_size]");
+  }
+  for (std::uint64_t off : offsets) {
+    if (off / ps >= num_pages_) {
+      return Status::OutOfRange("page beyond end of file");
+    }
+    if (off % ps + len > ps) {
+      return Status::OutOfRange("block crosses a page end");
+    }
   }
   auto& reg = Registry::Global();
-  static Counter& cache_hit_count =
-      reg.GetCounter("vdb_paged_file_cache_hits_total");
   static Counter& batch_reads = reg.GetCounter("vdb_paged_batch_reads_total");
-  static Counter& batch_pages = reg.GetCounter("vdb_paged_batch_pages_total");
+  static Counter& batch_blocks = reg.GetCounter("vdb_paged_batch_pages_total");
   static Counter& batch_syscalls =
       reg.GetCounter("vdb_paged_batch_syscalls_total");
   ++batch_reads_;
   batch_reads.Inc();
-  batch_pages.Inc(page_ids.size());
+  batch_blocks.Inc(offsets.size());
 
-  // Pass 1: serve cache hits, group the missing slots by page id.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> miss_slots;
-  std::vector<std::uint64_t> misses;
-  for (std::size_t i = 0; i < page_ids.size(); ++i) {
-    std::uint8_t* slot = out + i * opts_.page_size;
-    std::uint64_t id = page_ids[i];
-    auto grouped = miss_slots.find(id);
-    if (grouped != miss_slots.end()) {  // duplicate of a known miss
-      grouped->second.push_back(i);
+  // Pass 1: serve cache hits; list the missing slots by page. A repeat of
+  // a missing page misses again (nothing is cached before pass 2), so the
+  // sort below groups its slots.
+  misses_.clear();
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    const std::uint64_t page = offsets[i] / ps;
+    std::uint32_t f = CacheLookup(page);
+    if (f == kNoFrame) {
+      misses_.emplace_back(page, i);
       continue;
     }
-    if (CacheLookup(id, slot)) {
-      cache_hit_count.Inc();
-      continue;
-    }
-    miss_slots.emplace(id, std::vector<std::size_t>{i});
-    misses.push_back(id);
+    std::memcpy(out + i * len, FrameData(f) + offsets[i] % ps, len);
   }
-  if (misses.empty()) return Status::Ok();
-  std::sort(misses.begin(), misses.end());
+  if (misses_.empty()) return Status::Ok();
+  std::sort(misses_.begin(), misses_.end());
 
-  // Pass 2: coalesce the sorted misses into runs of consecutive pages,
-  // one positioned read per run, then distribute to the requesting slots.
-  std::vector<std::uint8_t> run_buf;
-  for (std::size_t r = 0; r < misses.size();) {
-    std::size_t run_end = r + 1;
-    while (run_end < misses.size() &&
-           misses[run_end] == misses[run_end - 1] + 1) {
-      ++run_end;
+  // Pass 2: coalesce the sorted misses into runs of consecutive pages, one
+  // positioned read per run, and copy each slot's block out of its page.
+  for (std::size_t r = 0; r < misses_.size();) {
+    const std::uint64_t first = misses_[r].first;
+    std::uint64_t last = first;
+    std::size_t end = r + 1;
+    while (end < misses_.size() && misses_[end].first <= last + 1) {
+      last = misses_[end].first;
+      ++end;
     }
-    std::size_t run_len = run_end - r;
-    run_buf.resize(run_len * opts_.page_size);
     ++batch_syscalls_;
     batch_syscalls.Inc();
-    VDB_RETURN_IF_ERROR(ReadRunLocked(misses[r], run_len, run_buf.data()));
-    for (std::size_t i = 0; i < run_len; ++i) {
-      const std::uint8_t* page = run_buf.data() + i * opts_.page_size;
-      for (std::size_t slot : miss_slots[misses[r] + i]) {
-        std::memcpy(out + slot * opts_.page_size, page, opts_.page_size);
-      }
+    const std::uint8_t* run = nullptr;
+    VDB_RETURN_IF_ERROR(ReadRunLocked(first, last - first + 1, &run));
+    for (; r < end; ++r) {
+      const std::size_t slot = misses_[r].second;
+      std::memcpy(out + slot * len,
+                  run + (misses_[r].first - first) * ps + offsets[slot] % ps,
+                  len);
     }
-    r = run_end;
   }
   return Status::Ok();
 }

@@ -2,11 +2,10 @@
 #define VDB_STORAGE_PAGED_FILE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/status.h"
@@ -48,15 +47,24 @@ class PagedFile {
   /// Reads page `page_id` into `buf` (page_size bytes).
   Status ReadPage(std::uint64_t page_id, std::uint8_t* buf);
 
-  /// Batched read: fills `out` (page_ids.size() * page_size bytes, slot i
-  /// receiving page_ids[i]; duplicates allowed) under ONE lock
-  /// acquisition. Cache hits are served first; the misses are sorted,
-  /// deduplicated, and coalesced into runs of consecutive pages, each run
-  /// costing a single positioned read — a beam of B candidates costs
-  /// O(runs) syscalls instead of B. All ids are bounds-checked before any
-  /// I/O; on error `out` contents are unspecified. Read-path failpoints
-  /// and the fault_after_ countdown apply per physical read exactly as in
-  /// ReadPage.
+  /// Batched read of sub-page blocks: fills `out` (offsets.size() * len
+  /// bytes, slot i receiving the `len` bytes at byte offset offsets[i];
+  /// duplicates allowed) under ONE lock acquisition. Every block must lie
+  /// inside one page of the file; all are checked before any I/O
+  /// (OutOfRange otherwise). Physical I/O stays page-granular: cache hits
+  /// are served first, then the missing pages are sorted, deduplicated
+  /// and coalesced into runs of consecutive pages, each run costing a
+  /// single positioned read — a beam of B candidates costs O(runs)
+  /// syscalls instead of B. Only the requested bytes are copied out. On
+  /// error `out` contents are unspecified. Read-path failpoints and the
+  /// fault_after_ countdown apply per physical read exactly as in
+  /// ReadPage. Allocation-free once the read scratch has grown to the
+  /// largest batch.
+  Status ReadBlocks(std::span<const std::uint64_t> offsets, std::size_t len,
+                    std::uint8_t* out);
+
+  /// ReadBlocks of whole pages: slot i of `out` (page_size bytes each)
+  /// receives page page_ids[i].
   Status ReadPages(std::span<const std::uint64_t> page_ids,
                    std::uint8_t* out);
 
@@ -89,7 +97,8 @@ class PagedFile {
     MutexLock lock(mu_);
     return cache_hits_;
   }
-  /// ReadPages invocations / coalesced-run syscalls they issued.
+  /// ReadBlocks/ReadPages invocations / coalesced-run syscalls they
+  /// issued.
   std::uint64_t batch_reads() const {
     MutexLock lock(mu_);
     return batch_reads_;
@@ -115,30 +124,47 @@ class PagedFile {
   }
 
  private:
-  PagedFile(int fd, const PagedFileOptions& opts, std::uint64_t num_pages)
-      : fd_(fd), opts_(opts), num_pages_(num_pages) {}
+  PagedFile(int fd, const PagedFileOptions& opts, std::uint64_t num_pages);
 
   static Result<std::unique_ptr<PagedFile>> OpenImpl(
       const std::string& path, const PagedFileOptions& opts, bool truncate);
 
-  /// Callers hold mu_ (compiler-checked).
-  bool CacheLookup(std::uint64_t page_id, std::uint8_t* buf)
+  static constexpr std::uint32_t kNoFrame = 0xFFFFFFFFu;
+
+  // Callers of the helpers below hold mu_ (compiler-checked).
+
+  /// The frame caching `page_id`, moved to the LRU front and counted as a
+  /// hit; kNoFrame on a miss.
+  std::uint32_t CacheLookup(std::uint64_t page_id) VDB_REQUIRES(mu_);
+  /// Caches `data` (page_size bytes) as page `page_id`, most recent. When
+  /// `data` is the spare frame itself (a miss read straight into it) the
+  /// frame is linked in without a copy.
+  void CacheInsert(std::uint64_t page_id, const std::uint8_t* data)
       VDB_REQUIRES(mu_);
-  void CacheInsert(std::uint64_t page_id, const std::uint8_t* buf)
-      VDB_REQUIRES(mu_);
+  void LruUnlink(std::uint32_t f) VDB_REQUIRES(mu_);
+  void LruPushFront(std::uint32_t f) VDB_REQUIRES(mu_);
+  std::uint8_t* FrameData(std::uint32_t f) VDB_REQUIRES(mu_) {
+    return frames_.data() + std::size_t{f} * opts_.page_size;
+  }
   Status WritePageLocked(std::uint64_t page_id, const std::uint8_t* buf)
       VDB_REQUIRES(mu_);
-  /// The single physical-read path (ReadPage and every coalesced
-  /// ReadPages run go through here): fault injection, read failpoints,
-  /// one positioned read of `npages` consecutive pages, read accounting,
-  /// per-page corruption injection, and cache fill.
+  /// The one coalescing loop behind ReadBlocks and ReadPages.
+  Status ReadBlocksLocked(std::span<const std::uint64_t> offsets,
+                          std::size_t len, std::uint8_t* out)
+      VDB_REQUIRES(mu_);
+  /// The single physical-read path (ReadPage and every coalesced run go
+  /// through here): fault injection, read failpoints, one positioned read
+  /// of `npages` consecutive pages, read accounting, per-page corruption
+  /// injection, and cache fill. A one-page run is read into the spare
+  /// frame, a longer one into `run_buf_`; `*data` points at the pages
+  /// until the next read or write.
   Status ReadRunLocked(std::uint64_t first_page, std::size_t npages,
-                       std::uint8_t* buf) VDB_REQUIRES(mu_);
+                       const std::uint8_t** data) VDB_REQUIRES(mu_);
 
   const int fd_;  ///< const after construction; positioned I/O only
   const PagedFileOptions opts_;
 
-  /// Guards every member below (LRU cache, counters, page count): the
+  /// Guards every member below (page cache, counters, page count): the
   /// read path mutates the cache, so "read-only" users still need it.
   /// §9.1 leaf: never held while acquiring another lock (failpoint
   /// evaluation inside ReadRunLocked takes Failpoints::mu only on its
@@ -152,13 +178,48 @@ class PagedFile {
   std::uint64_t batch_syscalls_ VDB_GUARDED_BY(mu_) = 0;
   std::int64_t fault_after_ VDB_GUARDED_BY(mu_) = -1;
 
-  /// LRU cache: most-recent at front.
-  std::list<std::uint64_t> lru_ VDB_GUARDED_BY(mu_);
-  struct CacheEntry {
-    std::list<std::uint64_t>::iterator lru_it;
-    std::vector<std::uint8_t> data;
+  /// Page cache: a slab of cache_pages + 1 frames allocated at open. One
+  /// frame is always spare: a miss is read into it and then linked in,
+  /// evicting the LRU tail, whose frame becomes the next spare. A failed
+  /// or corrupt read leaves the cache exactly as it was.
+  std::vector<std::uint8_t> frames_ VDB_GUARDED_BY(mu_);
+  struct FrameLinks {
+    std::uint64_t page = 0;
+    std::uint32_t prev = kNoFrame;  ///< toward the most recent
+    std::uint32_t next = kNoFrame;  ///< toward the least recent
   };
-  std::unordered_map<std::uint64_t, CacheEntry> cache_ VDB_GUARDED_BY(mu_);
+  std::vector<FrameLinks> links_ VDB_GUARDED_BY(mu_);
+  std::uint32_t lru_head_ VDB_GUARDED_BY(mu_) = kNoFrame;  ///< most recent
+  std::uint32_t lru_tail_ VDB_GUARDED_BY(mu_) = kNoFrame;
+  std::uint32_t spare_ VDB_GUARDED_BY(mu_) = 0;
+  std::size_t cached_ VDB_GUARDED_BY(mu_) = 0;  ///< frames holding a page
+
+  /// Page id -> frame: open addressing over twice the frames (linear
+  /// probing, backward-shift erase), so it never allocates after open.
+  class PageTable {
+   public:
+    explicit PageTable(std::size_t frames);
+    std::uint32_t Find(std::uint64_t page) const;  ///< kNoFrame if absent
+    void Insert(std::uint64_t page, std::uint32_t frame);  ///< page absent
+    void Erase(std::uint64_t page);                        ///< page present
+
+   private:
+    struct Slot {
+      std::uint64_t page = 0;
+      std::uint32_t frame = kNoFrame;
+    };
+    std::size_t Home(std::uint64_t page) const;
+    std::vector<Slot> slots_;
+    int shift_ = 64;
+  };
+  PageTable page_table_ VDB_GUARDED_BY(mu_);
+
+  /// Read scratch, reused across calls: multi-page runs, the (page, slot)
+  /// list of a batch's misses, and ReadPages' offsets.
+  std::vector<std::uint8_t> run_buf_ VDB_GUARDED_BY(mu_);
+  std::vector<std::pair<std::uint64_t, std::size_t>> misses_
+      VDB_GUARDED_BY(mu_);
+  std::vector<std::uint64_t> page_offsets_ VDB_GUARDED_BY(mu_);
 };
 
 }  // namespace vdb

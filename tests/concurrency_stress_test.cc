@@ -483,8 +483,9 @@ TEST(ConcurrencyStressTest, DiskIndexSharedPageCache) {
   });
 }
 
-// Batched and single-page reads race on the same LRU cache: ReadPages
-// fills multiple entries per lock hold while ReadPage churns lookups and
+// Batched and single-page reads race on the same LRU cache: ReadPages and
+// ReadBlocks fill several frames per lock hold (block reads copy sub-page
+// slices out of shared frames) while ReadPage churns lookups and
 // evictions. Content stamps verify no slot is filled from the wrong page.
 TEST(ConcurrencyStressTest, PagedFileBatchVsSingleReadChurn) {
   PagedFileOptions opts;
@@ -500,17 +501,29 @@ TEST(ConcurrencyStressTest, PagedFileBatchVsSingleReadChurn) {
   }
 
   const std::size_t kIters = 60 * StressScale();
+  const std::size_t kBlock = 196;
   RunThreads(6, [&](std::size_t t) {
     std::vector<std::uint8_t> buf(8 * ps);
+    std::vector<std::uint64_t> ids(8);
     for (std::size_t i = 0; i < kIters; ++i) {
-      if (t % 2 == 0) {
-        std::vector<std::uint64_t> ids(8);
-        for (std::size_t j = 0; j < ids.size(); ++j) {
-          ids[j] = (t * 7 + i * 3 + j) % kPages;  // overlapping runs + dups
-        }
+      for (std::size_t j = 0; j < ids.size(); ++j) {
+        ids[j] = (t * 7 + i * 3 + j) % kPages;  // overlapping runs + dups
+      }
+      if (t % 3 == 0) {
         ASSERT_TRUE((*file)->ReadPages(ids, buf.data()).ok());
         for (std::size_t j = 0; j < ids.size(); ++j) {
           ASSERT_EQ(buf[j * ps], static_cast<std::uint8_t>(ids[j]));
+        }
+      } else if (t % 3 == 1) {
+        std::vector<std::uint64_t> offsets(ids.size());
+        for (std::size_t j = 0; j < ids.size(); ++j) {
+          offsets[j] = ids[j] * ps + (i * 97 + j * 389) % (ps - kBlock);
+        }
+        ASSERT_TRUE((*file)->ReadBlocks(offsets, kBlock, buf.data()).ok());
+        for (std::size_t j = 0; j < ids.size(); ++j) {
+          ASSERT_EQ(buf[j * kBlock], static_cast<std::uint8_t>(ids[j]));
+          ASSERT_EQ(buf[j * kBlock + kBlock - 1],
+                    static_cast<std::uint8_t>(ids[j]));
         }
       } else {
         std::uint64_t p = (t * 11 + i) % kPages;

@@ -410,6 +410,29 @@ TEST(CollectionTest, FlushPolicyMemoryBytesCountsEveryPart) {
   EXPECT_GT(c.MemoryBytes(), before_compact);
 }
 
+// A partition column builds one more flat index per segment over the
+// same rows, so a partitioned collection holds each sealed row once more.
+TEST(CollectionTest, MemoryBytesCountsPartitionedIndexes) {
+  const std::size_t kDim = 8, kRow = kDim * sizeof(float) + sizeof(VectorId);
+  FloatMatrix data = TestData(64, kDim);
+  auto bytes = [&](const std::string& partition_column) {
+    CollectionOptions opts = BaseOptions(kDim);
+    opts.index_factory = [] { return std::make_unique<FlatIndex>(); };
+    opts.partition_column = partition_column;
+    auto collection = Collection::Create(opts);
+    EXPECT_TRUE(collection.ok());
+    for (std::size_t i = 0; i < data.rows(); ++i) {
+      EXPECT_TRUE((*collection)
+                      ->Insert(i, data.row_view(i),
+                               {{"category", std::int64_t(i % 4)}})
+                      .ok());
+    }
+    EXPECT_TRUE((*collection)->BuildIndex().ok());
+    return (*collection)->MemoryBytes();
+  };
+  EXPECT_EQ(bytes("category"), bytes("") + data.rows() * kRow);
+}
+
 // Compact merges the sealed segments only; BuildIndex also seals the
 // growing rows. Pins both row counts (sealed = Size - growing), and that
 // BuildIndex on a clean collection builds nothing.

@@ -3,6 +3,7 @@
 // injection, recall floors, and closure replication.
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -184,6 +185,99 @@ TEST(PagedFileTest, ReadPagesFaultCountdownIsPerPhysicalPage) {
   EXPECT_TRUE((*file)->ReadPages(ids, out.data()).ok());
 }
 
+// Sub-page blocks: each slot receives exactly its `len` bytes, whether
+// its page was a cache hit, a miss, a duplicate, or sits at either end of
+// a coalesced run.
+TEST(PagedFileTest, ReadBlocksCopiesSubPageBlocks) {
+  PagedFileOptions opts;
+  opts.cache_pages = 2;
+  auto file = PagedFile::Create(TempPath("pf_blocks"), opts);
+  ASSERT_TRUE(file.ok());
+  const std::size_t ps = (*file)->page_size();
+  auto byte_at = [](std::uint64_t off) {
+    return static_cast<std::uint8_t>(off * 131 + off / 4096);
+  };
+  std::vector<std::uint8_t> page(ps);
+  for (std::uint64_t p = 0; p < 8; ++p) {
+    for (std::size_t b = 0; b < ps; ++b) page[b] = byte_at(p * ps + b);
+    ASSERT_TRUE((*file)->WritePage(p, page.data()).ok());
+  }
+  (*file)->ResetCounters();  // the writes left pages 6 and 7 cached
+
+  const std::size_t len = 196;
+  // Hits on 7 and 6; misses coalesce into runs [1..3] and [5]; page 2 is
+  // requested twice, once at each end of the page.
+  std::vector<std::uint64_t> offsets = {
+      7 * ps + 100, 1 * ps,       2 * ps + ps - len, 6 * ps + 8,
+      3 * ps + 33,  2 * ps + 0,   5 * ps + 4000 - len};
+  std::vector<std::uint8_t> out(offsets.size() * len, 0xEE);
+  ASSERT_TRUE((*file)->ReadBlocks(offsets, len, out.data()).ok());
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    for (std::size_t b = 0; b < len; ++b) {
+      ASSERT_EQ(out[i * len + b], byte_at(offsets[i] + b))
+          << "slot " << i << " byte " << b;
+    }
+  }
+  EXPECT_EQ((*file)->cache_hits(), 2u);
+  EXPECT_EQ((*file)->reads(), 4u);           // pages 1, 2, 3, 5 once each
+  EXPECT_EQ((*file)->batch_syscalls(), 2u);  // runs [1..3] and [5]
+  EXPECT_EQ((*file)->batch_reads(), 1u);
+
+  // The cache kept the last two pages filled (3, then 5): both hit now.
+  std::vector<std::uint64_t> again = {5 * ps + 1, 3 * ps + 2};
+  ASSERT_TRUE((*file)->ReadBlocks(again, len, out.data()).ok());
+  EXPECT_EQ(out[0], byte_at(again[0]));
+  EXPECT_EQ(out[len], byte_at(again[1]));
+  EXPECT_EQ((*file)->cache_hits(), 4u);
+  EXPECT_EQ((*file)->reads(), 4u);
+}
+
+TEST(PagedFileTest, ReadBlocksRejectsBadBlocksBeforeAnyIo) {
+  auto file = PagedFile::Create(TempPath("pf_blocks_oob"));
+  ASSERT_TRUE(file.ok());
+  const std::size_t ps = (*file)->page_size();
+  std::vector<std::uint8_t> page(ps, 1);
+  ASSERT_TRUE((*file)->WritePage(0, page.data()).ok());
+  ASSERT_TRUE((*file)->WritePage(1, page.data()).ok());
+  (*file)->ResetCounters();
+
+  std::vector<std::uint8_t> out(2 * ps);
+  // The second block crosses from page 0 into page 1.
+  std::vector<std::uint64_t> crossing = {0, ps - 10};
+  EXPECT_EQ((*file)->ReadBlocks(crossing, 64, out.data()).code(),
+            StatusCode::kOutOfRange);
+  std::vector<std::uint64_t> beyond = {0, 2 * ps};
+  EXPECT_EQ((*file)->ReadBlocks(beyond, 64, out.data()).code(),
+            StatusCode::kOutOfRange);
+  std::vector<std::uint64_t> one = {0};
+  EXPECT_EQ((*file)->ReadBlocks(one, 0, out.data()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*file)->ReadBlocks(one, ps + 1, out.data()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*file)->reads(), 0u);  // rejected before the first pread
+  EXPECT_EQ((*file)->batch_reads(), 0u);
+  EXPECT_TRUE((*file)->ReadBlocks({}, 64, nullptr).ok());
+}
+
+TEST(PagedFileTest, ReadBlocksFaultCountdownIsPerPhysicalPage) {
+  auto file = PagedFile::Create(TempPath("pf_blocks_fault"));
+  ASSERT_TRUE(file.ok());
+  const std::size_t ps = (*file)->page_size();
+  std::vector<std::uint8_t> page(ps, 1);
+  for (std::uint64_t p = 0; p < 4; ++p) {
+    ASSERT_TRUE((*file)->WritePage(p, page.data()).ok());
+  }
+  // Blocks on pages 0, 1 and 3: runs [0,1] then [3], three physical pages
+  // however small the blocks are.
+  std::vector<std::uint64_t> offsets = {8, ps + 8, 3 * ps + 8};
+  std::vector<std::uint8_t> out(offsets.size() * 16);
+  (*file)->InjectReadFaultAfter(2);
+  EXPECT_EQ((*file)->ReadBlocks(offsets, 16, out.data()).code(),
+            StatusCode::kIoError);
+  (*file)->InjectReadFaultAfter(3);
+  EXPECT_TRUE((*file)->ReadBlocks(offsets, 16, out.data()).ok());
+}
+
 TEST(PagedFileTest, FaultInjectionSurfacesIoError) {
   auto file = PagedFile::Create(TempPath("pf_fault"));
   ASSERT_TRUE(file.ok());
@@ -288,6 +382,60 @@ TEST(DiskAnnTest, RemoveExcludesFromResults) {
   std::vector<Neighbor> results;
   ASSERT_TRUE(index.Search(fx.queries.row(0), p, &results).ok());
   for (const auto& nb : results) EXPECT_NE(nb.id, victim);
+}
+
+// The page cache changes only how many reads reach the disk: answers and
+// every other work counter are the same for no cache, 10% of the pages
+// and all of them, and physical reads never rise as the cache grows.
+TEST(DiskAnnTest, PageCacheIsTransparent) {
+  const auto& fx = SharedDiskFixture();
+  std::size_t num_pages = 0;
+  std::vector<std::vector<Neighbor>> first_results;
+  std::vector<SearchStats> first_stats;
+  std::uint64_t last_io = std::numeric_limits<std::uint64_t>::max();
+  for (int share : {0, 10, 100}) {
+    DiskAnnOptions opts;
+    opts.pq.m = 4;
+    opts.file.cache_pages = num_pages * share / 100;
+    DiskAnnIndex index(TempPath("diskann_cache" + std::to_string(share)),
+                       opts);
+    ASSERT_TRUE(index.Build(fx.data, {}).ok());
+    if (share == 0) num_pages = index.DiskBytes() / opts.file.page_size;
+    SearchParams p;
+    p.k = 10;
+    p.ef = 32;
+    std::uint64_t io = 0;
+    // Two passes over the queries, so the second meets a warm cache.
+    for (std::size_t i = 0; i < 2 * fx.queries.rows(); ++i) {
+      std::vector<Neighbor> got;
+      SearchStats st;
+      ASSERT_TRUE(
+          index.Search(fx.queries.row(i % fx.queries.rows()), p, &got, &st)
+              .ok());
+      io += st.io_reads;
+      if (share == 0) {
+        first_results.push_back(got);
+        first_stats.push_back(st);
+        continue;
+      }
+      ASSERT_EQ(got.size(), first_results[i].size()) << share;
+      for (std::size_t j = 0; j < got.size(); ++j) {
+        EXPECT_EQ(got[j].id, first_results[i][j].id) << share;
+        EXPECT_EQ(got[j].dist, first_results[i][j].dist) << share;
+      }
+      const SearchStats& ref = first_stats[i];
+      EXPECT_EQ(st.distance_comps, ref.distance_comps) << share;
+      EXPECT_EQ(st.code_comps, ref.code_comps) << share;
+      EXPECT_EQ(st.nodes_visited, ref.nodes_visited) << share;
+      EXPECT_EQ(st.hops, ref.hops) << share;
+      EXPECT_EQ(st.filter_checks, ref.filter_checks) << share;
+    }
+    EXPECT_LE(io, last_io) << share;
+    last_io = io;
+    if (share == 100) {
+      EXPECT_EQ(io, 0u);  // every page stayed cached
+    }
+  }
 }
 
 TEST(DiskAnnTest, RejectsOversizedNodeBlock) {

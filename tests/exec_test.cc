@@ -687,9 +687,10 @@ TEST(HybridExecutorTest, BruteForceIsExactOracle) {
   }
 }
 
-TEST(HybridExecutorTest, PostFilterDeficitAtLowAmplification) {
+TEST(HybridExecutorTest, PostFilterPlanRefillsAShortPass) {
   const auto& fx = Fixture();
   HybridExecutor executor(fx.View());
+  const float* query = fx.queries.row(0);
   // ~1/24 selectivity (one cluster AND hot tag).
   auto pred =
       Predicate::And(Predicate::Cmp("cluster", CmpOp::kEq, I(2)),
@@ -697,13 +698,40 @@ TEST(HybridExecutorTest, PostFilterDeficitAtLowAmplification) {
   SearchParams params;
   params.k = 10;
   params.ef = 64;
+
+  // The post-filter operator is single-shot: one pass keeps fewer than k
+  // rows, the deficit the paper warns about (§2.6(3)).
+  PredicateIdFilter filter(&pred, &fx.attrs);
+  SearchParams single = params;
+  single.filter = &filter;
+  single.filter_mode = FilterMode::kPostFilter;
+  single.post_filter_amplification = 1.5f;
   std::vector<Neighbor> got;
-  ExecStats stats;
-  ASSERT_TRUE(executor
-                  .Execute({PlanKind::kPostFilterIndexScan, 1.5f}, pred,
-                           fx.queries.row(0), params, &got, &stats)
-                  .ok());
-  EXPECT_LT(got.size(), 10u);  // the deficit the paper warns about
+  ASSERT_TRUE(fx.index->Search(query, single, &got).ok());
+  EXPECT_LT(got.size(), 10u);
+
+  // The plan refills the short pass: it returns min(k, matching rows), and
+  // only matching rows. The second predicate matches fewer than k rows, so
+  // refills run out and the exact fallback answers.
+  auto few = Predicate::And(pred, Predicate::Cmp("score", CmpOp::kLe, 0.01));
+  for (const Predicate* p : {&pred, &few}) {
+    ExecStats stats;
+    ASSERT_TRUE(executor
+                    .Execute({PlanKind::kPostFilterIndexScan, 1.5f}, *p, query,
+                             params, &got, &stats)
+                    .ok());
+    auto oracle = OracleHybrid(fx, query, *p, 10);
+    EXPECT_EQ(got.size(), oracle.size());
+    EXPECT_GT(stats.refills, 0u);
+    for (const auto& nb : got) {
+      auto m = p->MatchesRow(fx.attrs, nb.id);
+      ASSERT_TRUE(m.ok());
+      EXPECT_TRUE(*m) << nb.id;
+    }
+  }
+  const std::size_t few_rows = OracleHybrid(fx, query, few, 10).size();
+  EXPECT_GT(few_rows, 0u);
+  EXPECT_LT(few_rows, 10u);
 }
 
 TEST(HybridExecutorTest, ExecStatsExposeOperatorCosts) {

@@ -372,6 +372,38 @@ TEST_F(StorageFaultTest, PagedFileBatchReadFaults) {
   std::remove(path.c_str());
 }
 
+// With the page cache on, a corrupt block read is neither cached nor
+// allowed to evict: the cache holds exactly what it held before.
+TEST_F(StorageFaultTest, PagedFileCorruptBlockIsNotCached) {
+  std::string path = TempPath("paged_blocks");
+  PagedFileOptions opts;
+  opts.cache_pages = 2;
+  auto file = PagedFile::Create(path, opts);
+  ASSERT_TRUE(file.ok());
+  const std::size_t ps = (*file)->page_size();
+  std::vector<std::uint8_t> page(ps, 0xAB);
+  for (std::uint64_t p = 0; p < 3; ++p) {
+    ASSERT_TRUE((*file)->WritePage(p, page.data()).ok());
+  }
+  (*file)->ResetCounters();  // pages 1 and 2 are cached
+
+  std::vector<std::uint64_t> block = {0};
+  std::vector<std::uint8_t> out(2 * 16);
+  {
+    ScopedFailpoint fp("paged_file.read.corrupt", "times:1");
+    ASSERT_TRUE((*file)->ReadBlocks(block, 16, out.data()).ok());
+    EXPECT_NE(out[0], 0xAB);  // one bit flipped on the wire
+  }
+  EXPECT_EQ((*file)->reads(), 1u);
+  std::vector<std::uint64_t> cached = {ps + 1, 2 * ps + 1};
+  ASSERT_TRUE((*file)->ReadBlocks(cached, 16, out.data()).ok());
+  EXPECT_EQ((*file)->cache_hits(), 2u);  // nothing was evicted
+  ASSERT_TRUE((*file)->ReadBlocks(block, 16, out.data()).ok());
+  EXPECT_EQ(out[0], 0xAB);  // corruption was not cached
+  EXPECT_EQ((*file)->reads(), 2u);
+  std::remove(path.c_str());
+}
+
 TEST_F(StorageFaultTest, LsmFlushFailureIsAllOrNothing) {
   CollectionOptions opts;
   opts.dim = 2;

@@ -6,10 +6,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <fstream>
+#include <list>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -102,38 +105,105 @@ TEST(WalFuzzTest, RandomCorruptionNeverCrashesAndNeverFabricates) {
 
 // ------------------------------------------------------------- PagedFile
 
+// Contents against a page map, and every hit and miss against a
+// reference LRU (capacity 4): a hit moves its page to the front; a batch
+// serves its hits in request order, then caches its distinct misses in
+// ascending page order; a write caches its page.
 TEST(PagedFileFuzzTest, MatchesInMemoryModel) {
+  constexpr std::size_t kPage = 512, kCache = 4;
   PagedFileOptions opts;
-  opts.page_size = 512;
-  opts.cache_pages = 4;
+  opts.page_size = kPage;
+  opts.cache_pages = kCache;
   auto file = PagedFile::Create(TempPath("pf_model"), opts);
   ASSERT_TRUE(file.ok());
   std::map<std::uint64_t, std::vector<std::uint8_t>> model;
+  std::list<std::uint64_t> lru;  // most recent first
+  std::uint64_t reads = 0, hits = 0;
+  auto touch = [&](std::uint64_t page) {
+    auto it = std::find(lru.begin(), lru.end(), page);
+    if (it == lru.end()) return false;
+    lru.erase(it);
+    lru.push_front(page);
+    return true;
+  };
+  auto cache = [&](std::uint64_t page) {
+    if (touch(page)) return;
+    if (lru.size() >= kCache) lru.pop_back();
+    lru.push_front(page);
+  };
+  auto expected_byte = [&](std::uint64_t page, std::size_t at) {
+    auto it = model.find(page);
+    // A hole inside the file reads as zeros (sparse write).
+    return it == model.end() ? std::uint8_t{0} : it->second[at];
+  };
+
   Rng rng(7);
-  std::vector<std::uint8_t> buf(512);
-  for (int op = 0; op < 2000; ++op) {
-    std::uint64_t page = rng.Next(32);
-    if (rng.NextDouble() < 0.5) {
+  std::vector<std::uint8_t> buf(kPage);
+  for (int op = 0; op < 3000; ++op) {
+    const double kind = rng.NextDouble();
+    if (kind < 0.4) {
+      std::uint64_t page = rng.Next(32);
       for (auto& b : buf) b = static_cast<std::uint8_t>(rng.Next(256));
       ASSERT_TRUE((*file)->WritePage(page, buf.data()).ok());
       model[page] = buf;
-    } else {
+      cache(page);
+    } else if (kind < 0.7) {
+      std::uint64_t page = rng.Next(34);
       Status status = (*file)->ReadPage(page, buf.data());
       if (page >= (*file)->num_pages()) {
         EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
         continue;
       }
       ASSERT_TRUE(status.ok());
-      auto it = model.find(page);
-      if (it != model.end()) {
-        EXPECT_EQ(buf, it->second) << "page " << page;
+      if (touch(page)) {
+        ++hits;
       } else {
-        // Hole inside the file: must read as zeros (sparse write).
-        for (auto b : buf) ASSERT_EQ(b, 0);
+        ++reads;
+        cache(page);
+      }
+      for (std::size_t b = 0; b < kPage; ++b) {
+        ASSERT_EQ(buf[b], expected_byte(page, b)) << "page " << page;
+      }
+    } else {
+      const std::size_t len = 1 + rng.Next(kPage);
+      std::vector<std::uint64_t> offsets(1 + rng.Next(6));
+      bool in_file = true;
+      for (auto& off : offsets) {
+        std::uint64_t page = rng.Next(34);
+        in_file = in_file && page < (*file)->num_pages();
+        off = page * kPage + rng.Next(kPage - len + 1);
+      }
+      std::vector<std::uint8_t> out(offsets.size() * len);
+      Status status = (*file)->ReadBlocks(offsets, len, out.data());
+      if (!in_file) {
+        EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+        continue;
+      }
+      ASSERT_TRUE(status.ok());
+      std::set<std::uint64_t> misses;
+      for (std::uint64_t off : offsets) {
+        if (touch(off / kPage)) {
+          ++hits;
+        } else {
+          misses.insert(off / kPage);
+        }
+      }
+      for (std::uint64_t page : misses) {
+        ++reads;
+        cache(page);
+      }
+      for (std::size_t i = 0; i < offsets.size(); ++i) {
+        for (std::size_t b = 0; b < len; ++b) {
+          ASSERT_EQ(out[i * len + b],
+                    expected_byte(offsets[i] / kPage, offsets[i] % kPage + b))
+              << "op " << op << " slot " << i;
+        }
       }
     }
+    ASSERT_EQ((*file)->reads(), reads) << "op " << op;
+    ASSERT_EQ((*file)->cache_hits(), hits) << "op " << op;
   }
-  EXPECT_GT((*file)->cache_hits(), 0u);
+  EXPECT_GT(hits, 0u);
 }
 
 // ---------------------------------------------------------------- Bitset
