@@ -33,11 +33,6 @@ class Rng {
     return std::normal_distribution<float>(0.0f, 1.0f)(engine_);
   }
 
-  /// Cauchy sample (p-stable family for p=1).
-  float NextCauchy() {
-    return std::cauchy_distribution<float>(0.0f, 1.0f)(engine_);
-  }
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

@@ -51,8 +51,6 @@ class FloatMatrix {
   /// Bytes of payload (excluding container overhead).
   std::size_t ByteSize() const { return data_.size() * sizeof(float); }
 
-  void Reserve(std::size_t rows) { data_.reserve(rows * cols_); }
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -118,13 +116,8 @@ class Bitset {
   std::size_t size() const { return size_; }
 
   void Resize(std::size_t n, bool value = false) {
-    std::size_t old_words = words_.size();
     size_ = n;
     words_.resize((n + 63) / 64, value ? ~std::uint64_t{0} : 0);
-    if (value && old_words > 0 && old_words <= words_.size()) {
-      // Nothing: newly added whole words already set; partial old tail bits
-      // beyond the previous size were kept zero by Trim() on earlier ops.
-    }
     Trim();
   }
 
@@ -134,10 +127,6 @@ class Bitset {
   void Set(std::size_t i) { words_[i >> 6] |= (std::uint64_t{1} << (i & 63)); }
   void Clear(std::size_t i) {
     words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
-  }
-  void SetAll() {
-    for (auto& w : words_) w = ~std::uint64_t{0};
-    Trim();
   }
   void ClearAll() {
     for (auto& w : words_) w = 0;
@@ -175,6 +164,15 @@ class Bitset {
 
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
+};
+
+/// Predicate pushed into an index scan. `Matches` must be cheap and
+/// thread-safe; implementations wrap attribute bitmasks (the block-first
+/// bitmask technique of §2.3).
+class IdFilter {
+ public:
+  virtual ~IdFilter() = default;
+  virtual bool Matches(VectorId id) const = 0;
 };
 
 }  // namespace vdb

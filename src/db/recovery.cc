@@ -14,6 +14,10 @@ namespace vdb {
 
 namespace {
 
+/// Generations kept after a checkpoint: two, so a corrupted newest
+/// checkpoint can fall back to the previous one.
+constexpr std::size_t kRetainGenerations = 2;
+
 bool FileExists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
@@ -171,23 +175,20 @@ Status RecoveryManager::InstallGeneration(std::uint64_t gen) {
   g.wal_file = ManifestGeneration::WalName(gen);
   VDB_RETURN_IF_ERROR(collection_->Checkpoint(PathOf(g.checkpoint_file)));
   FailpointCrashSite("crash.recovery.checkpoint_written");
-  if (opts_.snapshot_index) {
-    Status s =
-        collection_->SaveIndexSnapshot(PathOf(ManifestGeneration::IndexName(gen)));
-    if (s.ok()) {
-      g.index_file = ManifestGeneration::IndexName(gen);
-    } else if (s.code() != StatusCode::kUnsupported) {
-      return s;
-    }
+  Status s = collection_->SaveIndexSnapshot(
+      PathOf(ManifestGeneration::IndexName(gen)));
+  if (s.ok()) {
+    g.index_file = ManifestGeneration::IndexName(gen);
+  } else if (s.code() != StatusCode::kUnsupported) {
+    return s;
   }
   FailpointCrashSite("crash.recovery.snapshot_written");
 
   Manifest next;
   next.current = gen;
-  // Retain the newest (retain_generations - 1) existing generations; the
+  // Retain the newest (kRetainGenerations - 1) existing generations; the
   // new one completes the window.
-  std::size_t keep =
-      opts_.retain_generations > 1 ? opts_.retain_generations - 1 : 0;
+  constexpr std::size_t keep = kRetainGenerations - 1;
   const auto& old = manifest_.generations;
   std::size_t first = old.size() > keep ? old.size() - keep : 0;
   for (std::size_t i = first; i < old.size(); ++i) {

@@ -17,12 +17,6 @@ struct RecoveryOptions {
   /// Collection schema; `wal_path` is ignored (the manager routes the WAL
   /// through generation files).
   CollectionOptions collection;
-  /// Generations kept after a checkpoint (>= 2 so a corrupted newest
-  /// checkpoint can fall back to the previous one).
-  std::size_t retain_generations = 2;
-  /// Save an index snapshot alongside each checkpoint when the index is
-  /// clean and serializable; recovery then skips the rebuild.
-  bool snapshot_index = true;
 };
 
 /// What Open() found and did — also mirrored into `vdb_recovery_*` metrics.
@@ -46,10 +40,11 @@ struct RecoveryReport {
 ///                  CRC (falling back one generation on corruption), load
 ///                  or rebuild the index, replay the WAL chain, truncate a
 ///                  torn tail, and attach the newest WAL for appends.
-///   Checkpoint() — write a new generation (checkpoint + optional index
-///                  snapshot), flip the manifest atomically, rotate the
-///                  WAL, and garbage-collect generations beyond the
-///                  retention window.
+///   Checkpoint() — write a new generation (checkpoint, plus an index
+///                  snapshot when the index is clean and serializable, so
+///                  recovery skips the rebuild), flip the manifest
+///                  atomically, rotate the WAL, and garbage-collect all
+///                  but the two newest generations.
 ///
 /// Like Collection itself, not thread-safe: quiesce mutations around
 /// Checkpoint().

@@ -11,12 +11,15 @@ std::vector<HybridPlan> EnumeratePlans(const CollectionView& view,
   std::vector<HybridPlan> plans;
   plans.push_back({PlanKind::kBruteForceHybrid, 3.0f});
   if (view.segments.empty()) return plans;
-  plans.push_back({PlanKind::kPreFilterIndexScan, 3.0f});
+  // Every segment is built by one factory, and carries partitions when the
+  // collection has a partition column.
+  const Segment& first = view.segments.front();
+  if (!first.index->IsGraph()) {
+    plans.push_back({PlanKind::kPreFilterIndexScan, 3.0f});
+  }
   plans.push_back({PlanKind::kPostFilterIndexScan, 3.0f});
   plans.push_back({PlanKind::kVisitFirstIndexScan, 3.0f});
-  // Every segment carries partitions when the collection has a column.
-  const AttributePartitionedIndex* partitioned =
-      view.segments.front().partitioned.get();
+  const AttributePartitionedIndex* partitioned = first.partitioned.get();
   if (partitioned != nullptr) {
     std::string column;
     AttrValue value;
@@ -49,7 +52,12 @@ Result<HybridPlan> RuleBasedOptimizer::Choose(const Predicate& pred,
     float amp = static_cast<float>(std::min(10.0, 2.0 / std::max(s, 0.01)));
     return HybridPlan{PlanKind::kPostFilterIndexScan, amp};
   }
-  return HybridPlan{PlanKind::kPreFilterIndexScan, 3.0f};
+  // Middle band: block through the index, except over a graph, whose
+  // traversal blocking would disconnect.
+  return HybridPlan{view.segments.front().index->IsGraph()
+                        ? PlanKind::kVisitFirstIndexScan
+                        : PlanKind::kPreFilterIndexScan,
+                    3.0f};
 }
 
 double CostBasedOptimizer::EstimateCost(const HybridPlan& plan, double s,

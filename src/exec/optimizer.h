@@ -9,9 +9,10 @@
 
 namespace vdb {
 
-/// Enumerates the physically executable plans for a predicated query
-/// against `view` (paper §2.3 "Plan Enumeration": index availability
-/// determines the space, AnalyticDB-V style).
+/// Enumerates the plans worth choosing for a predicated query against
+/// `view` (paper §2.3 "Plan Enumeration": index availability determines
+/// the space, AnalyticDB-V style). Graph segments get no pre-filter plan:
+/// block-first disconnects their traversal.
 std::vector<HybridPlan> EnumeratePlans(const CollectionView& view,
                                        const Predicate& pred);
 
@@ -30,7 +31,7 @@ class PlanOptimizer {
 /// Rule-based selection on selectivity thresholds (the Qdrant/Vespa
 /// heuristic): very selective predicates brute-force the matching rows;
 /// permissive predicates post-filter; the middle band pre-filters through
-/// the index.
+/// the index, or filters while visiting when the index is a graph.
 struct RuleBasedOptions {
   double brute_force_below = 0.02;  ///< s < this: scan matches exactly
   double post_filter_above = 0.50;  ///< s > this: filter barely bites

@@ -118,7 +118,7 @@ Status BspForest::SearchImpl(const float* query, const SearchParams& params,
       if (!Admissible(idx, params, stats)) continue;
       float dist = scorer_.Distance(query, vector(idx));
       if (stats != nullptr) ++stats->distance_comps;
-      top.Push(labels_[idx], dist);
+      top.Push(label(idx), dist);
     }
   }
   *out = top.Take();

@@ -20,7 +20,6 @@ namespace vdb {
 class BspForest : public DenseIndexBase {
  public:
   std::size_t MemoryBytes() const override;
-  Status Remove(VectorId id) override { return RemoveBase(id).status(); }
 
   /// Total leaves across the forest (the budget for an exhaustive search).
   std::size_t TotalLeaves() const;

@@ -3,25 +3,33 @@
 
 #include <algorithm>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "core/row_ids.h"
 #include "index/graph_util.h"
 #include "index/index.h"
 
 namespace vdb {
 
+class BinaryReader;  // storage/serializer.h
+class BinaryWriter;
+
 /// Shared machinery for in-memory indexes: owned copy of the vectors,
-/// external-label mapping, tombstones, and the metric scorer. Indexes copy
-/// their data (faiss-style) so they stay decoupled from the storage
-/// manager's lifecycle.
+/// their row identity (labels and tombstones, one RowIds), and the metric
+/// scorer. Indexes copy their data (faiss-style) so they stay decoupled
+/// from the storage manager's lifecycle.
 class DenseIndexBase : public VectorIndex {
  public:
-  std::size_t Size() const override { return live_count_; }
+  std::size_t Size() const override { return rows_.live(); }
+  /// Tombstones the label's row. Graph nodes keep routing traffic (their
+  /// edges stay) but no longer appear in results — the standard
+  /// out-of-place delete.
+  Status Remove(VectorId id) override { return rows_.Remove(id); }
   std::size_t dim() const { return data_.cols(); }
   const Scorer& scorer() const { return scorer_; }
-  VectorId label(std::uint32_t idx) const { return labels_[idx]; }
+  VectorId label(std::uint32_t idx) const { return rows_.label(idx); }
   const float* vector(std::uint32_t idx) const { return data_.row(idx); }
+  const RowIds& row_ids() const { return rows_; }
 
  protected:
   /// Copies data/ids and creates the scorer. Call first from Build.
@@ -33,64 +41,28 @@ class DenseIndexBase : public VectorIndex {
     }
     VDB_ASSIGN_OR_RETURN(scorer_, Scorer::Create(spec, data.cols()));
     data_ = data;
-    labels_.resize(data.rows());
-    id_to_idx_.clear();
-    for (std::size_t i = 0; i < data.rows(); ++i) {
-      labels_[i] = ids.empty() ? static_cast<VectorId>(i) : ids[i];
-      id_to_idx_[labels_[i]] = static_cast<std::uint32_t>(i);
-    }
-    deleted_ = Bitset(data.rows());
-    live_count_ = data.rows();
+    rows_.Reset(data.rows(), ids);
     return Status::Ok();
   }
 
-  /// Appends one vector (for incremental indexes); returns internal index.
-  /// A removed label may be added again: its old row stays a tombstone and
-  /// the label maps to the new row.
+  /// Appends one vector (for incremental indexes) under RowIds' re-add
+  /// rule; returns its internal index.
   Result<std::uint32_t> AddBase(const float* vec, VectorId id) {
     if (data_.cols() == 0) {
       return Status::FailedPrecondition("index not built");
     }
-    auto it = id_to_idx_.find(id);
-    if (it != id_to_idx_.end() && !deleted_.Test(it->second)) {
-      return Status::AlreadyExists("id already indexed");
-    }
-    std::uint32_t idx = static_cast<std::uint32_t>(data_.rows());
+    VDB_ASSIGN_OR_RETURN(std::uint32_t idx, rows_.Append(id));
     data_.AppendRow(vec, data_.cols());
-    labels_.push_back(id);
-    id_to_idx_[id] = idx;
-    deleted_.Resize(data_.rows());
-    ++live_count_;
     return idx;
   }
 
-  /// Marks a label as deleted; returns its internal index.
-  Result<std::uint32_t> RemoveBase(VectorId id) {
-    auto it = id_to_idx_.find(id);
-    if (it == id_to_idx_.end()) return Status::NotFound("id not indexed");
-    VDB_RETURN_IF_ERROR(DeleteRow(it->second));
-    return it->second;
-  }
-
-  /// Tombstones internal row `idx`. Snapshot loaders restore tombstones by
-  /// row: a removed and re-added label has two rows.
-  Status DeleteRow(std::uint32_t idx) {
-    if (deleted_.Test(idx)) return Status::NotFound("id deleted");
-    deleted_.Set(idx);
-    --live_count_;
-    return Status::Ok();
-  }
-
-  bool IsDeleted(std::uint32_t idx) const { return deleted_.Test(idx); }
+  bool IsDeleted(std::uint32_t idx) const { return rows_.IsDeleted(idx); }
 
   /// True when the candidate may enter the result set: live and (when a
   /// filter is active) matching. Counts the filter probe.
   bool Admissible(std::uint32_t idx, const SearchParams& params,
                   SearchStats* stats) const {
-    if (IsDeleted(idx)) return false;
-    if (params.filter == nullptr) return true;
-    if (stats != nullptr) ++stats->filter_checks;
-    return params.filter->Matches(labels_[idx]);
+    return rows_.Admissible(idx, params.filter, stats);
   }
 
   /// The k-NN tail every graph family shares: beam search from `entries`
@@ -114,21 +86,24 @@ class DenseIndexBase : public VectorIndex {
         stats);
     out->clear();
     for (std::size_t i = 0; i < std::min(params.k, results.size()); ++i) {
-      out->push_back({labels_[results[i].idx], results[i].dist});
+      out->push_back({label(results[i].idx), results[i].dist});
     }
   }
 
   std::size_t TotalRows() const { return data_.rows(); }
 
   std::size_t BaseMemoryBytes() const {
-    return data_.ByteSize() + labels_.size() * sizeof(VectorId);
+    return data_.ByteSize() + rows_.LabelBytes();
   }
 
+  /// The snapshot row block every persistent family shares: vectors,
+  /// labels, then the tombstoned rows.
+  void SaveRows(BinaryWriter* w) const;
+  /// Reads a block written by SaveRows and initializes the base from it.
+  Status LoadRows(BinaryReader* r, const MetricSpec& spec);
+
   FloatMatrix data_;
-  std::vector<VectorId> labels_;
-  std::unordered_map<VectorId, std::uint32_t> id_to_idx_;
-  Bitset deleted_;
-  std::size_t live_count_ = 0;
+  RowIds rows_;
   Scorer scorer_;
 };
 

@@ -31,14 +31,7 @@ Status DiskAnnIndex::Build(const FloatMatrix& data,
   VDB_RETURN_IF_ERROR(vamana.Build(data, ids));
   medoid_ = vamana.medoid();
 
-  labels_.resize(data.rows());
-  id_to_idx_.clear();
-  for (std::size_t i = 0; i < data.rows(); ++i) {
-    labels_[i] = ids.empty() ? static_cast<VectorId>(i) : ids[i];
-    id_to_idx_[labels_[i]] = static_cast<std::uint32_t>(i);
-  }
-  deleted_ = Bitset(data.rows());
-  live_count_ = data.rows();
+  rows_.Reset(data.rows(), ids);
 
   // 2. In-memory PQ navigation codes over the raw vectors.
   pq_ = ProductQuantizer(opts_.pq);
@@ -75,16 +68,6 @@ Status DiskAnnIndex::Build(const FloatMatrix& data,
   return Status::Ok();
 }
 
-Status DiskAnnIndex::Remove(VectorId id) {
-  auto it = id_to_idx_.find(id);
-  if (it == id_to_idx_.end() || deleted_.Test(it->second)) {
-    return Status::NotFound("id not indexed");
-  }
-  deleted_.Set(it->second);
-  --live_count_;
-  return Status::Ok();
-}
-
 Status DiskAnnIndex::SearchImpl(const float* query,
                                 const SearchParams& params,
                                 std::vector<Neighbor>* out,
@@ -106,10 +89,7 @@ Status DiskAnnIndex::SearchImpl(const float* query,
                            codes_.data() + std::size_t{idx} * pq_.code_size());
   };
   auto admit = [&](std::uint32_t idx) {
-    if (deleted_.Test(idx)) return false;
-    if (params.filter == nullptr) return true;
-    if (stats != nullptr) ++stats->filter_checks;
-    return params.filter->Matches(labels_[idx]);
+    return rows_.Admissible(idx, params.filter, stats);
   };
 
   // Candidate list (DiskANN's L-list): ascending by ADC distance.
@@ -118,8 +98,8 @@ Status DiskAnnIndex::SearchImpl(const float* query,
     std::uint32_t idx;
   };
   std::vector<Cand> cands;
-  Bitset seen(labels_.size());
-  Bitset expanded(labels_.size());
+  Bitset seen(rows_.rows());
+  Bitset expanded(rows_.rows());
   auto insert_cand = [&](std::uint32_t idx) {
     if (seen.Test(idx)) return;
     seen.Set(idx);
@@ -186,14 +166,14 @@ Status DiskAnnIndex::SearchImpl(const float* query,
   out->clear();
   for (const auto& nb : exact.Take()) {
     if (out->size() >= params.k) break;
-    out->push_back({labels_[static_cast<std::uint32_t>(nb.id)], nb.dist});
+    out->push_back({rows_.label(static_cast<std::uint32_t>(nb.id)), nb.dist});
   }
   if (stats != nullptr) stats->io_reads += file_->reads() - reads_before;
   return Status::Ok();
 }
 
 std::size_t DiskAnnIndex::MemoryBytes() const {
-  return codes_.size() + labels_.size() * sizeof(VectorId) +
+  return codes_.size() + rows_.LabelBytes() +
          pq_.m() * pq_.ksub() * pq_.dsub() * sizeof(float);
 }
 

@@ -4,9 +4,9 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "core/row_ids.h"
 #include "index/index.h"
 #include "index/vamana.h"
 #include "quant/pq.h"
@@ -34,16 +34,16 @@ class DiskAnnIndex final : public VectorIndex {
       : path_(std::move(path)), opts_(opts) {}
 
   std::string Name() const override { return "diskann"; }
+  bool IsGraph() const override { return true; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
-  Status Remove(VectorId id) override;
-  std::size_t Size() const override { return live_count_; }
+  Status Remove(VectorId id) override { return rows_.Remove(id); }
+  std::size_t Size() const override { return rows_.live(); }
   /// In-memory footprint only (codes, labels, codebooks) — the number the
   /// paper contrasts with in-memory indexes.
   std::size_t MemoryBytes() const override;
 
   /// Bytes of the on-disk structure.
   std::size_t DiskBytes() const;
-  std::uint64_t TotalPageReads() const { return file_ ? file_->reads() : 0; }
 
  protected:
   Status SearchImpl(const float* query, const SearchParams& params,
@@ -57,13 +57,10 @@ class DiskAnnIndex final : public VectorIndex {
   std::size_t node_stride_ = 0;
   std::size_t nodes_per_page_ = 0;
   std::uint32_t medoid_ = 0;
-  std::size_t live_count_ = 0;
   Scorer scorer_;
   ProductQuantizer pq_;
   std::vector<std::uint8_t> codes_;   ///< in-memory PQ codes
-  std::vector<VectorId> labels_;
-  std::unordered_map<VectorId, std::uint32_t> id_to_idx_;
-  Bitset deleted_;
+  RowIds rows_;
   mutable std::unique_ptr<PagedFile> file_;
 };
 

@@ -31,8 +31,8 @@ class FanngIndex final : public DenseIndexBase {
   explicit FanngIndex(const FanngOptions& opts = {}) : opts_(opts) {}
 
   std::string Name() const override { return "fanng"; }
+  bool IsGraph() const override { return true; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
-  Status Remove(VectorId id) override { return RemoveBase(id).status(); }
   std::size_t MemoryBytes() const override;
 
   /// Trials that required an edge insertion (diagnostic: decays as the

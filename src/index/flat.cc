@@ -13,8 +13,6 @@ Status FlatIndex::Add(const float* vec, VectorId id) {
   return AddBase(vec, id).status();
 }
 
-Status FlatIndex::Remove(VectorId id) { return RemoveBase(id).status(); }
-
 Status FlatIndex::SearchImpl(const float* query, const SearchParams& params,
                              std::vector<Neighbor>* out,
                              SearchStats* stats) const {
@@ -26,7 +24,7 @@ Status FlatIndex::SearchImpl(const float* query, const SearchParams& params,
     if (!Admissible(i, params, stats)) continue;
     float dist = scorer_.Distance(query, vector(i));
     if (stats != nullptr) ++stats->distance_comps;
-    top.Push(labels_[i], dist);
+    top.Push(label(i), dist);
   }
   *out = top.Take();
   return Status::Ok();
@@ -42,7 +40,7 @@ Status FlatIndex::RangeSearch(const float* query, float radius,
     if (IsDeleted(i)) continue;
     float dist = scorer_.Distance(query, vector(i));
     if (stats != nullptr) ++stats->distance_comps;
-    if (dist <= radius) out->push_back({labels_[i], dist});
+    if (dist <= radius) out->push_back({label(i), dist});
   }
   std::sort(out->begin(), out->end());
   return Status::Ok();

@@ -20,7 +20,6 @@ class FlatIndex final : public DenseIndexBase {
   std::string Name() const override { return "flat"; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
-  Status Remove(VectorId id) override;
   Status RangeSearch(const float* query, float radius,
                      std::vector<Neighbor>* out,
                      SearchStats* stats = nullptr) const override;

@@ -39,12 +39,6 @@ Status HnswIndex::Add(const float* vec, VectorId id) {
   return Status::Ok();
 }
 
-Status HnswIndex::Remove(VectorId id) {
-  // Tombstone: the node keeps routing traffic (its edges stay) but can no
-  // longer appear in results — the standard out-of-place delete for graphs.
-  return RemoveBase(id).status();
-}
-
 int HnswIndex::RandomLevel(Rng* rng) const {
   double u = std::max(rng->NextDouble(), 1e-12);
   return static_cast<int>(-std::log(u) * level_mult_);
@@ -171,11 +165,10 @@ Status HnswIndex::SearchWithEntryHint(const float* query, VectorId hint,
                                       SearchStats* stats) const {
   if (out == nullptr) return Status::InvalidArgument("out must not be null");
   out->clear();
-  auto it = id_to_idx_.find(hint);
-  if (it == id_to_idx_.end()) {
+  std::uint32_t entries[1] = {rows_.RowOf(hint)};
+  if (entries[0] == RowIds::kNoRow) {
     return Status::NotFound("entry hint not indexed");
   }
-  std::uint32_t entries[1] = {it->second};
   GraphSearch(
       query, entries, [this](std::uint32_t u) { return Neighbors(u, 0); },
       opts_.default_ef, params, out, stats);
@@ -214,7 +207,7 @@ Status HnswIndex::RangeSearch(const float* query, float radius,
   {
     float d = scorer_.Distance(query, vector(cur));
     if (stats != nullptr) ++stats->distance_comps;
-    if (d <= radius && !IsDeleted(cur)) out->push_back({labels_[cur], d});
+    if (d <= radius && !IsDeleted(cur)) out->push_back({label(cur), d});
     if (d > radius * slack) {
       // Entry landed outside the halo: fall back to a k-NN probe to find
       // a seed inside the ball, if any.
@@ -227,7 +220,7 @@ Status HnswIndex::RangeSearch(const float* query, float radius,
         std::sort(out->begin(), out->end());
         return Status::Ok();  // ball is (almost surely) empty
       }
-      frontier = {id_to_idx_.at(seed[0].id)};
+      frontier = {rows_.RowOf(seed[0].id)};
       out->clear();
       visited.ClearAll();
       visited.Set(frontier[0]);
@@ -246,7 +239,7 @@ Status HnswIndex::RangeSearch(const float* query, float radius,
       visited.Set(nb);
       float d = scorer_.Distance(query, vector(nb));
       if (stats != nullptr) ++stats->distance_comps;
-      if (d <= radius && !IsDeleted(nb)) out->push_back({labels_[nb], d});
+      if (d <= radius && !IsDeleted(nb)) out->push_back({label(nb), d});
       if (d <= radius * slack) frontier.push_back(nb);
     }
   }
@@ -262,14 +255,7 @@ Status HnswIndex::Save(const std::string& path) const {
   w.U64(opts_.default_ef);
   w.U64(opts_.seed);
   w.U8(opts_.use_select_heuristic ? 1 : 0);
-  w.Matrix(data_);
-  w.U64Vector(labels_);
-  // Tombstones as the list of deleted internal indexes.
-  std::vector<std::uint32_t> deleted;
-  for (std::size_t i = 0; i < data_.rows(); ++i) {
-    if (deleted_.Test(i)) deleted.push_back(static_cast<std::uint32_t>(i));
-  }
-  w.U32Vector(deleted);
+  SaveRows(&w);
   w.U32(entry_point_);
   w.U32(static_cast<std::uint32_t>(max_level_ + 1));  // bias: -1 allowed
   w.U64(links_.size());
@@ -292,25 +278,16 @@ Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(const std::string& path) {
   opts.use_select_heuristic = heuristic != 0;
 
   auto index = std::make_unique<HnswIndex>(opts);
-  VDB_ASSIGN_OR_RETURN(FloatMatrix data, r.Matrix());
-  VDB_ASSIGN_OR_RETURN(std::vector<std::uint64_t> labels, r.U64Vector());
-  if (labels.size() != data.rows()) {
-    return Status::Corruption("labels/rows mismatch");
-  }
-  VDB_RETURN_IF_ERROR(index->InitBase(data, labels, opts.metric));
+  VDB_RETURN_IF_ERROR(index->LoadRows(&r, opts.metric));
   index->level_mult_ = 1.0 / std::log(static_cast<double>(opts.m));
-
-  VDB_ASSIGN_OR_RETURN(std::vector<std::uint32_t> deleted, r.U32Vector());
-  for (std::uint32_t idx : deleted) {
-    if (idx >= data.rows()) return Status::Corruption("bad tombstone");
-    VDB_RETURN_IF_ERROR(index->DeleteRow(idx));
-  }
 
   VDB_ASSIGN_OR_RETURN(index->entry_point_, r.U32());
   VDB_ASSIGN_OR_RETURN(std::uint32_t biased_level, r.U32());
   index->max_level_ = static_cast<int>(biased_level) - 1;
   VDB_ASSIGN_OR_RETURN(std::uint64_t nodes, r.U64());
-  if (nodes != data.rows()) return Status::Corruption("links/rows mismatch");
+  if (nodes != index->TotalRows()) {
+    return Status::Corruption("links/rows mismatch");
+  }
   index->links_.resize(nodes);
   for (auto& per_node : index->links_) {
     VDB_ASSIGN_OR_RETURN(std::uint32_t levels, r.U32());

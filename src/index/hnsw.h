@@ -34,9 +34,9 @@ class HnswIndex final : public DenseIndexBase {
   explicit HnswIndex(const HnswOptions& opts = {}) : opts_(opts) {}
 
   std::string Name() const override { return "hnsw"; }
+  bool IsGraph() const override { return true; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
-  Status Remove(VectorId id) override;
   bool SupportsAdd() const override { return true; }
   std::size_t MemoryBytes() const override;
 

@@ -16,15 +16,6 @@ namespace vdb {
 
 class QueryTrace;  // exec/trace.h — optional per-query span recorder
 
-/// Predicate pushed into an index scan. `Matches` must be cheap and
-/// thread-safe; implementations wrap attribute bitmasks (the block-first
-/// bitmask technique of §2.3) or arbitrary callbacks.
-class IdFilter {
- public:
-  virtual ~IdFilter() = default;
-  virtual bool Matches(VectorId id) const = 0;
-};
-
 /// Filter over a bitset keyed by (dense) external id. The standard carrier
 /// for attribute bitmasks built by the storage manager.
 class BitsetIdFilter final : public IdFilter {
@@ -37,18 +28,6 @@ class BitsetIdFilter final : public IdFilter {
 
  private:
   const Bitset* bits_;  // not owned
-};
-
-/// Arbitrary-predicate filter (used for tests and ad-hoc callers).
-class CallbackIdFilter final : public IdFilter {
- public:
-  using Fn = bool (*)(VectorId, const void*);
-  CallbackIdFilter(Fn fn, const void* ctx) : fn_(fn), ctx_(ctx) {}
-  bool Matches(VectorId id) const override { return fn_(id, ctx_); }
-
- private:
-  Fn fn_;
-  const void* ctx_;
 };
 
 /// How a predicate combines with an index scan (paper §2.3 "Hybrid
@@ -138,6 +117,11 @@ class VectorIndex {
   virtual std::size_t MemoryBytes() const = 0;
 
   virtual bool SupportsAdd() const { return false; }
+
+  /// True for the graph families. Blocking rows before a graph traversal
+  /// (kBlockFirst) can disconnect it (§2.3), so planners do not offer the
+  /// pre-filter plan over a graph; an explicit kBlockFirst still runs.
+  virtual bool IsGraph() const { return false; }
 
  protected:
   /// Family-specific search; `params.filter_mode` is never kPostFilter

@@ -24,6 +24,25 @@ Status IvfBase::BuildCoarse() {
   return Status::Ok();
 }
 
+void IvfBase::SaveLists(BinaryWriter* w) const {
+  w->Matrix(centroids_);
+  w->U64(lists_.size());
+  for (const auto& list : lists_) w->U32Vector(list);
+}
+
+Status IvfBase::LoadLists(BinaryReader* r) {
+  VDB_ASSIGN_OR_RETURN(centroids_, r->Matrix());
+  VDB_ASSIGN_OR_RETURN(std::uint64_t nlists, r->U64());
+  lists_.resize(nlists);
+  for (auto& list : lists_) {
+    VDB_ASSIGN_OR_RETURN(list, r->U32Vector());
+    for (std::uint32_t idx : list) {
+      if (idx >= TotalRows()) return Status::Corruption("bad list entry");
+    }
+  }
+  return Status::Ok();
+}
+
 Status IvfFlatIndex::Build(const FloatMatrix& data,
                            std::span<const VectorId> ids) {
   VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
@@ -35,8 +54,6 @@ Status IvfFlatIndex::Add(const float* vec, VectorId id) {
   lists_[NearestCentroid(centroids_, vec)].push_back(idx);
   return Status::Ok();
 }
-
-Status IvfFlatIndex::Remove(VectorId id) { return RemoveBase(id).status(); }
 
 Status IvfFlatIndex::SearchImpl(const float* query, const SearchParams& params,
                                 std::vector<Neighbor>* out,
@@ -52,7 +69,7 @@ Status IvfFlatIndex::SearchImpl(const float* query, const SearchParams& params,
       if (!Admissible(idx, params, stats)) continue;
       float dist = scorer_.Distance(query, vector(idx));
       if (stats != nullptr) ++stats->distance_comps;
-      top.Push(labels_[idx], dist);
+      top.Push(label(idx), dist);
     }
   }
   *out = top.Take();
@@ -92,7 +109,7 @@ Status IvfFlatIndex::BatchSearch(const FloatMatrix& queries,
       for (std::uint32_t q : interested) {
         float dist = scorer_.Distance(queries.row(q), vec);
         if (stats != nullptr) ++stats->distance_comps;
-        tops[q].Push(labels_[idx], dist);
+        tops[q].Push(label(idx), dist);
       }
     }
   }
@@ -110,16 +127,8 @@ Status IvfFlatIndex::Save(const std::string& path) const {
   w.U32(static_cast<std::uint32_t>(opts_.kmeans_iters));
   w.U64(opts_.seed);
   w.U64(opts_.rerank_factor);
-  w.Matrix(data_);
-  w.U64Vector(labels_);
-  std::vector<std::uint32_t> deleted;
-  for (std::size_t i = 0; i < data_.rows(); ++i) {
-    if (deleted_.Test(i)) deleted.push_back(static_cast<std::uint32_t>(i));
-  }
-  w.U32Vector(deleted);
-  w.Matrix(centroids_);
-  w.U64(lists_.size());
-  for (const auto& list : lists_) w.U32Vector(list);
+  SaveRows(&w);
+  SaveLists(&w);
   return w.WriteTo(path);
 }
 
@@ -137,26 +146,8 @@ Result<std::unique_ptr<IvfFlatIndex>> IvfFlatIndex::Load(
   VDB_ASSIGN_OR_RETURN(opts.rerank_factor, r.U64());
 
   auto index = std::make_unique<IvfFlatIndex>(opts);
-  VDB_ASSIGN_OR_RETURN(FloatMatrix data, r.Matrix());
-  VDB_ASSIGN_OR_RETURN(std::vector<std::uint64_t> labels, r.U64Vector());
-  if (labels.size() != data.rows()) {
-    return Status::Corruption("labels/rows mismatch");
-  }
-  VDB_RETURN_IF_ERROR(index->InitBase(data, labels, opts.metric));
-  VDB_ASSIGN_OR_RETURN(std::vector<std::uint32_t> deleted, r.U32Vector());
-  for (std::uint32_t idx : deleted) {
-    if (idx >= data.rows()) return Status::Corruption("bad tombstone");
-    VDB_RETURN_IF_ERROR(index->DeleteRow(idx));
-  }
-  VDB_ASSIGN_OR_RETURN(index->centroids_, r.Matrix());
-  VDB_ASSIGN_OR_RETURN(std::uint64_t nlists, r.U64());
-  index->lists_.resize(nlists);
-  for (auto& list : index->lists_) {
-    VDB_ASSIGN_OR_RETURN(list, r.U32Vector());
-    for (std::uint32_t idx : list) {
-      if (idx >= data.rows()) return Status::Corruption("bad list entry");
-    }
-  }
+  VDB_RETURN_IF_ERROR(index->LoadRows(&r, opts.metric));
+  VDB_RETURN_IF_ERROR(index->LoadLists(&r));
   return index;
 }
 

@@ -36,6 +36,11 @@ class IvfBase : public DenseIndexBase {
   /// Runs k-means and fills `lists_` with the internal ids per bucket.
   Status BuildCoarse();
 
+  /// The snapshot block IVF-Flat and IVF-PQ share after SaveRows:
+  /// centroids, then each inverted list.
+  void SaveLists(BinaryWriter* w) const;
+  Status LoadLists(BinaryReader* r);
+
   int EffectiveNprobe(const SearchParams& params) const {
     int np = params.nprobe > 0 ? params.nprobe : opts_.default_nprobe;
     return std::min<int>(np, static_cast<int>(lists_.size()));
@@ -54,7 +59,6 @@ class IvfFlatIndex final : public IvfBase {
   std::string Name() const override { return "ivf-flat"; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
-  Status Remove(VectorId id) override;
   std::size_t MemoryBytes() const override;
   bool SupportsAdd() const override { return true; }
 

@@ -85,8 +85,6 @@ Status IvfPqIndex::Add(const float* vec, VectorId id) {
   return Status::Ok();
 }
 
-Status IvfPqIndex::Remove(VectorId id) { return RemoveBase(id).status(); }
-
 Status IvfPqIndex::SearchImpl(const float* query, const SearchParams& params,
                               std::vector<Neighbor>* out,
                               SearchStats* stats) const {
@@ -128,7 +126,7 @@ Status IvfPqIndex::SearchImpl(const float* query, const SearchParams& params,
       dist = scorer_.Distance(query, vector(idx));
       if (stats != nullptr) ++stats->distance_comps;
     }
-    top.Push(labels_[idx], dist);
+    top.Push(label(idx), dist);
   }
   *out = top.Take();
   return Status::Ok();
@@ -144,16 +142,8 @@ Status IvfPqIndex::Save(const std::string& path) const {
   w.U32(static_cast<std::uint32_t>(pq_opts_.ivf.default_nprobe));
   w.U64(pq_opts_.ivf.seed);
   w.U64(pq_opts_.ivf.rerank_factor);
-  w.Matrix(data_);
-  w.U64Vector(labels_);
-  std::vector<std::uint32_t> deleted;
-  for (std::size_t i = 0; i < data_.rows(); ++i) {
-    if (deleted_.Test(i)) deleted.push_back(static_cast<std::uint32_t>(i));
-  }
-  w.U32Vector(deleted);
-  w.Matrix(centroids_);
-  w.U64(lists_.size());
-  for (const auto& list : lists_) w.U32Vector(list);
+  SaveRows(&w);
+  SaveLists(&w);
   pq_.SaveTo(&w);
   w.U64(codes_.size());
   w.Bytes(codes_.data(), codes_.size());
@@ -172,31 +162,13 @@ Result<std::unique_ptr<IvfPqIndex>> IvfPqIndex::Load(
   VDB_ASSIGN_OR_RETURN(opts.ivf.rerank_factor, r.U64());
 
   auto index = std::make_unique<IvfPqIndex>(opts);
-  VDB_ASSIGN_OR_RETURN(FloatMatrix data, r.Matrix());
-  VDB_ASSIGN_OR_RETURN(std::vector<std::uint64_t> labels, r.U64Vector());
-  if (labels.size() != data.rows()) {
-    return Status::Corruption("labels/rows mismatch");
-  }
-  VDB_RETURN_IF_ERROR(index->InitBase(data, labels, opts.ivf.metric));
-  VDB_ASSIGN_OR_RETURN(std::vector<std::uint32_t> deleted, r.U32Vector());
-  for (std::uint32_t idx : deleted) {
-    if (idx >= data.rows()) return Status::Corruption("bad tombstone");
-    VDB_RETURN_IF_ERROR(index->DeleteRow(idx));
-  }
-  VDB_ASSIGN_OR_RETURN(index->centroids_, r.Matrix());
-  VDB_ASSIGN_OR_RETURN(std::uint64_t nlists, r.U64());
-  index->lists_.resize(nlists);
-  for (auto& list : index->lists_) {
-    VDB_ASSIGN_OR_RETURN(list, r.U32Vector());
-    for (std::uint32_t idx : list) {
-      if (idx >= data.rows()) return Status::Corruption("bad list entry");
-    }
-  }
+  VDB_RETURN_IF_ERROR(index->LoadRows(&r, opts.ivf.metric));
+  VDB_RETURN_IF_ERROR(index->LoadLists(&r));
   VDB_RETURN_IF_ERROR(index->pq_.LoadFrom(&r));
   // Re-sync the copied PqOptions so Name()/code sizes stay coherent.
   index->pq_opts_.pq.m = index->pq_.m();
   VDB_ASSIGN_OR_RETURN(std::uint64_t ncodes, r.U64());
-  if (ncodes != data.rows() * index->pq_.code_size()) {
+  if (ncodes != index->TotalRows() * index->pq_.code_size()) {
     return Status::Corruption("bad code payload size");
   }
   index->codes_.resize(ncodes);

@@ -29,8 +29,6 @@ Status IvfSqIndex::Add(const float* vec, VectorId id) {
   return Status::Ok();
 }
 
-Status IvfSqIndex::Remove(VectorId id) { return RemoveBase(id).status(); }
-
 Status IvfSqIndex::SearchImpl(const float* query, const SearchParams& params,
                               std::vector<Neighbor>* out,
                               SearchStats* stats) const {
@@ -65,7 +63,7 @@ Status IvfSqIndex::SearchImpl(const float* query, const SearchParams& params,
       dist = scorer_.Distance(query, vector(idx));
       if (stats != nullptr) ++stats->distance_comps;
     }
-    top.Push(labels_[idx], dist);
+    top.Push(label(idx), dist);
   }
   *out = top.Take();
   return Status::Ok();

@@ -21,7 +21,6 @@ class IvfSqIndex final : public IvfBase {
   std::string Name() const override { return "ivf-sq8"; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
-  Status Remove(VectorId id) override;
   std::size_t MemoryBytes() const override;
   bool SupportsAdd() const override { return true; }
 

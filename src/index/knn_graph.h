@@ -42,8 +42,8 @@ class KnnGraphIndex final : public DenseIndexBase {
   std::string Name() const override {
     return opts_.init == KnnGraphInit::kKdForest ? "efanna" : "kgraph";
   }
+  bool IsGraph() const override { return true; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
-  Status Remove(VectorId id) override { return RemoveBase(id).status(); }
   std::size_t MemoryBytes() const override;
 
   /// Fraction of edges of the exact KNN graph present in this graph

@@ -81,8 +81,6 @@ Status LshIndex::Add(const float* vec, VectorId id) {
   return Status::Ok();
 }
 
-Status LshIndex::Remove(VectorId id) { return RemoveBase(id).status(); }
-
 Status LshIndex::SearchImpl(const float* query, const SearchParams& params,
                             std::vector<Neighbor>* out,
                             SearchStats* stats) const {
@@ -102,7 +100,7 @@ Status LshIndex::SearchImpl(const float* query, const SearchParams& params,
       if (!Admissible(idx, params, stats)) continue;
       float dist = scorer_.Distance(query, vector(idx));
       if (stats != nullptr) ++stats->distance_comps;
-      top.Push(labels_[idx], dist);
+      top.Push(label(idx), dist);
     }
   };
 

@@ -41,7 +41,6 @@ class LshIndex final : public DenseIndexBase {
   }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
-  Status Remove(VectorId id) override;
   std::size_t MemoryBytes() const override;
   bool SupportsAdd() const override { return true; }
 

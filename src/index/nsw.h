@@ -28,9 +28,9 @@ class NswIndex final : public DenseIndexBase {
   explicit NswIndex(const NswOptions& opts = {}) : opts_(opts) {}
 
   std::string Name() const override { return "nsw"; }
+  bool IsGraph() const override { return true; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
-  Status Remove(VectorId id) override { return RemoveBase(id).status(); }
   bool SupportsAdd() const override { return true; }
   std::size_t MemoryBytes() const override;
 

@@ -28,14 +28,7 @@ Status SpannIndex::Build(const FloatMatrix& data,
     return Status::InvalidArgument("vector too large for page_size");
   }
 
-  labels_.resize(data.rows());
-  id_to_idx_.clear();
-  for (std::size_t i = 0; i < data.rows(); ++i) {
-    labels_[i] = ids.empty() ? static_cast<VectorId>(i) : ids[i];
-    id_to_idx_[labels_[i]] = static_cast<std::uint32_t>(i);
-  }
-  deleted_ = Bitset(data.rows());
-  live_count_ = data.rows();
+  rows_.Reset(data.rows(), ids);
 
   KMeansOptions km;
   km.k = opts_.nlist;
@@ -90,16 +83,6 @@ Status SpannIndex::Build(const FloatMatrix& data,
   return Status::Ok();
 }
 
-Status SpannIndex::Remove(VectorId id) {
-  auto it = id_to_idx_.find(id);
-  if (it == id_to_idx_.end() || deleted_.Test(it->second)) {
-    return Status::NotFound("id not indexed");
-  }
-  deleted_.Set(it->second);
-  --live_count_;
-  return Status::Ok();
-}
-
 Status SpannIndex::SearchImpl(const float* query, const SearchParams& params,
                               std::vector<Neighbor>* out,
                               SearchStats* stats) const {
@@ -125,7 +108,7 @@ Status SpannIndex::SearchImpl(const float* query, const SearchParams& params,
   constexpr std::size_t kChunkPages = 64;
   std::vector<std::uint64_t> page_ids;
   std::vector<std::uint8_t> chunk(kChunkPages * opts_.file.page_size);
-  Bitset seen(labels_.size());
+  Bitset seen(rows_.rows());
   TopK top(params.k);
   for (std::uint32_t c : order) {
     if (c != order[0] &&
@@ -152,15 +135,11 @@ Status SpannIndex::SearchImpl(const float* query, const SearchParams& params,
           std::memcpy(&idx, at, sizeof(idx));
           if (seen.Test(idx)) continue;  // closure duplicates
           seen.Set(idx);
-          if (deleted_.Test(idx)) continue;
-          if (params.filter != nullptr) {
-            if (stats != nullptr) ++stats->filter_checks;
-            if (!params.filter->Matches(labels_[idx])) continue;
-          }
+          if (!rows_.Admissible(idx, params.filter, stats)) continue;
           const float* vec = reinterpret_cast<const float*>(at + sizeof(idx));
           float dist = scorer_.Distance(query, vec);
           if (stats != nullptr) ++stats->distance_comps;
-          top.Push(labels_[idx], dist);
+          top.Push(rows_.label(idx), dist);
         }
       }
     }
@@ -171,14 +150,14 @@ Status SpannIndex::SearchImpl(const float* query, const SearchParams& params,
 }
 
 double SpannIndex::ReplicationFactor() const {
-  return labels_.empty() ? 0.0
-                         : static_cast<double>(total_assignments_) /
-                               static_cast<double>(labels_.size());
+  return rows_.rows() == 0 ? 0.0
+                           : static_cast<double>(total_assignments_) /
+                                 static_cast<double>(rows_.rows());
 }
 
 std::size_t SpannIndex::MemoryBytes() const {
   return centroids_.ByteSize() + postings_.size() * sizeof(Posting) +
-         labels_.size() * sizeof(VectorId);
+         rows_.LabelBytes();
 }
 
 std::size_t SpannIndex::DiskBytes() const {

@@ -4,9 +4,9 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "core/row_ids.h"
 #include "index/index.h"
 #include "storage/paged_file.h"
 
@@ -40,8 +40,8 @@ class SpannIndex final : public VectorIndex {
 
   std::string Name() const override { return "spann"; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
-  Status Remove(VectorId id) override;
-  std::size_t Size() const override { return live_count_; }
+  Status Remove(VectorId id) override { return rows_.Remove(id); }
+  std::size_t Size() const override { return rows_.live(); }
   std::size_t MemoryBytes() const override;
   std::size_t DiskBytes() const;
 
@@ -64,14 +64,11 @@ class SpannIndex final : public VectorIndex {
   std::string path_;
   SpannOptions opts_;
   std::size_t dim_ = 0;
-  std::size_t live_count_ = 0;
   std::size_t total_assignments_ = 0;
   Scorer scorer_;
   FloatMatrix centroids_;
   std::vector<Posting> postings_;
-  std::vector<VectorId> labels_;
-  std::unordered_map<VectorId, std::uint32_t> id_to_idx_;
-  Bitset deleted_;
+  RowIds rows_;
   mutable std::unique_ptr<PagedFile> file_;
 };
 

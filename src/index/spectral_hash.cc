@@ -116,7 +116,7 @@ Status SpectralHashIndex::SearchImpl(const float* query,
       dist = scorer_.Distance(query, vector(idx));
       if (stats != nullptr) ++stats->distance_comps;
     }
-    top.Push(labels_[idx], dist);
+    top.Push(label(idx), dist);
   }
   *out = top.Take();
   return Status::Ok();

@@ -33,7 +33,6 @@ class SpectralHashIndex final : public DenseIndexBase {
   std::string Name() const override { return "spectral-hash"; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
-  Status Remove(VectorId id) override { return RemoveBase(id).status(); }
   bool SupportsAdd() const override { return true; }
   std::size_t MemoryBytes() const override;
 

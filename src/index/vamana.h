@@ -28,8 +28,8 @@ class VamanaIndex final : public DenseIndexBase {
   explicit VamanaIndex(const VamanaOptions& opts = {}) : opts_(opts) {}
 
   std::string Name() const override { return "vamana"; }
+  bool IsGraph() const override { return true; }
   Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
-  Status Remove(VectorId id) override { return RemoveBase(id).status(); }
   std::size_t MemoryBytes() const override;
 
   std::uint32_t medoid() const { return medoid_; }

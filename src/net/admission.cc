@@ -84,12 +84,6 @@ Counter& TenantCounter(const char* base, const std::string& tenant) {
 AdmissionController::AdmissionController(AdmissionOptions opts)
     : opts_(std::move(opts)) {}
 
-const TenantQuota& AdmissionController::QuotaFor(
-    const std::string& tenant) const {
-  auto it = opts_.tenant_quotas.find(tenant);
-  return it == opts_.tenant_quotas.end() ? opts_.default_quota : it->second;
-}
-
 AdmitDecision AdmissionController::TryAdmit(const std::string& tenant,
                                             Clock::time_point now) {
   AdmitDecision decision;
@@ -151,7 +145,7 @@ AdmitDecision AdmissionController::TryAdmitLocked(const std::string& tenant,
     return reject({AdmitVerdict::kQueueFull, opts_.retry_after_floor_ms});
   }
 
-  const TenantQuota& quota = QuotaFor(tenant);
+  const TenantQuota& quota = opts_.default_quota;
   if (!state.initialized) {
     state.tokens = quota.burst;
     state.last_refill = now;

@@ -22,9 +22,9 @@ struct TenantQuota {
 };
 
 struct AdmissionOptions {
+  /// Every tenant's quota; each tenant has its own bucket and in-flight
+  /// count.
   TenantQuota default_quota;
-  /// Overrides for named tenants (the multi-tenant quota table).
-  std::map<std::string, TenantQuota> tenant_quotas;
   /// Run-queue depth bound: admitted-but-not-started requests beyond
   /// this are shed with QUEUE_FULL instead of stalling the accept path.
   std::size_t max_queue_depth = 256;
@@ -149,7 +149,6 @@ class AdmissionController {
     std::uint64_t shed = 0;      ///< cumulative TryAdmit -> any rejection
   };
 
-  const TenantQuota& QuotaFor(const std::string& tenant) const;
   /// TryAdmit body; mu_ held (compiler-checked). Updates per-tenant
   /// cumulative counts but not the labeled registry counters (those are
   /// bumped by the caller after releasing mu_ to keep the hold short;

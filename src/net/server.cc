@@ -28,6 +28,7 @@ constexpr std::uint64_t kListenerKey = 0;
 constexpr std::uint64_t kWakeKey = ~std::uint64_t{0};
 
 constexpr int kEpollTickMs = 20;
+constexpr int kListenBacklog = 256;
 /// Event-loop ticks between idle-tenant sweeps and how long a tenant
 /// must be quiet (no admit, no completion, nothing in flight) before
 /// its admission state is dropped.
@@ -112,7 +113,7 @@ Status Server::Listen() {
       0) {
     return Status::IoError(ErrnoText("bind"));
   }
-  if (::listen(listen_fd_, opts_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     return Status::IoError(ErrnoText("listen"));
   }
   sockaddr_in bound{};
@@ -226,9 +227,9 @@ void Server::HandleQuery(Conn* conn, Request req) {
   job.text = std::move(req.text);
   job.trace = req.trace;
   job.enqueued = now;
-  std::uint32_t budget_ms =
-      req.deadline_ms != 0 ? req.deadline_ms : opts_.default_deadline_ms;
-  if (budget_ms != 0) job.deadline = now + std::chrono::milliseconds(budget_ms);
+  if (req.deadline_ms != 0) {
+    job.deadline = now + std::chrono::milliseconds(req.deadline_ms);
+  }
   {
     MutexLock lock(queue_mu_);
     job_queue_.push_back(std::move(job));

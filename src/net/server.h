@@ -27,9 +27,6 @@ struct ServerOptions {
   /// Budget for graceful drain: in-flight work past this is aborted
   /// with DRAINING responses and the remaining sockets are closed.
   std::uint32_t drain_deadline_ms = 5000;
-  /// Deadline applied to requests that carry none (0 = unlimited).
-  std::uint32_t default_deadline_ms = 0;
-  int listen_backlog = 256;
 };
 
 /// What Shutdown observed; `clean` means every admitted request finished

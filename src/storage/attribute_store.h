@@ -51,9 +51,6 @@ struct ColumnStats {
 class AttributeStore {
  public:
   Status AddColumn(const std::string& name, AttrType type);
-  bool HasColumn(const std::string& name) const {
-    return columns_.contains(name);
-  }
   Result<AttrType> ColumnType(const std::string& name) const;
 
   /// Sets attributes for `id` (any column not bound keeps its default:

@@ -340,11 +340,4 @@ Status PagedFile::Sync() {
   return posix_io::SyncFd(fd_, "paged file fsync");
 }
 
-Result<std::uint64_t> PagedFile::AppendPage(const std::uint8_t* buf) {
-  MutexLock lock(mu_);
-  std::uint64_t page_id = num_pages_;
-  VDB_RETURN_IF_ERROR(WritePageLocked(page_id, buf));
-  return page_id;
-}
-
 }  // namespace vdb

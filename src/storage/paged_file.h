@@ -72,9 +72,6 @@ class PagedFile {
   /// as needed.
   Status WritePage(std::uint64_t page_id, const std::uint8_t* buf);
 
-  /// Appends a fresh page, returning its id.
-  Result<std::uint64_t> AppendPage(const std::uint8_t* buf);
-
   /// fsync(2) the file (EINTR-safe). Durability point for written pages.
   Status Sync();
 

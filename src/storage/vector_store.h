@@ -3,9 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "core/row_ids.h"
 #include "core/status.h"
 #include "core/types.h"
 
@@ -20,47 +20,27 @@ class VectorStore {
   explicit VectorStore(std::size_t dim) : dim_(dim), data_(0, dim) {}
 
   std::size_t dim() const { return dim_; }
-  std::size_t live_count() const { return live_count_; }
+  std::size_t live_count() const { return ids_.live(); }
   std::size_t total_rows() const { return data_.rows(); }
 
   /// Inserts a vector under `id`; rejects live duplicates. Re-inserting a
-  /// deleted id appends a fresh row and repoints the id (slab space of the
-  /// old row is reclaimed at the next Snapshot-based rebuild).
+  /// deleted id appends a fresh row (RowIds' re-add rule; the old row's
+  /// slab space is reclaimed at the next Snapshot-based rebuild).
   Status Put(VectorId id, const float* vec) {
-    auto it = row_of_.find(id);
-    if (it != row_of_.end() && !deleted_.Test(it->second)) {
-      return Status::AlreadyExists("id exists");
-    }
-    row_of_[id] = data_.rows();
+    VDB_RETURN_IF_ERROR(ids_.Append(id).status());
     data_.AppendRow(vec, dim_);
-    ids_.push_back(id);
-    deleted_.Resize(data_.rows());
-    if (it != row_of_.end()) {
-      // The stale row keeps its tombstone; ids_ entry for it is skipped at
-      // snapshot time because `deleted_` covers it.
-    }
-    ++live_count_;
     return Status::Ok();
   }
 
   /// Pointer to the stored vector, or nullptr if missing/deleted.
   const float* Get(VectorId id) const {
-    auto it = row_of_.find(id);
-    if (it == row_of_.end() || deleted_.Test(it->second)) return nullptr;
-    return data_.row(it->second);
+    std::uint32_t row = ids_.LiveRow(id);
+    return row == RowIds::kNoRow ? nullptr : data_.row(row);
   }
 
   bool Contains(VectorId id) const { return Get(id) != nullptr; }
 
-  Status Delete(VectorId id) {
-    auto it = row_of_.find(id);
-    if (it == row_of_.end() || deleted_.Test(it->second)) {
-      return Status::NotFound("id not present");
-    }
-    deleted_.Set(it->second);
-    --live_count_;
-    return Status::Ok();
-  }
+  Status Delete(VectorId id) { return ids_.Remove(id); }
 
   /// Copies the live vectors of rows [first_row, end_row) (and their ids)
   /// into a dense matrix — the input of an index build, segment flush or
@@ -71,7 +51,7 @@ class VectorStore {
     end_row = std::min(end_row, data_.rows());
     std::size_t live = 0;
     for (std::size_t row = first_row; row < end_row; ++row) {
-      live += deleted_.Test(row) ? 0 : 1;
+      live += ids_.IsDeleted(row) ? 0 : 1;
     }
     *vectors = FloatMatrix(live, dim_);
     ids->clear();
@@ -89,21 +69,18 @@ class VectorStore {
   void ForEachLive(std::size_t first_row, std::size_t end_row, Fn&& fn) const {
     end_row = std::min(end_row, data_.rows());
     for (std::size_t row = first_row; row < end_row; ++row) {
-      if (!deleted_.Test(row)) fn(ids_[row], data_.row(row));
+      if (!ids_.IsDeleted(row)) fn(ids_.label(row), data_.row(row));
     }
   }
 
   std::size_t MemoryBytes() const {
-    return data_.ByteSize() + ids_.size() * sizeof(VectorId);
+    return data_.ByteSize() + ids_.LabelBytes();
   }
 
  private:
   std::size_t dim_;
   FloatMatrix data_;
-  std::vector<VectorId> ids_;
-  std::unordered_map<VectorId, std::size_t> row_of_;
-  Bitset deleted_;
-  std::size_t live_count_ = 0;
+  RowIds ids_;
 };
 
 }  // namespace vdb

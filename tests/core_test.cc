@@ -17,6 +17,7 @@
 #include "core/linalg.h"
 #include "core/metric_learning.h"
 #include "core/rng.h"
+#include "core/row_ids.h"
 #include "core/simd.h"
 #include "core/status.h"
 #include "core/synthetic.h"
@@ -97,6 +98,65 @@ TEST(BitsetTest, AllInitializedTrue) {
 }
 
 // ---------------------------------------------------------------- Scorer
+
+TEST(RowIdsTest, AppendRemoveAndReAdd) {
+  RowIds rows;
+  ASSERT_EQ(*rows.Append(7), 0u);
+  ASSERT_EQ(*rows.Append(9), 1u);
+  EXPECT_EQ(rows.Append(7).status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(rows.rows(), 2u);
+  EXPECT_EQ(rows.live(), 2u);
+
+  ASSERT_TRUE(rows.Remove(7).ok());
+  EXPECT_EQ(rows.Remove(7).code(), StatusCode::kNotFound);
+  EXPECT_EQ(rows.Remove(8).code(), StatusCode::kNotFound);
+  EXPECT_EQ(rows.LiveRow(7), RowIds::kNoRow);
+  EXPECT_EQ(rows.RowOf(7), 0u);
+  EXPECT_EQ(rows.live(), 1u);
+
+  // Re-add: a new row; the old one stays a tombstone.
+  ASSERT_EQ(*rows.Append(7), 2u);
+  EXPECT_TRUE(rows.IsDeleted(0));
+  EXPECT_FALSE(rows.IsDeleted(2));
+  EXPECT_EQ(rows.LiveRow(7), 2u);
+  EXPECT_EQ(rows.label(0), 7u);
+  EXPECT_EQ(rows.label(2), 7u);
+  EXPECT_EQ(rows.live(), 2u);
+  EXPECT_EQ(rows.DeletedRows(), (std::vector<std::uint32_t>{0}));
+}
+
+TEST(RowIdsTest, ResetAndDeleteRowByRow) {
+  RowIds rows;
+  const std::vector<VectorId> labels = {5, 6, 5};  // 5 removed, re-added
+  rows.Reset(labels.size(), labels);
+  EXPECT_EQ(rows.RowOf(5), 2u);  // the later row wins
+  ASSERT_TRUE(rows.DeleteRow(0).ok());
+  EXPECT_EQ(rows.DeleteRow(0).code(), StatusCode::kNotFound);
+  EXPECT_EQ(rows.live(), 2u);
+  EXPECT_EQ(rows.LiveRow(5), 2u);
+  EXPECT_EQ(rows.labels(), labels);
+
+  rows.Reset(3, {});  // no labels: rows label themselves
+  EXPECT_EQ(rows.label(2), 2u);
+  EXPECT_EQ(rows.live(), 3u);
+  EXPECT_TRUE(rows.DeletedRows().empty());
+}
+
+TEST(RowIdsTest, AdmissibleCountsFilterProbes) {
+  struct EvenIds final : IdFilter {
+    bool Matches(VectorId id) const override { return id % 2 == 0; }
+  } even;
+  RowIds rows;
+  rows.Reset(4, {});
+  ASSERT_TRUE(rows.DeleteRow(2).ok());
+  SearchStats stats;
+  EXPECT_TRUE(rows.Admissible(0, nullptr, &stats));
+  EXPECT_EQ(stats.filter_checks, 0u);
+  EXPECT_TRUE(rows.Admissible(0, &even, &stats));
+  EXPECT_FALSE(rows.Admissible(1, &even, &stats));
+  EXPECT_FALSE(rows.Admissible(2, &even, &stats));  // tombstone: no probe
+  EXPECT_EQ(stats.filter_checks, 2u);
+}
 
 TEST(ScorerTest, L2MatchesManual) {
   auto scorer = Scorer::Create(MetricSpec::L2(), 3).value();

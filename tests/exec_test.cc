@@ -782,7 +782,8 @@ TEST(EnumerationTest, PlanSpaceTracksAvailability) {
   const auto& fx = Fixture();
   auto eq = Predicate::Cmp("cluster", CmpOp::kEq, I(1));
   auto plans = EnumeratePlans(fx.View(), eq);
-  EXPECT_EQ(plans.size(), 5u);  // all plans incl. partition-pruned
+  // Every plan a graph may take, incl. partition-pruned.
+  EXPECT_EQ(plans.size(), 4u);
 
   CollectionView no_index = fx.View();
   no_index.segments = {};
@@ -790,7 +791,22 @@ TEST(EnumerationTest, PlanSpaceTracksAvailability) {
 
   // Partition pruning only offered for equality on the partition column.
   auto range = Predicate::Cmp("score", CmpOp::kLe, 0.5);
-  EXPECT_EQ(EnumeratePlans(fx.View(), range).size(), 4u);
+  EXPECT_EQ(EnumeratePlans(fx.View(), range).size(), 3u);
+}
+
+// Block-first disconnects graph traversal (§2.3): an HNSW segment gets no
+// pre-filter plan, while IVF-Flat, which blocking cannot disconnect, does.
+TEST(EnumerationTest, GraphSegmentsOfferNoPreFilterPlan) {
+  const auto& fx = Fixture();
+  auto range = Predicate::Cmp("score", CmpOp::kLe, 0.5);
+  auto has_pre_filter = [&](const CollectionView& view) {
+    for (const HybridPlan& plan : EnumeratePlans(view, range)) {
+      if (plan.kind == PlanKind::kPreFilterIndexScan) return true;
+    }
+    return false;
+  };
+  EXPECT_FALSE(has_pre_filter(fx.View()));
+  EXPECT_TRUE(has_pre_filter(fx.ViewIvf()));
 }
 
 TEST(RuleBasedOptimizerTest, SelectivityThresholds) {
@@ -810,11 +826,14 @@ TEST(RuleBasedOptimizerTest, SelectivityThresholds) {
   plan = optimizer.Choose(wide, fx.View(), params);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->kind, PlanKind::kPostFilterIndexScan);
-  // Middle band -> pre-filter.
+  // Middle band -> pre-filter, or visit-first over a graph.
   auto mid = Predicate::Cmp("cluster", CmpOp::kEq, I(1));
-  plan = optimizer.Choose(mid, fx.View(), params);
+  plan = optimizer.Choose(mid, fx.ViewIvf(), params);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->kind, PlanKind::kPreFilterIndexScan);
+  plan = optimizer.Choose(mid, fx.View(), params);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->kind, PlanKind::kVisitFirstIndexScan);
 }
 
 TEST(CostBasedOptimizerTest, CostOrderingMatchesIntuition) {

@@ -5,7 +5,11 @@
 #include <unistd.h>
 
 #include <fstream>
+#include <iterator>
+#include <set>
+#include <span>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +18,7 @@
 #include "index/hnsw.h"
 #include "index/ivf.h"
 #include "index/ivf_pq.h"
+#include "snapshot_fixtures.h"
 #include "storage/serializer.h"
 
 namespace vdb {
@@ -169,6 +174,65 @@ TEST(IvfPqPersistenceTest, RoundTripPreservesCodesAndCodebooks) {
   ASSERT_TRUE(opq_index.Build(fx.data, {}).ok());
   EXPECT_EQ(opq_index.Save(TempPath("ivfopq")).code(),
             StatusCode::kUnsupported);
+}
+
+// A snapshot written before the one row codec loads with its labels and
+// tombstones (see snapshot_fixtures.h), and saving it again reproduces it
+// byte for byte.
+template <typename Index>
+void CheckFixture(std::span<const std::uint8_t> bytes, const std::string& tag) {
+  const std::string fixture(reinterpret_cast<const char*>(bytes.data()),
+                            bytes.size());
+  const std::string path = TempPath(tag + "_fixture");
+  std::ofstream(path, std::ios::binary) << fixture;
+  auto loaded = Index::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Index& index = **loaded;
+
+  std::vector<VectorId> labels;
+  for (VectorId id = 100; id < 116; ++id) labels.push_back(id);
+  labels.push_back(105);
+  EXPECT_EQ(index.row_ids().labels(), labels);
+  EXPECT_EQ(index.row_ids().DeletedRows(),
+            (std::vector<std::uint32_t>{3, 5}));
+  EXPECT_EQ(index.Size(), 15u);
+
+  // Every live row comes back once; the removed label and the re-added
+  // label's old row do not.
+  SearchParams p;
+  p.k = 20;
+  p.ef = 64;
+  p.nprobe = 2;
+  const float readded[4] = {0.5f, -0.25f, 0.75f, 1.0f};
+  std::vector<Neighbor> out;
+  ASSERT_TRUE(index.Search(readded, p, &out).ok());
+  ASSERT_EQ(out.size(), 15u);
+  EXPECT_EQ(out[0].id, 105u);
+  EXPECT_EQ(out[0].dist, 0.0f);
+  std::set<VectorId> ids;
+  for (const Neighbor& nb : out) {
+    EXPECT_NE(nb.id, 103u);
+    EXPECT_TRUE(ids.insert(nb.id).second) << "duplicate " << nb.id;
+  }
+
+  const std::string again = TempPath(tag + "_resaved");
+  ASSERT_TRUE(index.Save(again).ok());
+  std::ifstream in(again, std::ios::binary);
+  const std::string resaved((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_TRUE(resaved == fixture) << "re-saved snapshot differs";
+}
+
+TEST(SnapshotFixtureTest, HnswLoadsAndResavesByteForByte) {
+  CheckFixture<HnswIndex>(fixtures::kHnswSnapshot, "hnsw");
+}
+
+TEST(SnapshotFixtureTest, IvfFlatLoadsAndResavesByteForByte) {
+  CheckFixture<IvfFlatIndex>(fixtures::kIvfFlatSnapshot, "ivf_flat");
+}
+
+TEST(SnapshotFixtureTest, IvfPqLoadsAndResavesByteForByte) {
+  CheckFixture<IvfPqIndex>(fixtures::kIvfPqSnapshot, "ivf_pq");
 }
 
 TEST(PersistenceTest, DetectsCorruptionAndWrongMagic) {

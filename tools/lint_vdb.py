@@ -54,6 +54,12 @@ pass --root):
      once. Scans src/, bench/ and examples/ (not perfbench/, the
      benchmark's own code) — every JSON producer quotes and formats
      through core/json so the renders cannot drift apart again.
+ 10. One row-identity mechanism: a map from `VectorId` to a row number
+     (`std::uint32_t` or `std::size_t`) is declared only in
+     src/core/row_ids.h, exactly once — the vector store and every index
+     family hold a RowIds instead of their own id→row map, so the re-add
+     and tombstone rule cannot fork again. Maps from ids to anything
+     else (Collection's entity maps) are not row maps.
 
 Exit status 0 when clean; 1 with one "file:line: message" per violation
 otherwise. Run by the `lint` CI job and locally via
@@ -131,6 +137,12 @@ NUMBER_FORMAT_OWNERS = {
     "src/core/json.cc": "the JSON number formatter",
     "src/core/telemetry.cc": "the Prometheus sample formatter",
 }
+
+# Invariant 10: the one file allowed to declare a VectorId -> row map.
+ROW_IDS_IMPL = "src/core/row_ids.h"
+ROW_MAP = re.compile(
+    r"\b(?:unordered_)?map\s*<\s*(?:VectorId|(?:std::)?uint64_t)\s*,\s*"
+    r"(?:std::)?(?:uint32_t|size_t)\s*>")
 
 
 def strip_comments(text):
@@ -366,6 +378,24 @@ def check_json_confinement(root, errors):
                 report(m, "number formatter")
 
 
+def check_row_maps(root, errors):
+    """Invariant 10: exactly one VectorId -> row map, in core/row_ids.h."""
+    in_impl = 0
+    for path in source_files(root):
+        rel = path.relative_to(root).as_posix()
+        text = strip_comments(path.read_text())
+        for m in ROW_MAP.finditer(text):
+            if rel == ROW_IDS_IMPL:
+                in_impl += 1
+                continue
+            line = text.count("\n", 0, m.start()) + 1
+            errors.append(f"{rel}:{line}: id->row map ('{m.group(0)}') "
+                          f"outside {ROW_IDS_IMPL} — hold a RowIds")
+    if in_impl != 1:
+        errors.append(f"{ROW_IDS_IMPL}: declares {in_impl} id->row maps; "
+                      f"RowIds owns exactly one")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path,
@@ -381,6 +411,7 @@ def main():
     check_simd_confinement(args.root, errors)
     check_sync_confinement(args.root, errors)
     check_json_confinement(args.root, errors)
+    check_row_maps(args.root, errors)
 
     if errors:
         for e in errors:
