@@ -375,7 +375,7 @@ int main() {
 
     // Global registry saw the index self-checks above.
     std::uint64_t searches =
-        Registry::Global().GetCounter("vdb_index_searches_total").Value();
+        Registry::Global().GetHistogram("vdb_index_search_seconds").Count();
     bench::Row("    hot-path instrumentation (%6llu searches) ....... %s",
                (unsigned long long)searches, Check(searches > 0));
 

@@ -17,7 +17,6 @@
 #include "exec/predicate.h"
 #include "index/hnsw.h"
 #include "index/ivf.h"
-#include "storage/vector_store.h"
 
 namespace vdb {
 namespace {
@@ -25,7 +24,6 @@ namespace {
 struct HybridBench {
   FloatMatrix data;
   FloatMatrix queries;
-  VectorStore vectors{0};
   AttributeStore attrs;
   Segment segment;  ///< one sealed segment over every row
   Scorer scorer;
@@ -42,7 +40,7 @@ std::vector<Neighbor> Oracle(const HybridBench& b, const float* query,
 }
 
 void RunIndexSweep(HybridBench& b) {
-  CollectionView view{&b.vectors, &b.attrs, {&b.segment, 1}, &b.scorer};
+  CollectionView view{nullptr, &b.attrs, {&b.segment, 1}, &b.scorer};
   HybridExecutor executor(view);
 
   const HybridPlan plans[] = {
@@ -111,10 +109,8 @@ int main() {
   b.data = std::move(workload.vectors);
   b.queries = PerturbedQueries(b.data, 50, 0.03f, 23);
   b.scorer = Scorer::Create(MetricSpec::L2(), opts.dim).value();
-  b.vectors = VectorStore(opts.dim);
   (void)b.attrs.AddColumn("score", AttrType::kDouble);
   for (std::size_t i = 0; i < b.data.rows(); ++i) {
-    (void)b.vectors.Put(i, b.data.row(i));
     (void)b.attrs.PutRow(i, {{"score", workload.uniform_attr[i]}});
   }
 

@@ -13,7 +13,6 @@
 #include "exec/optimizer.h"
 #include "exec/predicate.h"
 #include "index/hnsw.h"
-#include "storage/vector_store.h"
 
 int main() {
   using namespace vdb;
@@ -29,11 +28,9 @@ int main() {
   FloatMatrix data = std::move(workload.vectors);
   FloatMatrix queries = PerturbedQueries(data, 30, 0.03f, 5);
   auto scorer = Scorer::Create(MetricSpec::L2(), opts.dim).value();
-  VectorStore vectors(opts.dim);
   AttributeStore attrs;
   (void)attrs.AddColumn("score", AttrType::kDouble);
   for (std::size_t i = 0; i < data.rows(); ++i) {
-    (void)vectors.Put(i, data.row(i));
     (void)attrs.PutRow(i, {{"score", workload.uniform_attr[i]}});
   }
   HnswOptions ho;
@@ -41,7 +38,7 @@ int main() {
   Segment segment;
   segment.index = std::make_unique<HnswIndex>(ho);
   (void)segment.index->Build(data, {});
-  CollectionView view{&vectors, &attrs, {&segment, 1}, &scorer};
+  CollectionView view{nullptr, &attrs, {&segment, 1}, &scorer};
   HybridExecutor executor(view);
   RuleBasedOptimizer rule;
   CostBasedOptimizer cost;

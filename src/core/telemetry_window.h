@@ -108,7 +108,7 @@ class WindowedRegistry {
 
   /// Prometheus recording-rule-style render for every registered metric
   /// over each requested window, e.g. for windows {10, 60}:
-  ///   vdb_queries_total:rate{window="10s"} 12.5
+  ///   vdb_query_seconds:rate{window="10s"} 12.5
   ///   vdb_query_seconds:p95{window="60s"} 0.0042
   /// Labeled metrics merge the window label into their existing label
   /// set. Counter -> :rate; histogram -> :rate, :p50, :p95, :p99.

@@ -115,9 +115,10 @@ class Bitset {
 
   std::size_t size() const { return size_; }
 
-  void Resize(std::size_t n, bool value = false) {
+  /// Grows or shrinks to `n` bits; bits added by growing read clear.
+  void Resize(std::size_t n) {
     size_ = n;
-    words_.resize((n + 63) / 64, value ? ~std::uint64_t{0} : 0);
+    words_.resize((n + 63) / 64, 0);
     Trim();
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <unordered_set>
 
 #include "core/failpoint.h"
@@ -22,6 +23,27 @@ namespace {
 /// Ids at or above this are internal multi-vector member rows.
 constexpr VectorId kInternalIdBase = VectorId{1} << 62;
 
+/// The live rows of `view`, in row order, copied into a build input.
+Status CopyRows(const CollectionView& view, std::size_t dim,
+                FloatMatrix* data, std::vector<VectorId>* ids) {
+  *data = FloatMatrix(LiveRows(view), dim);
+  ids->clear();
+  ids->reserve(data->rows());
+  VDB_RETURN_IF_ERROR(ForEachLiveRow(
+      view,
+      [&](VectorId id, const float* vec) {
+        if (ids->size() < data->rows()) {
+          std::copy_n(vec, dim, data->row(ids->size()));
+        }
+        ids->push_back(id);
+      },
+      nullptr));
+  if (ids->size() != data->rows()) {
+    return Status::Corruption("row scan disagrees with the live row count");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<std::unique_ptr<Collection>> Collection::Create(
@@ -36,7 +58,7 @@ Result<std::unique_ptr<Collection>> Collection::Create(
   auto collection = std::unique_ptr<Collection>(new Collection(std::move(opts)));
   auto& c = *collection;
   VDB_ASSIGN_OR_RETURN(c.scorer_, Scorer::Create(c.opts_.metric, c.opts_.dim));
-  c.vectors_ = VectorStore(c.opts_.dim);
+  c.growing_ = VectorStore(c.opts_.dim);
   for (const auto& [name, type] : c.opts_.attributes) {
     VDB_RETURN_IF_ERROR(c.attrs_.AddColumn(name, type));
   }
@@ -150,15 +172,18 @@ Status Collection::LoadIndexSnapshot(const std::string& path) {
   } else {
     return hnsw.status();  // the most informative of the three
   }
-  // Contract: called right after Restore of the matching checkpoint, so
-  // the snapshot covers exactly today's live rows.
-  if (seg.index->Size() != vectors_.live_count()) {
+  // The segment adopts the rows, so they must be exactly today's live rows
+  // (the matching checkpoint restored), in order and bit for bit.
+  FloatMatrix data, adopted;
+  std::vector<VectorId> ids, adopted_ids;
+  VDB_RETURN_IF_ERROR(CopyRows(View(), opts_.dim, &data, &ids));
+  VDB_RETURN_IF_ERROR(CopyRows({nullptr, &attrs_, {&seg, 1}, &scorer_},
+                               opts_.dim, &adopted, &adopted_ids));
+  if (ids != adopted_ids ||
+      std::memcmp(data.data(), adopted.data(), data.ByteSize()) != 0) {
     return Status::FailedPrecondition("snapshot does not match the rows");
   }
   if (!opts_.partition_column.empty()) {
-    FloatMatrix data;
-    std::vector<VectorId> ids;
-    vectors_.Snapshot(&data, &ids);
     VDB_ASSIGN_OR_RETURN(seg.partitioned, BuildPartitions(data, ids));
   }
   SealAll(std::move(seg));
@@ -168,38 +193,32 @@ Status Collection::LoadIndexSnapshot(const std::string& path) {
 Status Collection::InsertInternal(VectorId id, const float* vec,
                                   const std::vector<AttrBinding>& attrs,
                                   bool log) {
-  if (vectors_.Contains(id)) return Status::AlreadyExists("id exists");
+  if (Contains(id)) return Status::AlreadyExists("id exists");
   if (log && wal_ != nullptr) {
     VDB_RETURN_IF_ERROR(
         wal_->AppendInsert(id, {vec, opts_.dim}, attrs));
   }
-  VDB_RETURN_IF_ERROR(vectors_.Put(id, vec));
+  // The one branch on the update policy. In place, the row joins the
+  // single sealed segment when no growing row precedes it and the index
+  // can take it; a partitioned segment takes no Add (the row's partition
+  // may not exist yet). Otherwise, or when the Add fails, it grows.
+  const bool in_place = opts_.lsm_memtable_limit == 0 &&
+                        segments_.size() == 1 && growing_.live_count() == 0 &&
+                        segments_.front().partitioned == nullptr &&
+                        segments_.front().index->SupportsAdd();
+  Status added = in_place ? segments_.front().index->Add(vec, id)
+                          : Status::Ok();
+  if (!in_place || !added.ok()) VDB_RETURN_IF_ERROR(growing_.Put(id, vec));
   if (id < kInternalIdBase) {
     VDB_RETURN_IF_ERROR(attrs_.PutRow(id, attrs));
   }
-  // The one branch on the update policy.
-  if (opts_.lsm_memtable_limit == 0) {
-    // In place: the row joins the single sealed segment when no growing
-    // row precedes it and the index can take it. A partitioned segment
-    // takes no Add (the row's partition may not exist yet).
-    if (segments_.size() == 1 && growing_live_ == 0 &&
-        segments_.front().partitioned == nullptr &&
-        segments_.front().index->SupportsAdd()) {
-      Status added = segments_.front().index->Add(vec, id);
-      if (added.ok()) {
-        growing_from_ = vectors_.total_rows();
-      } else {
-        ++growing_live_;  // still served from the growing rows
-      }
-      return added;
-    }
-    ++growing_live_;
-    return Status::Ok();
-  }
-  ++growing_live_;
+  if (!added.ok()) return added;  // still served from the growing rows
   // Out of place: a full growing segment is sealed. Replay and Restore
   // (log == false) leave sealing to BuildIndex or the next live insert.
-  if (log && growing_live_ >= opts_.lsm_memtable_limit) return Flush();
+  if (opts_.lsm_memtable_limit > 0 && log &&
+      growing_.live_count() >= opts_.lsm_memtable_limit) {
+    return Flush();
+  }
   return Status::Ok();
 }
 
@@ -231,7 +250,7 @@ Status Collection::InsertEntity(VectorId entity, const FloatMatrix& vecs,
   if (entity >= kInternalIdBase) {
     return Status::InvalidArgument("ids >= 2^62 are reserved");
   }
-  if (entity_vectors_.contains(entity) || vectors_.Contains(entity)) {
+  if (entity_vectors_.contains(entity) || Contains(entity)) {
     return Status::AlreadyExists("entity exists");
   }
   VDB_RETURN_IF_ERROR(attrs_.PutRow(entity, attrs));
@@ -260,24 +279,19 @@ Status Collection::DeleteInternal(VectorId id, bool log) {
     entity_vectors_.erase(entity_it);
     return Status::Ok();
   }
-  if (!vectors_.Contains(id)) return Status::NotFound("id not present");
+  // The live row is in exactly one sealed segment or in the growing rows.
+  const Segment* holder = HolderOf(id);
+  if (holder == nullptr && !growing_.Contains(id)) {
+    return Status::NotFound("id not present");
+  }
   if (log && wal_ != nullptr) {
     VDB_RETURN_IF_ERROR(wal_->AppendDelete(id));
   }
-  VDB_RETURN_IF_ERROR(vectors_.Delete(id));
-  // The live row is in exactly one sealed segment or in the growing rows.
-  // An older sealed copy of the id was removed when that copy was deleted.
-  for (Segment& seg : segments_) {
-    Status removed = seg.index->Remove(id);
-    if (removed.code() == StatusCode::kNotFound) continue;
-    VDB_RETURN_IF_ERROR(removed);
-    if (seg.partitioned != nullptr) {
-      VDB_RETURN_IF_ERROR(seg.partitioned->Remove(PartitionValue(id), id));
-    }
-    ++sealed_removals_;
-    return Status::Ok();
+  if (holder == nullptr) return growing_.Delete(id);
+  VDB_RETURN_IF_ERROR(holder->index->Remove(id));
+  if (holder->partitioned != nullptr) {
+    VDB_RETURN_IF_ERROR(holder->partitioned->Remove(PartitionValue(id), id));
   }
-  --growing_live_;
   return Status::Ok();
 }
 
@@ -288,7 +302,7 @@ Status Collection::Upsert(VectorId id, VectorView vec,
   if (vec.size() != opts_.dim) {
     return Status::InvalidArgument("vector dim mismatch");
   }
-  if (vectors_.Contains(id) || entity_vectors_.contains(id)) {
+  if (Contains(id) || entity_vectors_.contains(id)) {
     VDB_RETURN_IF_ERROR(DeleteInternal(id, /*log=*/true));
   }
   return Insert(id, vec, attrs);
@@ -311,27 +325,31 @@ Collection::BuildPartitions(const FloatMatrix& data,
                                           opts_.partition_column);
 }
 
-Result<Segment> Collection::BuildSegment(std::size_t first_row,
-                                         std::size_t end_row) const {
+const Segment* Collection::HolderOf(VectorId id) const {
+  for (const Segment& seg : segments_) {
+    if (seg.index->row_ids().LiveRow(id) != RowIds::kNoRow) return &seg;
+  }
+  return nullptr;
+}
+
+Result<Segment> Collection::BuildSegment(const CollectionView& rows) const {
   FloatMatrix data;
   std::vector<VectorId> ids;
-  vectors_.Snapshot(&data, &ids, first_row, end_row);
+  VDB_RETURN_IF_ERROR(CopyRows(rows, opts_.dim, &data, &ids));
   Segment seg;
   seg.index = opts_.index_factory();
   if (seg.index == nullptr) return Status::Internal("factory returned null");
-  VDB_RETURN_IF_ERROR(seg.index->Build(data, ids));
   if (!opts_.partition_column.empty()) {
     VDB_ASSIGN_OR_RETURN(seg.partitioned, BuildPartitions(data, ids));
   }
+  VDB_RETURN_IF_ERROR(seg.index->Build(std::move(data), ids));
   return seg;
 }
 
 void Collection::SealAll(Segment seg) {
   segments_.clear();
   segments_.push_back(std::move(seg));
-  growing_from_ = vectors_.total_rows();
-  growing_live_ = 0;
-  sealed_removals_ = 0;
+  growing_ = VectorStore(opts_.dim);
 }
 
 Status Collection::BuildIndex() {
@@ -339,16 +357,16 @@ Status Collection::BuildIndex() {
     return Status::FailedPrecondition("no index factory configured");
   }
   if (Clean()) return Status::Ok();
-  if (vectors_.live_count() == 0) {
+  if (LiveRows(View()) == 0) {
     return Status::FailedPrecondition("collection is empty");
   }
-  VDB_ASSIGN_OR_RETURN(Segment seg, BuildSegment(0, vectors_.total_rows()));
+  VDB_ASSIGN_OR_RETURN(Segment seg, BuildSegment(View()));
   SealAll(std::move(seg));
   return Status::Ok();
 }
 
 Status Collection::Flush() {
-  if (growing_live_ == 0) return Status::Ok();
+  if (growing_.live_count() == 0) return Status::Ok();
   if (!opts_.index_factory) {
     return Status::FailedPrecondition("no index factory configured");
   }
@@ -357,11 +375,11 @@ Status Collection::Flush() {
     // a retry can succeed — flush must be all-or-nothing.
     return Status::IoError("injected failure: lsm.flush.fail");
   }
-  VDB_ASSIGN_OR_RETURN(Segment seg,
-                       BuildSegment(growing_from_, vectors_.total_rows()));
+  CollectionView growing = View();
+  growing.segments = {};
+  VDB_ASSIGN_OR_RETURN(Segment seg, BuildSegment(growing));
   segments_.push_back(std::move(seg));
-  growing_from_ = vectors_.total_rows();
-  growing_live_ = 0;
+  growing_ = VectorStore(opts_.dim);
   static Counter& flushes =
       Registry::Global().GetCounter("vdb_lsm_flushes_total");
   flushes.Inc();
@@ -374,13 +392,14 @@ Status Collection::Compact() {
   if (FailpointFires("lsm.compact.fail")) {
     return Status::IoError("injected failure: lsm.compact.fail");
   }
+  CollectionView sealed = View();
+  sealed.growing = nullptr;
   std::vector<Segment> merged;
-  if (vectors_.live_count() > growing_live_) {
-    VDB_ASSIGN_OR_RETURN(Segment seg, BuildSegment(0, growing_from_));
+  if (LiveRows(sealed) > 0) {
+    VDB_ASSIGN_OR_RETURN(Segment seg, BuildSegment(sealed));
     merged.push_back(std::move(seg));
   }
   segments_ = std::move(merged);
-  sealed_removals_ = 0;
   static Counter& compactions =
       Registry::Global().GetCounter("vdb_lsm_compactions_total");
   compactions.Inc();
@@ -392,7 +411,7 @@ Status Collection::Checkpoint(const std::string& path) const {
   w.U64(opts_.dim);
   FloatMatrix data;
   std::vector<VectorId> ids;
-  vectors_.Snapshot(&data, &ids);
+  VDB_RETURN_IF_ERROR(CopyRows(View(), opts_.dim, &data, &ids));
   w.Matrix(data);
   w.U64Vector(ids);
   attrs_.Save(&w);
@@ -432,7 +451,7 @@ Result<std::unique_ptr<Collection>> Collection::Restore(
     VDB_ASSIGN_OR_RETURN(std::uint64_t entity, r.U64());
     VDB_ASSIGN_OR_RETURN(std::vector<std::uint64_t> members, r.U64Vector());
     for (VectorId member : members) {
-      if (!c->vectors_.Contains(member)) {
+      if (!c->Contains(member)) {
         return Status::Corruption("entity member missing from snapshot");
       }
       c->entity_of_vector_[member] = entity;
@@ -451,7 +470,7 @@ Result<std::unique_ptr<Collection>> Collection::Restore(
 }
 
 CollectionView Collection::View() const {
-  return {&vectors_, &attrs_, segments_, &scorer_, growing_from_};
+  return {&growing_, &attrs_, segments_, &scorer_};
 }
 
 Status Collection::Knn(VectorView query, std::size_t k,
@@ -491,11 +510,12 @@ Status Collection::RangeSearch(VectorView query, float radius,
                                SearchStats* stats) const {
   if (out == nullptr) return Status::InvalidArgument("out must not be null");
   out->clear();
-  // Exact by construction: scan the vector store (range semantics demand
+  // Exact by construction: scan every row (range semantics demand
   // completeness; index-accelerated range search is available directly on
   // FlatIndex / graph indexes for approximate variants).
-  vectors_.ForEachLive(
-      0, vectors_.total_rows(), [&](VectorId id, const float* vec) {
+  VDB_RETURN_IF_ERROR(ForEachLiveRow(
+      View(),
+      [&](VectorId id, const float* vec) {
         float dist = scorer_.Distance(query.data(), vec);
         if (stats != nullptr) ++stats->distance_comps;
         if (dist <= radius) {
@@ -503,7 +523,8 @@ Status Collection::RangeSearch(VectorView query, float radius,
           out->push_back(
               {it != entity_of_vector_.end() ? it->second : id, dist});
         }
-      });
+      },
+      stats));
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end(),
                          [](const Neighbor& a, const Neighbor& b) {
@@ -519,10 +540,12 @@ Result<CkSearchResult> Collection::CkSearch(VectorView query, double c,
   if (c < 1.0) return Status::InvalidArgument("c must be >= 1");
   // Exact k-th distance (the verification oracle).
   TopK exact(k);
-  vectors_.ForEachLive(
-      0, vectors_.total_rows(), [&](VectorId id, const float* vec) {
+  VDB_RETURN_IF_ERROR(ForEachLiveRow(
+      View(),
+      [&](VectorId id, const float* vec) {
         exact.Push(id, scorer_.Distance(query.data(), vec));
-      });
+      },
+      stats));
   auto truth = exact.Take();
   if (truth.empty()) return Status::FailedPrecondition("collection is empty");
   double exact_kth = truth.back().dist;
@@ -630,19 +653,23 @@ Status Collection::MultiVectorKnn(const FloatMatrix& query_vectors,
     }
   }
   TopK top(k);
-  std::vector<float> per_query(query_vectors.rows());
+  std::vector<float> per_query;
+  std::vector<float> buf(opts_.dim);
   for (VectorId entity : candidates) {
-    const auto& members = entity_vectors_.at(entity);
-    for (std::size_t qv = 0; qv < query_vectors.rows(); ++qv) {
-      float best = std::numeric_limits<float>::max();
-      for (VectorId vid : members) {
-        const float* vec = vectors_.Get(vid);
-        if (vec == nullptr) continue;
+    per_query.assign(query_vectors.rows(), std::numeric_limits<float>::max());
+    for (VectorId vid : entity_vectors_.at(entity)) {
+      const float* vec = growing_.Get(vid);
+      const Segment* holder = vec == nullptr ? HolderOf(vid) : nullptr;
+      if (holder != nullptr) {
+        VDB_RETURN_IF_ERROR(holder->index->ReadRow(vid, buf, stats));
+        vec = buf.data();
+      }
+      if (vec == nullptr) continue;  // a deleted member
+      for (std::size_t qv = 0; qv < query_vectors.rows(); ++qv) {
         float d = scorer_.Distance(query_vectors.row(qv), vec);
         if (stats != nullptr) ++stats->distance_comps;
-        best = std::min(best, d);
+        per_query[qv] = std::min(per_query[qv], d);
       }
-      per_query[qv] = best;
     }
     top.Push(entity, agg.Combine(per_query));
   }
@@ -651,7 +678,7 @@ Status Collection::MultiVectorKnn(const FloatMatrix& query_vectors,
 }
 
 std::size_t Collection::Size() const {
-  return vectors_.live_count() - [this] {
+  return LiveRows(View()) - [this] {
     std::size_t members = 0;
     for (const auto& [entity, vids] : entity_vectors_) members += vids.size();
     return members;
@@ -659,7 +686,7 @@ std::size_t Collection::Size() const {
 }
 
 std::size_t Collection::MemoryBytes() const {
-  std::size_t bytes = vectors_.MemoryBytes();
+  std::size_t bytes = growing_.MemoryBytes();
   for (const Segment& seg : segments_) {
     bytes += seg.index->MemoryBytes();
     if (seg.partitioned != nullptr) bytes += seg.partitioned->MemoryBytes();

@@ -74,10 +74,10 @@ struct CkSearchResult {
 /// durability.
 ///
 /// Storage is the Milvus/Manu segment layout (§2.3(3)): every row lives
-/// once in the vector store; sealed segments each index a fixed set of
-/// those rows, and the live rows no sealed segment holds form the growing
-/// segment, which every read brute-forces. Deletes reach the segment
-/// indexes directly. The in-place index is the case of one sealed segment.
+/// once, either in a sealed segment, whose index owns it (resident or in
+/// its pages), or in the growing segment, a VectorStore that every read
+/// brute-forces. A delete tombstones the row where it lives. The in-place
+/// index is the case of one sealed segment.
 ///
 /// Not thread-safe for writers; external synchronization required for
 /// concurrent use (ShardedCollection provides the parallel read path).
@@ -148,9 +148,10 @@ class Collection {
   /// fall back to BuildIndex on recovery.
   Status SaveIndexSnapshot(const std::string& path) const;
   /// Installs an index snapshot saved by `SaveIndexSnapshot` as the one
-  /// sealed segment. Must be called on a collection restored from the
-  /// *matching* checkpoint, before any WAL replay, so the snapshot covers
-  /// exactly the live rows.
+  /// sealed segment, which adopts the rows: its live rows must equal the
+  /// collection's (ids and vector bits, in order), and then the growing
+  /// rows are dropped. Call it on a collection restored from the
+  /// *matching* checkpoint, before any WAL replay.
   Status LoadIndexSnapshot(const std::string& path);
 
   // ------------------------------------------------------------ queries
@@ -198,7 +199,7 @@ class Collection {
   bool HasIndex() const { return !segments_.empty(); }
   /// Live rows of the growing segment: no sealed segment holds them, so
   /// every read brute-forces them.
-  std::size_t UnindexedRows() const { return growing_live_; }
+  std::size_t UnindexedRows() const { return growing_.live_count(); }
   std::size_t SegmentCount() const { return segments_.size(); }
   std::size_t MemoryBytes() const;
 
@@ -209,38 +210,39 @@ class Collection {
                         const std::vector<AttrBinding>& attrs, bool log);
   Status DeleteInternal(VectorId id, bool log);
   CollectionView View() const;
-  /// One segment, no growing rows, no removals since the seal: the one
+  /// One segment, no growing rows, no tombstones in the segment: the one
   /// segment's index covers exactly the live rows.
   bool Clean() const {
-    return segments_.size() == 1 && growing_live_ == 0 &&
-           sealed_removals_ == 0;
+    return segments_.size() == 1 && growing_.live_count() == 0 &&
+           segments_.front().index->row_ids().rows() ==
+               segments_.front().index->Size();
   }
-  /// Builds a segment over the live rows in [first_row, end_row).
-  Result<Segment> BuildSegment(std::size_t first_row,
-                               std::size_t end_row) const;
+  /// The sealed segment holding a live row labelled `id`; null if none.
+  const Segment* HolderOf(VectorId id) const;
+  bool Contains(VectorId id) const {
+    return growing_.Contains(id) || HolderOf(id) != nullptr;
+  }
+  /// Builds a segment over the live rows of `rows`.
+  Result<Segment> BuildSegment(const CollectionView& rows) const;
   /// The partitioned index over `data` (whose rows `ids` label).
   Result<std::unique_ptr<AttributePartitionedIndex>> BuildPartitions(
       const FloatMatrix& data, const std::vector<VectorId>& ids) const;
-  /// Replaces every segment with `seg`, which holds every live row.
+  /// Replaces every segment and the growing rows with `seg`, which holds
+  /// every live row.
   void SealAll(Segment seg);
   /// The row's partition key: its `partition_column` value (0 if unset).
   std::int64_t PartitionValue(VectorId id) const;
 
   CollectionOptions opts_;
   Scorer scorer_;
-  VectorStore vectors_{0};
+  VectorStore growing_{0};
   AttributeStore attrs_;
   std::unique_ptr<Wal> wal_;
   std::unique_ptr<PlanOptimizer> optimizer_;
 
-  /// Sealed segments, oldest first. A live row of `vectors_` before
-  /// `growing_from_` is held by exactly one of them; the live rows from
-  /// `growing_from_` on are the growing segment.
+  /// Sealed segments, oldest first; their rows precede the growing rows
+  /// in the collection's row order.
   std::vector<Segment> segments_;
-  std::size_t growing_from_ = 0;
-  std::size_t growing_live_ = 0;
-  /// Rows removed from sealed segments since the last BuildIndex/Compact.
-  std::size_t sealed_removals_ = 0;
 
   /// Multi-vector bookkeeping: entity -> member vector ids and back.
   std::unordered_map<VectorId, std::vector<VectorId>> entity_vectors_;

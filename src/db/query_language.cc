@@ -346,9 +346,7 @@ Result<QueryResult> ExecuteQueryTraced(Database* db, const std::string& text,
                                        const QueryOptions& opts) {
   if (db == nullptr) return Status::InvalidArgument("db must not be null");
   auto& reg = Registry::Global();
-  static Counter& query_count = reg.GetCounter("vdb_queries_total");
   static Histogram& latency = reg.GetHistogram("vdb_query_seconds");
-  query_count.Inc();
 
   QueryResult result;
   QueryTrace trace;

@@ -21,6 +21,12 @@ Result<Bitset> EvaluatePredicate(const Predicate& pred,
 
 }  // namespace
 
+std::size_t LiveRows(const CollectionView& view) {
+  std::size_t live = view.growing != nullptr ? view.growing->live_count() : 0;
+  for (const Segment& seg : view.segments) live += seg.index->Size();
+  return live;
+}
+
 template <typename SearchSegment>
 Status HybridExecutor::SearchSegments(const float* query,
                                       const SearchParams& params,
@@ -28,7 +34,8 @@ Status HybridExecutor::SearchSegments(const float* query,
                                       SearchSegment&& search,
                                       std::vector<Neighbor>* out,
                                       SearchStats* stats) const {
-  const bool growing = view_.growing_from < view_.vectors->total_rows();
+  const bool growing =
+      view_.growing != nullptr && view_.growing->total_rows() > 0;
   if (view_.segments.size() == 1 && !growing) {
     return search(view_.segments.front(), out);  // a clean collection
   }
@@ -39,17 +46,15 @@ Status HybridExecutor::SearchSegments(const float* query,
   if (growing) {
     TraceScope span(params.trace, "growing_scan");
     TopK top(params.k);
-    view_.vectors->ForEachLive(
-        view_.growing_from, view_.vectors->total_rows(),
-        [&](VectorId id, const float* vec) {
-          if (growing_filter != nullptr) {
-            if (stats != nullptr) ++stats->filter_checks;
-            if (!growing_filter->Matches(id)) return;
-          }
-          float dist = view_.scorer->Distance(query, vec);
-          if (stats != nullptr) ++stats->distance_comps;
-          top.Push(id, dist);
-        });
+    view_.growing->ForEachLive([&](VectorId id, const float* vec) {
+      if (growing_filter != nullptr) {
+        if (stats != nullptr) ++stats->filter_checks;
+        if (!growing_filter->Matches(id)) return;
+      }
+      float dist = view_.scorer->Distance(query, vec);
+      if (stats != nullptr) ++stats->distance_comps;
+      top.Push(id, dist);
+    });
     parts.push_back(top.Take());
   }
   if (parts.size() == 1) {
@@ -84,15 +89,17 @@ Status HybridExecutor::BruteForce(const Predicate& pred, const float* query,
   }
   TraceScope scan_span(params.trace, "brute_force_scan");
   TopK top(params.k);
-  view_.vectors->ForEachLive(
-      0, view_.vectors->total_rows(), [&](VectorId id, const float* vec) {
+  VDB_RETURN_IF_ERROR(ForEachLiveRow(
+      view_,
+      [&](VectorId id, const float* vec) {
         if (id < bits.size() && !bits.Test(static_cast<std::size_t>(id))) {
           return;
         }
         float dist = view_.scorer->Distance(query, vec);
         if (stats != nullptr) ++stats->search.distance_comps;
         top.Push(id, dist);
-      });
+      },
+      stats != nullptr ? &stats->search : nullptr));
   *out = top.Take();
   return Status::Ok();
 }
@@ -101,8 +108,7 @@ Status HybridExecutor::Execute(const HybridPlan& plan, const Predicate& pred,
                                const float* query, const SearchParams& params,
                                std::vector<Neighbor>* out,
                                ExecStats* stats) const {
-  if (view_.vectors == nullptr || view_.scorer == nullptr ||
-      view_.attrs == nullptr) {
+  if (view_.scorer == nullptr || view_.attrs == nullptr) {
     return Status::FailedPrecondition("incomplete collection view");
   }
   if (out == nullptr) return Status::InvalidArgument("out must not be null");
@@ -143,7 +149,7 @@ Status HybridExecutor::Execute(const HybridPlan& plan, const Predicate& pred,
       // can come back short (§2.6(3)). Refill with a doubled `a` until k
       // rows survive; once a pass adds no row or a·k covers every live
       // row, the exact plan answers.
-      const double live = static_cast<double>(view_.vectors->live_count());
+      const double live = static_cast<double>(LiveRows(view_));
       bool exhausted = false;
       while (out->size() < params.k) {
         if (stats != nullptr) ++stats->refills;

@@ -1,7 +1,6 @@
 #ifndef VDB_EXEC_EXECUTOR_H_
 #define VDB_EXEC_EXECUTOR_H_
 
-#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -25,18 +24,34 @@ struct Segment {
   std::unique_ptr<AttributePartitionedIndex> partitioned;  ///< optional
 };
 
-/// Read-only handles to everything a hybrid plan may touch. No segments
-/// leaves brute force as the only plan.
+/// Read-only handles to everything a hybrid plan may touch. Each row
+/// lives in exactly one place: a sealed segment's index or the growing
+/// rows. No segments leaves brute force as the only plan.
 struct CollectionView {
-  const VectorStore* vectors = nullptr;       ///< required
+  /// The growing segment: rows in no sealed segment, which every read
+  /// brute-forces. Null when there are none.
+  const VectorStore* growing = nullptr;
   const AttributeStore* attrs = nullptr;      ///< required for predicates
   std::span<const Segment> segments;          ///< the sealed segments
   const Scorer* scorer = nullptr;             ///< required
-  /// First row of the growing segment: the live rows of `vectors` from
-  /// this row on are in no sealed segment, so every read brute-forces
-  /// them. The default says the segments hold every live row.
-  std::size_t growing_from = std::numeric_limits<std::size_t>::max();
 };
+
+/// Live rows of the sealed segments and the growing rows.
+std::size_t LiveRows(const CollectionView& view);
+
+/// Calls fn(id, vector) for every live row of `view` in the collection's
+/// row order: each sealed segment's rows, oldest segment first, then the
+/// growing rows. Disk-resident segments read their pages (counted in
+/// `stats->io_reads`).
+template <typename Fn>
+Status ForEachLiveRow(const CollectionView& view, Fn&& fn,
+                      SearchStats* stats) {
+  for (const Segment& seg : view.segments) {
+    VDB_RETURN_IF_ERROR(ForEachLiveRow(*seg.index, fn, stats));
+  }
+  if (view.growing != nullptr) view.growing->ForEachLive(fn);
+  return Status::Ok();
+}
 
 /// Executes a chosen hybrid plan against a collection snapshot — the
 /// "Query Executor" box of Figure 1 specialized to predicated k-NN.

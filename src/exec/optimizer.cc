@@ -112,7 +112,7 @@ Result<HybridPlan> CostBasedOptimizer::Choose(const Predicate& pred,
                                               double* est_selectivity) const {
   VDB_ASSIGN_OR_RETURN(double s, pred.EstimateSelectivity(*view.attrs));
   if (est_selectivity != nullptr) *est_selectivity = s;
-  const std::size_t n = view.vectors->live_count();
+  const std::size_t n = LiveRows(view);
   auto plans = EnumeratePlans(view, pred);
   double best_cost = std::numeric_limits<double>::max();
   HybridPlan best = plans.front();

@@ -27,7 +27,7 @@ AttributePartitionedIndex::Build(const FloatMatrix& data,
   for (auto& [value, group] : groups) {
     auto sub = factory();
     if (sub == nullptr) return Status::Internal("factory returned null");
-    VDB_RETURN_IF_ERROR(sub->Build(group.first, group.second));
+    VDB_RETURN_IF_ERROR(sub->Build(std::move(group.first), group.second));
     index->partitions_.emplace(value, std::move(sub));
   }
   return index;

@@ -134,7 +134,7 @@ std::size_t BspForest::TotalLeaves() const {
 }
 
 std::size_t BspForest::MemoryBytes() const {
-  std::size_t bytes = BaseMemoryBytes();
+  std::size_t bytes = rows_.MemoryBytes();
   for (const auto& tree : trees_) {
     bytes += tree.nodes.size() * sizeof(Node);
     bytes += tree.points.size() * sizeof(std::uint32_t);

@@ -5,9 +5,9 @@
 namespace vdb {
 
 void DenseIndexBase::SaveRows(BinaryWriter* w) const {
-  w->Matrix(data_);
-  w->U64Vector(rows_.labels());
-  w->U32Vector(rows_.DeletedRows());
+  w->Matrix(rows_.vectors());
+  w->U64Vector(rows_.ids().labels());
+  w->U32Vector(rows_.ids().DeletedRows());
 }
 
 Status DenseIndexBase::LoadRows(BinaryReader* r, const MetricSpec& spec) {
@@ -16,10 +16,10 @@ Status DenseIndexBase::LoadRows(BinaryReader* r, const MetricSpec& spec) {
   if (labels.size() != data.rows()) {
     return Status::Corruption("labels/rows mismatch");
   }
-  VDB_RETURN_IF_ERROR(InitBase(data, labels, spec));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), labels, spec));
   VDB_ASSIGN_OR_RETURN(std::vector<std::uint32_t> deleted, r->U32Vector());
   for (std::uint32_t idx : deleted) {
-    if (idx >= data.rows()) return Status::Corruption("bad tombstone");
+    if (idx >= TotalRows()) return Status::Corruption("bad tombstone");
     VDB_RETURN_IF_ERROR(rows_.DeleteRow(idx));
   }
   return Status::Ok();

@@ -3,9 +3,9 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "core/row_ids.h"
 #include "index/graph_util.h"
 #include "index/index.h"
 
@@ -14,55 +14,54 @@ namespace vdb {
 class BinaryReader;  // storage/serializer.h
 class BinaryWriter;
 
-/// Shared machinery for in-memory indexes: owned copy of the vectors,
-/// their row identity (labels and tombstones, one RowIds), and the metric
-/// scorer. Indexes copy their data (faiss-style) so they stay decoupled
-/// from the storage manager's lifecycle.
+/// Shared machinery for in-memory indexes: the segment's rows (vectors,
+/// labels and tombstones, one VectorStore) and the metric scorer. The
+/// index owns the one copy of its rows; the collection reads them through
+/// the row surface (resident_rows).
 class DenseIndexBase : public VectorIndex {
  public:
-  std::size_t Size() const override { return rows_.live(); }
   /// Tombstones the label's row. Graph nodes keep routing traffic (their
   /// edges stay) but no longer appear in results — the standard
   /// out-of-place delete.
-  Status Remove(VectorId id) override { return rows_.Remove(id); }
-  std::size_t dim() const { return data_.cols(); }
-  const Scorer& scorer() const { return scorer_; }
-  VectorId label(std::uint32_t idx) const { return rows_.label(idx); }
-  const float* vector(std::uint32_t idx) const { return data_.row(idx); }
-  const RowIds& row_ids() const { return rows_; }
+  Status Remove(VectorId id) override { return rows_.Delete(id); }
+  const RowIds& row_ids() const override { return rows_.ids(); }
+  const VectorStore* resident_rows() const override { return &rows_; }
+  std::size_t dim() const { return rows_.dim(); }
+  VectorId label(std::uint32_t idx) const { return rows_.ids().label(idx); }
+  const float* vector(std::uint32_t idx) const { return rows_.row(idx); }
 
  protected:
-  /// Copies data/ids and creates the scorer. Call first from Build.
-  Status InitBase(const FloatMatrix& data, std::span<const VectorId> ids,
+  /// Takes data/ids as the rows and creates the scorer. Call first from
+  /// Build.
+  Status InitBase(FloatMatrix data, std::span<const VectorId> ids,
                   const MetricSpec& spec) {
     if (data.empty()) return Status::InvalidArgument("empty build data");
     if (!ids.empty() && ids.size() != data.rows()) {
       return Status::InvalidArgument("ids size must match data rows");
     }
     VDB_ASSIGN_OR_RETURN(scorer_, Scorer::Create(spec, data.cols()));
-    data_ = data;
-    rows_.Reset(data.rows(), ids);
+    rows_.Reset(std::move(data), ids);
     return Status::Ok();
   }
 
   /// Appends one vector (for incremental indexes) under RowIds' re-add
   /// rule; returns its internal index.
   Result<std::uint32_t> AddBase(const float* vec, VectorId id) {
-    if (data_.cols() == 0) {
-      return Status::FailedPrecondition("index not built");
-    }
-    VDB_ASSIGN_OR_RETURN(std::uint32_t idx, rows_.Append(id));
-    data_.AppendRow(vec, data_.cols());
+    if (rows_.dim() == 0) return Status::FailedPrecondition("index not built");
+    const auto idx = static_cast<std::uint32_t>(rows_.total_rows());
+    VDB_RETURN_IF_ERROR(rows_.Put(id, vec));
     return idx;
   }
 
-  bool IsDeleted(std::uint32_t idx) const { return rows_.IsDeleted(idx); }
+  bool IsDeleted(std::uint32_t idx) const {
+    return rows_.ids().IsDeleted(idx);
+  }
 
   /// True when the candidate may enter the result set: live and (when a
   /// filter is active) matching. Counts the filter probe.
   bool Admissible(std::uint32_t idx, const SearchParams& params,
                   SearchStats* stats) const {
-    return rows_.Admissible(idx, params.filter, stats);
+    return rows_.ids().Admissible(idx, params.filter, stats);
   }
 
   /// The k-NN tail every graph family shares: beam search from `entries`
@@ -78,7 +77,7 @@ class DenseIndexBase : public VectorIndex {
                                    : default_ef;
     ef = std::max(ef, params.k);
     auto results = graph::BeamSearch(
-        scorer_, data_.data(), query, entries, ef, TotalRows(),
+        scorer_, rows_.vectors().data(), query, entries, ef, TotalRows(),
         params.filter_mode, neighbors,
         [this, &params, stats](std::uint32_t u) {
           return Admissible(u, params, stats);
@@ -90,11 +89,7 @@ class DenseIndexBase : public VectorIndex {
     }
   }
 
-  std::size_t TotalRows() const { return data_.rows(); }
-
-  std::size_t BaseMemoryBytes() const {
-    return data_.ByteSize() + rows_.LabelBytes();
-  }
+  std::size_t TotalRows() const { return rows_.total_rows(); }
 
   /// The snapshot row block every persistent family shares: vectors,
   /// labels, then the tombstoned rows.
@@ -102,8 +97,7 @@ class DenseIndexBase : public VectorIndex {
   /// Reads a block written by SaveRows and initializes the base from it.
   Status LoadRows(BinaryReader* r, const MetricSpec& spec);
 
-  FloatMatrix data_;
-  RowIds rows_;
+  VectorStore rows_{0};
   Scorer scorer_;
 };
 

@@ -8,7 +8,7 @@
 
 namespace vdb {
 
-Status DiskAnnIndex::Build(const FloatMatrix& data,
+Status DiskAnnIndex::Build(FloatMatrix data,
                            std::span<const VectorId> ids) {
   if (data.empty()) return Status::InvalidArgument("empty build data");
   if (opts_.vamana.metric.metric != Metric::kL2) {
@@ -121,18 +121,14 @@ Status DiskAnnIndex::SearchImpl(const float* query,
   std::vector<std::uint64_t> offsets;
   batch.reserve(beam);
   offsets.reserve(beam);
-  const std::size_t vec_at = sizeof(std::uint32_t) * (1 + opts_.vamana.r);
-  auto offset_of = [&](std::uint32_t idx) -> std::uint64_t {
-    return idx / nodes_per_page_ * opts_.file.page_size +
-           idx % nodes_per_page_ * node_stride_;
-  };
+  const std::size_t vec_at = VectorAt();
   while (true) {
     batch.clear();
     offsets.clear();
     for (std::size_t i = 0; i < cands.size() && batch.size() < beam; ++i) {
       if (expanded.Test(cands[i].idx)) continue;
       batch.push_back(cands[i].idx);
-      offsets.push_back(offset_of(cands[i].idx));
+      offsets.push_back(NodeOffset(cands[i].idx));
     }
     if (batch.empty()) break;
     // One coalesced batch read for the whole beam: B candidates cost
@@ -168,6 +164,38 @@ Status DiskAnnIndex::SearchImpl(const float* query,
     if (out->size() >= params.k) break;
     out->push_back({rows_.label(static_cast<std::uint32_t>(nb.id)), nb.dist});
   }
+  if (stats != nullptr) stats->io_reads += file_->reads() - reads_before;
+  return Status::Ok();
+}
+
+Status DiskAnnIndex::ScanRows(const RowFn& fn, SearchStats* stats) const {
+  if (file_ == nullptr) return Status::FailedPrecondition("not built");
+  const std::uint64_t reads_before = file_->reads();
+  // Nodes are rows, laid out in order: one sweep over the pages.
+  std::vector<std::uint8_t> page(opts_.file.page_size);
+  for (std::uint32_t row = 0; row < rows_.rows(); ++row) {
+    const std::size_t slot = row % nodes_per_page_;
+    if (slot == 0) {
+      VDB_RETURN_IF_ERROR(file_->ReadPage(row / nodes_per_page_, page.data()));
+    }
+    if (rows_.IsDeleted(row)) continue;
+    fn(rows_.label(row), reinterpret_cast<const float*>(
+                             page.data() + slot * node_stride_ + VectorAt()));
+  }
+  if (stats != nullptr) stats->io_reads += file_->reads() - reads_before;
+  return Status::Ok();
+}
+
+Status DiskAnnIndex::ReadRow(VectorId id, std::span<float> out,
+                             SearchStats* stats) const {
+  if (file_ == nullptr) return Status::FailedPrecondition("not built");
+  const std::uint32_t row = rows_.LiveRow(id);
+  if (row == RowIds::kNoRow) return Status::NotFound("id not present");
+  const std::uint64_t reads_before = file_->reads();
+  const std::uint64_t offset = NodeOffset(row) + VectorAt();
+  VDB_RETURN_IF_ERROR(
+      file_->ReadBlocks({&offset, 1}, dim_ * sizeof(float),
+                        reinterpret_cast<std::uint8_t*>(out.data())));
   if (stats != nullptr) stats->io_reads += file_->reads() - reads_before;
   return Status::Ok();
 }

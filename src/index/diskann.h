@@ -35,9 +35,14 @@ class DiskAnnIndex final : public VectorIndex {
 
   std::string Name() const override { return "diskann"; }
   bool IsGraph() const override { return true; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Remove(VectorId id) override { return rows_.Remove(id); }
-  std::size_t Size() const override { return rows_.live(); }
+  const RowIds& row_ids() const override { return rows_; }
+  /// Reads every node page in order; full vectors stay on disk.
+  Status ScanRows(const RowFn& fn, SearchStats* stats) const override;
+  /// Reads the vector part of the row's node block.
+  Status ReadRow(VectorId id, std::span<float> out,
+                 SearchStats* stats) const override;
   /// In-memory footprint only (codes, labels, codebooks) — the number the
   /// paper contrasts with in-memory indexes.
   std::size_t MemoryBytes() const override;
@@ -51,6 +56,16 @@ class DiskAnnIndex final : public VectorIndex {
                     SearchStats* stats) const override;
 
  private:
+  /// Byte offset of node `idx`'s block in the file.
+  std::uint64_t NodeOffset(std::uint32_t idx) const {
+    return idx / nodes_per_page_ * opts_.file.page_size +
+           idx % nodes_per_page_ * node_stride_;
+  }
+  /// Offset of the vector inside a node block.
+  std::size_t VectorAt() const {
+    return sizeof(std::uint32_t) * (1 + opts_.vamana.r);
+  }
+
   std::string path_;
   DiskAnnOptions opts_;
   std::size_t dim_ = 0;

@@ -6,9 +6,9 @@
 
 namespace vdb {
 
-Status FanngIndex::Build(const FloatMatrix& data,
+Status FanngIndex::Build(FloatMatrix data,
                          std::span<const VectorId> ids) {
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
   if (opts_.max_degree == 0) {
     return Status::InvalidArgument("max_degree must be positive");
   }
@@ -105,7 +105,7 @@ Status FanngIndex::SearchImpl(const float* query, const SearchParams& params,
 }
 
 std::size_t FanngIndex::MemoryBytes() const {
-  std::size_t bytes = BaseMemoryBytes();
+  std::size_t bytes = rows_.MemoryBytes();
   for (const auto& adj : adjacency_) bytes += adj.size() * sizeof(std::uint32_t);
   return bytes;
 }

@@ -32,7 +32,7 @@ class FanngIndex final : public DenseIndexBase {
 
   std::string Name() const override { return "fanng"; }
   bool IsGraph() const override { return true; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   std::size_t MemoryBytes() const override;
 
   /// Trials that required an edge insertion (diagnostic: decays as the

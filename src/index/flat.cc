@@ -4,9 +4,9 @@
 
 namespace vdb {
 
-Status FlatIndex::Build(const FloatMatrix& data,
+Status FlatIndex::Build(FloatMatrix data,
                         std::span<const VectorId> ids) {
-  return InitBase(data, ids, metric_);
+  return InitBase(std::move(data), ids, metric_);
 }
 
 Status FlatIndex::Add(const float* vec, VectorId id) {

@@ -18,12 +18,12 @@ class FlatIndex final : public DenseIndexBase {
       : metric_(metric) {}
 
   std::string Name() const override { return "flat"; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
   Status RangeSearch(const float* query, float radius,
                      std::vector<Neighbor>* out,
                      SearchStats* stats = nullptr) const override;
-  std::size_t MemoryBytes() const override { return BaseMemoryBytes(); }
+  std::size_t MemoryBytes() const override { return rows_.MemoryBytes(); }
   bool SupportsAdd() const override { return true; }
 
  protected:

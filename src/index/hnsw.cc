@@ -12,10 +12,10 @@ constexpr std::uint32_t kHnswMagic = 0x56484E57;  // "VHNW"
 
 namespace vdb {
 
-Status HnswIndex::Build(const FloatMatrix& data,
+Status HnswIndex::Build(FloatMatrix data,
                         std::span<const VectorId> ids) {
   if (opts_.m < 2) return Status::InvalidArgument("hnsw: m must be >= 2");
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
   level_mult_ = 1.0 / std::log(static_cast<double>(opts_.m));
   links_.clear();
   links_.reserve(TotalRows());
@@ -70,7 +70,7 @@ std::vector<std::pair<float, std::uint32_t>> HnswIndex::SearchLayer(
     int level) const {
   std::uint32_t entries[1] = {entry};
   auto results = graph::BeamSearch(
-      scorer_, data_.data(), query, entries, ef, links_.size(),
+      scorer_, rows_.vectors().data(), query, entries, ef, links_.size(),
       FilterMode::kNone,
       [this, level](std::uint32_t u) { return Neighbors(u, level); },
       [](std::uint32_t) { return true; }, nullptr);
@@ -165,7 +165,7 @@ Status HnswIndex::SearchWithEntryHint(const float* query, VectorId hint,
                                       SearchStats* stats) const {
   if (out == nullptr) return Status::InvalidArgument("out must not be null");
   out->clear();
-  std::uint32_t entries[1] = {rows_.RowOf(hint)};
+  std::uint32_t entries[1] = {rows_.ids().RowOf(hint)};
   if (entries[0] == RowIds::kNoRow) {
     return Status::NotFound("entry hint not indexed");
   }
@@ -220,7 +220,7 @@ Status HnswIndex::RangeSearch(const float* query, float radius,
         std::sort(out->begin(), out->end());
         return Status::Ok();  // ball is (almost surely) empty
       }
-      frontier = {rows_.RowOf(seed[0].id)};
+      frontier = {rows_.ids().RowOf(seed[0].id)};
       out->clear();
       visited.ClearAll();
       visited.Set(frontier[0]);
@@ -306,7 +306,7 @@ Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(const std::string& path) {
 }
 
 std::size_t HnswIndex::MemoryBytes() const {
-  std::size_t bytes = BaseMemoryBytes();
+  std::size_t bytes = rows_.MemoryBytes();
   for (const auto& per_node : links_) {
     for (const auto& adj : per_node) bytes += adj.size() * sizeof(std::uint32_t);
     bytes += per_node.size() * sizeof(std::vector<std::uint32_t>);

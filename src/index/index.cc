@@ -17,7 +17,6 @@ namespace {
 /// adds on per-thread stripes (the acceptance bar: no mutex on Knn).
 void FlushSearchStats(const SearchStats& delta, double seconds) {
   auto& reg = Registry::Global();
-  static Counter& searches = reg.GetCounter("vdb_index_searches_total");
   static Counter& dist = reg.GetCounter("vdb_index_distance_comps_total");
   static Counter& code = reg.GetCounter("vdb_index_code_comps_total");
   static Counter& nodes = reg.GetCounter("vdb_index_nodes_visited_total");
@@ -25,7 +24,6 @@ void FlushSearchStats(const SearchStats& delta, double seconds) {
   static Counter& io = reg.GetCounter("vdb_index_io_reads_total");
   static Counter& filt = reg.GetCounter("vdb_index_filter_checks_total");
   static Histogram& lat = reg.GetHistogram("vdb_index_search_seconds");
-  searches.Inc();
   if (delta.distance_comps != 0) dist.Inc(delta.distance_comps);
   if (delta.code_comps != 0) code.Inc(delta.code_comps);
   if (delta.nodes_visited != 0) nodes.Inc(delta.nodes_visited);
@@ -53,6 +51,29 @@ SearchStats Delta(const SearchStats& after, const SearchStats& before) {
 
 Status VectorIndex::Add(const float*, VectorId) {
   return Status::Unsupported(Name() + ": incremental add not supported");
+}
+
+Status VectorIndex::ScanRows(const RowFn& fn, SearchStats*) const {
+  const VectorStore* rows = resident_rows();
+  if (rows == nullptr) return Status::Unsupported(Name() + ": no row scan");
+  rows->ForEachLive(fn);
+  return Status::Ok();
+}
+
+Status VectorIndex::ReadRow(VectorId id, std::span<float> out,
+                            SearchStats* stats) const {
+  if (row_ids().LiveRow(id) == RowIds::kNoRow) {
+    return Status::NotFound("id not present");
+  }
+  if (const VectorStore* rows = resident_rows()) {
+    std::copy_n(rows->Get(id), out.size(), out.data());
+    return Status::Ok();
+  }
+  return ScanRows(
+      [&](VectorId label, const float* vec) {
+        if (label == id) std::copy_n(vec, out.size(), out.data());
+      },
+      stats);
 }
 
 Status VectorIndex::RangeSearch(const float*, float, std::vector<Neighbor>*,

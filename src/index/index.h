@@ -9,8 +9,10 @@
 #include <vector>
 
 #include "core/distance.h"
+#include "core/row_ids.h"
 #include "core/status.h"
 #include "core/types.h"
+#include "storage/vector_store.h"
 
 namespace vdb {
 
@@ -78,18 +80,22 @@ struct SearchParams {
 };
 
 /// Abstract approximate/exact nearest-neighbor index over one vector
-/// collection (paper Figure 1 "Search Indexes"). Implementations copy the
-/// vectors they index; external `VectorId` labels flow through results.
+/// collection (paper Figure 1 "Search Indexes"). An index owns the rows it
+/// indexes — the one copy of a sealed segment's rows: in-memory families
+/// hold them in a VectorStore, disk-resident ones in their pages. External
+/// `VectorId` labels flow through results.
 class VectorIndex {
  public:
+  using RowFn = std::function<void(VectorId, const float*)>;
+
   virtual ~VectorIndex() = default;
 
   virtual std::string Name() const = 0;
 
   /// Builds from scratch. `ids[i]` labels row i of `data`; when `ids` is
-  /// empty, row indices are used as labels.
-  virtual Status Build(const FloatMatrix& data,
-                       std::span<const VectorId> ids) = 0;
+  /// empty, row indices are used as labels. In-memory families keep `data`
+  /// as their rows, so a caller that is done with it moves it in.
+  virtual Status Build(FloatMatrix data, std::span<const VectorId> ids) = 0;
 
   /// Incremental insert. Default: unsupported (the paper's "hard to
   /// update" indexes — callers fall back to out-of-place updates).
@@ -111,7 +117,25 @@ class VectorIndex {
                              SearchStats* stats = nullptr) const;
 
   /// Number of (live) indexed vectors.
-  virtual std::size_t Size() const = 0;
+  std::size_t Size() const { return row_ids().live(); }
+
+  // Row surface: the collection's exact paths (brute force, range search,
+  // the (c,k) oracle, multi-vector re-scoring, checkpoints and rebuilds)
+  // read a sealed segment's rows here.
+
+  /// Row identity of the indexed rows: labels, tombstones, live count.
+  virtual const RowIds& row_ids() const = 0;
+  /// The rows when the index keeps them in memory; null when they live in
+  /// its pages.
+  virtual const VectorStore* resident_rows() const { return nullptr; }
+  /// Calls fn(id, vector) for each live row, in row order. The default
+  /// walks resident_rows(); disk-resident families read their pages
+  /// (counted in `stats->io_reads`).
+  virtual Status ScanRows(const RowFn& fn, SearchStats* stats) const;
+  /// Copies the live row labelled `id` into `out` (dim floats); NotFound
+  /// when there is none. Paged rows default to a ScanRows pass.
+  virtual Status ReadRow(VectorId id, std::span<float> out,
+                         SearchStats* stats) const;
 
   /// Rough resident memory of the index structure + stored vectors.
   virtual std::size_t MemoryBytes() const = 0;
@@ -133,6 +157,16 @@ class VectorIndex {
 
 /// Creates an empty index; a collection builds one per sealed segment.
 using IndexFactory = std::function<std::unique_ptr<VectorIndex>()>;
+
+/// ScanRows, with `fn` inlined into the loop when the rows are resident.
+template <typename Fn>
+Status ForEachLiveRow(const VectorIndex& index, Fn&& fn, SearchStats* stats) {
+  if (const VectorStore* rows = index.resident_rows()) {
+    rows->ForEachLive(fn);
+    return Status::Ok();
+  }
+  return index.ScanRows(fn, stats);
+}
 
 /// Convenience: applies a filter to `results`, keeping order, truncating
 /// to k. Used by post-filtering and by operators that re-check predicates.

@@ -15,7 +15,7 @@ Status IvfBase::BuildCoarse() {
   km.k = opts_.nlist;
   km.max_iters = opts_.kmeans_iters;
   km.seed = opts_.seed;
-  VDB_ASSIGN_OR_RETURN(KMeansResult result, KMeans(data_, km));
+  VDB_ASSIGN_OR_RETURN(KMeansResult result, KMeans(rows_.vectors(), km));
   centroids_ = std::move(result.centroids);
   lists_.assign(centroids_.rows(), {});
   for (std::uint32_t i = 0; i < TotalRows(); ++i) {
@@ -43,9 +43,9 @@ Status IvfBase::LoadLists(BinaryReader* r) {
   return Status::Ok();
 }
 
-Status IvfFlatIndex::Build(const FloatMatrix& data,
+Status IvfFlatIndex::Build(FloatMatrix data,
                            std::span<const VectorId> ids) {
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
   return BuildCoarse();
 }
 
@@ -152,7 +152,7 @@ Result<std::unique_ptr<IvfFlatIndex>> IvfFlatIndex::Load(
 }
 
 std::size_t IvfFlatIndex::MemoryBytes() const {
-  std::size_t bytes = BaseMemoryBytes() + centroids_.ByteSize();
+  std::size_t bytes = rows_.MemoryBytes() + centroids_.ByteSize();
   for (const auto& list : lists_) bytes += list.size() * sizeof(std::uint32_t);
   return bytes;
 }

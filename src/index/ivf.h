@@ -57,7 +57,7 @@ class IvfFlatIndex final : public IvfBase {
   explicit IvfFlatIndex(const IvfOptions& opts = {}) : IvfBase(opts) {}
 
   std::string Name() const override { return "ivf-flat"; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
   std::size_t MemoryBytes() const override;
   bool SupportsAdd() const override { return true; }

@@ -34,12 +34,12 @@ void IvfPqIndex::EncodeResidual(const float* raw_vec, std::uint32_t list_id,
   pq_.Encode(rotated.data(), code);
 }
 
-Status IvfPqIndex::Build(const FloatMatrix& data,
+Status IvfPqIndex::Build(FloatMatrix data,
                          std::span<const VectorId> ids) {
   if (pq_opts_.ivf.metric.metric != Metric::kL2) {
     return Status::InvalidArgument("ivf-pq supports the L2 metric only");
   }
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, pq_opts_.ivf.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, pq_opts_.ivf.metric));
   VDB_RETURN_IF_ERROR(BuildCoarse());
 
   // Residuals relative to each vector's coarse centroid (IVFADC).
@@ -180,7 +180,7 @@ Result<std::unique_ptr<IvfPqIndex>> IvfPqIndex::Load(
 
 std::size_t IvfPqIndex::MemoryBytes() const {
   std::size_t bytes =
-      BaseMemoryBytes() + centroids_.ByteSize() + codes_.size();
+      rows_.MemoryBytes() + centroids_.ByteSize() + codes_.size();
   for (const auto& list : lists_) bytes += list.size() * sizeof(std::uint32_t);
   bytes += pq_.m() * pq_.ksub() * pq_.dsub() * sizeof(float);  // codebooks
   return bytes;

@@ -33,7 +33,7 @@ class IvfPqIndex final : public IvfBase {
   std::string Name() const override {
     return pq_opts_.use_opq ? "ivf-opq" : "ivf-pq";
   }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
   std::size_t MemoryBytes() const override;
   bool SupportsAdd() const override { return true; }

@@ -6,14 +6,14 @@
 
 namespace vdb {
 
-Status IvfSqIndex::Build(const FloatMatrix& data,
+Status IvfSqIndex::Build(FloatMatrix data,
                          std::span<const VectorId> ids) {
   if (opts_.metric.metric != Metric::kL2) {
     return Status::InvalidArgument("ivf-sq8 supports the L2 metric only");
   }
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
   VDB_RETURN_IF_ERROR(BuildCoarse());
-  VDB_RETURN_IF_ERROR(sq_.Train(data));
+  VDB_RETURN_IF_ERROR(sq_.Train(rows_.vectors()));
   codes_.resize(TotalRows() * sq_.code_size());
   for (std::uint32_t i = 0; i < TotalRows(); ++i) {
     sq_.Encode(vector(i), codes_.data() + std::size_t{i} * sq_.code_size());
@@ -71,7 +71,7 @@ Status IvfSqIndex::SearchImpl(const float* query, const SearchParams& params,
 
 std::size_t IvfSqIndex::MemoryBytes() const {
   std::size_t bytes =
-      BaseMemoryBytes() + centroids_.ByteSize() + codes_.size();
+      rows_.MemoryBytes() + centroids_.ByteSize() + codes_.size();
   for (const auto& list : lists_) bytes += list.size() * sizeof(std::uint32_t);
   return bytes;
 }

@@ -19,7 +19,7 @@ class IvfSqIndex final : public IvfBase {
   explicit IvfSqIndex(const IvfOptions& opts = {}) : IvfBase(opts) {}
 
   std::string Name() const override { return "ivf-sq8"; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
   std::size_t MemoryBytes() const override;
   bool SupportsAdd() const override { return true; }

@@ -31,7 +31,7 @@ class KdTreeIndex final : public BspForest {
   std::string Name() const override {
     return opts_.num_trees > 1 ? "kd-forest" : "kd-tree";
   }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
 
  protected:
   float Margin(const Tree& tree, const Node& node,

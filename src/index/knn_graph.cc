@@ -10,9 +10,9 @@
 
 namespace vdb {
 
-Status KnnGraphIndex::Build(const FloatMatrix& data,
+Status KnnGraphIndex::Build(FloatMatrix data,
                             std::span<const VectorId> ids) {
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
   if (opts_.graph_degree == 0) {
     return Status::InvalidArgument("graph_degree must be > 0");
   }
@@ -101,7 +101,7 @@ void KnnGraphIndex::InitFromKdForest() {
   for (std::size_t i = 0; i < internal_ids.size(); ++i) {
     internal_ids[i] = static_cast<VectorId>(i);
   }
-  if (!forest.Build(data_, internal_ids).ok()) {
+  if (!forest.Build(rows_.vectors(), internal_ids).ok()) {
     Rng rng(opts_.seed);
     InitRandom(&rng);
     return;
@@ -250,7 +250,7 @@ double KnnGraphIndex::GraphRecallVsExact() const {
 }
 
 std::size_t KnnGraphIndex::MemoryBytes() const {
-  std::size_t bytes = BaseMemoryBytes();
+  std::size_t bytes = rows_.MemoryBytes();
   for (const auto& adj : adjacency_) bytes += adj.size() * sizeof(std::uint32_t);
   return bytes;
 }

@@ -43,7 +43,7 @@ class KnnGraphIndex final : public DenseIndexBase {
     return opts_.init == KnnGraphInit::kKdForest ? "efanna" : "kgraph";
   }
   bool IsGraph() const override { return true; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   std::size_t MemoryBytes() const override;
 
   /// Fraction of edges of the exact KNN graph present in this graph

@@ -9,7 +9,7 @@
 
 namespace vdb {
 
-Status LshIndex::Build(const FloatMatrix& data, std::span<const VectorId> ids) {
+Status LshIndex::Build(FloatMatrix data, std::span<const VectorId> ids) {
   if (opts_.num_tables == 0 || opts_.hashes_per_table == 0) {
     return Status::InvalidArgument("lsh: L and K must be positive");
   }
@@ -19,7 +19,7 @@ Status LshIndex::Build(const FloatMatrix& data, std::span<const VectorId> ids) {
   if (opts_.family == LshFamily::kPStableL2 && opts_.bucket_width <= 0.0f) {
     return Status::InvalidArgument("lsh: bucket_width must be positive");
   }
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
 
   const std::size_t total = opts_.num_tables * opts_.hashes_per_table;
   Rng rng(opts_.seed);
@@ -129,7 +129,7 @@ Status LshIndex::SearchImpl(const float* query, const SearchParams& params,
 }
 
 std::size_t LshIndex::MemoryBytes() const {
-  std::size_t bytes = BaseMemoryBytes() + projections_.ByteSize() +
+  std::size_t bytes = rows_.MemoryBytes() + projections_.ByteSize() +
                       offsets_.size() * sizeof(float);
   for (const auto& table : tables_) {
     bytes += table.size() * (sizeof(std::uint64_t) + sizeof(void*));

@@ -39,7 +39,7 @@ class LshIndex final : public DenseIndexBase {
   std::string Name() const override {
     return opts_.family == LshFamily::kPStableL2 ? "lsh-e2" : "lsh-sign";
   }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
   std::size_t MemoryBytes() const override;
   bool SupportsAdd() const override { return true; }

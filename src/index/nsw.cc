@@ -6,9 +6,9 @@
 
 namespace vdb {
 
-Status NswIndex::Build(const FloatMatrix& data,
+Status NswIndex::Build(FloatMatrix data,
                        std::span<const VectorId> ids) {
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
   adjacency_.assign(TotalRows(), {});
   inserted_ = 0;
   for (std::uint32_t i = 0; i < TotalRows(); ++i) Insert(i);
@@ -43,7 +43,7 @@ void NswIndex::Insert(std::uint32_t idx) {
   auto entries = EntryPoints();
   std::size_t ef = std::max(opts_.ef_construction, opts_.m);
   auto nearest = graph::BeamSearch(
-      scorer_, data_.data(), vector(idx), entries, ef, inserted_,
+      scorer_, rows_.vectors().data(), vector(idx), entries, ef, inserted_,
       FilterMode::kNone,
       [this](std::uint32_t u) {
         return std::span<const std::uint32_t>(adjacency_[u]);
@@ -78,7 +78,7 @@ double NswIndex::MeanDegree() const {
 }
 
 std::size_t NswIndex::MemoryBytes() const {
-  std::size_t bytes = BaseMemoryBytes();
+  std::size_t bytes = rows_.MemoryBytes();
   for (const auto& adj : adjacency_) bytes += adj.size() * sizeof(std::uint32_t);
   return bytes;
 }

@@ -29,7 +29,7 @@ class NswIndex final : public DenseIndexBase {
 
   std::string Name() const override { return "nsw"; }
   bool IsGraph() const override { return true; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
   bool SupportsAdd() const override { return true; }
   std::size_t MemoryBytes() const override;

@@ -6,10 +6,11 @@
 
 namespace vdb {
 
-Status PcaTreeIndex::Build(const FloatMatrix& data,
+Status PcaTreeIndex::Build(FloatMatrix data,
                            std::span<const VectorId> ids) {
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
-  auto pca = linalg::Pca(data, std::min(opts_.num_components, data.cols()));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
+  auto pca =
+      linalg::Pca(rows_.vectors(), std::min(opts_.num_components, dim()));
   components_ = std::move(pca.components);
   if (components_.rows() == 0) {
     return Status::Internal("pca produced no components");

@@ -7,9 +7,9 @@
 
 namespace vdb {
 
-Status RpForestIndex::Build(const FloatMatrix& data,
+Status RpForestIndex::Build(FloatMatrix data,
                             std::span<const VectorId> ids) {
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
   return BuildForest(opts_.num_trees, opts_.leaf_size, opts_.seed);
 }
 

@@ -28,7 +28,7 @@ class RpForestIndex final : public BspForest {
   }
 
   std::string Name() const override { return "rp-forest"; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
 
  protected:
   float Margin(const Tree& tree, const Node& node,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <limits>
 
 #include "core/kmeans.h"
@@ -12,11 +13,10 @@ namespace vdb {
 
 std::size_t SpannIndex::EntriesPerPage() const {
   // Posting entry: [uint32 internal id][dim x float].
-  std::size_t entry = sizeof(std::uint32_t) + dim_ * sizeof(float);
-  return opts_.file.page_size / entry;
+  return opts_.file.page_size / EntrySize();
 }
 
-Status SpannIndex::Build(const FloatMatrix& data,
+Status SpannIndex::Build(FloatMatrix data,
                          std::span<const VectorId> ids) {
   if (data.empty()) return Status::InvalidArgument("empty build data");
   if (opts_.metric.metric != Metric::kL2) {
@@ -60,7 +60,7 @@ Status SpannIndex::Build(const FloatMatrix& data,
   VDB_ASSIGN_OR_RETURN(file_, PagedFile::Create(path_, opts_.file));
   postings_.assign(lists.size(), {});
   const std::size_t epp = EntriesPerPage();
-  const std::size_t entry_size = sizeof(std::uint32_t) + dim_ * sizeof(float);
+  const std::size_t entry_size = EntrySize();
   std::vector<std::uint8_t> page(opts_.file.page_size, 0);
   std::uint64_t next_page = 0;
   for (std::size_t c = 0; c < lists.size(); ++c) {
@@ -102,7 +102,7 @@ Status SpannIndex::SearchImpl(const float* query, const SearchParams& params,
   const float prune = (1.0f + eps) * (1.0f + eps);
 
   const std::size_t epp = EntriesPerPage();
-  const std::size_t entry_size = sizeof(std::uint32_t) + dim_ * sizeof(float);
+  const std::size_t entry_size = EntrySize();
   // Posting pages are consecutive on disk, so each batched read below
   // coalesces into a single positioned read (chunked to bound memory).
   constexpr std::size_t kChunkPages = 64;
@@ -145,6 +145,52 @@ Status SpannIndex::SearchImpl(const float* query, const SearchParams& params,
     }
   }
   *out = top.Take();
+  if (stats != nullptr) stats->io_reads += file_->reads() - reads_before;
+  return Status::Ok();
+}
+
+Status SpannIndex::ScanRows(const RowFn& fn, SearchStats* stats) const {
+  if (file_ == nullptr) return Status::FailedPrecondition("not built");
+  const std::uint64_t reads_before = file_->reads();
+  const std::size_t epp = EntriesPerPage(), page_size = opts_.file.page_size;
+  // Build appends rows to every list in ascending order, so merging the
+  // lists' heads (a min-heap on (row, list)) yields the rows in order and
+  // a row's replicas one after another. Each list holds one page.
+  std::vector<std::uint8_t> pages(postings_.size() * page_size);
+  std::vector<std::uint32_t> next(postings_.size(), 0);
+  auto entry = [&](std::size_t c) {
+    return pages.data() + c * page_size + next[c] % epp * EntrySize();
+  };
+  std::vector<std::pair<std::uint32_t, std::size_t>> heap;
+  auto push_head = [&](std::size_t c) -> Status {
+    if (next[c] == postings_[c].num_entries) return Status::Ok();
+    if (next[c] % epp == 0) {
+      const std::uint64_t page = postings_[c].first_page + next[c] / epp;
+      VDB_RETURN_IF_ERROR(file_->ReadPage(page, pages.data() + c * page_size));
+    }
+    std::uint32_t row;
+    std::memcpy(&row, entry(c), sizeof(row));
+    if (row >= rows_.rows()) return Status::Corruption("bad posting entry");
+    heap.push_back({row, c});
+    std::push_heap(heap.begin(), heap.end(), std::greater<>());
+    return Status::Ok();
+  };
+  for (std::size_t c = 0; c < postings_.size(); ++c) {
+    VDB_RETURN_IF_ERROR(push_head(c));
+  }
+  std::uint32_t last = RowIds::kNoRow;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    const auto [row, c] = heap.back();
+    heap.pop_back();
+    if (row != last && !rows_.IsDeleted(row)) {
+      fn(rows_.label(row),
+         reinterpret_cast<const float*>(entry(c) + sizeof(row)));
+    }
+    last = row;
+    ++next[c];
+    VDB_RETURN_IF_ERROR(push_head(c));
+  }
   if (stats != nullptr) stats->io_reads += file_->reads() - reads_before;
   return Status::Ok();
 }

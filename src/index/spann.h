@@ -39,9 +39,12 @@ class SpannIndex final : public VectorIndex {
       : path_(std::move(path)), opts_(opts) {}
 
   std::string Name() const override { return "spann"; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Remove(VectorId id) override { return rows_.Remove(id); }
-  std::size_t Size() const override { return rows_.live(); }
+  const RowIds& row_ids() const override { return rows_; }
+  /// Merges the posting lists (each in ascending row order) page by page,
+  /// holding one page per list; a replicated row is read once.
+  Status ScanRows(const RowFn& fn, SearchStats* stats) const override;
   std::size_t MemoryBytes() const override;
   std::size_t DiskBytes() const;
 
@@ -60,6 +63,9 @@ class SpannIndex final : public VectorIndex {
     std::uint32_t num_entries = 0;
   };
   std::size_t EntriesPerPage() const;
+  std::size_t EntrySize() const {
+    return sizeof(std::uint32_t) + dim_ * sizeof(float);
+  }
 
   std::string path_;
   SpannOptions opts_;

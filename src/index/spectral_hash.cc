@@ -11,7 +11,7 @@
 
 namespace vdb {
 
-Status SpectralHashIndex::Build(const FloatMatrix& data,
+Status SpectralHashIndex::Build(FloatMatrix data,
                                 std::span<const VectorId> ids) {
   if (opts_.bits == 0 || opts_.bits > 64) {
     return Status::InvalidArgument("bits must be in [1, 64]");
@@ -19,18 +19,18 @@ Status SpectralHashIndex::Build(const FloatMatrix& data,
   if (opts_.metric.metric != Metric::kL2) {
     return Status::InvalidArgument("spectral-hash supports L2 only");
   }
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
 
   auto pca =
-      linalg::Pca(data, std::min(opts_.num_components, data.cols()));
+      linalg::Pca(rows_.vectors(), std::min(opts_.num_components, dim()));
   components_ = std::move(pca.components);
   const std::size_t nc = components_.rows();
 
   mins_.assign(nc, std::numeric_limits<float>::max());
   std::vector<float> maxs(nc, std::numeric_limits<float>::lowest());
   std::vector<float> proj(nc);
-  for (std::size_t i = 0; i < data.rows(); ++i) {
-    linalg::MatVec(components_, data.row(i), proj.data());
+  for (std::uint32_t i = 0; i < TotalRows(); ++i) {
+    linalg::MatVec(components_, vector(i), proj.data());
     for (std::size_t c = 0; c < nc; ++c) {
       mins_[c] = std::min(mins_[c], proj[c]);
       maxs[c] = std::max(maxs[c], proj[c]);
@@ -123,7 +123,7 @@ Status SpectralHashIndex::SearchImpl(const float* query,
 }
 
 std::size_t SpectralHashIndex::MemoryBytes() const {
-  return BaseMemoryBytes() + components_.ByteSize() +
+  return rows_.MemoryBytes() + components_.ByteSize() +
          codes_.size() * sizeof(std::uint64_t);
 }
 

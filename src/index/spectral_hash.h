@@ -31,7 +31,7 @@ class SpectralHashIndex final : public DenseIndexBase {
       : opts_(opts) {}
 
   std::string Name() const override { return "spectral-hash"; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
   bool SupportsAdd() const override { return true; }
   std::size_t MemoryBytes() const override;

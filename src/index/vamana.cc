@@ -9,9 +9,9 @@
 
 namespace vdb {
 
-Status VamanaIndex::Build(const FloatMatrix& data,
+Status VamanaIndex::Build(FloatMatrix data,
                           std::span<const VectorId> ids) {
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
   if (opts_.r == 0 || opts_.l == 0) {
     return Status::InvalidArgument("vamana: r and l must be positive");
   }
@@ -54,7 +54,7 @@ Status VamanaIndex::Build(const FloatMatrix& data,
       std::uint32_t entries[1] = {medoid_};
       std::vector<graph::Cand> expanded;
       auto results = graph::BeamSearch(
-          scorer_, data_.data(), vector(p), entries, opts_.l, n,
+          scorer_, rows_.vectors().data(), vector(p), entries, opts_.l, n,
           FilterMode::kNone,
           [this](std::uint32_t u) {
             return std::span<const std::uint32_t>(adjacency_[u]);
@@ -164,7 +164,7 @@ Status VamanaIndex::SearchImpl(const float* query, const SearchParams& params,
 }
 
 std::size_t VamanaIndex::MemoryBytes() const {
-  std::size_t bytes = BaseMemoryBytes();
+  std::size_t bytes = rows_.MemoryBytes();
   for (const auto& adj : adjacency_) bytes += adj.size() * sizeof(std::uint32_t);
   return bytes;
 }

@@ -29,7 +29,7 @@ class VamanaIndex final : public DenseIndexBase {
 
   std::string Name() const override { return "vamana"; }
   bool IsGraph() const override { return true; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   std::size_t MemoryBytes() const override;
 
   std::uint32_t medoid() const { return medoid_; }

@@ -1,8 +1,9 @@
 #ifndef VDB_STORAGE_VECTOR_STORE_H_
 #define VDB_STORAGE_VECTOR_STORE_H_
 
-#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/row_ids.h"
@@ -12,9 +13,10 @@
 namespace vdb {
 
 /// In-memory slab of full-precision vectors with stable external ids and
-/// tombstones — the "Vector Storage" box of the paper's Figure 1. Indexes
-/// copy from here at build time; operators read through `Get` when
-/// re-checking or re-ranking.
+/// tombstones — the "Vector Storage" box of the paper's Figure 1, and the
+/// one in-memory row container: a collection's growing segment is one,
+/// and every in-memory index family holds its sealed segment's rows in
+/// one. Rows are dense and never reused (RowIds' rule).
 class VectorStore {
  public:
   explicit VectorStore(std::size_t dim) : dim_(dim), data_(0, dim) {}
@@ -22,10 +24,22 @@ class VectorStore {
   std::size_t dim() const { return dim_; }
   std::size_t live_count() const { return ids_.live(); }
   std::size_t total_rows() const { return data_.rows(); }
+  const RowIds& ids() const { return ids_; }
+  const float* row(std::uint32_t r) const { return data_.row(r); }
+  /// Every row, tombstoned ones included, row-major.
+  const FloatMatrix& vectors() const { return data_; }
+
+  /// Replaces every row with the rows of `data`, all live, labelled `ids`
+  /// (row numbers when `ids` is empty).
+  void Reset(FloatMatrix data, std::span<const VectorId> ids) {
+    dim_ = data.cols();
+    ids_.Reset(data.rows(), ids);
+    data_ = std::move(data);
+  }
 
   /// Inserts a vector under `id`; rejects live duplicates. Re-inserting a
   /// deleted id appends a fresh row (RowIds' re-add rule; the old row's
-  /// slab space is reclaimed at the next Snapshot-based rebuild).
+  /// slab space is reclaimed when the rows are next rebuilt).
   Status Put(VectorId id, const float* vec) {
     VDB_RETURN_IF_ERROR(ids_.Append(id).status());
     data_.AppendRow(vec, dim_);
@@ -41,34 +55,13 @@ class VectorStore {
   bool Contains(VectorId id) const { return Get(id) != nullptr; }
 
   Status Delete(VectorId id) { return ids_.Remove(id); }
+  /// Tombstones row `r` (< total_rows()), as a snapshot restores it.
+  Status DeleteRow(std::uint32_t r) { return ids_.DeleteRow(r); }
 
-  /// Copies the live vectors of rows [first_row, end_row) (and their ids)
-  /// into a dense matrix — the input of an index build, segment flush or
-  /// compaction.
-  void Snapshot(FloatMatrix* vectors, std::vector<VectorId>* ids,
-                std::size_t first_row = 0,
-                std::size_t end_row = static_cast<std::size_t>(-1)) const {
-    end_row = std::min(end_row, data_.rows());
-    std::size_t live = 0;
-    for (std::size_t row = first_row; row < end_row; ++row) {
-      live += ids_.IsDeleted(row) ? 0 : 1;
-    }
-    *vectors = FloatMatrix(live, dim_);
-    ids->clear();
-    ids->reserve(live);
-    std::size_t at = 0;
-    ForEachLive(first_row, end_row, [&](VectorId id, const float* vec) {
-      std::copy_n(vec, dim_, vectors->row(at++));
-      ids->push_back(id);
-    });
-  }
-
-  /// Calls fn(id, vector) for each live row in [first_row, end_row), in
-  /// row (insertion) order.
+  /// Calls fn(id, vector) for each live row, in row (insertion) order.
   template <typename Fn>
-  void ForEachLive(std::size_t first_row, std::size_t end_row, Fn&& fn) const {
-    end_row = std::min(end_row, data_.rows());
-    for (std::size_t row = first_row; row < end_row; ++row) {
+  void ForEachLive(Fn&& fn) const {
+    for (std::uint32_t row = 0; row < data_.rows(); ++row) {
       if (!ids_.IsDeleted(row)) fn(ids_.label(row), data_.row(row));
     }
   }

@@ -97,6 +97,21 @@ TEST(BitsetTest, AllInitializedTrue) {
   EXPECT_EQ(b.Count(), 65u);
 }
 
+// Growth across a word boundary keeps the old bits and adds clear ones,
+// including the tail of the old last word; shrinking drops bits for good.
+TEST(BitsetTest, ResizeAcrossWordBoundary) {
+  Bitset b(3, true);
+  b.Resize(70);
+  EXPECT_EQ(b.size(), 70u);
+  for (std::size_t i = 0; i < 70; ++i) EXPECT_EQ(b.Test(i), i < 3) << i;
+  EXPECT_EQ(b.Count(), 3u);
+  b.Set(69);
+  b.Resize(65);
+  b.Resize(130);
+  EXPECT_FALSE(b.Test(69));
+  EXPECT_EQ(b.Count(), 3u);
+}
+
 // ---------------------------------------------------------------- Scorer
 
 TEST(RowIdsTest, AppendRemoveAndReAdd) {

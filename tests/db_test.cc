@@ -18,8 +18,10 @@
 #include "db/database.h"
 #include "db/distributed.h"
 #include "db/embedder.h"
+#include "index/diskann.h"
 #include "index/flat.h"
 #include "index/hnsw.h"
+#include "index/ivf.h"
 #include "index/vamana.h"
 
 namespace vdb {
@@ -363,11 +365,10 @@ TEST(CollectionTest, LsmModeAbsorbsUpdatesWithoutRebuilds) {
   for (const auto& nb : out) EXPECT_EQ(nb.id % 2, 1u);
 }
 
-// The flush policy holds each row once in the vector store plus once in
-// the flat index of the segment that seals it. With a flat factory every
-// part has a closed form: a stored row costs dim floats + one id (deleted
-// rows stay resident), and so does a sealed row (removed rows stay in the
-// flat index until compaction).
+// The flush policy holds each row once: in the growing rows until a flush
+// seals it, then in the flat index of its segment. With a flat factory
+// every part has a closed form: a resident row costs dim floats + one id,
+// deleted rows included (they stay until compaction or a flush drops them).
 TEST(CollectionTest, FlushPolicyMemoryBytesCountsEveryPart) {
   const std::size_t kDim = 8, kRow = kDim * sizeof(float) + sizeof(VectorId);
   CollectionOptions opts = BaseOptions(kDim);
@@ -378,9 +379,7 @@ TEST(CollectionTest, FlushPolicyMemoryBytesCountsEveryPart) {
   ASSERT_TRUE(collection.ok());
   auto& c = **collection;
   FloatMatrix data = TestData(49, kDim);
-  auto expected = [&](std::size_t stored, std::size_t sealed) {
-    return (stored + sealed) * kRow;
-  };
+  auto expected = [&](std::size_t resident) { return resident * kRow; };
   auto insert = [&](std::size_t from, std::size_t to) {
     for (std::size_t i = from; i < to; ++i) {
       ASSERT_TRUE(c.Insert(i, data.row_view(i)).ok());
@@ -388,23 +387,23 @@ TEST(CollectionTest, FlushPolicyMemoryBytesCountsEveryPart) {
   };
 
   insert(0, 10);  // growing only
-  EXPECT_EQ(c.MemoryBytes(), expected(10, 0));
+  EXPECT_EQ(c.MemoryBytes(), expected(10));
   const std::size_t before_flush = c.MemoryBytes();
   insert(10, 16);  // the 16th row seals segment 1
-  EXPECT_EQ(c.MemoryBytes(), expected(16, 16));
+  EXPECT_EQ(c.MemoryBytes(), expected(16));  // growing rows moved
   EXPECT_GT(c.MemoryBytes(), before_flush);
   insert(16, 40);  // segment 2 sealed, 8 rows growing
-  ASSERT_TRUE(c.Delete(0).ok());   // sealed: removed from its segment
+  ASSERT_TRUE(c.Delete(0).ok());   // sealed: tombstoned in its segment
   ASSERT_TRUE(c.Delete(1).ok());
   ASSERT_TRUE(c.Delete(35).ok());  // growing row: stays resident
-  EXPECT_EQ(c.MemoryBytes(), expected(40, 32));
+  EXPECT_EQ(c.MemoryBytes(), expected(40));
   EXPECT_EQ(c.SegmentCount(), 2u);
   EXPECT_EQ(c.UnindexedRows(), 7u);
   const std::size_t before_compact = c.MemoryBytes();
   // The 16th live growing row seals segment 3 (the deleted row is not
   // sealed), which triggers a compaction that drops the two removed rows.
   insert(40, 49);
-  EXPECT_EQ(c.MemoryBytes(), expected(49, 46));
+  EXPECT_EQ(c.MemoryBytes(), expected(46));
   EXPECT_EQ(c.SegmentCount(), 1u);
   EXPECT_EQ(c.UnindexedRows(), 0u);
   EXPECT_GT(c.MemoryBytes(), before_compact);
@@ -431,6 +430,39 @@ TEST(CollectionTest, MemoryBytesCountsPartitionedIndexes) {
     return (*collection)->MemoryBytes();
   };
   EXPECT_EQ(bytes("category"), bytes("") + data.rows() * kRow);
+}
+
+// Every row lives once: after BuildIndex the growing rows are empty and a
+// clean IVF-Flat collection costs exactly its one index, while a DiskANN
+// collection keeps its full vectors only in its pages.
+TEST(CollectionTest, BuildIndexLeavesEachRowOnlyInItsSegment) {
+  const std::size_t kDim = 16;
+  FloatMatrix data = TestData(400, kDim);
+  auto build = [&](IndexFactory factory) {
+    CollectionOptions opts = BaseOptions(kDim);
+    opts.index_factory = std::move(factory);
+    auto collection = Collection::Create(opts);
+    EXPECT_TRUE(collection.ok());
+    for (std::size_t i = 0; i < data.rows(); ++i) {
+      EXPECT_TRUE((*collection)->Insert(i, data.row_view(i)).ok());
+    }
+    EXPECT_TRUE((*collection)->BuildIndex().ok());
+    EXPECT_EQ((*collection)->UnindexedRows(), 0u);
+    return std::move(*collection);
+  };
+  IvfOptions io;
+  io.nlist = 8;
+  auto ivf = build([io] { return std::make_unique<IvfFlatIndex>(io); });
+  IvfFlatIndex alone(io);
+  ASSERT_TRUE(alone.Build(data, {}).ok());
+  EXPECT_EQ(ivf->MemoryBytes(), alone.MemoryBytes());
+
+  DiskAnnOptions dopts;
+  dopts.pq.m = 4;
+  const std::string path = TempPath("diskann_once");
+  auto disk =
+      build([&] { return std::make_unique<DiskAnnIndex>(path, dopts); });
+  EXPECT_LT(disk->MemoryBytes(), data.rows() * kDim * sizeof(float));
 }
 
 // Compact merges the sealed segments only; BuildIndex also seals the

@@ -43,7 +43,6 @@ std::int64_t I(int v) { return static_cast<std::int64_t>(v); }
 struct HybridFixture {
   FloatMatrix data;
   FloatMatrix queries;
-  VectorStore vectors{16};
   AttributeStore attrs;
   /// One sealed segment over every row: HNSW plus per-cluster partitions.
   Segment hnsw;
@@ -79,7 +78,6 @@ struct HybridFixture {
     Must(attrs.AddColumn("score", AttrType::kDouble));
     Must(attrs.AddColumn("tag", AttrType::kString));
     for (std::size_t i = 0; i < data.rows(); ++i) {
-      Must(vectors.Put(i, data.row(i)));
       Must(attrs.PutRow(
           i, {{"cluster", workload.cluster_attr[i]},
               {"score", workload.uniform_attr[i]},
@@ -110,13 +108,13 @@ struct HybridFixture {
   }
 
   CollectionView View() const {
-    return {&vectors, &attrs, {&hnsw, 1}, &scorer};
+    return {nullptr, &attrs, {&hnsw, 1}, &scorer};
   }
   /// View backed by the IVF index — the natural carrier for bitmask
   /// (block-first) filtering, where blocking skips scoring but cannot
   /// damage traversal structure.
   CollectionView ViewIvf() const {
-    return {&vectors, &attrs, {&ivf, 1}, &scorer};
+    return {nullptr, &attrs, {&ivf, 1}, &scorer};
   }
 };
 

@@ -11,8 +11,12 @@
 // exec_test pairs with IVF instead. The optimizers never choose that plan
 // over a graph, so their answers keep a recall floor of their own.
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -24,8 +28,11 @@
 #include "core/rng.h"
 #include "core/topk.h"
 #include "db/collection.h"
+#include "core/aggregate.h"
+#include "index/diskann.h"
 #include "index/flat.h"
 #include "index/hnsw.h"
+#include "index/spann.h"
 #include "index/vamana.h"
 
 namespace vdb {
@@ -366,6 +373,203 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Case>& info) {
       return info.param.family.label +
              (info.param.memtable_limit == 0 ? "_in_place" : "_flush");
+    });
+
+// Disk-resident segments keep their rows only in their pages, so every
+// exact read of a DiskANN or SPANN collection — RangeSearch, the CkSearch
+// oracle, the brute-force plan, MultiVectorKnn's re-scoring and Checkpoint
+// — reads them back from there. Each must equal a Flat collection run
+// through the same script: same ids, same distance bits, same checkpoint
+// bytes. The paged families search exhaustively here (ef and nprobe cover
+// every row), so their index answers, and thus MultiVectorKnn's
+// candidates, are exact too.
+struct PagedCase {
+  std::string label;
+  bool spann = false;
+  std::size_t memtable_limit = 0;
+};
+
+class PagedRowsOracleTest : public ::testing::TestWithParam<PagedCase> {
+ protected:
+  void SetUp() override {
+    const std::string dir = ::testing::TempDir() + "/vdb_paged_rows_" +
+                            GetParam().label + "_" +
+                            std::to_string(::getpid());
+    dir_ = dir;
+    auto next = std::make_shared<int>(0);
+    IndexFactory paged;
+    if (GetParam().spann) {
+      paged = [dir, next] {
+        SpannOptions o;
+        o.nlist = 4;
+        o.default_nprobe = 4;
+        o.default_query_eps = 1e6f;
+        return std::make_unique<SpannIndex>(
+            dir + "_" + std::to_string((*next)++), o);
+      };
+    } else {
+      paged = [dir, next] {
+        DiskAnnOptions o;
+        o.vamana.r = 16;
+        o.vamana.l = 32;
+        o.pq.m = 4;
+        o.pq.nbits = 4;
+        o.default_ef = 1024;
+        return std::make_unique<DiskAnnIndex>(
+            dir + "_" + std::to_string((*next)++), o);
+      };
+    }
+    for (IndexFactory factory :
+         {IndexFactory([] { return std::make_unique<FlatIndex>(); }),
+          paged}) {
+      CollectionOptions o;
+      o.dim = kDim;
+      o.attributes = {{"cat", AttrType::kInt64}, {"u", AttrType::kDouble}};
+      o.index_factory = factory;
+      o.lsm_memtable_limit = GetParam().memtable_limit;
+      o.lsm_compact_at_segments = 3;
+      auto created = Collection::Create(o);
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+      colls_.push_back(std::move(*created));
+    }
+  }
+
+  std::vector<float> Vec() {
+    std::vector<float> v(kDim);
+    for (float& x : v) x = rng_.NextGaussian();
+    return v;
+  }
+
+  void Insert(VectorId id) {
+    const std::vector<float> v = Vec();
+    const std::vector<AttrBinding> attrs = {
+        {"cat", AttrValue{static_cast<std::int64_t>(rng_.Next(5))}},
+        {"u", AttrValue{rng_.NextDouble()}}};
+    for (auto& c : colls_) ASSERT_TRUE(c->Insert(id, v, attrs).ok());
+    live_.push_back(id);
+  }
+
+  void InsertEntity(VectorId entity) {
+    FloatMatrix vecs(0, kDim);
+    for (int i = 0; i < 3; ++i) vecs.AppendRow(Vec().data(), kDim);
+    for (auto& c : colls_) ASSERT_TRUE(c->InsertEntity(entity, vecs).ok());
+  }
+
+  void Delete(VectorId id) {
+    for (auto& c : colls_) ASSERT_TRUE(c->Delete(id).ok());
+    live_.erase(std::find(live_.begin(), live_.end(), id));
+  }
+
+  static std::string Bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+  }
+
+  void CheckAll(const std::string& stage) {
+    SCOPED_TRACE(stage);
+    const Collection& flat = *colls_[0];
+    const Collection& paged = *colls_[1];
+    ASSERT_EQ(paged.Size(), flat.Size());
+    const auto agg = Aggregator::Create(AggregateKind::kMean).value();
+    for (int qi = 0; qi < 4; ++qi) {
+      const std::vector<float> q = Vec();
+      std::vector<Neighbor> want, got;
+      ASSERT_TRUE(flat.Knn(q, kK, &want).ok());
+      ASSERT_TRUE(paged.Knn(q, kK, &got).ok());
+      EXPECT_EQ(Pairs(got), Pairs(want)) << "knn";
+
+      const float radius = want[want.size() / 2].dist;
+      ASSERT_TRUE(flat.RangeSearch(q, radius, &want).ok());
+      ASSERT_TRUE(paged.RangeSearch(q, radius, &got).ok());
+      EXPECT_EQ(Pairs(got), Pairs(want)) << "range";
+
+      auto ck_want = flat.CkSearch(q, 1.0, kK);
+      auto ck_got = paged.CkSearch(q, 1.0, kK);
+      ASSERT_TRUE(ck_want.ok() && ck_got.ok());
+      EXPECT_TRUE(ck_got->satisfied);
+      EXPECT_EQ(Pairs(ck_got->neighbors), Pairs(ck_want->neighbors)) << "ck";
+
+      const HybridPlan brute{PlanKind::kBruteForceHybrid, 3.0f};
+      for (const Filter& f : Filters()) {
+        ASSERT_TRUE(flat.Hybrid(q, f.pred, kK, &want, nullptr, &brute).ok());
+        ASSERT_TRUE(paged.Hybrid(q, f.pred, kK, &got, nullptr, &brute).ok());
+        EXPECT_EQ(Pairs(got), Pairs(want)) << "brute force " << f.label;
+      }
+
+      FloatMatrix mv(0, kDim);
+      mv.AppendRow(q.data(), kDim);
+      mv.AppendRow(Vec().data(), kDim);
+      ASSERT_TRUE(flat.MultiVectorKnn(mv, agg, 5, &want).ok());
+      ASSERT_TRUE(paged.MultiVectorKnn(mv, agg, 5, &got).ok());
+      EXPECT_EQ(Pairs(got), Pairs(want)) << "multi-vector";
+    }
+
+    // Checkpoint -> Restore -> Knn, and the checkpoints byte for byte.
+    std::vector<std::string> files;
+    std::vector<std::unique_ptr<Collection>> restored;
+    for (std::size_t v = 0; v < colls_.size(); ++v) {
+      files.push_back(dir_ + "_ckpt" + std::to_string(v));
+      ASSERT_TRUE(colls_[v]->Checkpoint(files.back()).ok());
+      CollectionOptions o;
+      o.dim = kDim;
+      o.attributes = {{"cat", AttrType::kInt64}, {"u", AttrType::kDouble}};
+      auto r = Collection::Restore(o, files.back());
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      restored.push_back(std::move(*r));
+    }
+    EXPECT_EQ(Bytes(files[1]), Bytes(files[0]));
+    const std::vector<float> q = Vec();
+    std::vector<Neighbor> want, got;
+    ASSERT_TRUE(restored[0]->Knn(q, kK, &want).ok());
+    ASSERT_TRUE(restored[1]->Knn(q, kK, &got).ok());
+    EXPECT_EQ(Pairs(got), Pairs(want)) << "restored knn";
+  }
+
+  std::vector<std::unique_ptr<Collection>> colls_;  ///< flat, paged
+  std::vector<VectorId> live_;                      ///< plain rows
+  std::string dir_;
+  Rng rng_{77};
+};
+
+TEST_P(PagedRowsOracleTest, ExactReadsMatchFlatThroughMutations) {
+  for (VectorId id = 0; id < 240; ++id) ASSERT_NO_FATAL_FAILURE(Insert(id));
+  for (VectorId e = 1000; e < 1020; ++e) {
+    ASSERT_NO_FATAL_FAILURE(InsertEntity(e));
+  }
+  for (auto& c : colls_) ASSERT_TRUE(c->BuildIndex().ok());
+  ASSERT_NO_FATAL_FAILURE(CheckAll("built"));
+
+  // Inserts (growing rows beside the paged segment; flat Adds them),
+  // deletes on both sides, re-adds with new vectors, entity deletes.
+  for (VectorId id = 240; id < 280; ++id) ASSERT_NO_FATAL_FAILURE(Insert(id));
+  std::vector<VectorId> deleted;
+  for (int i = 0; i < 30; ++i) {
+    deleted.push_back(live_[rng_.Next(live_.size())]);
+    ASSERT_NO_FATAL_FAILURE(Delete(deleted.back()));
+  }
+  for (int i = 0; i < 5; ++i) ASSERT_NO_FATAL_FAILURE(Insert(deleted[i]));
+  for (VectorId e : {1003, 1011}) {
+    for (auto& c : colls_) ASSERT_TRUE(c->Delete(e).ok());
+  }
+  ASSERT_NO_FATAL_FAILURE(CheckAll("mutated"));
+
+  for (auto& c : colls_) ASSERT_TRUE(c->Flush().ok());
+  for (VectorId id = 280; id < 300; ++id) ASSERT_NO_FATAL_FAILURE(Insert(id));
+  for (auto& c : colls_) ASSERT_TRUE(c->Compact().ok());
+  ASSERT_NO_FATAL_FAILURE(CheckAll("compacted"));
+
+  for (auto& c : colls_) ASSERT_TRUE(c->BuildIndex().ok());
+  ASSERT_NO_FATAL_FAILURE(CheckAll("rebuilt"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, PagedRowsOracleTest,
+    ::testing::Values(PagedCase{"diskann_in_place", false, 0},
+                      PagedCase{"diskann_flush", false, 48},
+                      PagedCase{"spann_in_place", true, 0},
+                      PagedCase{"spann_flush", true, 48}),
+    [](const ::testing::TestParamInfo<PagedCase>& info) {
+      return info.param.label;
     });
 
 // Rows inserted after BuildIndex into an index that cannot Add them stay

@@ -51,26 +51,28 @@ TEST(VectorStoreTest, PutGetDelete) {
   EXPECT_EQ(store.live_count(), 1u);
 }
 
-TEST(VectorStoreTest, SnapshotSkipsDeleted) {
+TEST(VectorStoreTest, ForEachLiveSkipsDeleted) {
   VectorStore store(1);
   for (int i = 0; i < 5; ++i) {
     float v = static_cast<float>(i);
     ASSERT_TRUE(store.Put(i, &v).ok());
   }
   ASSERT_TRUE(store.Delete(2).ok());
-  FloatMatrix data;
-  std::vector<VectorId> ids;
-  store.Snapshot(&data, &ids);
-  EXPECT_EQ(data.rows(), 4u);
-  EXPECT_EQ(ids, (std::vector<VectorId>{0, 1, 3, 4}));
   std::vector<VectorId> live;
-  store.ForEachLive(0, store.total_rows(),
-                    [&](VectorId id, const float*) { live.push_back(id); });
-  EXPECT_EQ(live, ids);
-  // A row range: rows [2, 5) hold ids 2 (deleted), 3 and 4.
-  store.Snapshot(&data, &ids, 2, 5);
-  EXPECT_EQ(ids, (std::vector<VectorId>{3, 4}));
-  EXPECT_EQ(data.at(0, 0), 3.0f);
+  std::vector<float> values;
+  store.ForEachLive([&](VectorId id, const float* vec) {
+    live.push_back(id);
+    values.push_back(vec[0]);
+  });
+  EXPECT_EQ(live, (std::vector<VectorId>{0, 1, 3, 4}));
+  EXPECT_EQ(values, (std::vector<float>{0, 1, 3, 4}));
+  // Re-adding 2 appends a fresh row after 4; the old row stays a tombstone.
+  float v = 7.0f;
+  ASSERT_TRUE(store.Put(2, &v).ok());
+  EXPECT_EQ(store.total_rows(), 6u);
+  live.clear();
+  store.ForEachLive([&](VectorId id, const float*) { live.push_back(id); });
+  EXPECT_EQ(live, (std::vector<VectorId>{0, 1, 3, 4, 2}));
 }
 
 // --------------------------------------------------------- AttributeStore

@@ -59,7 +59,12 @@ pass --root):
      src/core/row_ids.h, exactly once — the vector store and every index
      family hold a RowIds instead of their own id→row map, so the re-add
      and tombstone rule cannot fork again. Maps from ids to anything
-     else (Collection's entity maps) are not row maps.
+     else (Collection's entity maps) are not row maps. And one copy of
+     each row: a `RowIds` is declared only as a member of VectorStore
+     (the one in-memory row container: the growing rows and every
+     in-memory index's rows) or of the disk-resident DiskAnnIndex and
+     SpannIndex, whose rows live in their pages — a second row copy in
+     an index base or the collection cannot come back.
 
 Exit status 0 when clean; 1 with one "file:line: message" per violation
 otherwise. Run by the `lint` CI job and locally via
@@ -143,6 +148,11 @@ ROW_IDS_IMPL = "src/core/row_ids.h"
 ROW_MAP = re.compile(
     r"\b(?:unordered_)?map\s*<\s*(?:VectorId|(?:std::)?uint64_t)\s*,\s*"
     r"(?:std::)?(?:uint32_t|size_t)\s*>")
+# ... and the classes that may hold a RowIds: the row container and the
+# two families whose rows live in their pages.
+ROW_IDS_HOLDERS = {"VectorStore", "DiskAnnIndex", "SpannIndex"}
+ROW_IDS_DECL = re.compile(r"^\s*(?:mutable\s+)?RowIds\s+\w+\s*[;{=]", re.M)
+CLASS_OPEN = re.compile(r"\b(?:class|struct)\s+(\w+)[^;{()]*\{")
 
 
 def strip_comments(text):
@@ -394,6 +404,32 @@ def check_row_maps(root, errors):
     if in_impl != 1:
         errors.append(f"{ROW_IDS_IMPL}: declares {in_impl} id->row maps; "
                       f"RowIds owns exactly one")
+    for path in source_files(root):
+        rel = path.relative_to(root).as_posix()
+        text = strip_comments(path.read_text())
+        for m in ROW_IDS_DECL.finditer(text):
+            owner = enclosing_class(text, m.start())
+            if owner in ROW_IDS_HOLDERS:
+                continue
+            line = text.count("\n", 0, m.start()) + 1
+            errors.append(f"{rel}:{line}: RowIds held by "
+                          f"{owner or 'no class'} — a second copy of the "
+                          f"rows; only {', '.join(sorted(ROW_IDS_HOLDERS))} "
+                          f"hold one")
+
+
+def enclosing_class(text, pos):
+    """Name of the innermost class/struct whose body contains `pos`."""
+    owner = None
+    for m in CLASS_OPEN.finditer(text, 0, pos):
+        depth = 0
+        for i in range(m.end() - 1, len(text)):
+            depth += {"{": 1, "}": -1}.get(text[i], 0)
+            if depth == 0:
+                break
+        if i > pos:
+            owner = m.group(1)  # later openings are nested deeper
+    return owner
 
 
 def main():
