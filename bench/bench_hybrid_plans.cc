@@ -40,7 +40,7 @@ std::vector<Neighbor> Oracle(const HybridBench& b, const float* query,
 }
 
 void RunIndexSweep(HybridBench& b) {
-  CollectionView view{nullptr, &b.attrs, {&b.segment, 1}, &b.scorer};
+  CollectionView view{nullptr, &b.attrs, {&b.segment, 1}, &b.scorer, {}};
   HybridExecutor executor(view);
 
   const HybridPlan plans[] = {

@@ -38,7 +38,7 @@ int main() {
   Segment segment;
   segment.index = std::make_unique<HnswIndex>(ho);
   (void)segment.index->Build(data, {});
-  CollectionView view{nullptr, &attrs, {&segment, 1}, &scorer};
+  CollectionView view{nullptr, &attrs, {&segment, 1}, &scorer, {}};
   HybridExecutor executor(view);
   RuleBasedOptimizer rule;
   CostBasedOptimizer cost;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <unordered_set>
 
 #include "core/failpoint.h"
@@ -143,7 +144,7 @@ Status Collection::SaveIndexSnapshot(const std::string& path) const {
   // The snapshot stands in for "the index over exactly the live rows of
   // the matching checkpoint"; growing rows it cannot see, removed rows it
   // still holds, or a second segment would break that equation on load.
-  if (!Clean()) {
+  if (!Clean() || segments_.size() != 1) {
     return Status::Unsupported("index not clean; rebuild on recovery");
   }
   const VectorIndex* index = segments_.front().index.get();
@@ -162,7 +163,8 @@ Status Collection::SaveIndexSnapshot(const std::string& path) const {
 Status Collection::LoadIndexSnapshot(const std::string& path) {
   // Each loader validates its own magic up front, so probing in sequence
   // is a cheap dispatch (the magic constants are private to each index).
-  Segment seg;
+  std::vector<Segment> segs(1);
+  Segment& seg = segs.front();
   if (auto hnsw = HnswIndex::Load(path); hnsw.ok()) {
     seg.index = std::move(*hnsw);
   } else if (auto ivf = IvfFlatIndex::Load(path); ivf.ok()) {
@@ -177,16 +179,19 @@ Status Collection::LoadIndexSnapshot(const std::string& path) {
   FloatMatrix data, adopted;
   std::vector<VectorId> ids, adopted_ids;
   VDB_RETURN_IF_ERROR(CopyRows(View(), opts_.dim, &data, &ids));
-  VDB_RETURN_IF_ERROR(CopyRows({nullptr, &attrs_, {&seg, 1}, &scorer_},
+  VDB_RETURN_IF_ERROR(CopyRows({nullptr, &attrs_, segs, &scorer_, {}},
                                opts_.dim, &adopted, &adopted_ids));
   if (ids != adopted_ids ||
       std::memcmp(data.data(), adopted.data(), data.ByteSize()) != 0) {
     return Status::FailedPrecondition("snapshot does not match the rows");
   }
-  if (!opts_.partition_column.empty()) {
-    VDB_ASSIGN_OR_RETURN(seg.partitioned, BuildPartitions(data, ids));
+  seg.key = ids.empty() ? 0 : PartitionKey(ids.front());
+  for (VectorId id : ids) {
+    if (PartitionKey(id) != seg.key) {
+      return Status::FailedPrecondition("snapshot spans partition keys");
+    }
   }
-  SealAll(std::move(seg));
+  SealAll(std::move(segs));
   return Status::Ok();
 }
 
@@ -198,20 +203,25 @@ Status Collection::InsertInternal(VectorId id, const float* vec,
     VDB_RETURN_IF_ERROR(
         wal_->AppendInsert(id, {vec, opts_.dim}, attrs));
   }
-  // The one branch on the update policy. In place, the row joins the
-  // single sealed segment when no growing row precedes it and the index
-  // can take it; a partitioned segment takes no Add (the row's partition
-  // may not exist yet). Otherwise, or when the Add fails, it grows.
-  const bool in_place = opts_.lsm_memtable_limit == 0 &&
-                        segments_.size() == 1 && growing_.live_count() == 0 &&
-                        segments_.front().partitioned == nullptr &&
-                        segments_.front().index->SupportsAdd();
-  Status added = in_place ? segments_.front().index->Add(vec, id)
-                          : Status::Ok();
-  if (!in_place || !added.ok()) VDB_RETURN_IF_ERROR(growing_.Put(id, vec));
+  // The attributes go first: they give the row its partition key.
   if (id < kInternalIdBase) {
     VDB_RETURN_IF_ERROR(attrs_.PutRow(id, attrs));
   }
+  // The one branch on the update policy. In place, the row joins the
+  // single sealed segment of its partition key when no growing row
+  // precedes it and the index can take it. Otherwise, or when the Add
+  // fails, it grows.
+  const Segment* home = nullptr;
+  if (opts_.lsm_memtable_limit == 0 && growing_.live_count() == 0) {
+    const std::optional<std::int64_t> key = PartitionKey(id);
+    if (SegmentsWithKey(key) == 1) {
+      home = &*std::find_if(segments_.begin(), segments_.end(),
+                            [key](const Segment& s) { return s.key == key; });
+    }
+  }
+  const bool in_place = home != nullptr && home->index->SupportsAdd();
+  Status added = in_place ? home->index->Add(vec, id) : Status::Ok();
+  if (!in_place || !added.ok()) VDB_RETURN_IF_ERROR(growing_.Put(id, vec));
   if (!added.ok()) return added;  // still served from the growing rows
   // Out of place: a full growing segment is sealed. Replay and Restore
   // (log == false) leave sealing to BuildIndex or the next live insert.
@@ -288,11 +298,7 @@ Status Collection::DeleteInternal(VectorId id, bool log) {
     VDB_RETURN_IF_ERROR(wal_->AppendDelete(id));
   }
   if (holder == nullptr) return growing_.Delete(id);
-  VDB_RETURN_IF_ERROR(holder->index->Remove(id));
-  if (holder->partitioned != nullptr) {
-    VDB_RETURN_IF_ERROR(holder->partitioned->Remove(PartitionValue(id), id));
-  }
-  return Status::Ok();
+  return holder->index->Remove(id);
 }
 
 Status Collection::Delete(VectorId id) { return DeleteInternal(id, true); }
@@ -308,21 +314,28 @@ Status Collection::Upsert(VectorId id, VectorView vec,
   return Insert(id, vec, attrs);
 }
 
-std::int64_t Collection::PartitionValue(VectorId id) const {
+std::optional<std::int64_t> Collection::PartitionKey(VectorId id) const {
+  if (opts_.partition_column.empty()) return 0;
   const auto* column = attrs_.Int64Column(opts_.partition_column);
-  return column != nullptr && id < column->size() ? (*column)[id] : 0;
+  if (column == nullptr || id >= column->size()) return std::nullopt;
+  return (*column)[id];
 }
 
-Result<std::unique_ptr<AttributePartitionedIndex>>
-Collection::BuildPartitions(const FloatMatrix& data,
-                            const std::vector<VectorId>& ids) const {
-  std::vector<std::int64_t> values(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    values[i] = PartitionValue(ids[i]);
+std::size_t Collection::SegmentsWithKey(
+    std::optional<std::int64_t> key) const {
+  return static_cast<std::size_t>(
+      std::count_if(segments_.begin(), segments_.end(),
+                    [key](const Segment& s) { return s.key == key; }));
+}
+
+bool Collection::Clean() const {
+  if (segments_.empty() || growing_.live_count() != 0) return false;
+  for (std::size_t s = 0; s < segments_.size(); ++s) {
+    const VectorIndex& index = *segments_[s].index;
+    if (index.row_ids().rows() != index.Size()) return false;
+    if (s > 0 && segments_[s].key <= segments_[s - 1].key) return false;
   }
-  return AttributePartitionedIndex::Build(data, ids, values,
-                                          opts_.index_factory,
-                                          opts_.partition_column);
+  return true;
 }
 
 const Segment* Collection::HolderOf(VectorId id) const {
@@ -332,23 +345,45 @@ const Segment* Collection::HolderOf(VectorId id) const {
   return nullptr;
 }
 
-Result<Segment> Collection::BuildSegment(const CollectionView& rows) const {
+Result<std::vector<Segment>> Collection::BuildSegments(
+    const CollectionView& rows) const {
   FloatMatrix data;
   std::vector<VectorId> ids;
   VDB_RETURN_IF_ERROR(CopyRows(rows, opts_.dim, &data, &ids));
-  Segment seg;
-  seg.index = opts_.index_factory();
-  if (seg.index == nullptr) return Status::Internal("factory returned null");
-  if (!opts_.partition_column.empty()) {
-    VDB_ASSIGN_OR_RETURN(seg.partitioned, BuildPartitions(data, ids));
+  // Row positions of each partition key, in row order; without a partition
+  // column every row has key 0.
+  std::map<std::optional<std::int64_t>, std::vector<std::size_t>> keys;
+  if (opts_.partition_column.empty()) {
+    if (!ids.empty()) keys.try_emplace(0);
+  } else {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      keys[PartitionKey(ids[i])].push_back(i);
+    }
   }
-  VDB_RETURN_IF_ERROR(seg.index->Build(std::move(data), ids));
-  return seg;
+  std::vector<Segment> segs;
+  for (const auto& [key, positions] : keys) {
+    Segment& seg = segs.emplace_back();
+    seg.key = key;
+    seg.index = opts_.index_factory();
+    if (seg.index == nullptr) return Status::Internal("factory returned null");
+    if (keys.size() == 1) {  // one key: the rows go in as they are
+      VDB_RETURN_IF_ERROR(seg.index->Build(std::move(data), ids));
+      break;
+    }
+    FloatMatrix part(positions.size(), opts_.dim);
+    std::vector<VectorId> part_ids;
+    part_ids.reserve(positions.size());
+    for (std::size_t i : positions) {
+      std::copy_n(data.row(i), opts_.dim, part.row(part_ids.size()));
+      part_ids.push_back(ids[i]);
+    }
+    VDB_RETURN_IF_ERROR(seg.index->Build(std::move(part), part_ids));
+  }
+  return segs;
 }
 
-void Collection::SealAll(Segment seg) {
-  segments_.clear();
-  segments_.push_back(std::move(seg));
+void Collection::SealAll(std::vector<Segment> segs) {
+  segments_ = std::move(segs);
   growing_ = VectorStore(opts_.dim);
 }
 
@@ -360,8 +395,8 @@ Status Collection::BuildIndex() {
   if (LiveRows(View()) == 0) {
     return Status::FailedPrecondition("collection is empty");
   }
-  VDB_ASSIGN_OR_RETURN(Segment seg, BuildSegment(View()));
-  SealAll(std::move(seg));
+  VDB_ASSIGN_OR_RETURN(std::vector<Segment> segs, BuildSegments(View()));
+  SealAll(std::move(segs));
   return Status::Ok();
 }
 
@@ -377,13 +412,18 @@ Status Collection::Flush() {
   }
   CollectionView growing = View();
   growing.segments = {};
-  VDB_ASSIGN_OR_RETURN(Segment seg, BuildSegment(growing));
-  segments_.push_back(std::move(seg));
+  VDB_ASSIGN_OR_RETURN(std::vector<Segment> segs, BuildSegments(growing));
+  bool compact = false;
+  for (Segment& seg : segs) {
+    segments_.push_back(std::move(seg));
+    compact |= SegmentsWithKey(segments_.back().key) >=
+               opts_.lsm_compact_at_segments;
+  }
   growing_ = VectorStore(opts_.dim);
   static Counter& flushes =
       Registry::Global().GetCounter("vdb_lsm_flushes_total");
   flushes.Inc();
-  if (segments_.size() >= opts_.lsm_compact_at_segments) return Compact();
+  if (compact) return Compact();
   return Status::Ok();
 }
 
@@ -394,12 +434,7 @@ Status Collection::Compact() {
   }
   CollectionView sealed = View();
   sealed.growing = nullptr;
-  std::vector<Segment> merged;
-  if (LiveRows(sealed) > 0) {
-    VDB_ASSIGN_OR_RETURN(Segment seg, BuildSegment(sealed));
-    merged.push_back(std::move(seg));
-  }
-  segments_ = std::move(merged);
+  VDB_ASSIGN_OR_RETURN(segments_, BuildSegments(sealed));
   static Counter& compactions =
       Registry::Global().GetCounter("vdb_lsm_compactions_total");
   compactions.Inc();
@@ -470,7 +505,23 @@ Result<std::unique_ptr<Collection>> Collection::Restore(
 }
 
 CollectionView Collection::View() const {
-  return {&growing_, &attrs_, segments_, &scorer_};
+  return {&growing_, &attrs_, segments_, &scorer_, opts_.partition_column};
+}
+
+void Collection::ToEntities(std::vector<Neighbor> raw, std::size_t k,
+                            std::vector<Neighbor>* out) const {
+  if (entity_vectors_.empty()) {
+    *out = std::move(raw);
+    return;
+  }
+  out->clear();
+  std::unordered_set<VectorId> seen;
+  for (const auto& nb : raw) {
+    if (out->size() >= k) break;
+    auto it = entity_of_vector_.find(nb.id);
+    VectorId id = it != entity_of_vector_.end() ? it->second : nb.id;
+    if (seen.insert(id).second) out->push_back({id, nb.dist});
+  }
 }
 
 Status Collection::Knn(VectorView query, std::size_t k,
@@ -488,20 +539,7 @@ Status Collection::Knn(VectorView query, std::size_t k,
   if (!entity_vectors_.empty()) p.k = k * 4;
   VDB_RETURN_IF_ERROR(
       HybridExecutor(View()).Search(query.data(), p, &raw, stats));
-  if (entity_vectors_.empty()) {
-    *out = std::move(raw);
-    return Status::Ok();
-  }
-  // Map member vectors to their entity, keeping the best distance.
-  out->clear();
-  std::unordered_set<VectorId> seen;
-  for (const auto& nb : raw) {
-    auto it = entity_of_vector_.find(nb.id);
-    VectorId id = it != entity_of_vector_.end() ? it->second : nb.id;
-    if (!seen.insert(id).second) continue;
-    out->push_back({id, nb.dist});
-    if (out->size() >= k) break;
-  }
+  ToEntities(std::move(raw), k, out);
   return Status::Ok();
 }
 
@@ -538,26 +576,30 @@ Result<CkSearchResult> Collection::CkSearch(VectorView query, double c,
                                             std::size_t k,
                                             SearchStats* stats) const {
   if (c < 1.0) return Status::InvalidArgument("c must be >= 1");
+  // Rows are fetched as Knn fetches them: over-fetched when members of
+  // multi-vector entities must collapse into k entities.
+  SearchParams p;
+  p.k = entity_vectors_.empty() ? k : k * 4;
   // Exact k-th distance (the verification oracle).
-  TopK exact(k);
+  TopK exact(p.k);
   VDB_RETURN_IF_ERROR(ForEachLiveRow(
       View(),
       [&](VectorId id, const float* vec) {
         exact.Push(id, scorer_.Distance(query.data(), vec));
       },
       stats));
-  auto truth = exact.Take();
+  std::vector<Neighbor> truth;
+  ToEntities(exact.Take(), k, &truth);
   if (truth.empty()) return Status::FailedPrecondition("collection is empty");
   double exact_kth = truth.back().dist;
 
   CkSearchResult result;
-  SearchParams p;
-  p.k = k;
   HybridExecutor executor(View());
+  std::vector<Neighbor> raw;
   for (int ef = 32; ef <= 4096; ef *= 4) {
     p.ef = ef;
-    VDB_RETURN_IF_ERROR(
-        executor.Search(query.data(), p, &result.neighbors, stats));
+    VDB_RETURN_IF_ERROR(executor.Search(query.data(), p, &raw, stats));
+    ToEntities(std::move(raw), k, &result.neighbors);
     double worst = result.neighbors.empty()
                        ? std::numeric_limits<double>::infinity()
                        : result.neighbors.back().dist;
@@ -611,7 +653,7 @@ Status Collection::BatchKnn(const FloatMatrix& queries, std::size_t k,
   SearchParams p;
   p.k = k;
   // Fast paths need one segment whose index covers every live row.
-  if (Clean() && entity_vectors_.empty()) {
+  if (Clean() && segments_.size() == 1 && entity_vectors_.empty()) {
     const VectorIndex* index = segments_.front().index.get();
     if (auto* ivf = dynamic_cast<const IvfFlatIndex*>(index)) {
       return ivf->BatchSearch(queries, p, out, stats);
@@ -652,18 +694,32 @@ Status Collection::MultiVectorKnn(const FloatMatrix& query_vectors,
       if (it != entity_of_vector_.end()) candidates.insert(it->second);
     }
   }
+  // Exact aggregate re-scoring over the candidates' member rows: the
+  // sealed ones are read first, one batched read per segment, so a paged
+  // segment reads each page at most once.
+  std::vector<VectorId> members;
+  for (VectorId entity : candidates) {
+    const auto& vids = entity_vectors_.at(entity);
+    members.insert(members.end(), vids.begin(), vids.end());
+  }
+  VectorStore sealed(opts_.dim);
+  for (const Segment& seg : segments_) {
+    Status put = Status::Ok();
+    VDB_RETURN_IF_ERROR(seg.index->ReadRows(
+        members,
+        [&](VectorId id, const float* vec) {
+          if (put.ok()) put = sealed.Put(id, vec);
+        },
+        stats));
+    VDB_RETURN_IF_ERROR(put);
+  }
   TopK top(k);
   std::vector<float> per_query;
-  std::vector<float> buf(opts_.dim);
   for (VectorId entity : candidates) {
     per_query.assign(query_vectors.rows(), std::numeric_limits<float>::max());
     for (VectorId vid : entity_vectors_.at(entity)) {
       const float* vec = growing_.Get(vid);
-      const Segment* holder = vec == nullptr ? HolderOf(vid) : nullptr;
-      if (holder != nullptr) {
-        VDB_RETURN_IF_ERROR(holder->index->ReadRow(vid, buf, stats));
-        vec = buf.data();
-      }
+      if (vec == nullptr) vec = sealed.Get(vid);
       if (vec == nullptr) continue;  // a deleted member
       for (std::size_t qv = 0; qv < query_vectors.rows(); ++qv) {
         float d = scorer_.Distance(query_vectors.row(qv), vec);
@@ -687,10 +743,7 @@ std::size_t Collection::Size() const {
 
 std::size_t Collection::MemoryBytes() const {
   std::size_t bytes = growing_.MemoryBytes();
-  for (const Segment& seg : segments_) {
-    bytes += seg.index->MemoryBytes();
-    if (seg.partitioned != nullptr) bytes += seg.partitioned->MemoryBytes();
-  }
+  for (const Segment& seg : segments_) bytes += seg.index->MemoryBytes();
   return bytes;
 }
 

@@ -2,6 +2,7 @@
 #define VDB_DB_COLLECTION_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -11,7 +12,6 @@
 #include "exec/executor.h"
 #include "exec/multivector.h"
 #include "exec/optimizer.h"
-#include "exec/partitioned_index.h"
 #include "exec/predicate.h"
 #include "storage/attribute_store.h"
 #include "storage/vector_store.h"
@@ -37,18 +37,21 @@ struct CollectionOptions {
   /// brute-forces (the SingleStore §2.4(2) baseline).
   IndexFactory index_factory;
 
-  /// Optional int64 column for offline attribute partitioning (§2.3(1)).
+  /// Optional int64 column for offline attribute partitioning (§2.3(1)):
+  /// each sealed segment then holds the rows of one of its values.
   std::string partition_column;
 
   PlanMode plan_mode = PlanMode::kCostBased;
   HybridPlan predefined_plan{PlanKind::kPostFilterIndexScan, 3.0f};
 
   /// Update policy (§2.3(3)). 0: in place — an insert joins the single
-  /// sealed segment when its index can `Add` it. N > 0: out of place — the
-  /// growing segment is sealed into a new indexed segment (`Flush`) once
-  /// it holds N rows; requires `index_factory`.
+  /// sealed segment of its partition key when that segment's index can
+  /// `Add` it. N > 0: out of place — the growing segment is sealed into new
+  /// indexed segments (`Flush`) once it holds N rows; requires
+  /// `index_factory`.
   std::size_t lsm_memtable_limit = 0;
-  /// Sealed segments at which a flush triggers `Compact`.
+  /// Sealed segments of one partition key at which a flush triggers
+  /// `Compact`.
   std::size_t lsm_compact_at_segments = 6;
 
   /// Durability: append inserts/deletes to this WAL; Open() replays it.
@@ -76,8 +79,10 @@ struct CkSearchResult {
 /// Storage is the Milvus/Manu segment layout (§2.3(3)): every row lives
 /// once, either in a sealed segment, whose index owns it (resident or in
 /// its pages), or in the growing segment, a VectorStore that every read
-/// brute-forces. A delete tombstones the row where it lives. The in-place
-/// index is the case of one sealed segment.
+/// brute-forces. A delete tombstones the row where it lives. Each sealed
+/// segment holds the rows of one partition key; a partition is the group
+/// of segments of one key. The in-place index is the case of one sealed
+/// segment per key.
 ///
 /// Not thread-safe for writers; external synchronization required for
 /// concurrent use (ShardedCollection provides the parallel read path).
@@ -104,16 +109,17 @@ class Collection {
   Status Upsert(VectorId id, VectorView vec,
                 const std::vector<AttrBinding>& attrs = {});
 
-  /// Seals every live row into one new segment (index plus partitioned
-  /// index), replacing all segments, under either policy. No-op on a clean
-  /// collection: one segment, no growing rows, no removals since the seal.
+  /// Seals every live row into one new segment per partition key,
+  /// replacing all segments, under either policy. No-op on a clean
+  /// collection: one segment per key, no growing rows, no removals since
+  /// the seal.
   Status BuildIndex();
-  /// Seals the growing rows into a new segment (no-op when there are
-  /// none); may trigger `Compact`. All-or-nothing.
+  /// Seals the growing rows into one new segment per partition key (no-op
+  /// when there are none); may trigger `Compact`. All-or-nothing.
   Status Flush();
-  /// Merges the sealed segments into one segment over their live rows,
-  /// dropping removed rows. The growing rows stay growing (BuildIndex
-  /// seals those too). All-or-nothing.
+  /// Merges the sealed segments into one segment per partition key over
+  /// their live rows, dropping removed rows. The growing rows stay growing
+  /// (BuildIndex seals those too). All-or-nothing.
   Status Compact();
 
   /// Serializes the data plane (vectors, attributes, multi-vector entity
@@ -144,14 +150,15 @@ class Collection {
   Status SyncWal();
   /// Serializes the one sealed segment's index (HNSW / IVF-Flat / IVF-PQ)
   /// to a CRC-guarded snapshot. Unsupported when the collection is not
-  /// clean (see BuildIndex) or the index type has no serializer — callers
-  /// fall back to BuildIndex on recovery.
+  /// clean (see BuildIndex), has more than one segment (a partitioned one
+  /// has one per key), or the index type has no serializer — callers fall
+  /// back to BuildIndex on recovery.
   Status SaveIndexSnapshot(const std::string& path) const;
   /// Installs an index snapshot saved by `SaveIndexSnapshot` as the one
   /// sealed segment, which adopts the rows: its live rows must equal the
-  /// collection's (ids and vector bits, in order), and then the growing
-  /// rows are dropped. Call it on a collection restored from the
-  /// *matching* checkpoint, before any WAL replay.
+  /// collection's (ids and vector bits, in order) and share one partition
+  /// key, and then the growing rows are dropped. Call it on a collection
+  /// restored from the *matching* checkpoint, before any WAL replay.
   Status LoadIndexSnapshot(const std::string& path);
 
   // ------------------------------------------------------------ queries
@@ -210,28 +217,30 @@ class Collection {
                         const std::vector<AttrBinding>& attrs, bool log);
   Status DeleteInternal(VectorId id, bool log);
   CollectionView View() const;
-  /// One segment, no growing rows, no tombstones in the segment: the one
-  /// segment's index covers exactly the live rows.
-  bool Clean() const {
-    return segments_.size() == 1 && growing_.live_count() == 0 &&
-           segments_.front().index->row_ids().rows() ==
-               segments_.front().index->Size();
-  }
+  /// The layout BuildIndex leaves: one segment per partition key, in key
+  /// order, no growing rows and no tombstones, so the segments' indexes
+  /// cover exactly the live rows.
+  bool Clean() const;
   /// The sealed segment holding a live row labelled `id`; null if none.
   const Segment* HolderOf(VectorId id) const;
   bool Contains(VectorId id) const {
     return growing_.Contains(id) || HolderOf(id) != nullptr;
   }
-  /// Builds a segment over the live rows of `rows`.
-  Result<Segment> BuildSegment(const CollectionView& rows) const;
-  /// The partitioned index over `data` (whose rows `ids` label).
-  Result<std::unique_ptr<AttributePartitionedIndex>> BuildPartitions(
-      const FloatMatrix& data, const std::vector<VectorId>& ids) const;
-  /// Replaces every segment and the growing rows with `seg`, which holds
+  /// Builds one segment per partition key over the live rows of `rows`,
+  /// in key order; none when there are no live rows.
+  Result<std::vector<Segment>> BuildSegments(const CollectionView& rows) const;
+  /// Replaces every segment and the growing rows with `segs`, which hold
   /// every live row.
-  void SealAll(Segment seg);
-  /// The row's partition key: its `partition_column` value (0 if unset).
-  std::int64_t PartitionValue(VectorId id) const;
+  void SealAll(std::vector<Segment> segs);
+  /// The row's partition key: its `partition_column` value; 0 without a
+  /// partition column, none for a row without attributes.
+  std::optional<std::int64_t> PartitionKey(VectorId id) const;
+  /// Sealed segments of partition key `key`.
+  std::size_t SegmentsWithKey(std::optional<std::int64_t> key) const;
+  /// `raw` with each multi-vector member mapped to its entity, keeping each
+  /// id's first (best) hit, cut to `k`; `raw` itself without entities.
+  void ToEntities(std::vector<Neighbor> raw, std::size_t k,
+                  std::vector<Neighbor>* out) const;
 
   CollectionOptions opts_;
   Scorer scorer_;

@@ -21,6 +21,19 @@ Result<Bitset> EvaluatePredicate(const Predicate& pred,
 
 }  // namespace
 
+bool PrunedKey(const CollectionView& view, const Predicate& pred,
+               std::int64_t* key) {
+  std::string column;
+  AttrValue value;
+  if (view.partition_column.empty() ||
+      !pred.AsSingleEquality(&column, &value) ||
+      column != view.partition_column || TypeOf(value) != AttrType::kInt64) {
+    return false;
+  }
+  *key = std::get<std::int64_t>(value);
+  return true;
+}
+
 std::size_t LiveRows(const CollectionView& view) {
   std::size_t live = view.growing != nullptr ? view.growing->live_count() : 0;
   for (const Segment& seg : view.segments) live += seg.index->Size();
@@ -92,7 +105,9 @@ Status HybridExecutor::BruteForce(const Predicate& pred, const float* query,
   VDB_RETURN_IF_ERROR(ForEachLiveRow(
       view_,
       [&](VectorId id, const float* vec) {
-        if (id < bits.size() && !bits.Test(static_cast<std::size_t>(id))) {
+        // A row the bitmask does not cover (a multi-vector member: it
+        // has no attributes) matches nothing, as in the index plans.
+        if (id >= bits.size() || !bits.Test(static_cast<std::size_t>(id))) {
           return;
         }
         float dist = view_.scorer->Distance(query, vec);
@@ -175,27 +190,25 @@ Status HybridExecutor::Execute(const HybridPlan& plan, const Predicate& pred,
       return Search(query, p, out, search_stats);
 
     case PlanKind::kPartitionPruned: {
-      std::string column;
-      AttrValue value;
-      for (const Segment& seg : view_.segments) {
-        if (seg.partitioned == nullptr) {
-          return Status::FailedPrecondition(
-              "plan requires a partitioned index");
-        }
+      if (view_.partition_column.empty()) {
+        return Status::FailedPrecondition("plan requires a partition column");
       }
-      if (!pred.AsSingleEquality(&column, &value) ||
-          column != view_.segments.front().partitioned->column() ||
-          TypeOf(value) != AttrType::kInt64) {
+      std::int64_t key = 0;
+      if (!PrunedKey(view_, pred, &key)) {
         return Status::InvalidArgument(
             "partition-pruned plan needs `partition_column = <int>`");
       }
-      // The partition holds only matching rows, so segments search it
-      // unfiltered; the growing rows still need the predicate.
+      // A segment of the key holds only matching rows, so it is searched
+      // unfiltered, and the others hold none; the growing rows still need
+      // the predicate.
       return SearchSegments(
           query, params, &pred_filter,
           [&](const Segment& seg, std::vector<Neighbor>* part) {
-            return seg.partitioned->Search(std::get<std::int64_t>(value),
-                                           query, params, part, search_stats);
+            if (seg.key != key) {
+              part->clear();
+              return Status::Ok();
+            }
+            return seg.index->Search(query, params, part, search_stats);
           },
           out, search_stats);
     }

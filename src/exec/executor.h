@@ -2,11 +2,12 @@
 #define VDB_EXEC_EXECUTOR_H_
 
 #include <memory>
+#include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/distance.h"
-#include "exec/partitioned_index.h"
 #include "exec/plan.h"
 #include "exec/predicate.h"
 #include "index/index.h"
@@ -16,12 +17,14 @@
 namespace vdb {
 
 /// One sealed segment (§2.3(3), the Milvus/Manu layout): an index over a
-/// fixed set of a collection's rows and, when the collection has a
-/// partition column, one sub-index per attribute value over the same rows
-/// (offline blocking, §2.3(1)).
+/// fixed set of a collection's rows, all with one partition key. With a
+/// partition column a partition is the group of segments of one key
+/// (offline blocking, §2.3(1)); without one every key is 0.
 struct Segment {
   std::unique_ptr<VectorIndex> index;
-  std::unique_ptr<AttributePartitionedIndex> partitioned;  ///< optional
+  /// The partition column's value in every row; none for rows without
+  /// attributes (multi-vector members), which no predicate matches.
+  std::optional<std::int64_t> key = 0;
 };
 
 /// Read-only handles to everything a hybrid plan may touch. Each row
@@ -34,7 +37,15 @@ struct CollectionView {
   const AttributeStore* attrs = nullptr;      ///< required for predicates
   std::span<const Segment> segments;          ///< the sealed segments
   const Scorer* scorer = nullptr;             ///< required
+  /// The int64 column the segments' keys come from; empty: unpartitioned.
+  std::string_view partition_column;
 };
+
+/// True when `pred` is `partition_column = <int>` on a partitioned view:
+/// the partition-pruned plan can serve it, searching only the segments
+/// whose key is `*key`.
+bool PrunedKey(const CollectionView& view, const Predicate& pred,
+               std::int64_t* key);
 
 /// Live rows of the sealed segments and the growing rows.
 std::size_t LiveRows(const CollectionView& view);

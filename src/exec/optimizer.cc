@@ -11,23 +11,15 @@ std::vector<HybridPlan> EnumeratePlans(const CollectionView& view,
   std::vector<HybridPlan> plans;
   plans.push_back({PlanKind::kBruteForceHybrid, 3.0f});
   if (view.segments.empty()) return plans;
-  // Every segment is built by one factory, and carries partitions when the
-  // collection has a partition column.
-  const Segment& first = view.segments.front();
-  if (!first.index->IsGraph()) {
+  // Every segment is built by one factory.
+  if (!view.segments.front().index->IsGraph()) {
     plans.push_back({PlanKind::kPreFilterIndexScan, 3.0f});
   }
   plans.push_back({PlanKind::kPostFilterIndexScan, 3.0f});
   plans.push_back({PlanKind::kVisitFirstIndexScan, 3.0f});
-  const AttributePartitionedIndex* partitioned = first.partitioned.get();
-  if (partitioned != nullptr) {
-    std::string column;
-    AttrValue value;
-    if (pred.AsSingleEquality(&column, &value) &&
-        column == partitioned->column() &&
-        TypeOf(value) == AttrType::kInt64) {
-      plans.push_back({PlanKind::kPartitionPruned, 3.0f});
-    }
+  std::int64_t key = 0;
+  if (PrunedKey(view, pred, &key)) {
+    plans.push_back({PlanKind::kPartitionPruned, 3.0f});
   }
   return plans;
 }
@@ -98,7 +90,8 @@ double CostBasedOptimizer::EstimateCost(const HybridPlan& plan, double s,
     }
 
     case PlanKind::kPartitionPruned: {
-      // Search one partition of expected size s*n with the index.
+      // Search the segments of one key, s*n rows expected, with their
+      // indexes.
       double scan = std::min(s * nn, ef * model_.graph_fanout);
       return scan * model_.dist_comp;
     }

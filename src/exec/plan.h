@@ -22,8 +22,9 @@ enum class PlanKind {
   kPostFilterIndexScan,
   /// Single-stage (visit-first): predicate probed during index traversal.
   kVisitFirstIndexScan,
-  /// Offline blocking: per-attribute-value sub-indexes; only the matching
-  /// partition is searched (Milvus-style pre-partitioning).
+  /// Offline blocking: sealed segments are keyed by an attribute value;
+  /// only the segments of the predicate's value are searched
+  /// (Milvus-style pre-partitioning).
   kPartitionPruned,
 };
 

@@ -186,16 +186,20 @@ Status DiskAnnIndex::ScanRows(const RowFn& fn, SearchStats* stats) const {
   return Status::Ok();
 }
 
-Status DiskAnnIndex::ReadRow(VectorId id, std::span<float> out,
-                             SearchStats* stats) const {
+Status DiskAnnIndex::ReadRows(std::span<const VectorId> ids, const RowFn& fn,
+                              SearchStats* stats) const {
   if (file_ == nullptr) return Status::FailedPrecondition("not built");
-  const std::uint32_t row = rows_.LiveRow(id);
-  if (row == RowIds::kNoRow) return Status::NotFound("id not present");
   const std::uint64_t reads_before = file_->reads();
-  const std::uint64_t offset = NodeOffset(row) + VectorAt();
-  VDB_RETURN_IF_ERROR(
-      file_->ReadBlocks({&offset, 1}, dim_ * sizeof(float),
-                        reinterpret_cast<std::uint8_t*>(out.data())));
+  std::vector<float> vec(dim_);
+  for (VectorId id : ids) {
+    const std::uint32_t row = rows_.LiveRow(id);
+    if (row == RowIds::kNoRow) continue;
+    const std::uint64_t offset = NodeOffset(row) + VectorAt();
+    VDB_RETURN_IF_ERROR(
+        file_->ReadBlocks({&offset, 1}, dim_ * sizeof(float),
+                          reinterpret_cast<std::uint8_t*>(vec.data())));
+    fn(id, vec.data());
+  }
   if (stats != nullptr) stats->io_reads += file_->reads() - reads_before;
   return Status::Ok();
 }

@@ -40,9 +40,10 @@ class DiskAnnIndex final : public VectorIndex {
   const RowIds& row_ids() const override { return rows_; }
   /// Reads every node page in order; full vectors stay on disk.
   Status ScanRows(const RowFn& fn, SearchStats* stats) const override;
-  /// Reads the vector part of the row's node block.
-  Status ReadRow(VectorId id, std::span<float> out,
-                 SearchStats* stats) const override;
+  /// Reads the vector part of each live id's node block, one block read
+  /// per id.
+  Status ReadRows(std::span<const VectorId> ids, const RowFn& fn,
+                  SearchStats* stats) const override;
   /// In-memory footprint only (codes, labels, codebooks) — the number the
   /// paper contrasts with in-memory indexes.
   std::size_t MemoryBytes() const override;

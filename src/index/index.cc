@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <unordered_set>
 
 #include "core/telemetry.h"
 #include "exec/trace.h"
@@ -60,18 +61,22 @@ Status VectorIndex::ScanRows(const RowFn& fn, SearchStats*) const {
   return Status::Ok();
 }
 
-Status VectorIndex::ReadRow(VectorId id, std::span<float> out,
-                            SearchStats* stats) const {
-  if (row_ids().LiveRow(id) == RowIds::kNoRow) {
-    return Status::NotFound("id not present");
-  }
+Status VectorIndex::ReadRows(std::span<const VectorId> ids, const RowFn& fn,
+                             SearchStats* stats) const {
   if (const VectorStore* rows = resident_rows()) {
-    std::copy_n(rows->Get(id), out.size(), out.data());
+    for (VectorId id : ids) {
+      if (const float* vec = rows->Get(id)) fn(id, vec);
+    }
     return Status::Ok();
   }
+  std::unordered_set<VectorId> wanted;
+  for (VectorId id : ids) {
+    if (row_ids().LiveRow(id) != RowIds::kNoRow) wanted.insert(id);
+  }
+  if (wanted.empty()) return Status::Ok();
   return ScanRows(
-      [&](VectorId label, const float* vec) {
-        if (label == id) std::copy_n(vec, out.size(), out.data());
+      [&](VectorId id, const float* vec) {
+        if (wanted.contains(id)) fn(id, vec);
       },
       stats);
 }

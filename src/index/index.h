@@ -132,10 +132,11 @@ class VectorIndex {
   /// walks resident_rows(); disk-resident families read their pages
   /// (counted in `stats->io_reads`).
   virtual Status ScanRows(const RowFn& fn, SearchStats* stats) const;
-  /// Copies the live row labelled `id` into `out` (dim floats); NotFound
-  /// when there is none. Paged rows default to a ScanRows pass.
-  virtual Status ReadRow(VectorId id, std::span<float> out,
-                         SearchStats* stats) const;
+  /// Calls fn(id, vector) once for each id of `ids` that labels a live
+  /// row here. Resident rows are read in place; paged rows default to one
+  /// ScanRows pass (each page read once), or none when no id is live here.
+  virtual Status ReadRows(std::span<const VectorId> ids, const RowFn& fn,
+                          SearchStats* stats) const;
 
   /// Rough resident memory of the index structure + stored vectors.
   virtual std::size_t MemoryBytes() const = 0;

@@ -14,6 +14,7 @@
 #include "core/eval.h"
 #include "core/rng.h"
 #include "core/synthetic.h"
+#include "core/telemetry.h"
 #include "db/collection.h"
 #include "db/database.h"
 #include "db/distributed.h"
@@ -22,6 +23,7 @@
 #include "index/flat.h"
 #include "index/hnsw.h"
 #include "index/ivf.h"
+#include "index/spann.h"
 #include "index/vamana.h"
 
 namespace vdb {
@@ -409,10 +411,11 @@ TEST(CollectionTest, FlushPolicyMemoryBytesCountsEveryPart) {
   EXPECT_GT(c.MemoryBytes(), before_compact);
 }
 
-// A partition column builds one more flat index per segment over the
-// same rows, so a partitioned collection holds each sealed row once more.
+// A partition column splits the sealed rows into one segment per key; no
+// second structure holds them, so a partitioned Flat collection costs
+// exactly what an unpartitioned one does.
 TEST(CollectionTest, MemoryBytesCountsPartitionedIndexes) {
-  const std::size_t kDim = 8, kRow = kDim * sizeof(float) + sizeof(VectorId);
+  const std::size_t kDim = 8;
   FloatMatrix data = TestData(64, kDim);
   auto bytes = [&](const std::string& partition_column) {
     CollectionOptions opts = BaseOptions(kDim);
@@ -427,9 +430,201 @@ TEST(CollectionTest, MemoryBytesCountsPartitionedIndexes) {
                       .ok());
     }
     EXPECT_TRUE((*collection)->BuildIndex().ok());
+    EXPECT_EQ((*collection)->SegmentCount(),
+              partition_column.empty() ? 1u : 4u);
     return (*collection)->MemoryBytes();
   };
-  EXPECT_EQ(bytes("category"), bytes("") + data.rows() * kRow);
+  EXPECT_EQ(bytes("category"), bytes(""));
+}
+
+// In place, a row joins the one segment of its partition key, so inserts
+// into keys that exist need neither growing rows nor a rebuild; a key no
+// segment has grows until the next seal.
+TEST(CollectionTest, InPlaceInsertJoinsItsPartitionSegment) {
+  CollectionOptions opts = BaseOptions();
+  opts.index_factory = [] { return std::make_unique<FlatIndex>(); };
+  opts.partition_column = "category";
+  auto c = Collection::Create(opts).value();
+  FloatMatrix data = TestData(61, 8);
+  auto insert = [&](VectorId id, std::int64_t key) {
+    ASSERT_TRUE(c->Insert(id, data.row_view(id), {{"category", key}}).ok());
+  };
+  for (VectorId id = 0; id < 40; ++id) insert(id, std::int64_t(id % 4));
+  ASSERT_TRUE(c->BuildIndex().ok());
+  EXPECT_EQ(c->SegmentCount(), 4u);
+  for (VectorId id = 40; id < 60; ++id) insert(id, std::int64_t(id % 4));
+  EXPECT_EQ(c->UnindexedRows(), 0u);
+  EXPECT_EQ(c->SegmentCount(), 4u);
+
+  // The new rows are in their key's segment: pruning to the key finds
+  // them, as brute force does.
+  const auto pred = Predicate::Cmp("category", CmpOp::kEq, std::int64_t{2});
+  const HybridPlan pruned{PlanKind::kPartitionPruned, 3.0f};
+  const HybridPlan brute{PlanKind::kBruteForceHybrid, 3.0f};
+  std::vector<Neighbor> got, want;
+  ASSERT_TRUE(c->Hybrid(data.row_view(58), pred, 5, &got, nullptr, &pruned)
+                  .ok());
+  ASSERT_TRUE(
+      c->Hybrid(data.row_view(58), pred, 5, &want, nullptr, &brute).ok());
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got.front().id, 58u);
+  EXPECT_EQ(got, want);
+
+  insert(60, 9);  // no segment has key 9
+  EXPECT_EQ(c->UnindexedRows(), 1u);
+  ASSERT_TRUE(c->BuildIndex().ok());
+  EXPECT_EQ(c->SegmentCount(), 5u);
+  EXPECT_EQ(c->UnindexedRows(), 0u);
+}
+
+// A flush seals one segment per partition key yet counts as one flush
+// (`vdb_lsm_flushes_total`), and compaction (`vdb_lsm_compactions_total`)
+// fires when one key reaches lsm_compact_at_segments segments, not when
+// the collection does.
+TEST(CollectionTest, PartitionedFlushAndCompactionCounters) {
+  CollectionOptions opts = BaseOptions();
+  opts.index_factory = [] { return std::make_unique<FlatIndex>(); };
+  opts.partition_column = "category";
+  opts.lsm_memtable_limit = 8;
+  opts.lsm_compact_at_segments = 3;
+  auto c = Collection::Create(opts).value();
+  Counter& flushes = Registry::Global().GetCounter("vdb_lsm_flushes_total");
+  Counter& compactions =
+      Registry::Global().GetCounter("vdb_lsm_compactions_total");
+  const std::uint64_t flushes0 = flushes.Value();
+  const std::uint64_t compactions0 = compactions.Value();
+  FloatMatrix data = TestData(32, 8);
+  VectorId next = 0;
+  // Eight rows (the memtable limit) of the given keys: one flush.
+  auto flush_of = [&](std::vector<std::int64_t> keys) {
+    for (int i = 0; i < 8; ++i, ++next) {
+      ASSERT_TRUE(c->Insert(next, data.row_view(next),
+                            {{"category", keys[i % keys.size()]}})
+                      .ok());
+    }
+  };
+  flush_of({0, 1});  // keys 0 and 1: one segment each
+  EXPECT_EQ(flushes.Value() - flushes0, 1u);
+  EXPECT_EQ(c->SegmentCount(), 2u);
+  flush_of({0});  // key 0: two segments; three in all
+  flush_of({1});  // key 1: two segments
+  EXPECT_EQ(flushes.Value() - flushes0, 3u);
+  EXPECT_EQ(compactions.Value() - compactions0, 0u);
+  EXPECT_EQ(c->SegmentCount(), 4u);
+  flush_of({0});  // key 0 reaches three segments: compact
+  EXPECT_EQ(flushes.Value() - flushes0, 4u);
+  EXPECT_EQ(compactions.Value() - compactions0, 1u);
+  EXPECT_EQ(c->SegmentCount(), 2u);  // one per key
+  EXPECT_EQ(c->UnindexedRows(), 0u);
+  EXPECT_EQ(c->Size(), 32u);
+}
+
+// Members of multi-vector entities carry no attributes, so no predicate
+// matches them: every plan, forced or chosen, returns only ids the caller
+// inserted, as the index plans' per-row probe always did — with a
+// partition column too, where members sit in no key's segment. CkSearch,
+// like Knn, maps member hits to their entity.
+TEST(CollectionTest, EntityMembersNeverLeakInternalIds) {
+  for (const std::string partition_column : {"", "category"}) {
+    SCOPED_TRACE("partition column '" + partition_column + "'");
+    CollectionOptions opts = BaseOptions();
+    opts.partition_column = partition_column;
+    auto c = Collection::Create(opts).value();
+    Rng rng(5);
+    for (VectorId e = 0; e < 30; ++e) {
+      FloatMatrix vecs(3, 8);
+      for (std::size_t v = 0; v < 3; ++v) {
+        for (std::size_t j = 0; j < 8; ++j) {
+          vecs.at(v, j) = static_cast<float>(e) + 0.05f * rng.NextGaussian();
+        }
+      }
+      ASSERT_TRUE(
+          c->InsertEntity(e, vecs, {{"category", std::int64_t(e % 2)}}).ok());
+    }
+    for (VectorId id = 100; id < 140; ++id) {
+      std::vector<float> vec(8);
+      for (float& x : vec) x = 40.0f + rng.NextGaussian();
+      ASSERT_TRUE(
+          c->Insert(id, vec, {{"category", std::int64_t(id % 2)}}).ok());
+    }
+    ASSERT_TRUE(c->BuildIndex().ok());
+    constexpr VectorId kInternal = VectorId{1} << 62;
+    const std::vector<float> query(8, 10.0f);
+    std::vector<PlanKind> kinds = {
+        PlanKind::kBruteForceHybrid, PlanKind::kPreFilterIndexScan,
+        PlanKind::kPostFilterIndexScan, PlanKind::kVisitFirstIndexScan};
+    if (!partition_column.empty()) kinds.push_back(PlanKind::kPartitionPruned);
+    std::vector<Neighbor> out;
+    for (std::int64_t category : {0, 1}) {
+      const auto pred = Predicate::Cmp("category", CmpOp::kEq, category);
+      for (PlanKind kind : kinds) {
+        const HybridPlan plan{kind, 3.0f};
+        ASSERT_TRUE(c->Hybrid(query, pred, 10, &out, nullptr, &plan).ok());
+        for (const Neighbor& nb : out) {
+          EXPECT_LT(nb.id, kInternal) << plan.ToString();
+        }
+        if (kind == PlanKind::kBruteForceHybrid) {
+          EXPECT_EQ(out.size(), 10u);
+          for (const Neighbor& nb : out) {
+            EXPECT_EQ(nb.id % 2, static_cast<VectorId>(category));
+          }
+        }
+      }
+      ASSERT_TRUE(c->Hybrid(query, pred, 10, &out).ok());
+      for (const Neighbor& nb : out) EXPECT_LT(nb.id, kInternal) << "optimizer";
+    }
+
+    auto ck = c->CkSearch(query, 1.0, 5);
+    ASSERT_TRUE(ck.ok());
+    EXPECT_TRUE(ck->satisfied);
+    ASSERT_EQ(ck->neighbors.size(), 5u);
+    EXPECT_EQ(ck->neighbors.front().id, 10u);
+    for (const Neighbor& nb : ck->neighbors) EXPECT_LT(nb.id, 30u);
+  }
+}
+
+// MultiVectorKnn re-scores its candidates' members with one batched read
+// per segment, so beyond its candidate searches (the Knn of each query
+// vector) a SPANN collection reads at most the pages that one full
+// RangeSearch reads.
+TEST(CollectionTest, SpannMultiVectorReadsEachPageOnce) {
+  CollectionOptions opts = BaseOptions();
+  const std::string dir = TempPath("spann_mv");
+  auto next = std::make_shared<int>(0);
+  opts.index_factory = [dir, next] {
+    SpannOptions o;
+    o.nlist = 8;
+    return std::make_unique<SpannIndex>(dir + "_" + std::to_string((*next)++),
+                                        o);
+  };
+  auto c = Collection::Create(opts).value();
+  FloatMatrix data = TestData(600, 8);
+  for (VectorId e = 0; e < 100; ++e) {
+    FloatMatrix vecs(0, 8);
+    for (std::size_t v = 0; v < 3; ++v) {
+      vecs.AppendRow(data.row(3 * e + v), 8);
+    }
+    ASSERT_TRUE(c->InsertEntity(e, vecs).ok());
+  }
+  for (VectorId id = 300; id < 600; ++id) {
+    ASSERT_TRUE(c->Insert(id, data.row_view(id)).ok());
+  }
+  ASSERT_TRUE(c->BuildIndex().ok());
+
+  FloatMatrix mv(0, 8);
+  mv.AppendRow(data.row(7), 8);
+  mv.AppendRow(data.row(400), 8);
+  const auto agg = Aggregator::Create(AggregateKind::kMean).value();
+  std::vector<Neighbor> out;
+  SearchStats multi, searches, range;
+  ASSERT_TRUE(c->MultiVectorKnn(mv, agg, 5, &out, &multi).ok());
+  ASSERT_FALSE(out.empty());
+  for (std::size_t q = 0; q < mv.rows(); ++q) {
+    ASSERT_TRUE(c->Knn(mv.row_view(q), 5, &out, &searches).ok());
+  }
+  ASSERT_TRUE(c->RangeSearch(mv.row_view(0), 1e30f, &out, &range).ok());
+  EXPECT_GT(range.io_reads, 0u);
+  EXPECT_LE(multi.io_reads, searches.io_reads + range.io_reads);
 }
 
 // Every row lives once: after BuildIndex the growing rows are empty and a

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,7 +27,6 @@
 #include "exec/executor.h"
 #include "exec/multivector.h"
 #include "exec/optimizer.h"
-#include "exec/partitioned_index.h"
 #include "exec/predicate.h"
 #include "index/flat.h"
 #include "index/hnsw.h"
@@ -44,12 +44,14 @@ struct HybridFixture {
   FloatMatrix data;
   FloatMatrix queries;
   AttributeStore attrs;
-  /// One sealed segment over every row: HNSW plus per-cluster partitions.
+  /// One sealed segment over every row: HNSW.
   Segment hnsw;
-  /// The same rows under IVF-Flat, without partitions.
+  /// The same rows under IVF-Flat.
   Segment ivf;
+  /// The same rows partitioned on "cluster": one HNSW segment per value,
+  /// keyed by it, in key order.
+  std::vector<Segment> partitions;
   const HnswIndex* index = nullptr;  ///< hnsw.index
-  const AttributePartitionedIndex* partitioned = nullptr;
   Scorer scorer;
   std::vector<std::int64_t> cluster_attr;
 
@@ -95,26 +97,35 @@ struct HybridFixture {
     ivf.index = std::make_unique<IvfFlatIndex>(io);
     Must(ivf.index->Build(data, {}));
 
-    IndexFactory factory = [] {
+    std::map<std::int64_t, std::vector<VectorId>> rows_of;
+    for (std::size_t i = 0; i < data.rows(); ++i) {
+      rows_of[workload.cluster_attr[i]].push_back(i);
+    }
+    for (const auto& [key, ids] : rows_of) {
+      FloatMatrix rows(0, data.cols());
+      for (VectorId id : ids) rows.AppendRow(data.row(id), data.cols());
       HnswOptions o;
       o.m = 8;
       o.ef_construction = 48;
-      return std::make_unique<HnswIndex>(o);
-    };
-    auto built = AttributePartitionedIndex::Build(
-        data, {}, workload.cluster_attr, factory, "cluster");
-    hnsw.partitioned = std::move(built).value();
-    partitioned = hnsw.partitioned.get();
+      Segment& seg = partitions.emplace_back();
+      seg.index = std::make_unique<HnswIndex>(o);
+      seg.key = key;
+      Must(seg.index->Build(std::move(rows), ids));
+    }
   }
 
   CollectionView View() const {
-    return {nullptr, &attrs, {&hnsw, 1}, &scorer};
+    return {nullptr, &attrs, {&hnsw, 1}, &scorer, {}};
+  }
+  /// View over the per-cluster segments, partitioned on "cluster".
+  CollectionView ViewPartitioned() const {
+    return {nullptr, &attrs, partitions, &scorer, "cluster"};
   }
   /// View backed by the IVF index — the natural carrier for bitmask
   /// (block-first) filtering, where blocking skips scoring but cannot
   /// damage traversal structure.
   CollectionView ViewIvf() const {
-    return {nullptr, &attrs, {&ivf, 1}, &scorer};
+    return {nullptr, &attrs, {&ivf, 1}, &scorer, {}};
   }
 };
 
@@ -614,11 +625,13 @@ TEST_P(HybridPlanTest, MatchesOracleAtGenerousKnobs) {
   // indexes but disconnects graph traversal (§2.3's online-blocking
   // hazard), so graph indexes pair with visit-first instead.
   const bool is_prefilter = GetParam() == PlanKind::kPreFilterIndexScan;
-  HybridExecutor executor(is_prefilter ? fx.ViewIvf() : fx.View());
+  const bool is_partition = GetParam() == PlanKind::kPartitionPruned;
+  HybridExecutor executor(is_prefilter   ? fx.ViewIvf()
+                          : is_partition ? fx.ViewPartitioned()
+                                         : fx.View());
   // Predicate uncorrelated with the vector geometry (s ~ 1/3): every plan
   // should reach the oracle at generous knobs. (Geometry-correlated
   // predicates are the pre/post-filter failure mode tested separately.)
-  const bool is_partition = GetParam() == PlanKind::kPartitionPruned;
   Predicate pred =
       is_partition ? Predicate::Cmp("cluster", CmpOp::kEq, I(4))
                    : Predicate::Cmp("tag", CmpOp::kEq, std::string("hot"));
@@ -758,20 +771,62 @@ TEST(HybridExecutorTest, ExecStatsExposeOperatorCosts) {
   EXPECT_GT(visit.search.filter_checks, 0u);  // per-row probes instead
 }
 
-TEST(PartitionedIndexTest, EqualityPruningIsExactWithinPartition) {
+// The partition-pruned plan searches only the segments of the predicate's
+// key, unfiltered: every hit carries the key, and a key no segment has
+// yields nothing (not an error). Other plans over the same view search
+// every segment and agree with brute force at generous knobs.
+TEST(PartitionPrunedTest, SearchesOnlyTheKeysSegments) {
   const auto& fx = Fixture();
+  EXPECT_EQ(fx.partitions.size(), 8u);
+  HybridExecutor executor(fx.ViewPartitioned());
   SearchParams params;
   params.k = 5;
   params.ef = 400;
-  std::vector<Neighbor> got;
-  ASSERT_TRUE(
-      fx.partitioned->Search(3, fx.queries.row(1), params, &got).ok());
+  const HybridPlan pruned{PlanKind::kPartitionPruned, 3.0f};
+  std::vector<Neighbor> got, want;
+  ExecStats stats;
+  auto eq3 = Predicate::Cmp("cluster", CmpOp::kEq, I(3));
+  ASSERT_TRUE(executor
+                  .Execute(pruned, eq3, fx.queries.row(1), params, &got,
+                           &stats)
+                  .ok());
+  ASSERT_EQ(got.size(), 5u);
   for (const auto& nb : got) EXPECT_EQ(fx.cluster_attr[nb.id], 3);
-  // Unknown partition value: empty, not an error.
+  EXPECT_EQ(stats.search.filter_checks, 0u);  // searched unfiltered
+  // The work of searching key 3's segment alone.
+  SearchStats alone;
+  std::vector<Neighbor> direct;
+  ASSERT_TRUE(fx.partitions[3]
+                  .index->Search(fx.queries.row(1), params, &direct, &alone)
+                  .ok());
+  EXPECT_EQ(got, direct);
+  EXPECT_EQ(stats.search.distance_comps, alone.distance_comps);
+  ASSERT_TRUE(executor
+                  .Execute({PlanKind::kBruteForceHybrid, 3.0f}, eq3,
+                           fx.queries.row(1), params, &want)
+                  .ok());
+  EXPECT_EQ(got, want);
+
+  auto eq999 = Predicate::Cmp("cluster", CmpOp::kEq, I(999));
   ASSERT_TRUE(
-      fx.partitioned->Search(999, fx.queries.row(1), params, &got).ok());
+      executor.Execute(pruned, eq999, fx.queries.row(1), params, &got).ok());
   EXPECT_TRUE(got.empty());
-  EXPECT_EQ(fx.partitioned->num_partitions(), 8u);
+
+  // Only `partition_column = <int>` can be pruned.
+  auto tag = Predicate::Cmp("tag", CmpOp::kEq, std::string("hot"));
+  EXPECT_EQ(executor.Execute(pruned, tag, fx.queries.row(1), params, &got)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(HybridExecutor(fx.View())
+                .Execute(pruned, eq3, fx.queries.row(1), params, &got)
+                .code(),
+            StatusCode::kFailedPrecondition);
+
+  ASSERT_TRUE(executor
+                  .Execute({PlanKind::kVisitFirstIndexScan, 3.0f}, eq3,
+                           fx.queries.row(1), params, &got)
+                  .ok());
+  EXPECT_EQ(got, want);
 }
 
 // -------------------------------------------------------------- Optimizer
@@ -779,17 +834,19 @@ TEST(PartitionedIndexTest, EqualityPruningIsExactWithinPartition) {
 TEST(EnumerationTest, PlanSpaceTracksAvailability) {
   const auto& fx = Fixture();
   auto eq = Predicate::Cmp("cluster", CmpOp::kEq, I(1));
-  auto plans = EnumeratePlans(fx.View(), eq);
+  auto plans = EnumeratePlans(fx.ViewPartitioned(), eq);
   // Every plan a graph may take, incl. partition-pruned.
   EXPECT_EQ(plans.size(), 4u);
+  // No partition column, no partition-pruned plan.
+  EXPECT_EQ(EnumeratePlans(fx.View(), eq).size(), 3u);
 
-  CollectionView no_index = fx.View();
+  CollectionView no_index = fx.ViewPartitioned();
   no_index.segments = {};
   EXPECT_EQ(EnumeratePlans(no_index, eq).size(), 1u);
 
   // Partition pruning only offered for equality on the partition column.
   auto range = Predicate::Cmp("score", CmpOp::kLe, 0.5);
-  EXPECT_EQ(EnumeratePlans(fx.View(), range).size(), 3u);
+  EXPECT_EQ(EnumeratePlans(fx.ViewPartitioned(), range).size(), 3u);
 }
 
 // Block-first disconnects graph traversal (§2.3): an HNSW segment gets no
@@ -876,7 +933,7 @@ TEST(CostBasedOptimizerTest, ChoosesReasonablePlansAcrossSelectivities) {
   EXPECT_EQ(plan->kind, PlanKind::kBruteForceHybrid);
   // Equality on the partition column -> partition pruning wins.
   auto eq = Predicate::Cmp("cluster", CmpOp::kEq, I(3));
-  plan = optimizer.Choose(eq, fx.View(), params);
+  plan = optimizer.Choose(eq, fx.ViewPartitioned(), params);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->kind, PlanKind::kPartitionPruned);
   // Permissive range -> an index plan, never brute force.

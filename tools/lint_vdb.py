@@ -65,6 +65,11 @@ pass --root):
      in-memory index's rows) or of the disk-resident DiskAnnIndex and
      SpannIndex, whose rows live in their pages — a second row copy in
      an index base or the collection cannot come back.
+ 11. One index per row: a `std::unique_ptr<VectorIndex>` member, bare or
+     inside a container, is declared in src/ only by `Segment` — a
+     collection's index structures are its sealed segments' indexes, one
+     per row, so a second index over the same rows (as per-value
+     partition sub-indexes once were) cannot come back.
 
 Exit status 0 when clean; 1 with one "file:line: message" per violation
 otherwise. Run by the `lint` CI job and locally via
@@ -153,6 +158,13 @@ ROW_MAP = re.compile(
 ROW_IDS_HOLDERS = {"VectorStore", "DiskAnnIndex", "SpannIndex"}
 ROW_IDS_DECL = re.compile(r"^\s*(?:mutable\s+)?RowIds\s+\w+\s*[;{=]", re.M)
 CLASS_OPEN = re.compile(r"\b(?:class|struct)\s+(\w+)[^;{()]*\{")
+
+# Invariant 11: the one class that may hold a VectorIndex, and a member
+# declaration of one (bare, or inside a container type).
+INDEX_HOLDER = "Segment"
+INDEX_MEMBER = re.compile(
+    r"^[ \t]*(?:mutable[ \t]+)?[\w:<>, \t]*\bunique_ptr[ \t]*<[ \t]*"
+    r"VectorIndex[ \t]*>[\w:<>, \t]*?[ \t]\w+[ \t]*[;{=]", re.M)
 
 
 def strip_comments(text):
@@ -418,6 +430,21 @@ def check_row_maps(root, errors):
                           f"hold one")
 
 
+def check_index_holders(root, errors):
+    """Invariant 11: only Segment holds a VectorIndex."""
+    for path in source_files(root):
+        rel = path.relative_to(root).as_posix()
+        text = strip_comments(path.read_text())
+        for m in INDEX_MEMBER.finditer(text):
+            owner = enclosing_class(text, m.start())
+            if owner is None or owner == INDEX_HOLDER:
+                continue
+            line = text.count("\n", 0, m.start()) + 1
+            errors.append(f"{rel}:{line}: VectorIndex held by {owner} — a "
+                          f"second index over a segment's rows; only "
+                          f"{INDEX_HOLDER} holds one")
+
+
 def enclosing_class(text, pos):
     """Name of the innermost class/struct whose body contains `pos`."""
     owner = None
@@ -448,6 +475,7 @@ def main():
     check_sync_confinement(args.root, errors)
     check_json_confinement(args.root, errors)
     check_row_maps(args.root, errors)
+    check_index_holders(args.root, errors)
 
     if errors:
         for e in errors:
