@@ -8,6 +8,57 @@
 
 namespace vdb {
 
+namespace {
+
+/// Appends to `out` the nodes a BFS from `start` reaches over `adjacency`
+/// without passing a node already in `mark`, until `out` holds `limit`
+/// nodes. `out` itself is the BFS queue.
+void Bfs(const std::vector<std::vector<std::uint32_t>>& adjacency,
+         std::uint32_t start, std::size_t limit, Bitset* mark,
+         std::vector<std::uint32_t>* out) {
+  std::size_t head = out->size();
+  mark->Set(start);
+  out->push_back(start);
+  while (head < out->size() && out->size() < limit) {
+    for (std::uint32_t nb : adjacency[(*out)[head++]]) {
+      if (out->size() >= limit) break;
+      if (mark->Test(nb)) continue;
+      mark->Set(nb);
+      out->push_back(nb);
+    }
+  }
+}
+
+/// Slot order of the nodes (slot -> build row), `per_page` slots a page.
+/// Seeds come in BFS order from the medoid, then any nodes it cannot
+/// reach; each seed still unplaced fills the open page with a BFS over
+/// unplaced neighbours, so a node tends to share its page with its graph
+/// neighbours: Starling's block shuffling (SIGMOD 2024) in its simplest
+/// form.
+std::vector<std::uint32_t> PageLocalOrder(
+    const std::vector<std::vector<std::uint32_t>>& adjacency,
+    std::uint32_t medoid, std::size_t per_page) {
+  const std::size_t n = adjacency.size();
+  std::vector<std::uint32_t> seeds;
+  seeds.reserve(n);
+  Bitset reached(n);
+  Bfs(adjacency, medoid, n, &reached, &seeds);
+  for (std::uint32_t node = 0; node < n; ++node) {
+    if (!reached.Test(node)) Bfs(adjacency, node, n, &reached, &seeds);
+  }
+  std::vector<std::uint32_t> order;
+  order.reserve(n);
+  Bitset placed(n);
+  for (std::uint32_t seed : seeds) {
+    if (placed.Test(seed)) continue;
+    const std::size_t page_end = (order.size() / per_page + 1) * per_page;
+    Bfs(adjacency, seed, std::min(page_end, n), &placed, &order);
+  }
+  return order;
+}
+
+}  // namespace
+
 Status DiskAnnIndex::Build(FloatMatrix data,
                            std::span<const VectorId> ids) {
   if (data.empty()) return Status::InvalidArgument("empty build data");
@@ -17,50 +68,65 @@ Status DiskAnnIndex::Build(FloatMatrix data,
   dim_ = data.cols();
   VDB_ASSIGN_OR_RETURN(scorer_, Scorer::Create(opts_.vamana.metric, dim_));
 
-  // Node block: [uint32 degree][R x uint32 neighbors][dim x float vector].
-  node_stride_ = sizeof(std::uint32_t) * (1 + opts_.vamana.r) +
-                 sizeof(float) * dim_;
+  node_stride_ = RowAt() + sizeof(std::uint32_t);  // see diskann.h
   if (node_stride_ > opts_.file.page_size) {
     return Status::InvalidArgument(
         "node block exceeds page size; lower R or raise page_size");
   }
   nodes_per_page_ = opts_.file.page_size / node_stride_;
 
-  // 1. In-memory Vamana construction.
+  // 1. In-memory Vamana construction, in build order.
   VamanaIndex vamana(opts_.vamana);
   VDB_RETURN_IF_ERROR(vamana.Build(data, ids));
-  medoid_ = vamana.medoid();
+  const auto& adjacency = vamana.adjacency();
 
-  rows_.Reset(data.rows(), ids);
-
-  // 2. In-memory PQ navigation codes over the raw vectors.
-  pq_ = ProductQuantizer(opts_.pq);
-  VDB_RETURN_IF_ERROR(pq_.Train(data));
-  codes_.resize(data.rows() * pq_.code_size());
-  for (std::size_t i = 0; i < data.rows(); ++i) {
-    pq_.Encode(data.row(i), codes_.data() + i * pq_.code_size());
+  // 2. Slot order: from here on the index speaks slots, and build rows
+  // survive only in the node blocks.
+  const std::size_t n = data.rows();
+  const std::vector<std::uint32_t> order =
+      PageLocalOrder(adjacency, vamana.medoid(), nodes_per_page_);
+  std::vector<std::uint32_t> slot_of(n);  // build row -> slot
+  std::vector<VectorId> labels(n);
+  for (std::uint32_t slot = 0; slot < n; ++slot) {
+    slot_of[order[slot]] = slot;
+    labels[slot] = ids.empty() ? order[slot] : ids[order[slot]];
+  }
+  medoid_ = slot_of[vamana.medoid()];
+  rows_.Reset(n, labels);
+  for (std::uint32_t slot = 0; slot < n; ++slot) {
+    if (rows_.RowOf(labels[slot]) != slot) {
+      return Status::InvalidArgument("diskann build labels must be distinct");
+    }
   }
 
-  // 3. Serialize node blocks.
+  // 3. In-memory PQ navigation codes over the raw vectors.
+  pq_ = ProductQuantizer(opts_.pq);
+  VDB_RETURN_IF_ERROR(pq_.Train(data));
+  codes_.resize(n * pq_.code_size());
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    pq_.Encode(data.row(order[slot]), codes_.data() + slot * pq_.code_size());
+  }
+
+  // 4. Serialize node blocks in slot order.
   VDB_ASSIGN_OR_RETURN(file_, PagedFile::Create(path_, opts_.file));
-  const auto& adjacency = vamana.adjacency();
   std::vector<std::uint8_t> page(opts_.file.page_size, 0);
-  std::uint64_t num_pages =
-      (data.rows() + nodes_per_page_ - 1) / nodes_per_page_;
+  const std::uint64_t num_pages = (n + nodes_per_page_ - 1) / nodes_per_page_;
   for (std::uint64_t p = 0; p < num_pages; ++p) {
     std::fill(page.begin(), page.end(), 0);
-    for (std::size_t slot = 0; slot < nodes_per_page_; ++slot) {
-      std::size_t node = p * nodes_per_page_ + slot;
-      if (node >= data.rows()) break;
-      std::uint8_t* at = page.data() + slot * node_stride_;
+    for (std::size_t k = 0; k < nodes_per_page_; ++k) {
+      const std::size_t slot = p * nodes_per_page_ + k;
+      if (slot >= n) break;
+      const std::uint32_t row = order[slot];
+      std::uint8_t* block = page.data() + k * node_stride_;
       std::uint32_t degree = static_cast<std::uint32_t>(
-          std::min(adjacency[node].size(), opts_.vamana.r));
-      std::memcpy(at, &degree, sizeof(degree));
-      at += sizeof(degree);
-      std::memcpy(at, adjacency[node].data(),
-                  degree * sizeof(std::uint32_t));
-      at += opts_.vamana.r * sizeof(std::uint32_t);
-      std::memcpy(at, data.row(node), dim_ * sizeof(float));
+          std::min(adjacency[row].size(), opts_.vamana.r));
+      std::memcpy(block, &degree, sizeof(degree));
+      for (std::uint32_t j = 0; j < degree; ++j) {
+        std::memcpy(block + sizeof(degree) + j * sizeof(std::uint32_t),
+                    &slot_of[adjacency[row][j]], sizeof(std::uint32_t));
+      }
+      std::memcpy(block + VectorAt(), data.row(row), dim_ * sizeof(float));
+      std::memcpy(block + RowAt(), &row, sizeof(row));
     }
     VDB_RETURN_IF_ERROR(file_->WritePage(p, page.data()));
   }
@@ -137,9 +203,9 @@ Status DiskAnnIndex::SearchImpl(const float* query,
         file_->ReadBlocks(offsets, node_stride_, blocks.data()));
     for (std::size_t b = 0; b < batch.size(); ++b) {
       std::uint32_t idx = batch[b];
-      // Block layout (see Build): [degree][R neighbor ids][vector]. The
-      // memcpy that filled `blocks` created the uint32/float objects the
-      // pointers below read.
+      // Block layout (see diskann.h): [degree][R neighbor slots][vector]
+      // [row]. The memcpy that filled `blocks` created the uint32/float
+      // objects the pointers below read.
       const std::uint8_t* block = blocks.data() + b * node_stride_;
       std::uint32_t degree;
       std::memcpy(&degree, block, sizeof(degree));
@@ -153,7 +219,13 @@ Status DiskAnnIndex::SearchImpl(const float* query,
       if (stats != nullptr) ++stats->nodes_visited;
       float dist = scorer_.Distance(query, vec);
       if (stats != nullptr) ++stats->distance_comps;
-      if (admit(idx)) exact.Push(static_cast<VectorId>(idx), dist);
+      if (admit(idx)) {
+        // Keyed (build row, slot): exact-distance ties break in build
+        // order, as without the layout, and the low half is the slot.
+        std::uint32_t row;
+        std::memcpy(&row, block + RowAt(), sizeof(row));
+        exact.Push(std::uint64_t{row} << 32 | idx, dist);
+      }
       for (std::uint32_t j = 0; j < degree; ++j) insert_cand(neighbors[j]);
     }
     if (stats != nullptr) ++stats->hops;
@@ -171,16 +243,29 @@ Status DiskAnnIndex::SearchImpl(const float* query,
 Status DiskAnnIndex::ScanRows(const RowFn& fn, SearchStats* stats) const {
   if (file_ == nullptr) return Status::FailedPrecondition("not built");
   const std::uint64_t reads_before = file_->reads();
-  // Nodes are rows, laid out in order: one sweep over the pages.
+  // One sweep over the pages in slot order places each live vector at its
+  // build row; the rows then come out in build order.
+  const std::size_t n = rows_.rows();
+  std::vector<float> vecs(n * dim_);
+  std::vector<std::uint32_t> slot_at(n, RowIds::kNoRow);  // build row -> slot
   std::vector<std::uint8_t> page(opts_.file.page_size);
-  for (std::uint32_t row = 0; row < rows_.rows(); ++row) {
-    const std::size_t slot = row % nodes_per_page_;
-    if (slot == 0) {
-      VDB_RETURN_IF_ERROR(file_->ReadPage(row / nodes_per_page_, page.data()));
+  for (std::uint32_t slot = 0; slot < n; ++slot) {
+    const std::size_t k = slot % nodes_per_page_;
+    if (k == 0) {
+      VDB_RETURN_IF_ERROR(file_->ReadPage(slot / nodes_per_page_, page.data()));
     }
-    if (rows_.IsDeleted(row)) continue;
-    fn(rows_.label(row), reinterpret_cast<const float*>(
-                             page.data() + slot * node_stride_ + VectorAt()));
+    if (rows_.IsDeleted(slot)) continue;
+    const std::uint8_t* block = page.data() + k * node_stride_;
+    std::uint32_t row;
+    std::memcpy(&row, block + RowAt(), sizeof(row));
+    if (row >= n) return Status::Corruption("diskann node block row past end");
+    slot_at[row] = slot;
+    std::memcpy(vecs.data() + std::size_t{row} * dim_, block + VectorAt(),
+                dim_ * sizeof(float));
+  }
+  for (std::size_t row = 0; row < n; ++row) {
+    if (slot_at[row] == RowIds::kNoRow) continue;
+    fn(rows_.label(slot_at[row]), vecs.data() + row * dim_);
   }
   if (stats != nullptr) stats->io_reads += file_->reads() - reads_before;
   return Status::Ok();
@@ -192,9 +277,9 @@ Status DiskAnnIndex::ReadRows(std::span<const VectorId> ids, const RowFn& fn,
   const std::uint64_t reads_before = file_->reads();
   std::vector<float> vec(dim_);
   for (VectorId id : ids) {
-    const std::uint32_t row = rows_.LiveRow(id);
-    if (row == RowIds::kNoRow) continue;
-    const std::uint64_t offset = NodeOffset(row) + VectorAt();
+    const std::uint32_t slot = rows_.LiveRow(id);
+    if (slot == RowIds::kNoRow) continue;
+    const std::uint64_t offset = NodeOffset(slot) + VectorAt();
     VDB_RETURN_IF_ERROR(
         file_->ReadBlocks({&offset, 1}, dim_ * sizeof(float),
                           reinterpret_cast<std::uint8_t*>(vec.data())));
