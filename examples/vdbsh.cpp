@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
   auto run = [&](const std::string& line) {
     if (line == ".metrics") {
       // Lifetime totals, then the 10s/60s recording-rule views. The shell
-      // has no event loop driving Tick, so rotate the ring here — an
+      // has no server driving Tick, so rotate the ring here — an
       // interactive session's windows cover the gaps between commands.
       static constexpr double kWindows[] = {10.0, 60.0};
       WindowedRegistry::Global().Tick();

@@ -18,7 +18,7 @@ namespace vdb {
 /// latency that *move* when the workload does.
 ///
 /// Mechanism: a ring of boundary snapshots. `Tick(now)` is called from
-/// any convenient periodic point (the serving event loop ticks every
+/// any convenient periodic point (the server's housekeeping ticks every
 /// ~20ms); whenever a window boundary has passed it records one
 /// `Registry::Snap()` stamped with the boundary time. A read over the
 /// last W seconds takes one live snapshot and subtracts the newest

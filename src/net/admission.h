@@ -101,8 +101,8 @@ class AdmissionController {
 
   /// Evicts tenants with no in-flight work whose last admission
   /// activity (TryAdmit or OnComplete) is older than `idle_for`;
-  /// returns how many were dropped. The serving event loop calls this
-  /// periodically so a long-lived server's tenant map tracks the
+  /// returns how many were dropped. The server's housekeeping pass
+  /// calls this periodically so a long-lived server's tenant map tracks the
   /// *active* tenant set instead of growing monotonically. Eviction
   /// resets the tenant's cumulative admitted/shed counts in
   /// TenantStatsSnapshot (the labeled lifetime counters in the registry

@@ -49,10 +49,18 @@ ssize_t NetSend(int fd, const void* buf, std::size_t len) {
 
 }  // namespace
 
-Conn::Conn(int fd, std::uint64_t id) : fd_(fd), id_(id) {}
+Conn::Conn(int fd, std::atomic<int>* unflushed)
+    : fd_(fd), unflushed_(unflushed) {}
 
 Conn::~Conn() {
+  CountUnflushed(false);
   if (fd_ >= 0) ::close(fd_);
+}
+
+void Conn::CountUnflushed(bool unflushed) {
+  if (unflushed == counted_) return;
+  counted_ = unflushed;
+  unflushed_->fetch_add(unflushed ? 1 : -1, std::memory_order_acq_rel);
 }
 
 Conn::IoResult Conn::ReadReady(
@@ -104,11 +112,12 @@ Conn::IoResult Conn::WriteReady() {
     ssize_t n = NetSend(fd_, write_buf_.data() + write_at_,
                         write_buf_.size() - write_at_);
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return IoResult::kOk;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       return IoResult::kClosed;  // EPIPE/ECONNRESET: peer is gone
     }
     write_at_ += static_cast<std::size_t>(n);
   }
+  CountUnflushed(WantsWrite());
   return IoResult::kOk;
 }
 

@@ -1,6 +1,7 @@
 #ifndef VDB_NET_CONN_H_
 #define VDB_NET_CONN_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -9,10 +10,10 @@
 
 namespace vdb::net {
 
-/// One accepted, non-blocking connection. Owned and driven exclusively
-/// by the server's event-loop thread (no internal locking): the loop
-/// calls ReadReady/WriteReady on epoll readiness, and workers hand
-/// finished responses back to the loop, which serializes them here.
+/// One accepted, non-blocking connection. No internal locking: the
+/// server thread holding the connection's EPOLLONESHOT event (or the
+/// run queue, between threads) owns it, reads its frames, serializes
+/// the replies here and flushes them.
 ///
 /// Failpoint sites (the short-I/O and EINTR torture the soak test arms):
 ///   net.read.short / net.write.short — caps one syscall's transfer at
@@ -21,7 +22,9 @@ namespace vdb::net {
 ///     retry into the syscall wrapper.
 class Conn {
  public:
-  Conn(int fd, std::uint64_t id);
+  /// `*unflushed` counts the connections holding unflushed reply bytes;
+  /// the Conn keeps its own share current.
+  Conn(int fd, std::atomic<int>* unflushed);
   ~Conn();  ///< closes the socket
   Conn(const Conn&) = delete;
   Conn& operator=(const Conn&) = delete;
@@ -46,11 +49,13 @@ class Conn {
   bool WantsWrite() const { return write_at_ < write_buf_.size(); }
 
   int fd() const { return fd_; }
-  std::uint64_t id() const { return id_; }
 
  private:
+  void CountUnflushed(bool unflushed);
+
   int fd_;
-  std::uint64_t id_;
+  std::atomic<int>* unflushed_;
+  bool counted_ = false;
   std::vector<std::uint8_t> read_buf_;
   std::vector<std::uint8_t> write_buf_;
   std::size_t write_at_ = 0;

@@ -7,7 +7,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -22,14 +21,14 @@ namespace vdb::net {
 
 namespace {
 
-// epoll user-data keys for the two non-connection fds; connection ids
-// start at 1 so they can never collide.
+// epoll user-data keys for the two non-connection fds; a connection's
+// event carries its Conn pointer, which is neither.
 constexpr std::uint64_t kListenerKey = 0;
 constexpr std::uint64_t kWakeKey = ~std::uint64_t{0};
 
 constexpr int kEpollTickMs = 20;
 constexpr int kListenBacklog = 256;
-/// Event-loop ticks between idle-tenant sweeps and how long a tenant
+/// Housekeeping passes between idle-tenant sweeps and how long a tenant
 /// must be quiet (no admit, no completion, nothing in flight) before
 /// its admission state is dropped.
 constexpr int kEvictEveryTicks = 256;
@@ -89,14 +88,14 @@ Result<std::unique_ptr<Server>> Server::Start(Database* db,
   if (opts.num_workers == 0) opts.num_workers = 1;
   std::unique_ptr<Server> server(new Server(db, std::move(opts)));
   VDB_RETURN_IF_ERROR(server->Listen());
-  server->loop_thread_ = std::thread(&Server::EventLoop, server.get());
-  for (std::size_t i = 0; i < server->opts_.num_workers; ++i) {
-    server->workers_.emplace_back(&Server::WorkerLoop, server.get(), i);
+  for (std::size_t i = 0; i <= server->opts_.num_workers; ++i) {
+    server->threads_.emplace_back(&Server::ServeLoop, server.get(), i);
   }
   return Result<std::unique_ptr<Server>>(std::move(server));
 }
 
 Status Server::Listen() {
+  MutexLock lock(conns_mu_);  // no serving thread yet; satisfies the guard
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                         0);
   if (listen_fd_ < 0) return Status::IoError(ErrnoText("socket"));
@@ -129,12 +128,14 @@ Status Server::Listen() {
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wake_fd_ < 0) return Status::IoError(ErrnoText("eventfd"));
 
+  // ONESHOT like the connections: one thread accepts, then re-arms it.
   epoll_event ev{};
-  ev.events = EPOLLIN;
+  ev.events = EPOLLIN | EPOLLONESHOT;
   ev.data.u64 = kListenerKey;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
     return Status::IoError(ErrnoText("epoll_ctl listener"));
   }
+  ev.events = EPOLLIN;
   ev.data.u64 = kWakeKey;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
     return Status::IoError(ErrnoText("epoll_ctl wake"));
@@ -143,15 +144,11 @@ Status Server::Listen() {
 }
 
 void Server::RequestDrain() {
-  // Async-signal-safe: one relaxed-ish atomic store plus an eventfd
-  // write (eventfd_write is a thin write(2) wrapper, on the POSIX
-  // signal-safe list). Everything else happens on the event loop.
+  // Async-signal-safe: one atomic store plus an eventfd write
+  // (eventfd_write is a thin write(2) wrapper, on the POSIX signal-safe
+  // list). The serving threads do the rest.
   drain_requested_.store(true, std::memory_order_release);
   if (wake_fd_ >= 0) (void)::eventfd_write(wake_fd_, 1);
-}
-
-void Server::PokeLoop() {
-  (void)::eventfd_write(wake_fd_, 1);
 }
 
 void Server::AcceptReady() {
@@ -160,6 +157,8 @@ void Server::AcceptReady() {
   static Counter& accept_failures =
       reg.GetCounter("vdb_server_accept_failures_total");
   static Gauge& conn_gauge = reg.GetGauge("vdb_server_connections");
+  MutexLock lock(conns_mu_);
+  if (listen_fd_ < 0) return;  // the drain closed it
   for (;;) {
     int cfd = ::accept4(listen_fd_, nullptr, nullptr,
                         SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -167,7 +166,8 @@ void Server::AcceptReady() {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       // EMFILE/ENFILE/aborted handshake: count it and keep serving the
-      // connections we have — an accept storm must not take the loop down.
+      // connections we have — an accept storm must not take the server
+      // down.
       accept_failures.Inc();
       break;
     }
@@ -178,35 +178,54 @@ void Server::AcceptReady() {
       ::close(cfd);
       continue;
     }
-    std::uint64_t id = next_conn_id_++;
+    auto conn = std::make_unique<Conn>(cfd, &unflushed_);
     epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
+    ev.events = EPOLLIN | EPOLLONESHOT;
+    ev.data.ptr = conn.get();
+    Conn* raw = conn.get();
+    conns_.emplace(raw, std::move(conn));
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, cfd, &ev) != 0) {
       accept_failures.Inc();
-      ::close(cfd);
+      conns_.erase(raw);
       continue;
     }
-    conns_.emplace(id, std::make_unique<Conn>(cfd, id));
     accepted.Inc();
-    conn_gauge.Set(static_cast<std::int64_t>(conns_.size()));
   }
+  conn_gauge.Set(static_cast<std::int64_t>(conns_.size()));
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.u64 = kListenerKey;
+  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
 }
 
-void Server::CloseConn(std::uint64_t conn_id) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second->fd(), nullptr);
-  conns_.erase(it);
+void Server::Release(Conn* conn, bool open) {
   static Gauge& conn_gauge =
       Registry::Global().GetGauge("vdb_server_connections");
+  int fd = conn->fd();
+  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  if (open && conn->WriteReady() == Conn::IoResult::kOk) {
+    // Re-armed by DEL + ADD rather than MOD (~1 us more): this hands the
+    // Conn to whichever thread its next event wakes, and the race
+    // detector sees ADD -> epoll_wait as a release/acquire edge on the
+    // epoll fd but MOD as no edge at all.
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLONESHOT;
+    if (conn->WantsWrite()) ev.events |= EPOLLOUT;
+    ev.data.ptr = conn;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0) return;
+  }
+  MutexLock lock(conns_mu_);
+  conns_.erase(conn);
   conn_gauge.Set(static_cast<std::int64_t>(conns_.size()));
 }
 
-void Server::HandleQuery(Conn* conn, Request req) {
+void Server::HandleQuery(Conn* conn, Request req, std::deque<Job>* jobs) {
   static Counter& requests =
       Registry::Global().GetCounter("vdb_server_query_requests_total");
   requests.Inc();
+  // A request sent after RequestDrain() returned must see kDraining,
+  // even if no thread has run Housekeep since.
+  if (draining()) admission_.BeginDrain();
   auto now = std::chrono::steady_clock::now();
   AdmitDecision decision = admission_.TryAdmit(req.tenant, now);
   if (decision.verdict != AdmitVerdict::kAdmit) {
@@ -220,24 +239,16 @@ void Server::HandleQuery(Conn* conn, Request req) {
     conn->QueueResponse(resp);
     return;
   }
-  Job job;
-  job.conn_id = conn->id();
-  job.request_id = req.request_id;
-  job.tenant = std::move(req.tenant);
-  job.text = std::move(req.text);
-  job.trace = req.trace;
-  job.enqueued = now;
+  Job& job = jobs->emplace_back();
+  job.admitted = now;
   if (req.deadline_ms != 0) {
     job.deadline = now + std::chrono::milliseconds(req.deadline_ms);
   }
-  {
-    MutexLock lock(queue_mu_);
-    job_queue_.push_back(std::move(job));
-  }
-  queue_cv_.NotifyOne();
+  job.req = std::move(req);
 }
 
-void Server::HandleFrame(Conn* conn, std::span<const std::uint8_t> payload) {
+void Server::HandleFrame(Conn* conn, std::span<const std::uint8_t> payload,
+                         std::deque<Job>* jobs) {
   static Counter& malformed =
       Registry::Global().GetCounter("vdb_server_malformed_requests_total");
   Result<Request> decoded = DecodeRequest(payload);
@@ -271,8 +282,8 @@ void Server::HandleFrame(Conn* conn, std::span<const std::uint8_t> payload) {
       return;
     }
     case MsgType::kStats: {
-      // Inline for the same reason: .top must render while the run
-      // queue is saturated — that is exactly when an operator looks.
+      // Inline for the same reason: .top must render while every
+      // execution slot is busy — that is exactly when an operator looks.
       Response resp;
       resp.request_id = req.request_id;
       resp.body = BuildStatsJson();
@@ -280,7 +291,7 @@ void Server::HandleFrame(Conn* conn, std::span<const std::uint8_t> payload) {
       return;
     }
     case MsgType::kQuery:
-      HandleQuery(conn, std::move(req));
+      HandleQuery(conn, std::move(req), jobs);
       return;
     case MsgType::kResponse:
       break;
@@ -291,26 +302,6 @@ void Server::HandleFrame(Conn* conn, std::span<const std::uint8_t> payload) {
   resp.status = WireStatus::kMalformed;
   resp.message = "unexpected message type";
   conn->QueueResponse(resp);
-}
-
-void Server::FlushResponses() {
-  static Counter& orphaned =
-      Registry::Global().GetCounter("vdb_server_orphaned_responses_total");
-  std::deque<PendingResponse> batch;
-  {
-    MutexLock lock(resp_mu_);
-    batch.swap(resp_queue_);
-  }
-  for (PendingResponse& pending : batch) {
-    auto it = conns_.find(pending.conn_id);
-    if (it == conns_.end()) {
-      // Client vanished (e.g. SIGKILLed mid-query) before its answer
-      // was ready; the work was wasted but the server stays consistent.
-      orphaned.Inc();
-      continue;
-    }
-    it->second->QueueResponse(pending.resp);
-  }
 }
 
 std::string Server::BuildStatsJson() const {
@@ -400,159 +391,159 @@ std::string Server::BuildStatsJson() const {
   return out;
 }
 
-bool Server::DrainComplete() {
-  if (admission_.InFlight() != 0) return false;
-  {
-    MutexLock lock(resp_mu_);
-    if (!resp_queue_.empty()) return false;
-  }
-  for (const auto& [id, conn] : conns_) {
-    if (conn->WantsWrite()) return false;
-  }
-  return true;
-}
-
-void Server::EventLoop() {
-  static Histogram& drain_hist =
-      Registry::Global().GetHistogram("vdb_server_drain_seconds");
-  bool drain_started = false;
-  std::chrono::steady_clock::time_point drain_start{};
-  int evict_tick = 0;
-  epoll_event events[64];
-
+void Server::ServeLoop(std::size_t thread_index) {
   for (;;) {
-    int n = ::epoll_wait(epoll_fd_, events, 64, kEpollTickMs);
+    // One event per wait: a thread that goes on to execute a query must
+    // not sit on other connections' events meanwhile.
+    epoll_event ev{};
+    int n = ::epoll_wait(epoll_fd_, &ev, 1, kEpollTickMs);
     if (n < 0 && errno != EINTR) break;  // epoll itself failed: give up
-
-    // Rotate the windowed-metrics ring: the loop wakes at least every
-    // kEpollTickMs, far inside the 1s window width, so boundaries are
-    // recorded promptly even on an idle server.
-    WindowedRegistry::Global().Tick();
-
-    // Tenant-map hygiene: every ~256 ticks (~5s at the 20ms tick) drop
-    // tenants idle past a minute so the admission map and the stats
-    // frame track the live tenant set (stress-tested against
-    // concurrent admits in concurrency_stress_test.cc).
-    if (++evict_tick >= kEvictEveryTicks) {
-      evict_tick = 0;
-      (void)admission_.EvictIdleTenants(std::chrono::steady_clock::now(),
-                                        kTenantIdleEviction);
-    }
-
-    // Start the drain BEFORE handling this batch's events: the wake
-    // from RequestDrain() can share an epoll batch with a readable
-    // query frame, and a request sent after RequestDrain() returned
-    // must see kDraining, not ride in under the old admission state.
-    if (drain_requested_.load(std::memory_order_acquire) && !drain_started) {
-      // Drain step 1: stop accepting (close the listener so the port
-      // frees immediately) and reject new work at admission.
-      drain_started = true;
-      drain_start = std::chrono::steady_clock::now();
-      (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      admission_.BeginDrain();
-    }
-
-    for (int i = 0; i < std::max(n, 0); ++i) {
-      std::uint64_t key = events[i].data.u64;
-      if (key == kListenerKey) {
-        if (!drain_started) AcceptReady();
-        continue;
-      }
-      if (key == kWakeKey) {
+    if (n == 1) {
+      if (ev.data.u64 == kListenerKey) {
+        AcceptReady();
+      } else if (ev.data.u64 == kWakeKey) {
         eventfd_t drained;
         (void)::eventfd_read(wake_fd_, &drained);
-        continue;
+      } else {
+        ServeConn(static_cast<Conn*>(ev.data.ptr), ev.events, thread_index);
       }
-      auto it = conns_.find(key);
-      if (it == conns_.end()) continue;
-      Conn* conn = it->second.get();
-      bool close = false;
-      if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        close = true;
-      }
-      if (!close && (events[i].events & EPOLLIN)) {
-        std::vector<std::vector<std::uint8_t>> frames;
-        Conn::IoResult r = conn->ReadReady(&frames);
-        for (auto& frame : frames) HandleFrame(conn, frame);
-        if (r == Conn::IoResult::kClosed) close = true;
-        if (r == Conn::IoResult::kProtocolError) {
-          Response resp;
-          resp.status = WireStatus::kMalformed;
-          resp.message = "frame exceeds size limit";
-          conn->QueueResponse(resp);
-          (void)conn->WriteReady();  // best-effort error before close
-          close = true;
-        }
-      }
-      if (!close && (events[i].events & EPOLLOUT)) {
-        if (conn->WriteReady() == Conn::IoResult::kClosed) close = true;
-      }
-      if (close) CloseConn(key);
     }
-
-    // Responses finished by workers since the last tick.
-    FlushResponses();
-
-    // Flush what each connection will take and keep EPOLLOUT interest
-    // equal to "has unflushed bytes".
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      Conn* conn = it->second.get();
-      std::uint64_t id = it->first;
-      ++it;
-      if (!conn->WantsWrite()) continue;
-      if (conn->WriteReady() == Conn::IoResult::kClosed) {
-        CloseConn(id);
-        continue;
-      }
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      if (conn->WantsWrite()) ev.events |= EPOLLOUT;
-      ev.data.u64 = id;
-      (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd(), &ev);
-    }
-
-    if (!drain_started) continue;
-
-    auto now = std::chrono::steady_clock::now();
-    bool deadline_hit =
-        now - drain_start >=
-        std::chrono::milliseconds(opts_.drain_deadline_ms);
-    if (DrainComplete()) {
-      // Drain step 2 complete: all admitted work finished and every
-      // response byte reached a socket.
-      report_.clean = true;
-    } else if (deadline_hit) {
-      // Drain deadline: abort what is still queued (workers finish the
-      // query they are executing; joins below bound that).
-      std::size_t aborted = 0;
-      {
-        MutexLock lock(queue_mu_);
-        aborted = job_queue_.size();
-        for (const Job& job : job_queue_) {
-          admission_.OnComplete(job.tenant, true, now);
-        }
-        job_queue_.clear();
-      }
-      report_.aborted_requests = aborted + executing_.load();
-      report_.clean = false;
-    } else {
-      continue;  // drain still in progress
-    }
-
-    report_.seconds =
-        std::chrono::duration<double>(now - drain_start).count();
-    report_.closed_connections = conns_.size();
-    drain_hist.Observe(report_.seconds);
-    break;
+    Housekeep();
+    if (stopping_.load(std::memory_order_acquire)) break;
   }
-
-  // Tear down connections on the owning thread.
-  while (!conns_.empty()) CloseConn(conns_.begin()->first);
 }
 
-void Server::WorkerLoop(std::size_t worker_index) {
+void Server::Housekeep() {
+  if (!housekeep_mu_.TryLock()) return;  // another thread is on it
+  auto now = std::chrono::steady_clock::now();
+  // Rotate the windowed-metrics ring: some thread always polls and wakes
+  // at least every kEpollTickMs, far inside the 1s window width, so
+  // boundaries are recorded promptly even on an idle server.
+  WindowedRegistry::Global().Tick(now);
+
+  // Tenant-map hygiene: every 256 passes drop tenants idle past a minute
+  // so the admission map and the stats frame track the live tenant set
+  // (stress-tested in concurrency_stress_test.cc).
+  if (++evict_tick_ >= kEvictEveryTicks) {
+    evict_tick_ = 0;
+    (void)admission_.EvictIdleTenants(now, kTenantIdleEviction);
+  }
+  if (draining()) AdvanceDrain(now);
+  housekeep_mu_.Unlock();
+}
+
+void Server::AdvanceDrain(std::chrono::steady_clock::time_point now) {
+  static Histogram& drain_hist =
+      Registry::Global().GetHistogram("vdb_server_drain_seconds");
+  if (stopping_.load(std::memory_order_acquire)) return;
+  if (drain_start_ == std::chrono::steady_clock::time_point{}) {
+    // Drain step 1: reject new work at admission, and stop accepting
+    // (close the listener so the port frees immediately).
+    drain_start_ = now;
+    admission_.BeginDrain();
+    MutexLock lock(conns_mu_);
+    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  if (admission_.InFlight() == 0 &&
+      unflushed_.load(std::memory_order_acquire) == 0) {
+    // Drain step 2 complete: all admitted work finished and every
+    // response byte reached a socket.
+    report_.clean = true;
+  } else if (now - drain_start_ >=
+             std::chrono::milliseconds(opts_.drain_deadline_ms)) {
+    // Drain deadline: abort what is still parked (executing threads
+    // finish their current query; Shutdown's joins bound that).
+    MutexLock lock(queue_mu_);
+    std::size_t aborted = executing_;
+    for (const Parked& parked : run_queue_) {
+      aborted += parked.jobs.size();
+      Cancel(parked.jobs);
+    }
+    run_queue_.clear();
+    report_.aborted_requests = aborted;
+    report_.clean = false;
+  } else {
+    return;  // drain still in progress
+  }
+  report_.seconds = std::chrono::duration<double>(now - drain_start_).count();
+  drain_hist.Observe(report_.seconds);
+  MutexLock lock(conns_mu_);
+  report_.closed_connections = conns_.size();
+  stopping_.store(true, std::memory_order_release);
+}
+
+void Server::ServeConn(Conn* conn, std::uint32_t events,
+                       std::size_t thread_index) {
+  std::deque<Job> jobs;
+  bool open = (events & (EPOLLHUP | EPOLLERR)) == 0;
+  if (open && (events & EPOLLIN)) {
+    std::vector<std::vector<std::uint8_t>> frames;
+    Conn::IoResult r = conn->ReadReady(&frames);
+    for (auto& frame : frames) HandleFrame(conn, frame, &jobs);
+    if (r == Conn::IoResult::kClosed) open = false;
+    if (r == Conn::IoResult::kProtocolError) {
+      Response resp;
+      resp.status = WireStatus::kMalformed;
+      resp.message = "frame exceeds size limit";
+      conn->QueueResponse(resp);
+      (void)conn->WriteReady();  // best-effort error before close
+      open = false;
+    }
+  }
+  if (open && !jobs.empty()) {
+    RunOrPark(conn, std::move(jobs), thread_index);
+    return;
+  }
+  Cancel(jobs);  // nobody is left to read the answers
+  Release(conn, open);
+}
+
+void Server::RunOrPark(Conn* conn, std::deque<Job> jobs,
+                       std::size_t thread_index) {
+  {
+    MutexLock lock(queue_mu_);
+    if (executing_ == opts_.num_workers) {
+      // Every slot is busy, so this is the last thread still polling:
+      // it must keep polling. The next thread to finish runs `conn`.
+      run_queue_.push_back(Parked{conn, std::move(jobs)});
+      return;
+    }
+    ++executing_;
+  }
+  for (;;) {
+    bool open = true;
+    while (open && !jobs.empty() &&
+           !stopping_.load(std::memory_order_acquire)) {
+      open = RunJob(conn, jobs.front(), thread_index);
+      jobs.pop_front();
+    }
+    Cancel(jobs);
+    Release(conn, open);
+    // Parked connections go before this thread polls again; checked
+    // under the same lock the parking thread read `executing_` under, so
+    // a connection is never parked with no thread left to run it.
+    MutexLock lock(queue_mu_);
+    if (run_queue_.empty()) {
+      --executing_;
+      return;
+    }
+    conn = run_queue_.front().conn;
+    jobs = std::move(run_queue_.front().jobs);
+    run_queue_.pop_front();
+  }
+}
+
+void Server::Cancel(const std::deque<Job>& jobs) {
+  auto now = std::chrono::steady_clock::now();
+  for (const Job& job : jobs) {
+    admission_.OnStart();
+    admission_.OnComplete(job.req.tenant, true, now);
+  }
+}
+
+bool Server::RunJob(Conn* conn, const Job& job, std::size_t thread_index) {
   auto& reg = Registry::Global();
   static Counter& deadline_expired =
       reg.GetCounter("vdb_server_deadline_expired_total");
@@ -561,113 +552,94 @@ void Server::WorkerLoop(std::size_t worker_index) {
   static Histogram& request_latency =
       reg.GetHistogram("vdb_server_request_seconds");
 
-  for (;;) {
-    Job job;
-    {
-      // Explicit wait loop (not a predicate lambda): TSA analyzes a
-      // lambda as a separate function, so the guarded reads must sit
-      // in this annotated scope.
-      MutexLock lock(queue_mu_);
-      while (!stop_workers_ && job_queue_.empty()) queue_cv_.Wait(queue_mu_);
-      if (job_queue_.empty()) {
-        if (stop_workers_) return;
-        continue;
-      }
-      job = std::move(job_queue_.front());
-      job_queue_.pop_front();
-    }
-    admission_.OnStart();
-    executing_.fetch_add(1, std::memory_order_acq_rel);
-
-    // Worker-stall torture: delay:<ms> spec, addressable per worker as
-    // net.worker.stall.<index>.
-    std::uint32_t stall = FailpointDelayMs("net.worker.stall", worker_index);
-    if (stall != 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(stall));
-    }
-
-    auto start = std::chrono::steady_clock::now();
-    queue_wait.Observe(
-        std::chrono::duration<double>(start - job.enqueued).count());
-
-    Response resp;
-    resp.request_id = job.request_id;
-    bool healthy = true;
-    if (job.deadline != std::chrono::steady_clock::time_point{} &&
-        start >= job.deadline) {
-      // The request's budget expired while it sat in the run queue:
-      // cancel without computing (the overload paper-cut this layer
-      // exists to prevent).
-      deadline_expired.Inc();
-      resp.status = WireStatus::kDeadlineExceeded;
-      resp.message = "deadline expired in run queue";
-      // Queue-cancelled requests never reach ExecuteQueryTraced, so the
-      // flight recorder hears about them here — they are precisely the
-      // "where did my query go" cases an operator pulls up .top for.
-      double waited_ms =
-          std::chrono::duration<double, std::milli>(start - job.enqueued)
-              .count();
-      FlightRecorder& recorder = FlightRecorder::Global();
-      if (std::uint64_t seq = recorder.NoteCompletion(true, waited_ms)) {
-        FlightRecord rec;
-        rec.seq = seq;
-        rec.query = job.text;
-        rec.tenant = job.tenant;
-        rec.verdict = "DEADLINE_EXCEEDED";
-        rec.failed = true;
-        rec.total_ms = waited_ms;
-        rec.has_deadline = true;
-        rec.deadline_slack_ms =
-            std::chrono::duration<double, std::milli>(job.deadline - start)
-                .count();
-        rec.trace = "(cancelled in run queue before execution)";
-        recorder.Record(std::move(rec));
-      }
-    } else {
-      QueryOptions qopts;
-      qopts.deadline = job.deadline;
-      qopts.tenant = job.tenant;
-      qopts.trace = job.trace;
-      Result<QueryResult> result = ExecuteQueryTraced(db_, job.text, qopts);
-      if (result.ok()) {
-        resp.rows = std::move(result->rows);
-        resp.body = std::move(result->explain);
-      } else {
-        const Status& st = result.status();
-        resp.status = WireStatusFromStatus(st);
-        resp.message = st.ToString();
-        healthy = BackendHealthy(st.code());
-        if (st.code() == StatusCode::kDeadlineExceeded) deadline_expired.Inc();
-      }
-    }
-    auto end = std::chrono::steady_clock::now();
-    request_latency.Observe(
-        std::chrono::duration<double>(end - job.enqueued).count());
-
-    executing_.fetch_sub(1, std::memory_order_acq_rel);
-    admission_.OnComplete(job.tenant, healthy, end);
-    {
-      MutexLock lock(resp_mu_);
-      resp_queue_.push_back(PendingResponse{job.conn_id, std::move(resp)});
-    }
-    PokeLoop();
+  admission_.OnStart();
+  // Stall torture: delay:<ms> spec, addressable per serving thread as
+  // net.worker.stall.<index>.
+  std::uint32_t stall = FailpointDelayMs("net.worker.stall", thread_index);
+  if (stall != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(stall));
   }
+
+  auto start = std::chrono::steady_clock::now();
+  queue_wait.Observe(
+      std::chrono::duration<double>(start - job.admitted).count());
+
+  Response resp;
+  resp.request_id = job.req.request_id;
+  bool healthy = true;
+  if (job.deadline != std::chrono::steady_clock::time_point{} &&
+      start >= job.deadline) {
+    // The request's budget expired before it could start: cancel
+    // without computing (the overload paper-cut this layer exists to
+    // prevent).
+    deadline_expired.Inc();
+    resp.status = WireStatus::kDeadlineExceeded;
+    resp.message = "deadline expired in run queue";
+    // Queue-cancelled requests never reach ExecuteQueryTraced, so the
+    // flight recorder hears about them here — they are precisely the
+    // "where did my query go" cases an operator pulls up .top for.
+    double waited_ms =
+        std::chrono::duration<double, std::milli>(start - job.admitted)
+            .count();
+    FlightRecorder& recorder = FlightRecorder::Global();
+    if (std::uint64_t seq = recorder.NoteCompletion(true, waited_ms)) {
+      FlightRecord rec;
+      rec.seq = seq;
+      rec.query = job.req.text;
+      rec.tenant = job.req.tenant;
+      rec.verdict = "DEADLINE_EXCEEDED";
+      rec.failed = true;
+      rec.total_ms = waited_ms;
+      rec.has_deadline = true;
+      rec.deadline_slack_ms =
+          std::chrono::duration<double, std::milli>(job.deadline - start)
+              .count();
+      rec.trace = "(cancelled in run queue before execution)";
+      recorder.Record(std::move(rec));
+    }
+  } else {
+    QueryOptions qopts;
+    qopts.deadline = job.deadline;
+    qopts.tenant = job.req.tenant;
+    qopts.trace = job.req.trace;
+    Result<QueryResult> result = ExecuteQueryTraced(db_, job.req.text, qopts);
+    if (result.ok()) {
+      resp.rows = std::move(result->rows);
+      resp.body = std::move(result->explain);
+    } else {
+      const Status& st = result.status();
+      resp.status = WireStatusFromStatus(st);
+      resp.message = st.ToString();
+      healthy = BackendHealthy(st.code());
+      if (st.code() == StatusCode::kDeadlineExceeded) deadline_expired.Inc();
+    }
+  }
+  auto end = std::chrono::steady_clock::now();
+  request_latency.Observe(
+      std::chrono::duration<double>(end - job.admitted).count());
+
+  // Write before completing: a drain that sees nothing in flight then
+  // also sees every reply on a socket or counted as unflushed.
+  conn->QueueResponse(resp);
+  bool open = conn->WriteReady() == Conn::IoResult::kOk;
+  admission_.OnComplete(job.req.tenant, healthy, end);
+  return open;
 }
 
 DrainReport Server::Shutdown() {
   MutexLock lock(shutdown_mu_);
-  if (shutdown_done_) return report_;
-  RequestDrain();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  {
-    MutexLock qlock(queue_mu_);
-    stop_workers_ = true;
+  if (!shutdown_done_) {
+    RequestDrain();
+    for (std::thread& t : threads_) {
+      if (t.joinable()) t.join();
+    }
+    // No serving thread is left to hold a connection: close the rest.
+    MutexLock conns_lock(conns_mu_);
+    conns_.clear();
+    Registry::Global().GetGauge("vdb_server_connections").Set(0);
+    shutdown_done_ = true;
   }
-  queue_cv_.NotifyAll();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  shutdown_done_ = true;
+  MutexLock hold(housekeep_mu_);
   return report_;
 }
 

@@ -5,10 +5,10 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/sync.h"
@@ -39,18 +39,22 @@ struct DrainReport {
 };
 
 /// Epoll-based query server over the wire protocol of protocol.h
-/// (DESIGN.md §10). Single event-loop thread owns the listener and all
-/// connections; a pool of `num_workers` threads executes admitted
-/// queries against `db` (read-only — the Database must not be mutated
-/// while the server runs) and hands responses back to the loop through
-/// an eventfd-signalled queue.
+/// (DESIGN.md §10). `num_workers + 1` symmetric threads share one epoll
+/// set; connections are EPOLLONESHOT, so one thread holds a connection
+/// from its event until it re-arms it. The holder reads the frames,
+/// answers ping/metrics/stats, admits each query, executes it against
+/// `db` (read-only while the server runs) and writes the reply itself:
+/// no cross-thread hand-off. At most `num_workers` threads execute; the
+/// last one still polling parks the connection on the run queue
+/// instead, and threads empty that queue before they poll again.
 ///
 /// Request lifecycle:
 ///   frame -> decode -> AdmissionController::TryAdmit
 ///     rejected  -> immediate response with RETRY-AFTER (never a stall)
-///     admitted  -> bounded run queue -> worker:
+///     admitted  -> the holder, or (every slot busy) the run queue:
 ///        deadline already passed -> DEADLINE_EXCEEDED, *not executed*
 ///        else ExecuteQueryTraced with the deadline in SearchParams
+/// Frames pipelined on one connection run in order, one at a time.
 ///
 /// Graceful drain (RequestDrain is async-signal-safe; vdbsh wires it to
 /// SIGTERM): stop accepting, reject new work with DRAINING, let queued
@@ -63,8 +67,8 @@ struct DrainReport {
 /// the conn-level net.read/write.short|eintr sites.
 class Server {
  public:
-  /// Binds, listens, and spawns the event loop + workers. `db` is
-  /// borrowed and must outlive the server.
+  /// Binds, listens, and spawns the serving threads. `db` is borrowed
+  /// and must outlive the server.
   static Result<std::unique_ptr<Server>> Start(Database* db,
                                                ServerOptions opts);
 
@@ -86,80 +90,90 @@ class Server {
   }
 
  private:
+  /// One admitted query frame.
   struct Job {
-    std::uint64_t conn_id = 0;
-    std::uint64_t request_id = 0;
-    std::string tenant;
-    std::string text;
-    bool trace = false;  ///< kQueryFlagTrace: span tree in the response
+    Request req;
     std::chrono::steady_clock::time_point deadline{};  ///< zero = none
-    std::chrono::steady_clock::time_point enqueued{};
+    std::chrono::steady_clock::time_point admitted{};
   };
-  struct PendingResponse {
-    std::uint64_t conn_id = 0;
-    Response resp;
+  /// A connection on the run queue with its admitted frames.
+  struct Parked {
+    Conn* conn = nullptr;
+    std::deque<Job> jobs;
   };
 
   Server(Database* db, ServerOptions opts);
 
   Status Listen();
-  void EventLoop();
-  void WorkerLoop(std::size_t worker_index);
+  void ServeLoop(std::size_t thread_index);
+  /// Metrics tick, tenant eviction and drain, by one thread at a time.
+  void Housekeep();
+  void AdvanceDrain(std::chrono::steady_clock::time_point now)
+      VDB_REQUIRES(housekeep_mu_);
 
   void AcceptReady();
-  void HandleFrame(Conn* conn, std::span<const std::uint8_t> payload);
-  void HandleQuery(Conn* conn, Request req);
-  void CloseConn(std::uint64_t conn_id);
-  void FlushResponses();
-  void PokeLoop();
-  /// True when nothing is admitted, queued, or buffered — drain done.
-  bool DrainComplete();
+  void ServeConn(Conn* conn, std::uint32_t events, std::size_t thread_index);
+  void HandleFrame(Conn* conn, std::span<const std::uint8_t> payload,
+                   std::deque<Job>* jobs);
+  void HandleQuery(Conn* conn, Request req, std::deque<Job>* jobs);
+  /// Runs `jobs` on a free execution slot, then the parked connections,
+  /// or parks `conn` when every slot is busy.
+  void RunOrPark(Conn* conn, std::deque<Job> jobs, std::size_t thread_index);
+  /// Executes one job and writes its reply; false once `conn` is gone.
+  bool RunJob(Conn* conn, const Job& job, std::size_t thread_index);
+  /// Admitted jobs that will never run still complete for admission.
+  void Cancel(const std::deque<Job>& jobs);
+  /// Flushes and re-arms `conn` (`open`) or closes it; either way the
+  /// calling thread no longer holds it.
+  void Release(Conn* conn, bool open);
   /// Body of the kStats wire frame (DESIGN.md §7.4): uptime, windowed
   /// qps/latency, 10s verdict mix, lifetime totals, per-tenant admission
   /// accounting, and the flight-recorder worst-queries dump. Served
-  /// inline on the event loop like kMetrics.
+  /// inline by the polling thread like kMetrics.
   std::string BuildStatsJson() const;
 
   Database* db_;
   ServerOptions opts_;
   std::chrono::steady_clock::time_point start_time_{};
   std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd: workers/signals -> event loop
+  int epoll_fd_ = -1;  ///< set before the threads start, then read-only
+  int wake_fd_ = -1;   ///< eventfd: RequestDrain -> a polling thread
 
   AdmissionController admission_;
 
-  std::thread loop_thread_;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> threads_;
 
-  // Event-loop-owned (no lock, and deliberately no capability: only
-  // EventLoop and the helpers it calls inline touch these): id ->
-  // connection map and the id allocator.
-  std::map<std::uint64_t, std::unique_ptr<Conn>> conns_;
-  std::uint64_t next_conn_id_ = 1;
+  /// Connections holding unflushed reply bytes (kept by each Conn;
+  /// declared before conns_ so it outlives them).
+  std::atomic<int> unflushed_{0};
+  // The listener and the connection registry. A Conn itself has no
+  // capability: the thread holding its ONESHOT event, or the run
+  // queue, owns it, and only that owner closes it.
+  Mutex conns_mu_;
+  int listen_fd_ VDB_GUARDED_BY(conns_mu_) = -1;
+  std::unordered_map<Conn*, std::unique_ptr<Conn>> conns_
+      VDB_GUARDED_BY(conns_mu_);
 
-  // Run queue (event loop -> workers). §9.1 edges: the drain-abort
-  // path calls admission_.OnComplete while holding queue_mu_, and
-  // Shutdown acquires shutdown_mu_ first — so
-  // shutdown_mu_ -> queue_mu_ -> AdmissionController::mu_.
+  // Execution slots and the overload-only run queue.
   Mutex queue_mu_;
-  CondVar queue_cv_;
-  std::deque<Job> job_queue_ VDB_GUARDED_BY(queue_mu_);
-  bool stop_workers_ VDB_GUARDED_BY(queue_mu_) = false;
+  std::size_t executing_ VDB_GUARDED_BY(queue_mu_) = 0;
+  std::deque<Parked> run_queue_ VDB_GUARDED_BY(queue_mu_);
 
-  // Response queue (workers -> event loop). §9.1 leaf.
-  Mutex resp_mu_;
-  std::deque<PendingResponse> resp_queue_ VDB_GUARDED_BY(resp_mu_);
+  // §9.1 edges: shutdown_mu_ -> housekeep_mu_ -> {conns_mu_, queue_mu_}
+  // (the drain closes the listener and aborts the run queue), and
+  // queue_mu_ -> AdmissionController::mu_.
+  Mutex housekeep_mu_ VDB_ACQUIRED_BEFORE(conns_mu_, queue_mu_);
+  int evict_tick_ VDB_GUARDED_BY(housekeep_mu_) = 0;
+  std::chrono::steady_clock::time_point drain_start_
+      VDB_GUARDED_BY(housekeep_mu_){};  ///< zero until the drain starts
+  DrainReport report_ VDB_GUARDED_BY(housekeep_mu_);
+
+  Mutex shutdown_mu_ VDB_ACQUIRED_BEFORE(housekeep_mu_);
+  bool shutdown_done_ VDB_GUARDED_BY(shutdown_mu_) = false;
 
   std::atomic<bool> drain_requested_{false};
-  std::atomic<std::size_t> executing_{0};
-
-  Mutex shutdown_mu_ VDB_ACQUIRED_BEFORE(queue_mu_);
-  bool shutdown_done_ VDB_GUARDED_BY(shutdown_mu_) = false;
-  /// Written by the event loop during drain, read by Shutdown strictly
-  /// after joining loop_thread_ — the join is the ordering, not a lock.
-  DrainReport report_;
+  /// Set once the drain has finished; serving threads then exit.
+  std::atomic<bool> stopping_{false};
 };
 
 }  // namespace vdb::net

@@ -779,7 +779,7 @@ TEST(ConcurrencyStressTest, FailpointArmFireChurn) {
 // Tenant-map churn: workers admit/complete across a rotating tenant set
 // while an evictor drops idle tenants out from under them and readers
 // walk TenantStatsSnapshot — the create/evict/re-create lifecycle the
-// serving event loop runs against live admission traffic. The net
+// server's housekeeping runs against live admission traffic. The net
 // suites drive steady tenant sets only; this is the map-shape churn.
 TEST(ConcurrencyStressTest, AdmissionTenantMapChurn) {
   net::AdmissionOptions opts;

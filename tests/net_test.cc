@@ -2,12 +2,17 @@
 // framing edges, admission control (token-bucket refill, in-flight
 // quotas, queue depth, circuit breaker) against an injected clock, and
 // end-to-end server behavior — deadline-expired-in-queue cancellation,
-// RETRY-AFTER shedding, graceful drain, fd hygiene, short-I/O torture.
+// RETRY-AFTER shedding, a full run queue, stats while every execution
+// slot is busy, pipelined frames, graceful drain, fd hygiene, short-I/O
+// torture.
 
 #include <dirent.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -445,6 +450,22 @@ std::size_t OpenFdCount() {
   return n;
 }
 
+/// Polls a server gauge until it reads `want` (or ~2s pass); returns the
+/// last value read.
+std::int64_t WaitForGauge(const char* name, std::int64_t want) {
+  Gauge& gauge = Registry::Global().GetGauge(name);
+  for (int i = 0; i < 400 && gauge.Value() != want; ++i) {
+    std::this_thread::sleep_for(milliseconds(5));
+  }
+  return gauge.Value();
+}
+
+/// Waits until exactly one admitted query is executing and none waits.
+void WaitForOneExecuting() {
+  ASSERT_EQ(WaitForGauge("vdb_server_in_flight", 1), 1);
+  ASSERT_EQ(WaitForGauge("vdb_server_queue_depth", 0), 0);
+}
+
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -595,6 +616,165 @@ TEST_F(ServerTest, DeadlineExpiredInQueueIsCancelledNotComputed) {
   EXPECT_EQ(resp->rows.size(), 0u);  // cancelled, not computed
   EXPECT_GE(reg.GetCounter("vdb_server_deadline_expired_total").Value(),
             expired_before + 1);
+}
+
+TEST_F(ServerTest, StatsAnsweredWhileEveryWorkerIsBusy) {
+  // One execution slot, held by a stalled query: the remaining serving
+  // thread keeps polling and answers stats and ping inline.
+  constexpr int kStallMs = 300;
+  ServerOptions opts;
+  opts.num_workers = 1;
+  auto server = StartServer(std::move(opts));
+  ASSERT_NE(server, nullptr);
+  ScopedFailpoint stall("net.worker.stall",
+                        "delay:" + std::to_string(kStallMs));
+
+  Result<Response> busy = Status::Internal("not run");
+  std::thread holder([&] {
+    auto client = Client::Connect("127.0.0.1", server->port());
+    if (client.ok()) busy = (*client)->Query(kQuery, "t", 0);
+  });
+  WaitForOneExecuting();
+
+  auto observer = Client::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(observer.ok());
+  auto t0 = Clock::now();
+  auto stats = (*observer)->Stats();
+  auto stats_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  t0 = Clock::now();
+  auto ping = (*observer)->Ping();
+  auto ping_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  holder.join();
+
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->status, WireStatus::kOk);
+  EXPECT_NE(stats->body.find("\"uptime_seconds\":"), std::string::npos);
+  ASSERT_TRUE(ping.ok()) << ping.status().ToString();
+  EXPECT_EQ(ping->status, WireStatus::kOk);
+  EXPECT_LT(stats_ms, kStallMs / 3.0);
+  EXPECT_LT(ping_ms, kStallMs / 3.0);
+  ASSERT_TRUE(busy.ok()) << busy.status().ToString();
+  EXPECT_EQ(busy->status, WireStatus::kOk);
+}
+
+TEST_F(ServerTest, QueueFullEndToEnd) {
+  // One query executes (stalled), one waits on the run queue, and the
+  // third finds the queue at its depth bound: QUEUE_FULL with a backoff
+  // hint, and every request still gets exactly one verdict.
+  auto& reg = Registry::Global();
+  auto snapshot = [&] {
+    return std::vector<std::uint64_t>{
+        reg.GetCounter("vdb_server_query_requests_total").Value(),
+        reg.GetCounter("vdb_server_admitted_total").Value(),
+        reg.GetCounter("vdb_server_throttled_total").Value(),
+        reg.GetCounter("vdb_server_shed_queue_full_total").Value(),
+        reg.GetCounter("vdb_server_breaker_rejected_total").Value(),
+        reg.GetCounter("vdb_server_rejected_draining_total").Value(),
+    };
+  };
+  auto before = snapshot();
+
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.admission.max_queue_depth = 1;
+  auto server = StartServer(std::move(opts));
+  ASSERT_NE(server, nullptr);
+  ScopedFailpoint stall("net.worker.stall", "delay:300");
+
+  auto query_on_new_conn = [&](Result<Response>* out) {
+    auto client = Client::Connect("127.0.0.1", server->port());
+    if (client.ok()) *out = (*client)->Query(kQuery, "t", 0);
+  };
+  Result<Response> executing = Status::Internal("not run");
+  Result<Response> waiting = Status::Internal("not run");
+  std::thread first(query_on_new_conn, &executing);
+  WaitForOneExecuting();
+  std::thread second(query_on_new_conn, &waiting);
+  EXPECT_EQ(WaitForGauge("vdb_server_queue_depth", 1), 1);
+
+  Result<Response> shed = Status::Internal("not run");
+  query_on_new_conn(&shed);
+  first.join();
+  second.join();
+
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  EXPECT_EQ(shed->status, WireStatus::kQueueFull);
+  EXPECT_GT(shed->retry_after_ms, 0u);
+  ASSERT_TRUE(executing.ok()) << executing.status().ToString();
+  EXPECT_EQ(executing->status, WireStatus::kOk);
+  ASSERT_TRUE(waiting.ok()) << waiting.status().ToString();
+  EXPECT_EQ(waiting->status, WireStatus::kOk);
+  EXPECT_EQ(waiting->rows.size(), 3u);
+
+  (void)server->Shutdown();
+  auto after = snapshot();
+  std::uint64_t requests = after[0] - before[0];
+  std::uint64_t verdicts = 0;
+  for (std::size_t i = 1; i < after.size(); ++i) {
+    verdicts += after[i] - before[i];
+  }
+  EXPECT_EQ(requests, 3u);
+  EXPECT_EQ(verdicts, requests);
+  EXPECT_EQ(after[3] - before[3], 1u);
+}
+
+TEST_F(ServerTest, PipelinedFramesOnOneConnection) {
+  // Three query frames written back to back on one socket: each is
+  // answered exactly once, under its own request id.
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  auto client = Client::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client.ok());
+  int fd = (*client)->fd();
+  timeval timeout{5, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+
+  const std::vector<std::uint64_t> ids = {101, 202, 303};
+  std::vector<std::uint8_t> out;
+  for (std::uint64_t id : ids) {
+    Request req;
+    req.request_id = id;
+    req.tenant = "t";
+    req.text = kQuery;
+    EncodeRequest(req, &out);
+  }
+  std::size_t sent = 0;
+  while (sent < out.size()) {
+    ssize_t n = ::send(fd, out.data() + sent, out.size() - sent, 0);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+
+  std::map<std::uint64_t, int> answered;
+  std::vector<std::uint8_t> in;
+  std::size_t replies = 0;
+  while (replies < ids.size()) {
+    std::uint8_t chunk[4096];
+    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    ASSERT_GT(n, 0) << "connection closed or timed out after " << replies
+                    << " replies";
+    in.insert(in.end(), chunk, chunk + n);
+    for (;;) {
+      std::span<const std::uint8_t> payload;
+      std::size_t consumed = 0;
+      if (ExtractFrame(in, &payload, &consumed) != FrameResult::kReady) break;
+      auto resp = DecodeResponse(payload);
+      ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+      EXPECT_EQ(resp->status, WireStatus::kOk);
+      EXPECT_EQ(resp->rows.size(), 3u);
+      ++answered[resp->request_id];
+      ++replies;
+      in.erase(in.begin(),
+               in.begin() + static_cast<std::ptrdiff_t>(consumed));
+    }
+  }
+  EXPECT_TRUE(in.empty());
+  ASSERT_EQ(answered.size(), ids.size());
+  for (std::uint64_t id : ids) EXPECT_EQ(answered[id], 1) << id;
 }
 
 TEST_F(ServerTest, ThrottledEndToEndCarriesRetryAfter) {
