@@ -23,7 +23,7 @@ int main() {
   using Clock = std::chrono::steady_clock;
 
   SyntheticOptions synth;
-  synth.n = 30000;
+  synth.n = 8000;
   synth.dim = 32;
   synth.num_clusters = 32;
   FloatMatrix data = GaussianClusters(synth);

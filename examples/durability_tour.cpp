@@ -1,7 +1,7 @@
 // Durability tour: the storage-manager lifecycle of a production VDBMS —
-// WAL-backed writes, crash recovery by replay, checkpointing, index
-// persistence, and out-of-place (flush-policy) updates — composed end to
-// end.
+// WAL-backed writes, crash recovery by replay, checkpoints that carry the
+// sealed segments and their indexes, index persistence, and out-of-place
+// (flush-policy) updates — composed end to end.
 //
 //   ./build/examples/durability_tour
 
@@ -48,8 +48,10 @@ int main() {
       OrDie(c.Insert(i, data.row_view(i),
                      {{"shard_hint", std::int64_t(i % 4)}}));
     }
+    OrDie(c.BuildIndex());
     OrDie(c.Checkpoint(snapshot));
-    std::printf("session 1: 3000 rows inserted, checkpoint written\n");
+    std::printf("session 1: 3000 rows inserted and indexed, checkpoint "
+                "written (rows + HNSW graph)\n");
     // This loop is the fault-injection target (arm wal.append.fail via
     // VDB_FAILPOINTS and session 2 restores exactly that many fewer
     // rows), so injected failures are tolerated, not fatal.
@@ -71,7 +73,8 @@ int main() {
 
   // --- Session 2: recover from checkpoint + WAL tail. ------------------
   {
-    auto recovered = Collection::Restore(options, snapshot);
+    std::size_t rebuilt = 0;
+    auto recovered = Collection::Restore(options, snapshot, &rebuilt);
     if (!recovered.ok()) {
       std::fprintf(stderr, "restore: %s\n",
                    recovered.status().ToString().c_str());
@@ -80,7 +83,9 @@ int main() {
     auto& c = **recovered;
     std::printf("\nsession 2: restored %zu rows (checkpoint + WAL replay)\n",
                 c.Size());
-    OrDie(c.BuildIndex());
+    std::printf("session 2: the index came back with the checkpoint: %zu "
+                "segment, %zu rows rebuilt, %zu rows unindexed\n",
+                c.SegmentCount(), rebuilt, c.UnindexedRows());
     std::vector<Neighbor> out;
     OrDie(c.Knn(data.row_view(4321), 1, &out));
     std::printf("session 2: WAL-only row 4321 found -> id=%llu\n",
@@ -137,6 +142,15 @@ int main() {
                 "searchable -> id=%llu\n",
                 (*c)->SegmentCount(), (*c)->UnindexedRows(),
                 (unsigned long long)out[0].id);
+    // A checkpoint is the segment list: every segment comes back as it was.
+    OrDie((*c)->Checkpoint(snapshot));
+    std::size_t rebuilt = 0;
+    auto restored = Collection::Restore(lsm, snapshot, &rebuilt);
+    OrDie(restored.status());
+    std::printf("flush policy: restored %zu segments and %zu growing rows, "
+                "%zu rows rebuilt\n",
+                (*restored)->SegmentCount(), (*restored)->UnindexedRows(),
+                rebuilt);
   }
   return 0;
 }

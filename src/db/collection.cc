@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <unordered_set>
 
@@ -13,7 +12,6 @@
 #include "exec/trace.h"
 #include "index/hnsw.h"
 #include "index/ivf.h"
-#include "index/ivf_pq.h"
 #include "storage/manifest.h"
 #include "storage/serializer.h"
 
@@ -91,17 +89,18 @@ Result<std::unique_ptr<Collection>> Collection::Open(CollectionOptions opts) {
   opts.wal_path.clear();  // replay + truncate the tail before appending
   VDB_ASSIGN_OR_RETURN(std::unique_ptr<Collection> collection,
                        Create(std::move(opts)));
-  if (!wal_path.empty()) {
-    std::size_t valid_bytes = 0;
-    VDB_RETURN_IF_ERROR(
-        collection->ReplayWalFile(wal_path, nullptr, &valid_bytes));
-    // A torn tail (crash mid-append) must go before the log reopens for
-    // append — otherwise new records land after garbage and the next
-    // replay, which stops at the garbage, can never reach them.
-    VDB_RETURN_IF_ERROR(Wal::TruncateTo(wal_path, valid_bytes));
-    VDB_RETURN_IF_ERROR(collection->AttachWal(wal_path));
-  }
+  if (!wal_path.empty()) VDB_RETURN_IF_ERROR(collection->Reopen(wal_path));
   return collection;
+}
+
+Status Collection::Reopen(const std::string& wal_path) {
+  std::size_t valid_bytes = 0;
+  VDB_RETURN_IF_ERROR(ReplayWalFile(wal_path, nullptr, &valid_bytes));
+  // A torn tail (crash mid-append) must go before the log reopens for
+  // append — otherwise new records land after garbage and the next
+  // replay, which stops at the garbage, can never reach them.
+  VDB_RETURN_IF_ERROR(Wal::TruncateTo(wal_path, valid_bytes));
+  return AttachWal(wal_path);
 }
 
 Status Collection::ReplayWalFile(const std::string& path, std::size_t* applied,
@@ -137,62 +136,6 @@ Status Collection::AttachWal(const std::string& path) {
 Status Collection::SyncWal() {
   if (wal_ == nullptr) return Status::Ok();
   return wal_->Sync();
-}
-
-Status Collection::SaveIndexSnapshot(const std::string& path) const {
-  if (segments_.empty()) return Status::Unsupported("no index to snapshot");
-  // The snapshot stands in for "the index over exactly the live rows of
-  // the matching checkpoint"; growing rows it cannot see, removed rows it
-  // still holds, or a second segment would break that equation on load.
-  if (!Clean() || segments_.size() != 1) {
-    return Status::Unsupported("index not clean; rebuild on recovery");
-  }
-  const VectorIndex* index = segments_.front().index.get();
-  if (auto* hnsw = dynamic_cast<const HnswIndex*>(index)) {
-    return hnsw->Save(path);
-  }
-  if (auto* ivf = dynamic_cast<const IvfFlatIndex*>(index)) {
-    return ivf->Save(path);
-  }
-  if (auto* ivfpq = dynamic_cast<const IvfPqIndex*>(index)) {
-    return ivfpq->Save(path);
-  }
-  return Status::Unsupported("index type has no serializer");
-}
-
-Status Collection::LoadIndexSnapshot(const std::string& path) {
-  // Each loader validates its own magic up front, so probing in sequence
-  // is a cheap dispatch (the magic constants are private to each index).
-  std::vector<Segment> segs(1);
-  Segment& seg = segs.front();
-  if (auto hnsw = HnswIndex::Load(path); hnsw.ok()) {
-    seg.index = std::move(*hnsw);
-  } else if (auto ivf = IvfFlatIndex::Load(path); ivf.ok()) {
-    seg.index = std::move(*ivf);
-  } else if (auto ivfpq = IvfPqIndex::Load(path); ivfpq.ok()) {
-    seg.index = std::move(*ivfpq);
-  } else {
-    return hnsw.status();  // the most informative of the three
-  }
-  // The segment adopts the rows, so they must be exactly today's live rows
-  // (the matching checkpoint restored), in order and bit for bit.
-  FloatMatrix data, adopted;
-  std::vector<VectorId> ids, adopted_ids;
-  VDB_RETURN_IF_ERROR(CopyRows(View(), opts_.dim, &data, &ids));
-  VDB_RETURN_IF_ERROR(CopyRows({nullptr, &attrs_, segs, &scorer_, {}},
-                               opts_.dim, &adopted, &adopted_ids));
-  if (ids != adopted_ids ||
-      std::memcmp(data.data(), adopted.data(), data.ByteSize()) != 0) {
-    return Status::FailedPrecondition("snapshot does not match the rows");
-  }
-  seg.key = ids.empty() ? 0 : PartitionKey(ids.front());
-  for (VectorId id : ids) {
-    if (PartitionKey(id) != seg.key) {
-      return Status::FailedPrecondition("snapshot spans partition keys");
-    }
-  }
-  SealAll(std::move(segs));
-  return Status::Ok();
 }
 
 Status Collection::InsertInternal(VectorId id, const float* vec,
@@ -382,11 +325,6 @@ Result<std::vector<Segment>> Collection::BuildSegments(
   return segs;
 }
 
-void Collection::SealAll(std::vector<Segment> segs) {
-  segments_ = std::move(segs);
-  growing_ = VectorStore(opts_.dim);
-}
-
 Status Collection::BuildIndex() {
   if (!opts_.index_factory) {
     return Status::FailedPrecondition("no index factory configured");
@@ -395,8 +333,8 @@ Status Collection::BuildIndex() {
   if (LiveRows(View()) == 0) {
     return Status::FailedPrecondition("collection is empty");
   }
-  VDB_ASSIGN_OR_RETURN(std::vector<Segment> segs, BuildSegments(View()));
-  SealAll(std::move(segs));
+  VDB_ASSIGN_OR_RETURN(segments_, BuildSegments(View()));
+  growing_ = VectorStore(opts_.dim);
   return Status::Ok();
 }
 
@@ -444,9 +382,12 @@ Status Collection::Compact() {
 Status Collection::Checkpoint(const std::string& path) const {
   BinaryWriter w(kCheckpointMagic);
   w.U64(opts_.dim);
+  // The growing rows, where format 1 put every live row.
+  CollectionView growing = View();
+  growing.segments = {};
   FloatMatrix data;
   std::vector<VectorId> ids;
-  VDB_RETURN_IF_ERROR(CopyRows(View(), opts_.dim, &data, &ids));
+  VDB_RETURN_IF_ERROR(CopyRows(growing, opts_.dim, &data, &ids));
   w.Matrix(data);
   w.U64Vector(ids);
   attrs_.Save(&w);
@@ -456,11 +397,30 @@ Status Collection::Checkpoint(const std::string& path) const {
     w.U64Vector(members);
   }
   w.U64(next_internal_id_);
+  // Format 2 adds the sealed segments, oldest first: key, codec magic,
+  // structure (0 and an empty block without a codec), rows.
+  w.U64(segments_.size());
+  for (const Segment& seg : segments_) {
+    w.U8(seg.key.has_value() ? 1 : 0);
+    w.U64(static_cast<std::uint64_t>(seg.key.value_or(0)));
+    const std::uint32_t magic = seg.index->CodecMagic();
+    w.U32(magic);
+    w.Block([&] { seg.index->SaveStructure(&w, /*with_rows=*/false); });
+    if (magic != 0) {  // the structure refers to every row, tombstones too
+      WriteRowBlock(&w, *seg.index->resident_rows());
+      continue;
+    }
+    // A rebuild reads only the live rows, so no tombstones.
+    const CollectionView rows{nullptr, &attrs_, {&seg, 1}, &scorer_, {}};
+    VDB_RETURN_IF_ERROR(CopyRows(rows, opts_.dim, &data, &ids));
+    WriteRowBlock(&w, data, ids);
+  }
   return w.WriteTo(path);
 }
 
 Result<std::unique_ptr<Collection>> Collection::Restore(
-    CollectionOptions opts, const std::string& path) {
+    CollectionOptions opts, const std::string& path,
+    std::size_t* rows_rebuilt) {
   std::string wal_path = opts.wal_path;
   opts.wal_path.clear();
   VDB_ASSIGN_OR_RETURN(std::unique_ptr<Collection> c, Create(std::move(opts)));
@@ -471,56 +431,121 @@ Result<std::unique_ptr<Collection>> Collection::Restore(
   if (dim != c->opts_.dim) {
     return Status::InvalidArgument("checkpoint dim mismatch");
   }
-  VDB_ASSIGN_OR_RETURN(FloatMatrix data, r.Matrix());
-  VDB_ASSIGN_OR_RETURN(std::vector<std::uint64_t> ids, r.U64Vector());
-  if (ids.size() != data.rows()) {
+  VDB_ASSIGN_OR_RETURN(FloatMatrix growing, r.Matrix());
+  VDB_ASSIGN_OR_RETURN(std::vector<std::uint64_t> growing_ids, r.U64Vector());
+  if (growing_ids.size() != growing.rows() || growing.cols() != dim) {
     return Status::Corruption("checkpoint ids/rows mismatch");
-  }
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    VDB_RETURN_IF_ERROR(
-        c->InsertInternal(ids[i], data.row(i), {}, /*log=*/false));
   }
   VDB_RETURN_IF_ERROR(c->attrs_.Load(&r));
   VDB_ASSIGN_OR_RETURN(std::uint64_t entities, r.U64());
   for (std::uint64_t e = 0; e < entities; ++e) {
     VDB_ASSIGN_OR_RETURN(std::uint64_t entity, r.U64());
     VDB_ASSIGN_OR_RETURN(std::vector<std::uint64_t> members, r.U64Vector());
-    for (VectorId member : members) {
-      if (!c->Contains(member)) {
-        return Status::Corruption("entity member missing from snapshot");
-      }
-      c->entity_of_vector_[member] = entity;
-    }
+    for (VectorId member : members) c->entity_of_vector_[member] = entity;
     c->entity_vectors_[entity] = std::move(members);
   }
   VDB_ASSIGN_OR_RETURN(c->next_internal_id_, r.U64());
 
-  if (!wal_path.empty()) {
-    std::size_t valid_bytes = 0;
-    VDB_RETURN_IF_ERROR(c->ReplayWalFile(wal_path, nullptr, &valid_bytes));
-    VDB_RETURN_IF_ERROR(Wal::TruncateTo(wal_path, valid_bytes));
-    VDB_RETURN_IF_ERROR(c->AttachWal(wal_path));
+  // A format-1 checkpoint ends here: every row grows, and RecoveryManager
+  // rebuilds.
+  std::size_t rebuilt = 0;
+  if (r.Remaining() > 0) {
+    VDB_ASSIGN_OR_RETURN(std::uint64_t segments, r.U64());
+    for (std::uint64_t s = 0; s < segments; ++s) {
+      VDB_ASSIGN_OR_RETURN(std::uint8_t has_key, r.U8());
+      VDB_ASSIGN_OR_RETURN(std::uint64_t key, r.U64());
+      VDB_ASSIGN_OR_RETURN(std::uint32_t magic, r.U32());
+      VDB_ASSIGN_OR_RETURN(BinaryReader structure, r.Block());
+      VectorStore rows(dim);
+      VDB_RETURN_IF_ERROR(ReadRowBlock(&r, &rows));
+      if (rows.dim() != dim) return Status::Corruption("segment dim mismatch");
+      VDB_RETURN_IF_ERROR(c->RestoreSegment(
+          has_key != 0 ? std::optional(static_cast<std::int64_t>(key))
+                       : std::nullopt,
+          std::move(rows), magic, &structure, &rebuilt));
+    }
   }
+  if (r.Remaining() > 0) return Status::Corruption("trailing checkpoint bytes");
+  // The growing rows follow the sealed ones in row order.
+  for (std::size_t i = 0; i < growing_ids.size(); ++i) {
+    if (c->HolderOf(growing_ids[i]) != nullptr) {
+      return Status::Corruption("checkpoint holds a row twice");
+    }
+    VDB_RETURN_IF_ERROR(c->growing_.Put(growing_ids[i], growing.row(i)));
+  }
+  for (const auto& [entity, members] : c->entity_vectors_) {
+    for (VectorId member : members) {
+      if (!c->Contains(member)) {
+        return Status::Corruption("entity member missing from snapshot");
+      }
+    }
+  }
+
+  if (!wal_path.empty()) VDB_RETURN_IF_ERROR(c->Reopen(wal_path));
+  if (rows_rebuilt != nullptr) *rows_rebuilt = rebuilt;
   return c;
+}
+
+Status Collection::RestoreSegment(std::optional<std::int64_t> key,
+                                  VectorStore rows, std::uint32_t magic,
+                                  BinaryReader* structure,
+                                  std::size_t* rebuilt) {
+  Status valid = Status::Ok();
+  rows.ForEachLive([&](VectorId id, const float*) {
+    if (valid.ok() && (PartitionKey(id) != key || Contains(id))) {
+      valid = Status::Corruption("segment row off its key, or held twice");
+    }
+  });
+  VDB_RETURN_IF_ERROR(valid);
+  if (!opts_.index_factory) {  // no family to index them: the rows grow
+    rows.ForEachLive([&](VectorId id, const float* vec) {
+      if (valid.ok()) valid = growing_.Put(id, vec);
+    });
+    return valid;
+  }
+  Segment seg{opts_.index_factory(), key};
+  if (seg.index == nullptr) return Status::Internal("factory returned null");
+  if (magic != 0 && magic == seg.index->CodecMagic()) {
+    VDB_RETURN_IF_ERROR(seg.index->LoadStructure(structure, &rows));
+    segments_.push_back(std::move(seg));
+    return Status::Ok();
+  }
+  // No codec, or another family's: rebuild this segment from its live
+  // rows, all of one key (none left: nothing to index).
+  VDB_ASSIGN_OR_RETURN(
+      std::vector<Segment> built,
+      BuildSegments({&rows, &attrs_, {}, &scorer_, opts_.partition_column}));
+  for (Segment& seg : built) segments_.push_back(std::move(seg));
+  *rebuilt += rows.live_count();
+  return Status::Ok();
 }
 
 CollectionView Collection::View() const {
   return {&growing_, &attrs_, segments_, &scorer_, opts_.partition_column};
 }
 
-void Collection::ToEntities(std::vector<Neighbor> raw, std::size_t k,
-                            std::vector<Neighbor>* out) const {
-  if (entity_vectors_.empty()) {
-    *out = std::move(raw);
-    return;
-  }
-  out->clear();
+template <typename Fetch>
+Status Collection::FetchEntities(std::size_t k, Fetch&& fetch,
+                                 std::vector<Neighbor>* out) const {
+  if (entity_vectors_.empty()) return fetch(k, out);
+  const std::size_t live = LiveRows(View());
+  std::vector<Neighbor> raw;
   std::unordered_set<VectorId> seen;
-  for (const auto& nb : raw) {
-    if (out->size() >= k) break;
-    auto it = entity_of_vector_.find(nb.id);
-    VectorId id = it != entity_of_vector_.end() ? it->second : nb.id;
-    if (seen.insert(id).second) out->push_back({id, nb.dist});
+  // n never passes the live row count, so a huge k cannot wrap it to 0.
+  for (std::size_t n = k > live / 4 ? live : 4 * k;;
+       n = std::min(n * 2, live)) {
+    VDB_RETURN_IF_ERROR(fetch(n, &raw));
+    out->clear();
+    seen.clear();
+    for (const auto& nb : raw) {
+      if (out->size() >= k) break;
+      auto it = entity_of_vector_.find(nb.id);
+      VectorId id = it != entity_of_vector_.end() ? it->second : nb.id;
+      if (seen.insert(id).second) out->push_back({id, nb.dist});
+    }
+    // Fewer than n rows back: the fetch is exhausted, like the post-filter
+    // refill's.
+    if (out->size() >= k || n >= live || raw.size() < n) return Status::Ok();
   }
 }
 
@@ -532,15 +557,14 @@ Status Collection::Knn(VectorView query, std::size_t k,
     return Status::InvalidArgument("query dim mismatch");
   }
   SearchParams p = params != nullptr ? *params : SearchParams{};
-  p.k = k;
-  std::vector<Neighbor> raw;
-  // Over-fetch when multi-vector entities exist so entity dedup can still
-  // fill k slots.
-  if (!entity_vectors_.empty()) p.k = k * 4;
-  VDB_RETURN_IF_ERROR(
-      HybridExecutor(View()).Search(query.data(), p, &raw, stats));
-  ToEntities(std::move(raw), k, out);
-  return Status::Ok();
+  const HybridExecutor executor(View());
+  return FetchEntities(
+      k,
+      [&](std::size_t n, std::vector<Neighbor>* rows) {
+        p.k = n;
+        return executor.Search(query.data(), p, rows, stats);
+      },
+      out);
 }
 
 Status Collection::RangeSearch(VectorView query, float radius,
@@ -564,11 +588,15 @@ Status Collection::RangeSearch(VectorView query, float radius,
       },
       stats));
   std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end(),
-                         [](const Neighbor& a, const Neighbor& b) {
-                           return a.id == b.id;
-                         }),
-             out->end());
+  if (entity_vectors_.empty()) return Status::Ok();
+  // An entity keeps its best member's hit; its other members' hits need
+  // not sit next to it in distance order.
+  std::unordered_set<VectorId> seen;
+  std::size_t kept = 0;
+  for (const Neighbor& nb : *out) {
+    if (seen.insert(nb.id).second) (*out)[kept++] = nb;
+  }
+  out->resize(kept);
   return Status::Ok();
 }
 
@@ -576,30 +604,39 @@ Result<CkSearchResult> Collection::CkSearch(VectorView query, double c,
                                             std::size_t k,
                                             SearchStats* stats) const {
   if (c < 1.0) return Status::InvalidArgument("c must be >= 1");
-  // Rows are fetched as Knn fetches them: over-fetched when members of
-  // multi-vector entities must collapse into k entities.
-  SearchParams p;
-  p.k = entity_vectors_.empty() ? k : k * 4;
-  // Exact k-th distance (the verification oracle).
-  TopK exact(p.k);
-  VDB_RETURN_IF_ERROR(ForEachLiveRow(
-      View(),
-      [&](VectorId id, const float* vec) {
-        exact.Push(id, scorer_.Distance(query.data(), vec));
-      },
-      stats));
+  // Exact k-th distance (the verification oracle). Rows are fetched as
+  // Knn fetches them, so members of multi-vector entities collapse into
+  // k entities.
   std::vector<Neighbor> truth;
-  ToEntities(exact.Take(), k, &truth);
+  VDB_RETURN_IF_ERROR(FetchEntities(
+      k,
+      [&](std::size_t n, std::vector<Neighbor>* rows) {
+        TopK exact(n);
+        VDB_RETURN_IF_ERROR(ForEachLiveRow(
+            View(),
+            [&](VectorId id, const float* vec) {
+              exact.Push(id, scorer_.Distance(query.data(), vec));
+            },
+            stats));
+        *rows = exact.Take();
+        return Status::Ok();
+      },
+      &truth));
   if (truth.empty()) return Status::FailedPrecondition("collection is empty");
   double exact_kth = truth.back().dist;
 
   CkSearchResult result;
-  HybridExecutor executor(View());
-  std::vector<Neighbor> raw;
+  const HybridExecutor executor(View());
+  SearchParams p;
   for (int ef = 32; ef <= 4096; ef *= 4) {
     p.ef = ef;
-    VDB_RETURN_IF_ERROR(executor.Search(query.data(), p, &raw, stats));
-    ToEntities(std::move(raw), k, &result.neighbors);
+    VDB_RETURN_IF_ERROR(FetchEntities(
+        k,
+        [&](std::size_t n, std::vector<Neighbor>* rows) {
+          p.k = n;
+          return executor.Search(query.data(), p, rows, stats);
+        },
+        &result.neighbors));
     double worst = result.neighbors.empty()
                        ? std::numeric_limits<double>::infinity()
                        : result.neighbors.back().dist;

@@ -19,6 +19,8 @@
 
 namespace vdb {
 
+class BinaryReader;  // storage/serializer.h
+
 /// Plan-selection policy of a collection (the system archetypes of §2.4:
 /// mostly-vector systems predefine a plan; mostly-mixed systems optimize).
 enum class PlanMode {
@@ -122,18 +124,24 @@ class Collection {
   /// (BuildIndex seals those too). All-or-nothing.
   Status Compact();
 
-  /// Serializes the data plane (vectors, attributes, multi-vector entity
-  /// maps) to one CRC-guarded snapshot file, installed atomically (temp
-  /// file + rename + parent-dir fsync). Pair with WAL rotation for
-  /// bounded-recovery checkpointing (RecoveryManager orchestrates this).
+  /// Serializes the data plane to one CRC-guarded snapshot file,
+  /// installed atomically (temp file + rename + parent-dir fsync): the
+  /// growing rows, the attributes, the multi-vector entity maps, then each
+  /// sealed segment — its key, its rows once, and the structure of a
+  /// family with a codec (VectorIndex::SaveStructure). Pair with WAL
+  /// rotation for bounded-recovery checkpointing (RecoveryManager
+  /// orchestrates this).
   Status Checkpoint(const std::string& path) const;
   /// Rebuilds a collection from a `Checkpoint` file, then replays
   /// `opts.wal_path` (if set) on top — checkpoint + WAL = full recovery.
-  /// A torn WAL tail is truncated before the log reopens for append.
-  /// Indexes are not part of the snapshot; call BuildIndex() (or
-  /// LoadIndexSnapshot) after.
-  static Result<std::unique_ptr<Collection>> Restore(CollectionOptions opts,
-                                                     const std::string& path);
+  /// A torn WAL tail is truncated before the log reopens for append. Each
+  /// sealed segment comes back: its structure loads when the family
+  /// `opts.index_factory` makes can read it; otherwise that segment alone
+  /// is rebuilt from its live rows, which are counted in `rows_rebuilt`
+  /// (may be null). Without a factory its rows become growing rows.
+  static Result<std::unique_ptr<Collection>> Restore(
+      CollectionOptions opts, const std::string& path,
+      std::size_t* rows_rebuilt = nullptr);
 
   // ----------------------------------------------------- recovery plumbing
   /// Replays a WAL on top of the current state, tolerating records whose
@@ -148,18 +156,6 @@ class Collection {
   /// fsyncs the attached WAL; acknowledged writes survive any crash after
   /// this returns. No-op without a WAL.
   Status SyncWal();
-  /// Serializes the one sealed segment's index (HNSW / IVF-Flat / IVF-PQ)
-  /// to a CRC-guarded snapshot. Unsupported when the collection is not
-  /// clean (see BuildIndex), has more than one segment (a partitioned one
-  /// has one per key), or the index type has no serializer — callers fall
-  /// back to BuildIndex on recovery.
-  Status SaveIndexSnapshot(const std::string& path) const;
-  /// Installs an index snapshot saved by `SaveIndexSnapshot` as the one
-  /// sealed segment, which adopts the rows: its live rows must equal the
-  /// collection's (ids and vector bits, in order) and share one partition
-  /// key, and then the growing rows are dropped. Call it on a collection
-  /// restored from the *matching* checkpoint, before any WAL replay.
-  Status LoadIndexSnapshot(const std::string& path);
 
   // ------------------------------------------------------------ queries
   Status Knn(VectorView query, std::size_t k, std::vector<Neighbor>* out,
@@ -226,21 +222,30 @@ class Collection {
   bool Contains(VectorId id) const {
     return growing_.Contains(id) || HolderOf(id) != nullptr;
   }
+  /// Replays the WAL at `wal_path`, cuts its torn tail, and attaches it.
+  Status Reopen(const std::string& wal_path);
+  /// Appends the sealed segment of partition key `key` that a checkpoint
+  /// holds as `rows` and a structure behind codec `magic` (see Restore);
+  /// Corruption when a live row has another key or is already held.
+  Status RestoreSegment(std::optional<std::int64_t> key, VectorStore rows,
+                        std::uint32_t magic, BinaryReader* structure,
+                        std::size_t* rebuilt);
   /// Builds one segment per partition key over the live rows of `rows`,
   /// in key order; none when there are no live rows.
   Result<std::vector<Segment>> BuildSegments(const CollectionView& rows) const;
-  /// Replaces every segment and the growing rows with `segs`, which hold
-  /// every live row.
-  void SealAll(std::vector<Segment> segs);
   /// The row's partition key: its `partition_column` value; 0 without a
   /// partition column, none for a row without attributes.
   std::optional<std::int64_t> PartitionKey(VectorId id) const;
   /// Sealed segments of partition key `key`.
   std::size_t SegmentsWithKey(std::optional<std::int64_t> key) const;
-  /// `raw` with each multi-vector member mapped to its entity, keeping each
-  /// id's first (best) hit, cut to `k`; `raw` itself without entities.
-  void ToEntities(std::vector<Neighbor> raw, std::size_t k,
-                  std::vector<Neighbor>* out) const;
+  /// The best `k` ids of what `fetch(n, &rows)` returns, each multi-vector
+  /// member mapped to its entity (an id keeps its first, best, hit).
+  /// Without entities that is one fetch of k rows. With them n starts at
+  /// 4k and doubles until k entities come back or n covers every live row,
+  /// the rule of the post-filter refill.
+  template <typename Fetch>
+  Status FetchEntities(std::size_t k, Fetch&& fetch,
+                       std::vector<Neighbor>* out) const;
 
   CollectionOptions opts_;
   Scorer scorer_;

@@ -398,26 +398,11 @@ Result<QueryResult> ExecuteQueryTraced(Database* db, const std::string& text,
 
   const double total_ms = trace.TotalMillis();
   latency.Observe(total_ms / 1e3);
-  FlightRecorder& recorder = FlightRecorder::Global();
-  if (std::uint64_t seq = recorder.NoteCompletion(!st.ok(), total_ms)) {
-    FlightRecord rec;
-    rec.seq = seq;
-    rec.query = text;
-    rec.tenant = opts.tenant;
-    rec.verdict = std::string(Status::CodeName(st.code()));
-    rec.failed = !st.ok();
-    rec.total_ms = total_ms;
-    if (opts.deadline != std::chrono::steady_clock::time_point{}) {
-      rec.has_deadline = true;
-      rec.deadline_slack_ms =
-          std::chrono::duration<double, std::milli>(
-              opts.deadline - std::chrono::steady_clock::now())
-              .count();
-    }
-    rec.stages = trace.StageSummary();
-    rec.trace = trace.Render();
-    recorder.Record(std::move(rec));
-  }
+  FlightRecorder::Global().Complete(st.code(), total_ms, text, opts.tenant,
+                                    opts.deadline, [&](FlightRecord* rec) {
+                                      rec->stages = trace.StageSummary();
+                                      rec->trace = trace.Render();
+                                    });
 
   if (!st.ok()) return st;
   if (want_explain) {

@@ -82,16 +82,24 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
     rep.generations_found = mgr->manifest_.generations.size();
 
     // Decision 1: newest generation whose checkpoint passes its CRC wins;
-    // a corrupt or missing checkpoint falls back one generation.
+    // a corrupt or missing checkpoint falls back one generation. Its
+    // sealed segments come back with it, before the WAL replays into them
+    // like live traffic. Any other failure (a segment rebuild that cannot
+    // write its files, say) is returned as it is.
     const ManifestGeneration* chosen = nullptr;
     for (auto it = mgr->manifest_.generations.rbegin();
          it != mgr->manifest_.generations.rend(); ++it) {
+      const std::string path = mgr->PathOf(it->checkpoint_file);
       auto restored =
-          Collection::Restore(o.collection, mgr->PathOf(it->checkpoint_file));
+          Collection::Restore(o.collection, path, &rep.rows_rebuilt);
       if (restored.ok()) {
         chosen = &*it;
         mgr->collection_ = std::move(*restored);
         break;
+      }
+      if (restored.status().code() != StatusCode::kCorruption &&
+          FileExists(path)) {
+        return restored.status();
       }
       ++rep.generations_discarded;
     }
@@ -101,20 +109,7 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
     }
     rep.generation = chosen->gen;
 
-    // Decision 2: index snapshot if present and valid, else rebuild. The
-    // snapshot must install *before* WAL replay so replayed inserts flow
-    // into its segment (or the growing rows) like live traffic.
-    bool need_index = static_cast<bool>(o.collection.index_factory);
-    if (need_index && !chosen->index_file.empty()) {
-      Status s =
-          mgr->collection_->LoadIndexSnapshot(mgr->PathOf(chosen->index_file));
-      if (s.ok()) {
-        rep.index_loaded_from_snapshot = true;
-        need_index = false;
-      }  // corrupt/missing snapshot: silently fall back to a rebuild
-    }
-
-    // Decision 3: replay the WAL chain from the chosen generation to the
+    // Decision 2: replay the WAL chain from the chosen generation to the
     // newest, in order — fallback recovery still reaches the present.
     const ManifestGeneration& newest = mgr->manifest_.generations.back();
     for (const auto& g : mgr->manifest_.generations) {
@@ -134,10 +129,14 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
     }
     VDB_RETURN_IF_ERROR(mgr->collection_->AttachWal(mgr->PathOf(newest.wal_file)));
 
-    if (need_index) {
-      Status built = mgr->collection_->BuildIndex();
+    // Decision 3: with a factory and no segment back (nothing was sealed,
+    // or a format-1 checkpoint), index every row.
+    Collection& c = *mgr->collection_;
+    if (o.collection.index_factory && !c.HasIndex()) {
+      const std::size_t rows = c.UnindexedRows();
+      Status built = c.BuildIndex();
       if (built.ok()) {
-        rep.index_rebuilt = true;
+        rep.rows_rebuilt += rows;
       } else if (built.code() != StatusCode::kFailedPrecondition) {
         return built;  // FailedPrecondition = empty collection: fine
       }
@@ -175,14 +174,6 @@ Status RecoveryManager::InstallGeneration(std::uint64_t gen) {
   g.wal_file = ManifestGeneration::WalName(gen);
   VDB_RETURN_IF_ERROR(collection_->Checkpoint(PathOf(g.checkpoint_file)));
   FailpointCrashSite("crash.recovery.checkpoint_written");
-  Status s = collection_->SaveIndexSnapshot(
-      PathOf(ManifestGeneration::IndexName(gen)));
-  if (s.ok()) {
-    g.index_file = ManifestGeneration::IndexName(gen);
-  } else if (s.code() != StatusCode::kUnsupported) {
-    return s;
-  }
-  FailpointCrashSite("crash.recovery.snapshot_written");
 
   Manifest next;
   next.current = gen;
@@ -210,9 +201,7 @@ void RecoveryManager::GarbageCollect(const Manifest& next) {
       "vdb_recovery_generations_gced_total");
   for (const auto& g : manifest_.generations) {
     if (next.Find(g.gen) != nullptr) continue;
-    for (const std::string& file :
-         {g.checkpoint_file, g.wal_file, g.index_file}) {
-      if (file.empty()) continue;
+    for (const std::string& file : {g.checkpoint_file, g.wal_file}) {
       ::unlink(PathOf(file).c_str());
       ::unlink((PathOf(file) + ".tmp").c_str());
     }

@@ -11,8 +11,8 @@
 namespace vdb {
 
 struct RecoveryOptions {
-  /// Data directory (created if missing). Owns MANIFEST, checkpoint-*.vdb,
-  /// wal-*.log, index-*.vdb; nothing else in it is touched.
+  /// Data directory (created if missing). Owns MANIFEST, checkpoint-*.vdb
+  /// and wal-*.log; nothing else in it is touched.
   std::string dir;
   /// Collection schema; `wal_path` is ignored (the manager routes the WAL
   /// through generation files).
@@ -27,8 +27,9 @@ struct RecoveryReport {
   std::size_t wal_records_replayed = 0;
   std::size_t torn_bytes_truncated = 0;
   bool used_bak_manifest = false;
-  bool index_loaded_from_snapshot = false;
-  bool index_rebuilt = false;
+  /// Rows indexed anew: segments whose structure the factory's family
+  /// cannot load, or every row when no segment came back.
+  std::size_t rows_rebuilt = 0;
   bool fresh_start = false;  ///< no manifest: initialized generation 0
   double wall_seconds = 0.0;
 };
@@ -36,13 +37,13 @@ struct RecoveryReport {
 /// Orchestrates the durability lifecycle of one collection in one data
 /// directory (DESIGN.md §8):
 ///
-///   Open()       — pick the newest generation whose checkpoint passes its
-///                  CRC (falling back one generation on corruption), load
-///                  or rebuild the index, replay the WAL chain, truncate a
-///                  torn tail, and attach the newest WAL for appends.
-///   Checkpoint() — write a new generation (checkpoint, plus an index
-///                  snapshot when the index is clean and serializable, so
-///                  recovery skips the rebuild), flip the manifest
+///   Open()       — restore the newest generation whose checkpoint passes
+///                  its CRC (falling back one generation on corruption),
+///                  sealed segments included, replay the WAL chain,
+///                  truncate a torn tail, attach the newest WAL for
+///                  appends, and build the index only when no segment came
+///                  back.
+///   Checkpoint() — write a new generation's checkpoint, flip the manifest
 ///                  atomically, rotate the WAL, and garbage-collect all
 ///                  but the two newest generations.
 ///

@@ -6,7 +6,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <set>
 
 #include "core/telemetry.h"
@@ -22,23 +21,6 @@ std::size_t FileSize(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0 ? static_cast<std::size_t>(st.st_size)
                                         : 0;
-}
-
-/// CRC check of the common [magic][payload][crc] container without
-/// knowing the magic up front (index snapshots carry per-type magics).
-Status VerifyContainer(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("open for read: " + path);
-  std::uint8_t head[4];
-  if (!in.read(reinterpret_cast<char*>(head), 4)) {
-    return Status::Corruption("file too short");
-  }
-  std::uint32_t magic = 0;
-  for (int i = 0; i < 4; ++i) magic |= std::uint32_t(head[i]) << (8 * i);
-  in.close();
-  VDB_ASSIGN_OR_RETURN(BinaryReader r, BinaryReader::Open(path, magic));
-  (void)r;
-  return Status::Ok();
 }
 
 class Scrub {
@@ -150,9 +132,6 @@ class Scrub {
                            : std::string()),
              /*quarantine_on_fail=*/false);
     }
-    if (!g.index_file.empty()) {
-      Record(g.index_file, "index", VerifyContainer(PathOf(g.index_file)));
-    }
   }
 
   void CheckOrphans() {
@@ -167,7 +146,6 @@ class Scrub {
       }
       bool generation_shaped =
           name.rfind("checkpoint-", 0) == 0 || name.rfind("wal-", 0) == 0 ||
-          name.rfind("index-", 0) == 0 ||
           (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0);
       if (!generation_shaped) continue;  // not ours (oracle logs, etc.)
       ScrubFileReport fr;

@@ -19,7 +19,7 @@ struct ScrubOptions {
 /// Per-file verdict of one scrub pass.
 struct ScrubFileReport {
   std::string file;    ///< name relative to the data dir
-  std::string kind;    ///< manifest | checkpoint | wal | index | orphan
+  std::string kind;    ///< manifest | checkpoint | wal | orphan
   bool ok = false;
   std::string detail;  ///< human-readable note (error text, record counts)
   bool quarantined = false;
@@ -40,8 +40,8 @@ struct ScrubReport {
 };
 
 /// Walks a RecoveryManager data directory verifying every CRC it can
-/// reach: both manifest copies, every generation's checkpoint, WAL
-/// (record-by-record), and index snapshot, plus unreferenced stragglers
+/// reach: both manifest copies, every generation's checkpoint and WAL
+/// (record-by-record), plus unreferenced stragglers
 /// (reported as orphans, never quarantined). Verdicts land in the report
 /// and in `vdb_scrub_*` telemetry counters. Exposed as `vdbsh .scrub`.
 Result<ScrubReport> ScrubDirectory(const std::string& dir,

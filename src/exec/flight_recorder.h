@@ -1,10 +1,12 @@
 #ifndef VDB_EXEC_FLIGHT_RECORDER_H_
 #define VDB_EXEC_FLIGHT_RECORDER_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/status.h"
 #include "core/sync.h"
 
 namespace vdb {
@@ -33,13 +35,10 @@ struct FlightRecord {
 /// subsequent completions so a one-off disaster from an hour ago doesn't
 /// pin the board forever.
 ///
-/// Usage is two-phase so the hot path stays cheap:
-///   std::uint64_t seq = fr.NoteCompletion(failed, total_ms);
-///   if (seq != 0) fr.Record(...)   // only then render trace etc.
-/// NoteCompletion increments the completion counter and answers "would
-/// this query make the board?" with one mutex acquisition and no
-/// allocation; the expensive capture (rendering the span tree, copying
-/// the query text) happens only for admitted candidates.
+/// Capture is two-phase so the hot path stays cheap (Complete runs both):
+/// NoteCompletion counts the query and answers "would it make the
+/// board?" with one mutex acquisition and no allocation; only then does
+/// Record take the expensive capture (span tree, query text).
 class FlightRecorder {
  public:
   /// Retained entries ("worst N").
@@ -67,6 +66,35 @@ class FlightRecorder {
   /// Captures `record` (record.seq must come from NoteCompletion).
   /// Evicts stale entries first, then the least-bad entry.
   void Record(FlightRecord record);
+
+  /// The one path a finished query takes to the board: when
+  /// NoteCompletion admits it, records its outcome and deadline slack
+  /// (none for an epoch-zero `deadline`), then what `render(&record)`
+  /// adds. A query that does not make the board allocates nothing.
+  template <typename Render>
+  void Complete(StatusCode code, double total_ms, const std::string& query,
+                const std::string& tenant,
+                std::chrono::steady_clock::time_point deadline,
+                Render&& render) {
+    const bool failed = code != StatusCode::kOk;
+    const std::uint64_t seq = NoteCompletion(failed, total_ms);
+    if (seq == 0) return;
+    FlightRecord rec;
+    rec.seq = seq;
+    rec.query = query;
+    rec.tenant = tenant;
+    rec.verdict = std::string(Status::CodeName(code));
+    rec.failed = failed;
+    rec.total_ms = total_ms;
+    if (deadline != std::chrono::steady_clock::time_point{}) {
+      rec.has_deadline = true;
+      rec.deadline_slack_ms = std::chrono::duration<double, std::milli>(
+                                  deadline - std::chrono::steady_clock::now())
+                                  .count();
+    }
+    render(&rec);
+    Record(std::move(rec));
+  }
 
   /// Retained entries, worst first.
   std::vector<FlightRecord> WorstFirst() const;

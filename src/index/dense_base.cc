@@ -4,24 +4,15 @@
 
 namespace vdb {
 
-void DenseIndexBase::SaveRows(BinaryWriter* w) const {
-  w->Matrix(rows_.vectors());
-  w->U64Vector(rows_.ids().labels());
-  w->U32Vector(rows_.ids().DeletedRows());
-}
-
-Status DenseIndexBase::LoadRows(BinaryReader* r, const MetricSpec& spec) {
-  VDB_ASSIGN_OR_RETURN(FloatMatrix data, r->Matrix());
-  VDB_ASSIGN_OR_RETURN(std::vector<std::uint64_t> labels, r->U64Vector());
-  if (labels.size() != data.rows()) {
-    return Status::Corruption("labels/rows mismatch");
+Status DenseIndexBase::LoadRows(BinaryReader* r, VectorStore* rows,
+                                const MetricSpec& spec) {
+  if (rows == nullptr) {
+    VDB_RETURN_IF_ERROR(ReadRowBlock(r, &rows_));
+  } else {
+    rows_ = std::move(*rows);
   }
-  VDB_RETURN_IF_ERROR(InitBase(std::move(data), labels, spec));
-  VDB_ASSIGN_OR_RETURN(std::vector<std::uint32_t> deleted, r->U32Vector());
-  for (std::uint32_t idx : deleted) {
-    if (idx >= TotalRows()) return Status::Corruption("bad tombstone");
-    VDB_RETURN_IF_ERROR(rows_.DeleteRow(idx));
-  }
+  if (rows_.total_rows() == 0) return Status::Corruption("no rows");
+  VDB_ASSIGN_OR_RETURN(scorer_, Scorer::Create(spec, rows_.dim()));
   return Status::Ok();
 }
 

@@ -91,11 +91,11 @@ class DenseIndexBase : public VectorIndex {
 
   std::size_t TotalRows() const { return rows_.total_rows(); }
 
-  /// The snapshot row block every persistent family shares: vectors,
-  /// labels, then the tombstoned rows.
-  void SaveRows(BinaryWriter* w) const;
-  /// Reads a block written by SaveRows and initializes the base from it.
-  Status LoadRows(BinaryReader* r, const MetricSpec& spec);
+  /// Takes `*rows` — or, when `rows` is null, the row block read from `r`
+  /// (a standalone snapshot carries its rows; a checkpoint segment hands
+  /// them over) — as the rows, tombstones included, and creates the
+  /// scorer: the Load counterpart of InitBase.
+  Status LoadRows(BinaryReader* r, VectorStore* rows, const MetricSpec& spec);
 
   VectorStore rows_{0};
   Scorer scorer_;

@@ -6,10 +6,6 @@
 #include "index/graph_util.h"
 #include "storage/serializer.h"
 
-namespace {
-constexpr std::uint32_t kHnswMagic = 0x56484E57;  // "VHNW"
-}  // namespace
-
 namespace vdb {
 
 Status HnswIndex::Build(FloatMatrix data,
@@ -247,62 +243,73 @@ Status HnswIndex::RangeSearch(const float* query, float radius,
   return Status::Ok();
 }
 
-Status HnswIndex::Save(const std::string& path) const {
-  BinaryWriter w(kHnswMagic);
-  WriteMetricSpec(&w, opts_.metric);
-  w.U64(opts_.m);
-  w.U64(opts_.ef_construction);
-  w.U64(opts_.default_ef);
-  w.U64(opts_.seed);
-  w.U8(opts_.use_select_heuristic ? 1 : 0);
-  SaveRows(&w);
-  w.U32(entry_point_);
-  w.U32(static_cast<std::uint32_t>(max_level_ + 1));  // bias: -1 allowed
-  w.U64(links_.size());
+void HnswIndex::SaveStructure(BinaryWriter* w, bool with_rows) const {
+  WriteMetricSpec(w, opts_.metric);
+  w->U64(opts_.m);
+  w->U64(opts_.ef_construction);
+  w->U64(opts_.default_ef);
+  w->U64(opts_.seed);
+  w->U8(opts_.use_select_heuristic ? 1 : 0);
+  if (with_rows) WriteRowBlock(w, rows_);
+  w->U32(entry_point_);
+  w->U32(static_cast<std::uint32_t>(max_level_ + 1));  // bias: -1 allowed
+  w->U64(links_.size());
   for (const auto& per_node : links_) {
-    w.U32(static_cast<std::uint32_t>(per_node.size()));
-    for (const auto& adj : per_node) w.U32Vector(adj);
+    w->U32(static_cast<std::uint32_t>(per_node.size()));
+    for (const auto& adj : per_node) w->U32Vector(adj);
   }
-  return w.WriteTo(path);
 }
 
-Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(const std::string& path) {
-  VDB_ASSIGN_OR_RETURN(BinaryReader r, BinaryReader::Open(path, kHnswMagic));
-  HnswOptions opts;
-  VDB_ASSIGN_OR_RETURN(opts.metric, ReadMetricSpec(&r));
-  VDB_ASSIGN_OR_RETURN(opts.m, r.U64());
-  VDB_ASSIGN_OR_RETURN(opts.ef_construction, r.U64());
-  VDB_ASSIGN_OR_RETURN(opts.default_ef, r.U64());
-  VDB_ASSIGN_OR_RETURN(opts.seed, r.U64());
-  VDB_ASSIGN_OR_RETURN(std::uint8_t heuristic, r.U8());
-  opts.use_select_heuristic = heuristic != 0;
-
-  auto index = std::make_unique<HnswIndex>(opts);
-  VDB_RETURN_IF_ERROR(index->LoadRows(&r, opts.metric));
-  index->level_mult_ = 1.0 / std::log(static_cast<double>(opts.m));
-
-  VDB_ASSIGN_OR_RETURN(index->entry_point_, r.U32());
-  VDB_ASSIGN_OR_RETURN(std::uint32_t biased_level, r.U32());
-  index->max_level_ = static_cast<int>(biased_level) - 1;
-  VDB_ASSIGN_OR_RETURN(std::uint64_t nodes, r.U64());
-  if (nodes != index->TotalRows()) {
-    return Status::Corruption("links/rows mismatch");
+Status HnswIndex::LoadStructure(BinaryReader* r, VectorStore* rows) {
+  VDB_ASSIGN_OR_RETURN(opts_.metric, ReadMetricSpec(r));
+  VDB_ASSIGN_OR_RETURN(opts_.m, r->U64());
+  VDB_ASSIGN_OR_RETURN(opts_.ef_construction, r->U64());
+  VDB_ASSIGN_OR_RETURN(opts_.default_ef, r->U64());
+  VDB_ASSIGN_OR_RETURN(opts_.seed, r->U64());
+  VDB_ASSIGN_OR_RETURN(std::uint8_t heuristic, r->U8());
+  opts_.use_select_heuristic = heuristic != 0;
+  if (opts_.m < 2 || opts_.ef_construction == 0) {
+    return Status::Corruption("hnsw: bad m or ef_construction");
   }
-  index->links_.resize(nodes);
-  for (auto& per_node : index->links_) {
-    VDB_ASSIGN_OR_RETURN(std::uint32_t levels, r.U32());
+  VDB_RETURN_IF_ERROR(LoadRows(r, rows, opts_.metric));
+  level_mult_ = 1.0 / std::log(static_cast<double>(opts_.m));
+
+  VDB_ASSIGN_OR_RETURN(entry_point_, r->U32());
+  VDB_ASSIGN_OR_RETURN(std::uint32_t biased_level, r->U32());
+  max_level_ = static_cast<int>(biased_level) - 1;
+  VDB_ASSIGN_OR_RETURN(std::uint64_t nodes, r->U64());
+  if (nodes != TotalRows()) return Status::Corruption("links/rows mismatch");
+  links_.assign(nodes, {});
+  for (auto& per_node : links_) {
+    VDB_ASSIGN_OR_RETURN(std::uint32_t levels, r->U32());
+    if (levels == 0 || levels > r->Remaining() / 8) {
+      return Status::Corruption("bad node level");
+    }
     per_node.resize(levels);
     for (auto& adj : per_node) {
-      VDB_ASSIGN_OR_RETURN(adj, r.U32Vector());
-      for (std::uint32_t nb : adj) {
-        if (nb >= nodes) return Status::Corruption("bad neighbor id");
+      VDB_ASSIGN_OR_RETURN(adj, r->U32Vector());
+    }
+  }
+  // The shape search and Add rely on: the entry point sits on the top
+  // level, no node above it, and an edge at level l ends at a node that
+  // has level l.
+  if (entry_point_ >= nodes ||
+      links_[entry_point_].size() != static_cast<std::size_t>(max_level_) + 1) {
+    return Status::Corruption("bad entry point");
+  }
+  for (const auto& per_node : links_) {
+    if (per_node.size() > links_[entry_point_].size()) {
+      return Status::Corruption("node above the entry point");
+    }
+    for (std::size_t l = 0; l < per_node.size(); ++l) {
+      for (std::uint32_t nb : per_node[l]) {
+        if (nb >= nodes || links_[nb].size() <= l) {
+          return Status::Corruption("bad neighbor id");
+        }
       }
     }
   }
-  if (index->entry_point_ >= nodes && nodes > 0) {
-    return Status::Corruption("bad entry point");
-  }
-  return index;
+  return Status::Ok();
 }
 
 std::size_t HnswIndex::MemoryBytes() const {

@@ -53,12 +53,15 @@ class HnswIndex final : public DenseIndexBase {
     return links_[idx][level].size();
   }
 
-  /// Serializes the full index (vectors, labels, tombstones, every layer's
-  /// adjacency, options) to a CRC-guarded binary file.
-  Status Save(const std::string& path) const;
-  /// Restores an index saved by `Save`. Searches, adds, and removes behave
-  /// identically to the original instance.
-  static Result<std::unique_ptr<HnswIndex>> Load(const std::string& path);
+  /// Restores an index saved by `Save` (options, rows, every layer's
+  /// adjacency). Searches, adds, and removes behave identically to the
+  /// original instance.
+  static Result<std::unique_ptr<HnswIndex>> Load(const std::string& path) {
+    return LoadIndexFile<HnswIndex>(path);
+  }
+  std::uint32_t CodecMagic() const override { return 0x56484E57; }  // "VHNW"
+  void SaveStructure(BinaryWriter* w, bool with_rows) const override;
+  Status LoadStructure(BinaryReader* r, VectorStore* rows) override;
 
   /// Search seeded at the node labeled `hint` instead of descending the
   /// hierarchy — the shared-entry batched execution trick (§2.3): when the

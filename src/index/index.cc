@@ -7,6 +7,7 @@
 
 #include "core/telemetry.h"
 #include "exec/trace.h"
+#include "storage/serializer.h"
 
 namespace vdb {
 
@@ -52,6 +53,24 @@ SearchStats Delta(const SearchStats& after, const SearchStats& before) {
 
 Status VectorIndex::Add(const float*, VectorId) {
   return Status::Unsupported(Name() + ": incremental add not supported");
+}
+
+void VectorIndex::SaveStructure(BinaryWriter*, bool) const {}
+
+Status VectorIndex::LoadStructure(BinaryReader*, VectorStore*) {
+  return Status::Unsupported(Name() + ": no structure codec");
+}
+
+Status VectorIndex::Save(const std::string& path) const {
+  if (CodecMagic() == 0) return Status::Unsupported(Name() + ": no codec");
+  BinaryWriter w(CodecMagic());
+  SaveStructure(&w, /*with_rows=*/true);
+  return w.WriteTo(path);
+}
+
+Status VectorIndex::LoadFile(const std::string& path) {
+  VDB_ASSIGN_OR_RETURN(BinaryReader r, BinaryReader::Open(path, CodecMagic()));
+  return LoadStructure(&r, nullptr);
 }
 
 Status VectorIndex::ScanRows(const RowFn& fn, SearchStats*) const {

@@ -17,6 +17,8 @@
 namespace vdb {
 
 class QueryTrace;  // exec/trace.h — optional per-query span recorder
+class BinaryReader;  // storage/serializer.h
+class BinaryWriter;
 
 /// Filter over a bitset keyed by (dense) external id. The standard carrier
 /// for attribute bitmasks built by the storage manager.
@@ -141,6 +143,27 @@ class VectorIndex {
   /// Rough resident memory of the index structure + stored vectors.
   virtual std::size_t MemoryBytes() const = 0;
 
+  // Structure codec (§8): HNSW, IVF-Flat and IVF-PQ save what they built
+  // over their rows, so a checkpoint need not rebuild them. It writes the
+  // rows once, beside the structure: every row of resident_rows(),
+  // tombstoned ones included.
+
+  /// The codec's magic; 0 for a family without one, which a checkpoint
+  /// rebuilds from its rows.
+  virtual std::uint32_t CodecMagic() const { return 0; }
+  /// Writes the options, the row block when `with_rows`, then the
+  /// structure (graph links, lists, codebooks).
+  virtual void SaveStructure(BinaryWriter* w, bool with_rows) const;
+  /// Reads what SaveStructure wrote, taking `*rows` as the rows, or the
+  /// row block from `r` when `rows` is null. Corruption when the
+  /// structure does not fit the rows.
+  virtual Status LoadStructure(BinaryReader* r, VectorStore* rows);
+  /// SaveStructure with the rows, as one CRC-guarded file behind the
+  /// magic; Unsupported without a codec.
+  Status Save(const std::string& path) const;
+  /// Reads a file Save wrote into this index.
+  Status LoadFile(const std::string& path);
+
   virtual bool SupportsAdd() const { return false; }
 
   /// True for the graph families. Blocking rows before a graph traversal
@@ -155,6 +178,14 @@ class VectorIndex {
                             std::vector<Neighbor>* out,
                             SearchStats* stats) const = 0;
 };
+
+/// Loads an `Index` from a file VectorIndex::Save wrote.
+template <typename Index>
+Result<std::unique_ptr<Index>> LoadIndexFile(const std::string& path) {
+  auto index = std::make_unique<Index>();
+  VDB_RETURN_IF_ERROR(index->LoadFile(path));
+  return index;
+}
 
 /// Creates an empty index; a collection builds one per sealed segment.
 using IndexFactory = std::function<std::unique_ptr<VectorIndex>()>;

@@ -1,12 +1,10 @@
 #include "index/ivf.h"
 
+#include <algorithm>
+
 #include "core/kmeans.h"
 #include "core/topk.h"
 #include "storage/serializer.h"
-
-namespace {
-constexpr std::uint32_t kIvfMagic = 0x56495646;  // "VIVF"
-}  // namespace
 
 namespace vdb {
 
@@ -33,12 +31,26 @@ void IvfBase::SaveLists(BinaryWriter* w) const {
 Status IvfBase::LoadLists(BinaryReader* r) {
   VDB_ASSIGN_OR_RETURN(centroids_, r->Matrix());
   VDB_ASSIGN_OR_RETURN(std::uint64_t nlists, r->U64());
-  lists_.resize(nlists);
+  // A probe or an Add indexes a list by its centroid's row; a query
+  // probes at least one.
+  if (centroids_.cols() != dim() || centroids_.rows() == 0 ||
+      nlists != centroids_.rows() || opts_.default_nprobe < 1) {
+    return Status::Corruption("bad centroids or nprobe");
+  }
+  lists_.assign(nlists, {});
+  // Every row sits in exactly one list, or a probe would meet it twice.
+  std::vector<bool> listed(TotalRows());
   for (auto& list : lists_) {
     VDB_ASSIGN_OR_RETURN(list, r->U32Vector());
     for (std::uint32_t idx : list) {
-      if (idx >= TotalRows()) return Status::Corruption("bad list entry");
+      if (idx >= TotalRows() || listed[idx]) {
+        return Status::Corruption("bad list entry");
+      }
+      listed[idx] = true;
     }
+  }
+  if (std::find(listed.begin(), listed.end(), false) != listed.end()) {
+    return Status::Corruption("row in no list");
   }
   return Status::Ok();
 }
@@ -119,36 +131,28 @@ Status IvfFlatIndex::BatchSearch(const FloatMatrix& queries,
   return Status::Ok();
 }
 
-Status IvfFlatIndex::Save(const std::string& path) const {
-  BinaryWriter w(kIvfMagic);
-  WriteMetricSpec(&w, opts_.metric);
-  w.U64(opts_.nlist);
-  w.U32(static_cast<std::uint32_t>(opts_.default_nprobe));
-  w.U32(static_cast<std::uint32_t>(opts_.kmeans_iters));
-  w.U64(opts_.seed);
-  w.U64(opts_.rerank_factor);
-  SaveRows(&w);
-  SaveLists(&w);
-  return w.WriteTo(path);
+void IvfFlatIndex::SaveStructure(BinaryWriter* w, bool with_rows) const {
+  WriteMetricSpec(w, opts_.metric);
+  w->U64(opts_.nlist);
+  w->U32(static_cast<std::uint32_t>(opts_.default_nprobe));
+  w->U32(static_cast<std::uint32_t>(opts_.kmeans_iters));
+  w->U64(opts_.seed);
+  w->U64(opts_.rerank_factor);
+  if (with_rows) WriteRowBlock(w, rows_);
+  SaveLists(w);
 }
 
-Result<std::unique_ptr<IvfFlatIndex>> IvfFlatIndex::Load(
-    const std::string& path) {
-  VDB_ASSIGN_OR_RETURN(BinaryReader r, BinaryReader::Open(path, kIvfMagic));
-  IvfOptions opts;
-  VDB_ASSIGN_OR_RETURN(opts.metric, ReadMetricSpec(&r));
-  VDB_ASSIGN_OR_RETURN(opts.nlist, r.U64());
-  VDB_ASSIGN_OR_RETURN(std::uint32_t nprobe, r.U32());
-  opts.default_nprobe = static_cast<int>(nprobe);
-  VDB_ASSIGN_OR_RETURN(std::uint32_t iters, r.U32());
-  opts.kmeans_iters = static_cast<int>(iters);
-  VDB_ASSIGN_OR_RETURN(opts.seed, r.U64());
-  VDB_ASSIGN_OR_RETURN(opts.rerank_factor, r.U64());
-
-  auto index = std::make_unique<IvfFlatIndex>(opts);
-  VDB_RETURN_IF_ERROR(index->LoadRows(&r, opts.metric));
-  VDB_RETURN_IF_ERROR(index->LoadLists(&r));
-  return index;
+Status IvfFlatIndex::LoadStructure(BinaryReader* r, VectorStore* rows) {
+  VDB_ASSIGN_OR_RETURN(opts_.metric, ReadMetricSpec(r));
+  VDB_ASSIGN_OR_RETURN(opts_.nlist, r->U64());
+  VDB_ASSIGN_OR_RETURN(std::uint32_t nprobe, r->U32());
+  opts_.default_nprobe = static_cast<int>(nprobe);
+  VDB_ASSIGN_OR_RETURN(std::uint32_t iters, r->U32());
+  opts_.kmeans_iters = static_cast<int>(iters);
+  VDB_ASSIGN_OR_RETURN(opts_.seed, r->U64());
+  VDB_ASSIGN_OR_RETURN(opts_.rerank_factor, r->U64());
+  VDB_RETURN_IF_ERROR(LoadRows(r, rows, opts_.metric));
+  return LoadLists(r);
 }
 
 std::size_t IvfFlatIndex::MemoryBytes() const {

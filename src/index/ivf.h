@@ -36,7 +36,7 @@ class IvfBase : public DenseIndexBase {
   /// Runs k-means and fills `lists_` with the internal ids per bucket.
   Status BuildCoarse();
 
-  /// The snapshot block IVF-Flat and IVF-PQ share after SaveRows:
+  /// The snapshot block IVF-Flat and IVF-PQ share after the rows:
   /// centroids, then each inverted list.
   void SaveLists(BinaryWriter* w) const;
   Status LoadLists(BinaryReader* r);
@@ -62,11 +62,13 @@ class IvfFlatIndex final : public IvfBase {
   std::size_t MemoryBytes() const override;
   bool SupportsAdd() const override { return true; }
 
-  /// Serializes the index (vectors, labels, tombstones, centroids,
-  /// inverted lists, options) to a CRC-guarded binary file.
-  Status Save(const std::string& path) const;
-  /// Restores an index saved by `Save`.
-  static Result<std::unique_ptr<IvfFlatIndex>> Load(const std::string& path);
+  /// Restores an index saved by `Save` (options, rows, centroids, lists).
+  static Result<std::unique_ptr<IvfFlatIndex>> Load(const std::string& path) {
+    return LoadIndexFile<IvfFlatIndex>(path);
+  }
+  std::uint32_t CodecMagic() const override { return 0x56495646; }  // "VIVF"
+  void SaveStructure(BinaryWriter* w, bool with_rows) const override;
+  Status LoadStructure(BinaryReader* r, VectorStore* rows) override;
 
   /// Batched execution (paper §2.1 "batched queries" / §2.3): probes are
   /// computed for every query first, then inverted lists are scanned

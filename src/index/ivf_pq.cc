@@ -7,12 +7,6 @@
 #include "exec/trace.h"
 #include "storage/serializer.h"
 
-namespace {
-// Format 2: the PQ section carries no SDC tables. Format-1 snapshots
-// ("VIPQ", 0x56495051) fail the magic check, so recovery rebuilds.
-constexpr std::uint32_t kIvfPqMagic = 0x56495032;  // "VIP2"
-}  // namespace
-
 namespace vdb {
 
 void IvfPqIndex::ToCodeSpace(const float* x, float* out) const {
@@ -95,7 +89,7 @@ Status IvfPqIndex::SearchImpl(const float* query, const SearchParams& params,
 
   const std::size_t gather =
       params.rerank ? params.k * opts_.rerank_factor : params.k;
-  TopK approx(gather);
+  TopK approx(std::min<std::size_t>(gather, TotalRows()));
   std::vector<float> qres(dim()), qrot(dim());
   std::vector<float> tables(pq_.m() * pq_.ksub());
   for (std::uint32_t list_id : probe) {
@@ -132,50 +126,49 @@ Status IvfPqIndex::SearchImpl(const float* query, const SearchParams& params,
   return Status::Ok();
 }
 
-Status IvfPqIndex::Save(const std::string& path) const {
-  if (pq_opts_.use_opq) {
-    return Status::Unsupported("ivf-opq persistence: rebuild instead");
-  }
-  BinaryWriter w(kIvfPqMagic);
-  WriteMetricSpec(&w, pq_opts_.ivf.metric);
-  w.U64(pq_opts_.ivf.nlist);
-  w.U32(static_cast<std::uint32_t>(pq_opts_.ivf.default_nprobe));
-  w.U64(pq_opts_.ivf.seed);
-  w.U64(pq_opts_.ivf.rerank_factor);
-  SaveRows(&w);
-  SaveLists(&w);
-  pq_.SaveTo(&w);
-  w.U64(codes_.size());
-  w.Bytes(codes_.data(), codes_.size());
-  return w.WriteTo(path);
+void IvfPqIndex::SaveStructure(BinaryWriter* w, bool with_rows) const {
+  WriteMetricSpec(w, pq_opts_.ivf.metric);
+  w->U64(pq_opts_.ivf.nlist);
+  w->U32(static_cast<std::uint32_t>(pq_opts_.ivf.default_nprobe));
+  w->U64(pq_opts_.ivf.seed);
+  w->U64(pq_opts_.ivf.rerank_factor);
+  if (with_rows) WriteRowBlock(w, rows_);
+  SaveLists(w);
+  pq_.SaveTo(w);
+  w->U64(codes_.size());
+  w->Bytes(codes_.data(), codes_.size());
 }
 
-Result<std::unique_ptr<IvfPqIndex>> IvfPqIndex::Load(
-    const std::string& path) {
-  VDB_ASSIGN_OR_RETURN(BinaryReader r, BinaryReader::Open(path, kIvfPqMagic));
-  IvfPqOptions opts;
-  VDB_ASSIGN_OR_RETURN(opts.ivf.metric, ReadMetricSpec(&r));
-  VDB_ASSIGN_OR_RETURN(opts.ivf.nlist, r.U64());
-  VDB_ASSIGN_OR_RETURN(std::uint32_t nprobe, r.U32());
-  opts.ivf.default_nprobe = static_cast<int>(nprobe);
-  VDB_ASSIGN_OR_RETURN(opts.ivf.seed, r.U64());
-  VDB_ASSIGN_OR_RETURN(opts.ivf.rerank_factor, r.U64());
-
-  auto index = std::make_unique<IvfPqIndex>(opts);
-  VDB_RETURN_IF_ERROR(index->LoadRows(&r, opts.ivf.metric));
-  VDB_RETURN_IF_ERROR(index->LoadLists(&r));
-  VDB_RETURN_IF_ERROR(index->pq_.LoadFrom(&r));
+Status IvfPqIndex::LoadStructure(BinaryReader* r, VectorStore* rows) {
+  IvfOptions& opts = pq_opts_.ivf;  // plain IVFADC: only it has a codec
+  VDB_ASSIGN_OR_RETURN(opts.metric, ReadMetricSpec(r));
+  VDB_ASSIGN_OR_RETURN(opts.nlist, r->U64());
+  VDB_ASSIGN_OR_RETURN(std::uint32_t nprobe, r->U32());
+  opts.default_nprobe = static_cast<int>(nprobe);
+  VDB_ASSIGN_OR_RETURN(opts.seed, r->U64());
+  VDB_ASSIGN_OR_RETURN(opts.rerank_factor, r->U64());
+  // k * rerank_factor candidates are gathered; that product must not wrap.
+  if (opts.rerank_factor == 0 || opts.rerank_factor >> 32 != 0) {
+    return Status::Corruption("bad rerank factor");
+  }
+  opts_ = opts;
+  VDB_RETURN_IF_ERROR(LoadRows(r, rows, opts.metric));
+  VDB_RETURN_IF_ERROR(LoadLists(r));
+  VDB_RETURN_IF_ERROR(pq_.LoadFrom(r));
+  if (pq_.dim() != dim()) return Status::Corruption("pq/rows dim mismatch");
   // Re-sync the copied PqOptions so Name()/code sizes stay coherent.
-  index->pq_opts_.pq.m = index->pq_.m();
-  VDB_ASSIGN_OR_RETURN(std::uint64_t ncodes, r.U64());
-  if (ncodes != index->TotalRows() * index->pq_.code_size()) {
+  pq_opts_.pq.m = pq_.m();
+  VDB_ASSIGN_OR_RETURN(std::uint64_t ncodes, r->U64());
+  if (ncodes != TotalRows() * pq_.code_size()) {
     return Status::Corruption("bad code payload size");
   }
-  index->codes_.resize(ncodes);
+  codes_.resize(ncodes);
   for (std::uint64_t i = 0; i < ncodes; ++i) {
-    VDB_ASSIGN_OR_RETURN(index->codes_[i], r.U8());
+    VDB_ASSIGN_OR_RETURN(codes_[i], r->U8());
+    // A code indexes its subspace's row of the ADC table.
+    if (codes_[i] >= pq_.ksub()) return Status::Corruption("bad pq code");
   }
-  return index;
+  return Status::Ok();
 }
 
 std::size_t IvfPqIndex::MemoryBytes() const {

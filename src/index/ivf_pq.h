@@ -40,10 +40,19 @@ class IvfPqIndex final : public IvfBase {
 
   std::size_t CodeBytesPerVector() const { return pq_.code_size(); }
 
-  /// Persistence (plain IVFADC only; OPQ-rotated indexes are rebuilt —
-  /// their training is the cheap part relative to the rotation solve).
-  Status Save(const std::string& path) const;
-  static Result<std::unique_ptr<IvfPqIndex>> Load(const std::string& path);
+  /// Persistence (plain IVFADC only; OPQ-rotated indexes have no codec
+  /// and are rebuilt — their training is the cheap part relative to the
+  /// rotation solve).
+  static Result<std::unique_ptr<IvfPqIndex>> Load(const std::string& path) {
+    return LoadIndexFile<IvfPqIndex>(path);
+  }
+  /// "VIP2": format 2, whose PQ section carries no SDC tables (format-1
+  /// "VIPQ" files fail the magic check). OPQ has no codec.
+  std::uint32_t CodecMagic() const override {
+    return pq_opts_.use_opq ? 0 : 0x56495032;
+  }
+  void SaveStructure(BinaryWriter* w, bool with_rows) const override;
+  Status LoadStructure(BinaryReader* r, VectorStore* rows) override;
 
  protected:
   Status SearchImpl(const float* query, const SearchParams& params,

@@ -578,25 +578,13 @@ bool Server::RunJob(Conn* conn, const Job& job, std::size_t thread_index) {
     // Queue-cancelled requests never reach ExecuteQueryTraced, so the
     // flight recorder hears about them here — they are precisely the
     // "where did my query go" cases an operator pulls up .top for.
-    double waited_ms =
+    FlightRecorder::Global().Complete(
+        StatusCode::kDeadlineExceeded,
         std::chrono::duration<double, std::milli>(start - job.admitted)
-            .count();
-    FlightRecorder& recorder = FlightRecorder::Global();
-    if (std::uint64_t seq = recorder.NoteCompletion(true, waited_ms)) {
-      FlightRecord rec;
-      rec.seq = seq;
-      rec.query = job.req.text;
-      rec.tenant = job.req.tenant;
-      rec.verdict = "DEADLINE_EXCEEDED";
-      rec.failed = true;
-      rec.total_ms = waited_ms;
-      rec.has_deadline = true;
-      rec.deadline_slack_ms =
-          std::chrono::duration<double, std::milli>(job.deadline - start)
-              .count();
-      rec.trace = "(cancelled in run queue before execution)";
-      recorder.Record(std::move(rec));
-    }
+            .count(),
+        job.req.text, job.req.tenant, job.deadline, [](FlightRecord* rec) {
+          rec->trace = "(cancelled in run queue before execution)";
+        });
   } else {
     QueryOptions qopts;
     qopts.deadline = job.deadline;

@@ -236,7 +236,7 @@ Status AttributeStore::Load(BinaryReader* reader) {
     col.type = static_cast<AttrType>(type_tag);
     switch (col.type) {
       case AttrType::kInt64: {
-        if (num_rows_ * 8 > reader->Remaining()) {
+        if (num_rows_ > reader->Remaining() / 8) {
           return Status::Corruption("column overrun");
         }
         col.i64.resize(num_rows_);
@@ -247,7 +247,7 @@ Status AttributeStore::Load(BinaryReader* reader) {
         break;
       }
       case AttrType::kDouble: {
-        if (num_rows_ * 8 > reader->Remaining()) {
+        if (num_rows_ > reader->Remaining() / 8) {
           return Status::Corruption("column overrun");
         }
         col.f64.resize(num_rows_);

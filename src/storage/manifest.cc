@@ -11,7 +11,9 @@ namespace vdb {
 
 namespace {
 
-constexpr std::uint32_t kManifestVersion = 1;
+/// Version 1 also named an index snapshot per generation; it still loads,
+/// without that name (the checkpoint holds the segments now).
+constexpr std::uint32_t kManifestVersion = 2;
 
 void WriteString(BinaryWriter* w, const std::string& s) {
   w->U32(static_cast<std::uint32_t>(s.size()));
@@ -37,9 +39,6 @@ std::string ManifestGeneration::CheckpointName(std::uint64_t gen) {
 std::string ManifestGeneration::WalName(std::uint64_t gen) {
   return "wal-" + std::to_string(gen) + ".log";
 }
-std::string ManifestGeneration::IndexName(std::uint64_t gen) {
-  return "index-" + std::to_string(gen) + ".vdb";
-}
 
 std::string Manifest::PathIn(const std::string& dir) {
   return dir + "/MANIFEST";
@@ -51,7 +50,7 @@ std::string Manifest::BakPathIn(const std::string& dir) {
 Result<Manifest> Manifest::LoadFile(const std::string& path) {
   VDB_ASSIGN_OR_RETURN(BinaryReader r, BinaryReader::Open(path, kManifestMagic));
   VDB_ASSIGN_OR_RETURN(std::uint32_t version, r.U32());
-  if (version != kManifestVersion) {
+  if (version != kManifestVersion && version != 1) {
     return Status::Corruption("unsupported manifest version");
   }
   Manifest m;
@@ -65,7 +64,7 @@ Result<Manifest> Manifest::LoadFile(const std::string& path) {
     VDB_ASSIGN_OR_RETURN(g.gen, r.U64());
     VDB_ASSIGN_OR_RETURN(g.checkpoint_file, ReadString(&r));
     VDB_ASSIGN_OR_RETURN(g.wal_file, ReadString(&r));
-    VDB_ASSIGN_OR_RETURN(g.index_file, ReadString(&r));
+    if (version == 1) VDB_RETURN_IF_ERROR(ReadString(&r).status());
     if (i > 0 && g.gen <= prev) {
       return Status::Corruption("generations not ascending");
     }
@@ -99,7 +98,6 @@ Status Manifest::Save(const std::string& dir) const {
     w.U64(g.gen);
     WriteString(&w, g.checkpoint_file);
     WriteString(&w, g.wal_file);
-    WriteString(&w, g.index_file);
   }
   const std::string path = PathIn(dir);
   // Keep the outgoing manifest alive at .bak: if the flip below is torn

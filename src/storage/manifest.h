@@ -16,18 +16,16 @@ inline constexpr std::uint32_t kManifestMagic = 0x564D4653;    // "VMFS"
 inline constexpr std::uint32_t kCheckpointMagic = 0x5643484B;  // "VCHK"
 
 /// One retained generation of a data directory: the checkpoint holding
-/// the state at rotation time, the WAL receiving everything after it,
-/// and (optionally) an index snapshot taken alongside the checkpoint.
-/// All file names are relative to the data directory.
+/// the state at rotation time (its sealed segments included) and the WAL
+/// receiving everything after it. File names are relative to the data
+/// directory.
 struct ManifestGeneration {
   std::uint64_t gen = 0;
   std::string checkpoint_file;
   std::string wal_file;
-  std::string index_file;  ///< empty: no snapshot, rebuild on recovery
 
   static std::string CheckpointName(std::uint64_t gen);
   static std::string WalName(std::uint64_t gen);
-  static std::string IndexName(std::uint64_t gen);
 };
 
 /// The root of crash recovery: a tiny CRC-guarded file naming the current

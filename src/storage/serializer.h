@@ -17,6 +17,7 @@
 #include "core/status.h"
 #include "core/types.h"
 #include "storage/posix_io.h"
+#include "storage/vector_store.h"
 #include "storage/wal.h"
 
 namespace vdb {
@@ -56,6 +57,16 @@ class BinaryWriter {
   void U64Vector(const std::vector<std::uint64_t>& v) {
     U64(v.size());
     Bytes(v.data(), v.size() * sizeof(std::uint64_t));
+  }
+  /// Writes what `fill()` appends as one length-prefixed block, so a
+  /// reader can skip a block it cannot decode (BinaryReader::Block).
+  template <typename Fn>
+  void Block(Fn&& fill) {
+    const std::size_t at = bytes_.size();
+    U64(0);
+    fill();
+    const std::uint64_t len = bytes_.size() - at - 8;
+    for (int i = 0; i < 8; ++i) bytes_[at + i] = (len >> (8 * i)) & 0xff;
   }
 
   /// Atomic, durable install: the full container goes to `<path>.tmp`,
@@ -154,7 +165,8 @@ class BinaryReader {
   Result<FloatMatrix> Matrix() {
     VDB_ASSIGN_OR_RETURN(std::uint64_t rows, U64());
     VDB_ASSIGN_OR_RETURN(std::uint64_t cols, U64());
-    if (rows * cols * 4 > Remaining()) {
+    // Divided, not multiplied: a corrupt count must not wrap past the check.
+    if (cols > Remaining() / 4 || (cols > 0 && rows > Remaining() / 4 / cols)) {
       return Status::Corruption("matrix overruns file");
     }
     FloatMatrix m(rows, cols);
@@ -163,17 +175,29 @@ class BinaryReader {
   }
   Result<std::vector<std::uint32_t>> U32Vector() {
     VDB_ASSIGN_OR_RETURN(std::uint64_t n, U64());
-    if (n * 4 > Remaining()) return Status::Corruption("vector overruns file");
+    if (n > Remaining() / 4) return Status::Corruption("vector overruns file");
     std::vector<std::uint32_t> v(n);
     VDB_RETURN_IF_ERROR(Take(v.data(), n * 4));
     return v;
   }
   Result<std::vector<std::uint64_t>> U64Vector() {
     VDB_ASSIGN_OR_RETURN(std::uint64_t n, U64());
-    if (n * 8 > Remaining()) return Status::Corruption("vector overruns file");
+    if (n > Remaining() / 8) return Status::Corruption("vector overruns file");
     std::vector<std::uint64_t> v(n);
     VDB_RETURN_IF_ERROR(Take(v.data(), n * 8));
     return v;
+  }
+
+  /// A reader over the next block written by BinaryWriter::Block; this
+  /// reader moves past it.
+  Result<BinaryReader> Block() {
+    VDB_ASSIGN_OR_RETURN(std::uint64_t len, U64());
+    if (len > Remaining()) return Status::Corruption("block overruns file");
+    BinaryReader block;
+    block.bytes_.assign(bytes_.begin() + at_, bytes_.begin() + at_ + len);
+    block.end_ = len;
+    at_ += len;
+    return block;
   }
 
   std::size_t Remaining() const { return end_ - at_; }
@@ -191,6 +215,44 @@ class BinaryReader {
   std::size_t at_ = 0;
   std::size_t end_ = 0;
 };
+
+/// The row block of an index file or a checkpoint segment: the
+/// vectors, their labels, then the tombstoned rows (none by default).
+inline void WriteRowBlock(BinaryWriter* w, const FloatMatrix& vectors,
+                          const std::vector<std::uint64_t>& labels,
+                          const std::vector<std::uint32_t>& deleted = {}) {
+  w->Matrix(vectors);
+  w->U64Vector(labels);
+  w->U32Vector(deleted);
+}
+inline void WriteRowBlock(BinaryWriter* w, const VectorStore& rows) {
+  WriteRowBlock(w, rows.vectors(), rows.ids().labels(),
+                rows.ids().DeletedRows());
+}
+
+/// Reads a block written by WriteRowBlock into `*rows`. A live row must be
+/// the newest row of its label (RowIds' re-add rule), so no label is live
+/// twice.
+inline Status ReadRowBlock(BinaryReader* r, VectorStore* rows) {
+  VDB_ASSIGN_OR_RETURN(FloatMatrix data, r->Matrix());
+  VDB_ASSIGN_OR_RETURN(std::vector<std::uint64_t> labels, r->U64Vector());
+  if (labels.size() != data.rows()) {
+    return Status::Corruption("labels/rows mismatch");
+  }
+  VDB_ASSIGN_OR_RETURN(std::vector<std::uint32_t> deleted, r->U32Vector());
+  rows->Reset(std::move(data), labels);
+  for (std::uint32_t row : deleted) {
+    if (row >= rows->total_rows()) return Status::Corruption("bad tombstone");
+    VDB_RETURN_IF_ERROR(rows->DeleteRow(row));
+  }
+  const RowIds& ids = rows->ids();
+  for (std::uint32_t row = 0; row < ids.rows(); ++row) {
+    if (!ids.IsDeleted(row) && ids.RowOf(ids.label(row)) != row) {
+      return Status::Corruption("label live in two rows");
+    }
+  }
+  return Status::Ok();
+}
 
 namespace serialize_detail {
 inline constexpr std::uint8_t kMetricTagMax = 5;
@@ -214,7 +276,7 @@ inline Result<MetricSpec> ReadMetricSpec(BinaryReader* r) {
   spec.metric = static_cast<Metric>(tag);
   VDB_ASSIGN_OR_RETURN(spec.minkowski_p, r->F32());
   VDB_ASSIGN_OR_RETURN(std::uint64_t n, r->U64());
-  if (n * 4 > r->Remaining()) return Status::Corruption("mahalanobis overrun");
+  if (n > r->Remaining() / 4) return Status::Corruption("mahalanobis overrun");
   spec.mahalanobis_l.resize(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     VDB_ASSIGN_OR_RETURN(spec.mahalanobis_l[i], r->F32());

@@ -16,6 +16,7 @@
 // Also here: Checkpoint/Restore edge cases, torn-tail truncation,
 // atomic-WriteTo semantics, newest-generation fallback, and the scrubber.
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/stat.h>
@@ -41,11 +42,14 @@
 #include "db/collection.h"
 #include "db/recovery.h"
 #include "db/scrubber.h"
+#include "index/flat.h"
 #include "index/hnsw.h"
-#include "index/ivf_pq.h"
+#include "index/ivf.h"
 #include "storage/manifest.h"
 #include "storage/serializer.h"
 #include "storage/wal.h"
+
+#include "format1_dir_fixture.h"
 
 namespace vdb {
 namespace {
@@ -68,18 +72,49 @@ std::vector<float> VecOf(VectorId id) {
   return v;
 }
 
+IndexFactory HnswFactory() {
+  return [] {
+    HnswOptions h;
+    h.m = 6;
+    return std::make_unique<HnswIndex>(h);
+  };
+}
+
+/// Five layouts, by seed % 5, so that every crash site meets each of them
+/// (5 and the site count are coprime): 0 HNSW in place; 1 no index; 2 HNSW
+/// under a flush policy (several segments); 3 HNSW in place, one segment
+/// per `part` key; 4 Flat (no structure codec: recovery rebuilds its
+/// segments) under a flush policy with `part` keys.
 CollectionOptions WorkloadOptions(std::uint64_t seed) {
   CollectionOptions opts;
   opts.dim = kDim;
-  opts.attributes = {{"seq", AttrType::kInt64}};
-  if (seed % 5 == 0) {
-    opts.index_factory = [] {
-      HnswOptions h;
-      h.m = 6;
-      return std::make_unique<HnswIndex>(h);
-    };
+  opts.attributes = {{"seq", AttrType::kInt64}, {"part", AttrType::kInt64}};
+  switch (seed % 5) {
+    case 0:
+      opts.index_factory = HnswFactory();
+      break;
+    case 2:
+      opts.index_factory = HnswFactory();
+      opts.lsm_memtable_limit = 16;
+      opts.lsm_compact_at_segments = 3;
+      break;
+    case 3:
+      opts.index_factory = HnswFactory();
+      opts.partition_column = "part";
+      break;
+    case 4:
+      opts.index_factory = [] { return std::make_unique<FlatIndex>(); };
+      opts.lsm_memtable_limit = 16;
+      opts.lsm_compact_at_segments = 3;
+      opts.partition_column = "part";
+      break;
   }
   return opts;
+}
+
+std::vector<AttrBinding> AttrsOf(VectorId id) {
+  return {{"seq", static_cast<std::int64_t>(id)},
+          {"part", static_cast<std::int64_t>(id % 3)}};
 }
 
 // ------------------------------------------------------------- the oracle
@@ -157,7 +192,7 @@ const char* kCrashSites[] = {
     "crash.wal.synced",             "crash.serializer.tmp_written",
     "crash.serializer.renamed",     "crash.manifest.bak",
     "crash.manifest.flipped",       "crash.recovery.checkpoint_written",
-    "crash.recovery.snapshot_written", "crash.recovery.before_gc",
+    "crash.recovery.before_gc",
 };
 constexpr std::size_t kNumSites = std::size(kCrashSites);
 
@@ -193,8 +228,9 @@ constexpr std::size_t kNumSites = std::size(kCrashSites);
   std::uint64_t next_id = 1;
   std::vector<std::uint64_t> live;
   const std::size_t max_ops = endless ? ~std::size_t{0} : 120 + seed % 150;
+  const bool indexed = static_cast<bool>(ro.collection.index_factory);
   for (std::size_t i = 0; i < max_ops; ++i) {
-    if (c.HasIndex() == false && i == 40 && seed % 5 == 0) {
+    if (indexed && i == 40) {
       if (!c.BuildIndex().ok()) ::_exit(7);
     }
     if (!live.empty() && rng() % 10 < 2) {
@@ -208,8 +244,7 @@ constexpr std::size_t kNumSites = std::size(kCrashSites);
     } else {
       std::uint64_t id = next_id++;
       OracleWrite(oracle, kIntentInsert, id);
-      if (!c.Insert(id, VecOf(id),
-                    {{"seq", static_cast<std::int64_t>(id)}}).ok()) {
+      if (!c.Insert(id, VecOf(id), AttrsOf(id)).ok()) {
         ::_exit(7);
       }
       live.push_back(id);
@@ -483,21 +518,21 @@ TEST(ManifestTest, RoundTripAndBakFallback) {
   ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
   Manifest m;
   m.current = 7;
-  m.generations = {{6, "checkpoint-6.vdb", "wal-6.log", ""},
-                   {7, "checkpoint-7.vdb", "wal-7.log", "index-7.vdb"}};
+  m.generations = {{6, "checkpoint-6.vdb", "wal-6.log"},
+                   {7, "checkpoint-7.vdb", "wal-7.log"}};
   ASSERT_TRUE(m.Save(dir).ok());
   auto loaded = Manifest::Load(dir);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->current, 7u);
   ASSERT_EQ(loaded->generations.size(), 2u);
   EXPECT_EQ(loaded->generations[0].gen, 6u);
-  EXPECT_EQ(loaded->generations[1].index_file, "index-7.vdb");
+  EXPECT_EQ(loaded->generations[1].wal_file, "wal-7.log");
 
   // Second save keeps the previous manifest at .bak; corrupting the
   // current file falls back to it.
   Manifest m2 = m;
   m2.current = 8;
-  m2.generations.push_back({8, "checkpoint-8.vdb", "wal-8.log", ""});
+  m2.generations.push_back({8, "checkpoint-8.vdb", "wal-8.log"});
   ASSERT_TRUE(m2.Save(dir).ok());
   {
     std::ofstream f(Manifest::PathIn(dir),
@@ -665,9 +700,25 @@ TEST(CheckpointEdgeTest, DimMismatchIsRejected) {
   ::unlink(snap.c_str());
 }
 
-// Index snapshots round-trip through a generation: recovery must load the
-// serialized index instead of rebuilding, and searches must still work.
-TEST(RecoveryTest, IndexSnapshotIsLoadedNotRebuilt) {
+/// The bytes of the file at `path`.
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+std::size_t Occurrences(const std::string& haystack,
+                        const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+// A clean HNSW segment comes back from the checkpoint's structure, with
+// no rebuild, and searches as before.
+TEST(RecoveryTest, HnswSegmentIsLoadedNotRebuilt) {
   std::string dir = TempPath("idx_snap");
   RemoveTree(dir);
   RecoveryOptions ro;
@@ -682,16 +733,12 @@ TEST(RecoveryTest, IndexSnapshotIsLoadedNotRebuilt) {
     }
     ASSERT_TRUE(c.BuildIndex().ok());
     ASSERT_TRUE((*mgr)->Checkpoint().ok());
-    struct stat st;
-    ASSERT_EQ(
-        ::stat((dir + "/" + ManifestGeneration::IndexName(1)).c_str(), &st),
-        0);
   }
   RecoveryReport report;
   auto mgr = RecoveryManager::Open(ro, &report);
   ASSERT_TRUE(mgr.ok());
-  EXPECT_TRUE(report.index_loaded_from_snapshot);
-  EXPECT_FALSE(report.index_rebuilt);
+  EXPECT_EQ(report.rows_rebuilt, 0u);
+  EXPECT_EQ((*mgr)->collection().SegmentCount(), 1u);
   std::vector<Neighbor> hit;
   ASSERT_TRUE((*mgr)->collection().Knn(VecOf(17), 1, &hit).ok());
   ASSERT_EQ(hit.size(), 1u);
@@ -699,21 +746,51 @@ TEST(RecoveryTest, IndexSnapshotIsLoadedNotRebuilt) {
   RemoveTree(dir);
 }
 
-// An IVF-PQ snapshot in format 1 (which carried PQ SDC tables) must be
-// rejected, and recovery must rebuild the index instead of loading it.
-TEST(RecoveryTest, OldFormatIvfPqSnapshotFallsBackToRebuild) {
-  std::string dir = TempPath("ivfpq_v1");
+// A generation writes each row once: a planted vector's bytes appear
+// exactly once among its files, the WAL aside.
+TEST(RecoveryTest, CheckpointWritesEachRowOnce) {
+  std::string dir = TempPath("row_once");
   RemoveTree(dir);
   RecoveryOptions ro;
   ro.dir = dir;
-  ro.collection.dim = kDim;
-  ro.collection.index_factory = [] {
-    IvfPqOptions o;
-    o.ivf.nlist = 4;
-    o.ivf.default_nprobe = 4;
-    o.pq.m = 2;
-    return std::make_unique<IvfPqIndex>(o);
-  };
+  ro.collection = WorkloadOptions(0);  // HNSW, in place
+  const std::vector<float> planted = {1234.5f, -8765.25f, 42.125f, 3.0625f};
+  {
+    auto mgr = RecoveryManager::Open(ro);
+    ASSERT_TRUE(mgr.ok());
+    Collection& c = (*mgr)->collection();
+    for (std::uint64_t id = 1; id <= 64; ++id) {
+      ASSERT_TRUE(c.Insert(id, VecOf(id)).ok());
+    }
+    ASSERT_TRUE(c.Insert(99, planted).ok());
+    ASSERT_TRUE(c.BuildIndex().ok());
+    ASSERT_TRUE((*mgr)->Checkpoint().ok());
+    EXPECT_EQ((*mgr)->generation(), 1u);
+  }
+  const std::string needle(reinterpret_cast<const char*>(planted.data()),
+                           planted.size() * sizeof(float));
+  std::size_t copies = 0;
+  DIR* d = ::opendir(dir.c_str());
+  ASSERT_NE(d, nullptr);
+  while (struct dirent* e = ::readdir(d)) {
+    const std::string name = e->d_name;
+    if (name.find("-1.") == std::string::npos || name == "wal-1.log") continue;
+    copies += Occurrences(FileBytes(dir + "/" + name), needle);
+  }
+  ::closedir(d);
+  EXPECT_EQ(copies, 1u);
+  RemoveTree(dir);
+}
+
+// A checkpoint loses no row when the factory changes: under IVF-Flat the
+// HNSW segment is rebuilt from its rows, and without a factory its rows
+// grow.
+TEST(RecoveryTest, ForeignOrMissingFactoryRestoresEveryRow) {
+  std::string dir = TempPath("foreign");
+  RemoveTree(dir);
+  RecoveryOptions ro;
+  ro.dir = dir;
+  ro.collection = WorkloadOptions(0);  // HNSW
   {
     auto mgr = RecoveryManager::Open(ro);
     ASSERT_TRUE(mgr.ok());
@@ -722,29 +799,111 @@ TEST(RecoveryTest, OldFormatIvfPqSnapshotFallsBackToRebuild) {
       ASSERT_TRUE(c.Insert(id, VecOf(id)).ok());
     }
     ASSERT_TRUE(c.BuildIndex().ok());
+    ASSERT_TRUE(c.Delete(5).ok());  // a tombstone the rebuild drops
     ASSERT_TRUE((*mgr)->Checkpoint().ok());
   }
-  // Stamp the format-1 magic ("VIPQ") on the snapshot. The payload CRC
-  // does not cover the magic, so only the format check can reject it.
-  const std::string snap = dir + "/" + ManifestGeneration::IndexName(1);
-  ASSERT_TRUE(IvfPqIndex::Load(snap).ok());
-  {
-    std::fstream f(snap, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.good());
-    const std::uint8_t v1[4] = {0x51, 0x50, 0x49, 0x56};  // 0x56495051
-    f.write(reinterpret_cast<const char*>(v1), sizeof(v1));
+  std::set<std::uint64_t> want;
+  for (std::uint64_t id = 1; id <= 64; ++id) {
+    if (id != 5) want.insert(id);
   }
-  EXPECT_FALSE(IvfPqIndex::Load(snap).ok());
 
+  ro.collection.index_factory = [] {
+    IvfOptions o;
+    o.nlist = 4;
+    o.default_nprobe = 4;
+    return std::make_unique<IvfFlatIndex>(o);
+  };
+  {
+    RecoveryReport report;
+    auto mgr = RecoveryManager::Open(ro, &report);
+    ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+    const Collection& c = (*mgr)->collection();
+    EXPECT_EQ(report.rows_rebuilt, 63u);
+    EXPECT_EQ(c.SegmentCount(), 1u);
+    EXPECT_EQ(c.UnindexedRows(), 0u);
+    EXPECT_EQ(RecoveredLiveIds(c), want);
+    std::vector<Neighbor> hit;
+    ASSERT_TRUE(c.Knn(VecOf(17), 1, &hit).ok());
+    ASSERT_EQ(hit.size(), 1u);
+    EXPECT_EQ(hit[0].id, 17u);
+  }
+
+  ro.collection.index_factory = nullptr;
+  {
+    RecoveryReport report;
+    auto mgr = RecoveryManager::Open(ro, &report);
+    ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+    const Collection& c = (*mgr)->collection();
+    EXPECT_EQ(report.rows_rebuilt, 0u);
+    EXPECT_EQ(c.SegmentCount(), 0u);
+    EXPECT_EQ(c.UnindexedRows(), 63u);
+    EXPECT_EQ(RecoveredLiveIds(c), want);
+  }
+
+  // A rebuild that fails is reported as itself: the checkpoint's bytes
+  // are sound, so no generation is discarded for it.
+  ro.collection.index_factory = [] { return std::unique_ptr<VectorIndex>(); };
+  auto failed = RecoveryManager::Open(ro);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal)
+      << failed.status().ToString();
+  RemoveTree(dir);
+}
+
+// A directory written before the checkpoint held the segment list
+// (format1_dir_fixture.h) opens: its rows all come back and are indexed
+// by a rebuild, and the next checkpoint writes the segment list, which
+// the open after it loads without one.
+TEST(RecoveryTest, Format1DirectoryOpensThroughRebuild) {
+  std::string dir = TempPath("format1");
+  RemoveTree(dir);
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  for (const fixtures::DirFile& f : fixtures::kFormat1Dir) {
+    std::ofstream(dir + "/" + f.name, std::ios::binary)
+        .write(reinterpret_cast<const char*>(f.bytes.data()),
+               static_cast<std::streamsize>(f.bytes.size()));
+  }
+  RecoveryOptions ro;
+  ro.dir = dir;
+  ro.collection.dim = kDim;
+  ro.collection.attributes = {{"seq", AttrType::kInt64}};
+  ro.collection.index_factory = [] {
+    HnswOptions h;
+    h.m = 4;
+    h.ef_construction = 16;
+    return std::make_unique<HnswIndex>(h);
+  };
+  std::set<std::uint64_t> want = {200};
+  for (std::uint64_t id = 100; id < 116; ++id) {
+    if (id != 103 && id != 105) want.insert(id);
+  }
+  const std::vector<float> added = {0.5f, -0.25f, 0.75f, 1.0f};
+  {
+    RecoveryReport report;
+    auto mgr = RecoveryManager::Open(ro, &report);
+    ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+    Collection& c = (*mgr)->collection();
+    EXPECT_EQ(report.generation, 2u);
+    EXPECT_EQ(report.wal_records_replayed, 2u);
+    EXPECT_EQ(report.rows_rebuilt, want.size());
+    EXPECT_EQ(c.SegmentCount(), 1u);
+    EXPECT_EQ(RecoveredLiveIds(c), want);
+    std::vector<Neighbor> hit;
+    ASSERT_TRUE(c.Knn(added, 1, &hit).ok());
+    ASSERT_EQ(hit.size(), 1u);
+    EXPECT_EQ(hit[0].id, 200u);
+    EXPECT_EQ(hit[0].dist, 0.0f);
+    auto seq = c.attributes().Get(200, "seq");
+    ASSERT_TRUE(seq.ok());
+    EXPECT_EQ(std::get<std::int64_t>(*seq), 16);
+    ASSERT_TRUE((*mgr)->Checkpoint().ok());
+  }
   RecoveryReport report;
   auto mgr = RecoveryManager::Open(ro, &report);
   ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
-  EXPECT_FALSE(report.index_loaded_from_snapshot);
-  EXPECT_TRUE(report.index_rebuilt);
-  std::vector<Neighbor> hit;
-  ASSERT_TRUE((*mgr)->collection().Knn(VecOf(17), 1, &hit).ok());
-  ASSERT_EQ(hit.size(), 1u);
-  EXPECT_EQ(hit[0].id, 17u);
+  EXPECT_EQ(report.generation, 3u);
+  EXPECT_EQ(report.rows_rebuilt, 0u);
+  EXPECT_EQ(RecoveredLiveIds((*mgr)->collection()), want);
   RemoveTree(dir);
 }
 

@@ -307,6 +307,96 @@ TEST(CollectionTest, MultiVectorEntities) {
   EXPECT_EQ(c.Size(), 49u);
 }
 
+// An entity whose members crowd the top rows must not hide the others:
+// Knn and CkSearch keep fetching rows until k entities come back, and
+// RangeSearch names each entity once.
+TEST(CollectionTest, KnnFillsKEntitiesPastCrowdingMembers) {
+  auto collection = Collection::Create(BaseOptions());
+  ASSERT_TRUE(collection.ok());
+  auto& c = **collection;
+  const std::vector<float> query(8, 1.0f);
+  FloatMatrix near(0, 8);
+  for (int i = 0; i < 10; ++i) {
+    std::vector<float> v = query;
+    v[0] += 0.01f * static_cast<float>(i);
+    near.AppendRow(v.data(), 8);
+  }
+  ASSERT_TRUE(c.InsertEntity(1, near).ok());
+  FloatMatrix far(1, 8);
+  for (std::size_t j = 0; j < 8; ++j) far.at(0, j) = 50.0f;
+  ASSERT_TRUE(c.InsertEntity(2, far).ok());
+  for (bool built : {false, true}) {
+    SCOPED_TRACE(built ? "built" : "growing");
+    if (built) {
+      ASSERT_TRUE(c.BuildIndex().ok());
+    }
+    std::vector<Neighbor> out;
+    ASSERT_TRUE(c.Knn(query, 2, &out).ok());
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].id, 1u);
+    EXPECT_EQ(out[1].id, 2u);
+    auto ck = c.CkSearch(query, 1.0, 2);
+    ASSERT_TRUE(ck.ok());
+    EXPECT_TRUE(ck->satisfied);
+    ASSERT_EQ(ck->neighbors.size(), 2u);
+    EXPECT_EQ(ck->neighbors[1].id, 2u);
+    // Range search too names each entity once, at its best member.
+    ASSERT_TRUE(c.RangeSearch(query, 1e9f, &out).ok());
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].id, 1u);
+    EXPECT_EQ(out[0].dist, 0.0f);
+    EXPECT_EQ(out[1].id, 2u);
+  }
+}
+
+// The entity over-fetch grows from 4k; a k so large that 4k wraps must
+// still end with every entity, not spin on an empty fetch.
+TEST(CollectionTest, HugeKOnEntitiesReturnsEveryEntity) {
+  auto collection = Collection::Create(BaseOptions());
+  ASSERT_TRUE(collection.ok());
+  auto& c = **collection;
+  for (VectorId e = 1; e <= 3; ++e) {
+    FloatMatrix members(0, 8);
+    for (int i = 0; i < 3; ++i) {
+      std::vector<float> v(8, static_cast<float>(e));
+      v[1] += 0.1f * static_cast<float>(i);
+      members.AppendRow(v.data(), 8);
+    }
+    ASSERT_TRUE(c.InsertEntity(e, members).ok());
+  }
+  const std::vector<float> query(8, 0.0f);
+  for (std::size_t k : {std::size_t{1} << 62, std::size_t{1} << 63,
+                        std::size_t{3} << 62}) {
+    SCOPED_TRACE(k);
+    std::vector<Neighbor> out;
+    ASSERT_TRUE(c.Knn(query, k, &out).ok());
+    EXPECT_EQ(out.size(), 3u);
+    auto ck = c.CkSearch(query, 1.0, k);
+    ASSERT_TRUE(ck.ok());
+    EXPECT_EQ(ck->neighbors.size(), 3u);
+  }
+}
+
+// Range search sorts hits by distance, so one entity's member hits can
+// sit on both sides of another entity's: it must still name each once.
+TEST(CollectionTest, RangeSearchNamesInterleavedEntityOnce) {
+  auto collection = Collection::Create(BaseOptions());
+  ASSERT_TRUE(collection.ok());
+  auto& c = **collection;
+  const std::vector<float> query(8, 0.0f);
+  FloatMatrix a(2, 8), b(1, 8);
+  a.at(0, 0) = 1.0f;  // distances 1 and 9 (squared L2)
+  a.at(1, 0) = 3.0f;
+  b.at(0, 0) = 2.0f;  // distance 4
+  ASSERT_TRUE(c.InsertEntity(1, a).ok());
+  ASSERT_TRUE(c.InsertEntity(2, b).ok());
+  std::vector<Neighbor> out;
+  ASSERT_TRUE(c.RangeSearch(query, 100.0f, &out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].id, 1u);
+  EXPECT_EQ(out[1].id, 2u);
+}
+
 TEST(CollectionTest, WalRecoveryRoundTrip) {
   std::string wal = TempPath("wal");
   FloatMatrix data = TestData(50, 8);

@@ -1,15 +1,19 @@
 // Randomized model-checking ("fuzz") tests for the durability- and
 // correctness-critical substrates: WAL corruption robustness, PagedFile
 // vs an in-memory model, Bitset vs std::vector<bool>, random predicate
-// trees vs a row-wise oracle, the SQL parser on mutated inputs, and the
-// wire-protocol decoder on mutated and random frames.
+// trees vs a row-wise oracle, the SQL parser on mutated inputs, the
+// wire-protocol decoder on mutated and random frames, and the checkpoint
+// decoder on damaged segment sections.
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <list>
 #include <map>
 #include <set>
@@ -20,8 +24,13 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "db/collection.h"
 #include "db/query_language.h"
 #include "exec/predicate.h"
+#include "index/flat.h"
+#include "index/hnsw.h"
+#include "index/ivf.h"
+#include "index/ivf_pq.h"
 #include "net/protocol.h"
 #include "storage/attribute_store.h"
 #include "storage/paged_file.h"
@@ -527,6 +536,333 @@ TEST(ProtocolFuzzTest, MutatedFramesDecodeConsistentlyOrNotAtAll) {
   EXPECT_GT(n.requests, 1000u);
   EXPECT_GT(n.responses, 1000u);
   EXPECT_GT(n.too_large, 100u);
+}
+
+// ----------------------------------------------------------- checkpoint
+
+/// One way to damage a checkpoint: a field of its segment section and
+/// where it sits, as the test's own walk of the section found it.
+struct Field {
+  enum Kind {
+    kCount, kHasKey, kKey, kMagic, kBlockLen, kRows, kLabels, kDeleted
+  };
+  Kind kind;
+  std::size_t at;
+};
+
+/// The segment section of checkpoint bytes: the fields and the structure
+/// blocks (start, length).
+struct Section {
+  std::vector<Field> fields;
+  std::vector<std::pair<std::size_t, std::size_t>> blocks;
+  std::vector<std::size_t> labels;   ///< offsets of label values
+  std::vector<std::size_t> deleted;  ///< offsets of tombstone rows
+};
+
+std::uint64_t GetU64(const std::vector<std::uint8_t>& b, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= std::uint64_t{b[at + i]} << (8 * i);
+  return v;
+}
+
+void PutU64(std::vector<std::uint8_t>* b, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) (*b)[at + i] = std::uint8_t(v >> (8 * i));
+}
+
+/// Walks the segment section from `at`, its segment count, to the CRC;
+/// false when the bytes there are not one.
+bool WalkFrom(const std::vector<std::uint8_t>& b, std::size_t at,
+              Section* s) {
+  const std::size_t end = b.size() - 4;
+  // Reads the u64 at `at + skip` into `*v`, if it fits before the CRC.
+  auto u64 = [&](std::size_t skip, std::uint64_t* v) {
+    if (at + skip + 8 > end) return false;
+    *v = GetU64(b, at + skip);
+    return true;
+  };
+  std::uint64_t count = 0;
+  if (!u64(0, &count) || count > end) return false;
+  s->fields.push_back({Field::kCount, at});
+  at += 8;
+  for (std::uint64_t seg = 0; seg < count; ++seg) {
+    s->fields.push_back({Field::kHasKey, at});
+    s->fields.push_back({Field::kKey, at + 1});
+    s->fields.push_back({Field::kMagic, at + 9});
+    at += 13;
+    std::uint64_t len = 0, rows = 0, cols = 0, labels = 0, deleted = 0;
+    if (!u64(0, &len) || len > end - at) return false;
+    s->fields.push_back({Field::kBlockLen, at});
+    s->blocks.emplace_back(at + 8, len);
+    at += 8 + len;
+    if (!u64(0, &rows) || !u64(8, &cols) || cols > end ||
+        (cols > 0 && rows > end / cols)) {
+      return false;
+    }
+    s->fields.push_back({Field::kRows, at});
+    at += 16 + rows * cols * 4;
+    if (!u64(0, &labels) || labels > end / 8) return false;
+    s->fields.push_back({Field::kLabels, at});
+    for (std::uint64_t i = 0; i < labels; ++i) {
+      s->labels.push_back(at + 8 + 8 * i);
+    }
+    at += 8 + 8 * labels;
+    if (!u64(0, &deleted) || deleted > end / 4) return false;
+    s->fields.push_back({Field::kDeleted, at});
+    for (std::uint64_t i = 0; i < deleted; ++i) {
+      s->deleted.push_back(at + 8 + 4 * i);
+    }
+    at += 8 + 4 * deleted;
+  }
+  return at == end;
+}
+
+/// The segment section follows the 8 bytes of `next_internal_id`: the
+/// first place holding that value from which a walk ends at the CRC.
+Section WalkSegments(const std::vector<std::uint8_t>& b,
+                     std::uint64_t next_internal_id) {
+  for (std::size_t at = 4; at + 12 <= b.size(); ++at) {
+    Section s;
+    if (GetU64(b, at) == next_internal_id && WalkFrom(b, at + 8, &s)) {
+      return s;
+    }
+  }
+  ADD_FAILURE() << "no segment section found";
+  return {};
+}
+
+/// Checks what `c` answers: every live row once (into `live`), and Knn
+/// results that are unique live ids in non-decreasing distance order.
+void CheckAnswers(const Collection& c, Rng* rng, std::set<VectorId>* live) {
+  const std::size_t dim = c.dim();
+  std::vector<float> origin(dim, 0.0f);
+  std::vector<Neighbor> all;
+  ASSERT_TRUE(
+      c.RangeSearch(origin, std::numeric_limits<float>::max(), &all).ok());
+  live->clear();
+  for (const Neighbor& nb : all) {
+    ASSERT_TRUE(live->insert(nb.id).second) << "row " << nb.id << " twice";
+  }
+  for (int qi = 0; qi < 3; ++qi) {
+    std::vector<float> q(dim);
+    for (float& x : q) x = rng->NextGaussian();
+    std::vector<Neighbor> got;
+    ASSERT_TRUE(c.Knn(q, 10, &got).ok());
+    std::set<VectorId> seen;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(live->contains(got[i].id)) << "dead id " << got[i].id;
+      EXPECT_TRUE(seen.insert(got[i].id).second) << "id twice";
+      if (i > 0) {
+        EXPECT_LE(got[i - 1].dist, got[i].dist);
+      }
+    }
+  }
+}
+
+/// CheckAnswers on a restored collection, before and after an insert and
+/// a delete (which reach a loaded structure's Add and Remove).
+void CheckRestored(Collection* c, Rng* rng) {
+  std::set<VectorId> live;
+  ASSERT_NO_FATAL_FAILURE(CheckAnswers(*c, rng, &live));
+  std::vector<float> v(c->dim());
+  for (float& x : v) x = rng->NextGaussian();
+  ASSERT_TRUE(c->Insert(5000, v, {}).ok());
+  if (!live.empty()) {
+    ASSERT_TRUE(c->Delete(*live.begin()).ok());
+  }
+  ASSERT_NO_FATAL_FAILURE(CheckAnswers(*c, rng, &live));
+}
+
+// Damaged checkpoints whose CRC is made to fit again, so only the decoder
+// stands between them and the collection: segment counts, keys, codec
+// magics, row and label counts, block lengths, labels, tombstones and
+// structure bytes.
+// Each restores into a collection whose answers hold together, or fails
+// with a Status.
+TEST(CheckpointFuzzTest, DamagedSegmentsRestoreConsistentlyOrNotAtAll) {
+  constexpr std::size_t kDim = 4;
+  struct Base {
+    std::string label;
+    IndexFactory factory;
+    std::size_t memtable_limit = 0;
+    bool partitioned = false;
+    bool entities = false;
+  };
+  const std::vector<Base> bases = {
+      {"hnsw",
+       [] {
+         HnswOptions o;
+         o.m = 4;
+         o.ef_construction = 16;
+         return std::make_unique<HnswIndex>(o);
+       }},
+      {"ivf_flat_partitioned",
+       [] {
+         IvfOptions o;
+         o.nlist = 2;
+         return std::make_unique<IvfFlatIndex>(o);
+       },
+       0, true},
+      {"ivf_pq_flush",
+       [] {
+         IvfPqOptions o;
+         o.ivf.nlist = 2;
+         o.pq.m = 2;
+         o.pq.nbits = 2;
+         return std::make_unique<IvfPqIndex>(o);
+       },
+       24},
+      {"flat_entities", [] { return std::make_unique<FlatIndex>(); }, 0,
+       false, true},
+  };
+  Rng rng(4242);
+  std::size_t restored = 0;
+  std::size_t rejected = 0;
+  for (const Base& base : bases) {
+    SCOPED_TRACE(base.label);
+    CollectionOptions o;
+    o.dim = kDim;
+    o.attributes = {{"cat", AttrType::kInt64}};
+    o.index_factory = base.factory;
+    o.lsm_memtable_limit = base.memtable_limit;
+    o.lsm_compact_at_segments = 100;
+    if (base.partitioned) o.partition_column = "cat";
+    auto made = Collection::Create(o);
+    ASSERT_TRUE(made.ok());
+    Collection& c = **made;
+    auto vec = [&] {
+      std::vector<float> v(kDim);
+      for (float& x : v) x = rng.NextGaussian();
+      return v;
+    };
+    for (VectorId id = 0; id < 80; ++id) {
+      ASSERT_TRUE(c.Insert(id, vec(),
+                           {{"cat", AttrValue{std::int64_t(id % 3)}}})
+                      .ok());
+    }
+    std::uint64_t next_internal_id = VectorId{1} << 62;
+    if (base.entities) {
+      for (VectorId e = 100; e < 104; ++e) {
+        FloatMatrix members(0, kDim);
+        for (int m = 0; m < 3; ++m) members.AppendRow(vec().data(), kDim);
+        ASSERT_TRUE(c.InsertEntity(e, members).ok());
+        next_internal_id += 3;
+      }
+    }
+    if (base.memtable_limit == 0) {
+      ASSERT_TRUE(c.BuildIndex().ok());
+    }
+    // Tombstones, a re-add and growing or in-place rows on top.
+    for (VectorId id : {3, 17, 40}) ASSERT_TRUE(c.Delete(id).ok());
+    ASSERT_TRUE(c.Insert(17, vec(), {{"cat", AttrValue{std::int64_t{2}}}}).ok());
+    for (VectorId id = 80; id < 86; ++id) {
+      ASSERT_TRUE(c.Insert(id, vec(), {{"cat", AttrValue{std::int64_t{1}}}})
+                      .ok());
+    }
+    ASSERT_GT(c.SegmentCount(), 0u);
+
+    const std::string path = TempPath("checkpoint_" + base.label);
+    ASSERT_TRUE(c.Checkpoint(path).ok());
+    std::vector<std::uint8_t> original;
+    {
+      std::ifstream in(path, std::ios::binary);
+      original.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const Section section = WalkSegments(original, next_internal_id);
+    ASSERT_FALSE(HasFailure());
+    ASSERT_FALSE(section.blocks.empty());
+
+    for (int trial = 0; trial < 1000; ++trial) {
+      std::vector<std::uint8_t> b = original;
+      for (std::size_t m = 0, nm = 1 + rng.Next(2); m < nm; ++m) {
+        switch (rng.Next(5)) {
+          case 0: {  // a count, key or length field
+            const Field& f = section.fields[rng.Next(section.fields.size())];
+            if (f.kind == Field::kHasKey) {
+              b[f.at] ^= 1;
+              break;
+            }
+            if (f.kind == Field::kMagic) {  // another family's, or none
+              b[f.at + rng.Next(4)] ^= std::uint8_t(1u << rng.Next(8));
+              break;
+            }
+            const std::uint64_t was = GetU64(b, f.at);
+            const std::uint64_t deltas[] = {1, 2, ~std::uint64_t{0},
+                                            ~std::uint64_t{1}};
+            PutU64(&b, f.at,
+                   rng.Next(4) == 0 ? rng.Next(1u << 30) << rng.Next(34)
+                                    : was + deltas[rng.Next(4)]);
+            break;
+          }
+          case 1: {  // structure bytes
+            const auto [start, len] =
+                section.blocks[rng.Next(section.blocks.size())];
+            if (len == 0) break;
+            for (std::size_t f = 0, nf = 1 + rng.Next(3); f < nf; ++f) {
+              b[start + rng.Next(len)] ^= std::uint8_t(1u << rng.Next(8));
+            }
+            break;
+          }
+          case 2: {  // a small integer over structure bytes
+            const auto [start, len] =
+                section.blocks[rng.Next(section.blocks.size())];
+            if (len < 4) break;
+            const std::size_t at = start + rng.Next(len - 3);
+            const std::uint32_t v = static_cast<std::uint32_t>(rng.Next(200));
+            for (int i = 0; i < 4; ++i) b[at + i] = std::uint8_t(v >> (8 * i));
+            break;
+          }
+          case 3: {  // a label: another row's, or a fresh one
+            if (section.labels.empty()) break;
+            const std::size_t at =
+                section.labels[rng.Next(section.labels.size())];
+            PutU64(&b, at,
+                   rng.Next(2) == 0
+                       ? GetU64(b, section.labels[rng.Next(
+                                       section.labels.size())])
+                       : rng.Next(200));
+            break;
+          }
+          case 4: {  // a tombstone row
+            if (section.deleted.empty()) break;
+            const std::size_t at =
+                section.deleted[rng.Next(section.deleted.size())];
+            const std::uint32_t v = static_cast<std::uint32_t>(rng.Next(120));
+            for (int i = 0; i < 4; ++i) b[at + i] = std::uint8_t(v >> (8 * i));
+            break;
+          }
+        }
+      }
+      const std::uint32_t crc = Wal::Crc32(b.data() + 4, b.size() - 8);
+      for (int i = 0; i < 4; ++i) {
+        b[b.size() - 4 + i] = std::uint8_t(crc >> (8 * i));
+      }
+      const std::string damaged = path + "_damaged";
+      std::ofstream(damaged, std::ios::binary | std::ios::trunc)
+          .write(reinterpret_cast<const char*>(b.data()),
+                 static_cast<std::streamsize>(b.size()));
+      // Mostly the same family, so its structure decoder runs; sometimes
+      // Flat, which skips the structure and rebuilds from the rows.
+      CollectionOptions ro = o;
+      if (rng.Next(4) == 0) {
+        ro.index_factory = [] { return std::make_unique<FlatIndex>(); };
+      }
+      auto r = Collection::Restore(ro, damaged);
+      if (!r.ok()) {
+        ++rejected;
+        continue;
+      }
+      ++restored;
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      ASSERT_NO_FATAL_FAILURE(CheckRestored(r->get(), &rng));
+    }
+    ::unlink(path.c_str());
+    ::unlink((path + "_damaged").c_str());
+  }
+  // Non-vacuous: damage is both caught and, where harmless, absorbed.
+  std::printf("checkpoint fuzz: %zu restored, %zu rejected\n", restored,
+              rejected);
+  EXPECT_GT(rejected, 800u);
+  EXPECT_GT(restored, 400u);
 }
 
 }  // namespace
