@@ -11,12 +11,10 @@
 #include "db/distributed.h"
 #include "index/hnsw.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vdb;
   bench::Header("E9", "distributed scatter-gather (n=64000 d=32, HNSW "
                       "shards, 100 queries)");
-  std::string json_path = bench::JsonPathFromArgs(argc, argv);
-  bench::JsonReport report("E9-distributed");
   auto w = bench::MakeWorkload(64000, 32, 100, 10, 42, 64);
 
   CollectionOptions per_shard;
@@ -31,21 +29,6 @@ int main(int argc, char** argv) {
   bench::Row("%-14s %7s %9s %11s  %9s %9s %9s %9s %10s", "policy", "shards",
              "probed", "recall@10", "mean us", "p50 us", "p95 us", "p99 us",
              "speedup");
-  auto add_row = [&](const char* policy, std::size_t shards,
-                     std::size_t probed, double recall,
-                     const bench::LatencySummary& lat, double speedup) {
-    if (json_path.empty()) return;
-    report.BeginRow();
-    report.Field("policy", std::string(policy));
-    report.Field("shards", double(shards));
-    report.Field("probed", double(probed));
-    report.Field("recall_at_10", recall);
-    report.Field("lat_us_mean", lat.mean);
-    report.Field("lat_us_p50", lat.p50);
-    report.Field("lat_us_p95", lat.p95);
-    report.Field("lat_us_p99", lat.p99);
-    if (speedup > 0) report.Field("speedup", speedup);
-  };
   double base_us = 0;
   for (std::size_t shards : {1, 2, 4, 8}) {
     ShardedOptions opts;
@@ -69,7 +52,6 @@ int main(int argc, char** argv) {
     bench::Row("%-14s %7zu %9zu %11.3f  %9.1f %9.1f %9.1f %9.1f %9.2fx",
                "hash", shards, shards, recall, lat.mean, lat.p50, lat.p95,
                lat.p99, base_us / lat.mean);
-    add_row("hash", shards, shards, recall, lat, base_us / lat.mean);
   }
 
   // Index-guided: probe only the nearest m of 8 shards.
@@ -98,9 +80,7 @@ int main(int argc, char** argv) {
       bench::Row("%-14s %7d %9zu %11.3f  %9.1f %9.1f %9.1f %9.1f %10s",
                  "index-guided", 8, probe, recall, lat.mean, lat.p50,
                  lat.p95, lat.p99, "-");
-      add_row("index-guided", 8, probe, recall, lat, 0);
     }
   }
-  if (!json_path.empty() && !report.WriteTo(json_path)) return 1;
   return 0;
 }

@@ -4,50 +4,15 @@
 // middle; LSH/tree methods trail at the same recall; brute force anchors
 // the exact end. Each index sweeps its own accuracy knob and reports
 // (recall@10, QPS, distance computations) — the ANN-Benchmarks series.
+// The families and knobs live in bench/e1_families.h; tests/claims_test.cc
+// gates the recall and distance-count columns.
 
-#include <unistd.h>
-
-#include <functional>
-#include <memory>
-
-#include "bench/bench_util.h"
-#include "index/diskann.h"
-#include "index/flat.h"
-#include "index/hnsw.h"
-#include "index/ivf.h"
-#include "index/ivf_pq.h"
-#include "index/kd_tree.h"
-#include "index/knn_graph.h"
-#include "index/lsh.h"
-#include "index/fanng.h"
-#include "index/nsw.h"
-#include "index/pca_tree.h"
-#include "index/rp_forest.h"
-#include "index/spectral_hash.h"
-#include "index/vamana.h"
+#include "bench/e1_families.h"
 
 namespace vdb {
 namespace {
 
-struct Sweep {
-  std::string name;
-  std::function<std::unique_ptr<VectorIndex>()> make;
-  /// (knob label, params) pairs, cheap to expensive.
-  std::vector<std::pair<std::string, SearchParams>> points;
-};
-
-SearchParams P(int ef, int nprobe, int leaves, int probes) {
-  SearchParams p;
-  p.k = 10;
-  p.ef = ef;
-  p.nprobe = nprobe;
-  p.max_leaf_visits = leaves;
-  p.lsh_probes = probes;
-  return p;
-}
-
-void RunSweep(const bench::Workload& w, const Sweep& sweep,
-              bench::JsonReport* report) {
+void RunSweep(const bench::Workload& w, const bench::Sweep& sweep) {
   auto index = sweep.make();
   double build_s = bench::Seconds(
       [&] { (void)index->Build(w.data, {}); });
@@ -73,163 +38,17 @@ void RunSweep(const bench::Workload& w, const Sweep& sweep,
                double(stats.distance_comps + stats.code_comps) /
                    double(w.queries.rows()),
                build_s);
-    if (report != nullptr) {
-      report->BeginRow();
-      report->Field("index", sweep.name);
-      report->Field("knob", label);
-      report->Field("recall_at_10", recall);
-      report->Field("qps", qps);
-      report->Field("lat_us_mean", lat.mean);
-      report->Field("lat_us_p50", lat.p50);
-      report->Field("lat_us_p95", lat.p95);
-      report->Field("lat_us_p99", lat.p99);
-      report->Field("ndis_per_query",
-                    double(stats.distance_comps + stats.code_comps) /
-                        double(w.queries.rows()));
-      report->Field("build_seconds", build_s);
-    }
   }
 }
 
 }  // namespace
 }  // namespace vdb
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vdb;
   bench::Header("E1", "recall vs QPS across index families "
                       "(n=20000 d=64 k=10, Gaussian clusters)");
-  std::string json_path = bench::JsonPathFromArgs(argc, argv);
-  bench::JsonReport report("E1-recall-qps");
-  auto w = bench::MakeWorkload(20000, 64, 100, 10);
-
-  std::vector<Sweep> sweeps;
-  sweeps.push_back({"flat",
-                    [] { return std::make_unique<FlatIndex>(); },
-                    {{"exact", P(-1, -1, -1, -1)}}});
-  {
-    LshOptions o;
-    o.num_tables = 10;
-    o.hashes_per_table = 10;
-    o.bucket_width = 3.0f;
-    sweeps.push_back({"lsh-e2",
-                      [o] { return std::make_unique<LshIndex>(o); },
-                      {{"probes=0", P(-1, -1, -1, 0)},
-                       {"probes=4", P(-1, -1, -1, 4)},
-                       {"probes=16", P(-1, -1, -1, 16)}}});
-  }
-  {
-    IvfOptions o;
-    o.nlist = 128;
-    sweeps.push_back({"ivf-flat",
-                      [o] { return std::make_unique<IvfFlatIndex>(o); },
-                      {{"nprobe=1", P(-1, 1, -1, -1)},
-                       {"nprobe=4", P(-1, 4, -1, -1)},
-                       {"nprobe=16", P(-1, 16, -1, -1)},
-                       {"nprobe=64", P(-1, 64, -1, -1)}}});
-  }
-  {
-    IvfPqOptions o;
-    o.ivf.nlist = 128;
-    o.pq.m = 8;
-    sweeps.push_back({"ivf-pq",
-                      [o] { return std::make_unique<IvfPqIndex>(o); },
-                      {{"nprobe=4", P(-1, 4, -1, -1)},
-                       {"nprobe=16", P(-1, 16, -1, -1)},
-                       {"nprobe=64", P(-1, 64, -1, -1)}}});
-  }
-  {
-    KdTreeOptions o;
-    sweeps.push_back({"kd-tree",
-                      [o] { return std::make_unique<KdTreeIndex>(o); },
-                      {{"leaves=8", P(-1, -1, 8, -1)},
-                       {"leaves=64", P(-1, -1, 64, -1)},
-                       {"leaves=256", P(-1, -1, 256, -1)}}});
-  }
-  {
-    RpForestOptions o;
-    o.num_trees = 12;
-    sweeps.push_back({"rp-forest",
-                      [o] { return std::make_unique<RpForestIndex>(o); },
-                      {{"leaves=16", P(-1, -1, 16, -1)},
-                       {"leaves=64", P(-1, -1, 64, -1)},
-                       {"leaves=256", P(-1, -1, 256, -1)}}});
-  }
-  {
-    PcaTreeOptions o;
-    sweeps.push_back({"pca-tree",
-                      [o] { return std::make_unique<PcaTreeIndex>(o); },
-                      {{"leaves=8", P(-1, -1, 8, -1)},
-                       {"leaves=64", P(-1, -1, 64, -1)},
-                       {"leaves=256", P(-1, -1, 256, -1)}}});
-  }
-  {
-    KnnGraphOptions o;
-    o.graph_degree = 16;
-    sweeps.push_back({"kgraph",
-                      [o] { return std::make_unique<KnnGraphIndex>(o); },
-                      {{"ef=16", P(16, -1, -1, -1)},
-                       {"ef=64", P(64, -1, -1, -1)},
-                       {"ef=128", P(128, -1, -1, -1)}}});
-  }
-  {
-    NswOptions o;
-    sweeps.push_back({"nsw",
-                      [o] { return std::make_unique<NswIndex>(o); },
-                      {{"ef=16", P(16, -1, -1, -1)},
-                       {"ef=64", P(64, -1, -1, -1)},
-                       {"ef=128", P(128, -1, -1, -1)}}});
-  }
-  {
-    HnswOptions o;
-    sweeps.push_back({"hnsw",
-                      [o] { return std::make_unique<HnswIndex>(o); },
-                      {{"ef=16", P(16, -1, -1, -1)},
-                       {"ef=32", P(32, -1, -1, -1)},
-                       {"ef=64", P(64, -1, -1, -1)},
-                       {"ef=128", P(128, -1, -1, -1)}}});
-  }
-  {
-    VamanaOptions o;
-    sweeps.push_back({"vamana",
-                      [o] { return std::make_unique<VamanaIndex>(o); },
-                      {{"ef=16", P(16, -1, -1, -1)},
-                       {"ef=64", P(64, -1, -1, -1)},
-                       {"ef=128", P(128, -1, -1, -1)}}});
-  }
-  {
-    FanngOptions o;
-    sweeps.push_back({"fanng",
-                      [o] { return std::make_unique<FanngIndex>(o); },
-                      {{"ef=16", P(16, -1, -1, -1)},
-                       {"ef=64", P(64, -1, -1, -1)},
-                       {"ef=128", P(128, -1, -1, -1)}}});
-  }
-  {
-    // Disk-resident rows ride the same sweep so the E1 gate also tracks
-    // the batched-beam-I/O search path (cache off: honest page reads).
-    DiskAnnOptions o;
-    o.pq.m = 8;
-    std::string path =
-        "/tmp/vdb_bench_diskann_" + std::to_string(::getpid());
-    sweeps.push_back(
-        {"diskann",
-         [o, path] { return std::make_unique<DiskAnnIndex>(path, o); },
-         {{"ef=32", P(32, -1, -1, -1)},
-          {"ef=64", P(64, -1, -1, -1)},
-          {"ef=128", P(128, -1, -1, -1)}}});
-  }
-  {
-    SpectralHashOptions o;
-    o.bits = 48;
-    sweeps.push_back(
-        {"spectral",
-         [o] { return std::make_unique<SpectralHashIndex>(o); },
-         {{"bits=48", P(-1, -1, -1, -1)}}});
-  }
-
-  for (const auto& sweep : sweeps) {
-    RunSweep(w, sweep, json_path.empty() ? nullptr : &report);
-  }
-  if (!json_path.empty() && !report.WriteTo(json_path)) return 1;
+  auto w = bench::MakeE1Workload();
+  for (const auto& sweep : bench::E1Sweeps()) RunSweep(w, sweep);
   return 0;
 }

@@ -7,10 +7,8 @@
 // single-pair calls; PQ ADC table lookups beat full-precision distances
 // per candidate; Quick ADC scans 32 codes per register-resident LUT.
 //
-// Emits one row per (kernel, tier, shape) with an ns_per_call column so
-// `tools/bench_gate.py --field-pattern ns_per` can diff runs against the
-// committed BENCH_simd.json baseline. Tiers the CPU lacks are skipped
-// (their rows are absent; the gate treats missing rows as warnings).
+// Prints one row per (kernel, tier, shape) with its ns per call. Tiers
+// the CPU lacks are skipped.
 
 #include <cstdio>
 #include <functional>
@@ -55,17 +53,10 @@ double NsPerCall(const std::function<void()>& fn) {
   return secs * 1e9 / static_cast<double>(iters);
 }
 
-void Report(bench::JsonReport* report, const std::string& kernel,
-            const std::string& tier, const std::string& shape, double ns) {
+void Report(const std::string& kernel, const std::string& tier,
+            const std::string& shape, double ns) {
   bench::Row("%-22s %-8s %-10s ns/call=%9.2f", kernel.c_str(), tier.c_str(),
              shape.c_str(), ns);
-  if (report != nullptr) {
-    report->BeginRow();
-    report->Field("kernel", kernel);
-    report->Field("tier", tier);
-    report->Field("shape", shape);
-    report->Field("ns_per_call", ns);
-  }
 }
 
 struct Tier {
@@ -84,7 +75,7 @@ const std::vector<Tier>& Tiers() {
 
 // ------------------------------------------------------------ single pair
 
-void BenchSinglePair(bench::JsonReport* report) {
+void BenchSinglePair() {
   for (std::size_t dim : {std::size_t{16}, std::size_t{64}, std::size_t{256},
                           std::size_t{1024}}) {
     FloatMatrix m = MakeVectors(256, dim);
@@ -98,7 +89,7 @@ void BenchSinglePair(bench::JsonReport* report) {
     for (const Tier& t : Tiers()) {
       if (!t.available) continue;
       std::string tier = t.name;
-      Report(report, "l2sq", tier, "dim=" + std::to_string(dim),
+      Report("l2sq", tier, "dim=" + std::to_string(dim),
              NsPerCall([&, tier] {
                auto [a, b] = rotate();
                g_sink += tier == "scalar"   ? simd::L2SqScalar(a, b, dim)
@@ -106,7 +97,7 @@ void BenchSinglePair(bench::JsonReport* report) {
                                             : simd::L2SqAvx512(a, b, dim);
              }));
       if (dim == 64 || dim == 256) {
-        Report(report, "inner_product", tier, "dim=" + std::to_string(dim),
+        Report("inner_product", tier, "dim=" + std::to_string(dim),
                NsPerCall([&, tier] {
                  auto [a, b] = rotate();
                  g_sink +=
@@ -124,7 +115,7 @@ void BenchSinglePair(bench::JsonReport* report) {
 // ns_per_call here is per BATCH of 16 rows — compare against 16x the
 // single-pair row to see the amortization win.
 
-void BenchBatch(bench::JsonReport* report) {
+void BenchBatch() {
   const std::size_t kRows = 4096, kBatch = 16;
   for (std::size_t dim : {std::size_t{64}, std::size_t{256}}) {
     FloatMatrix base = MakeVectors(kRows, dim);
@@ -137,7 +128,7 @@ void BenchBatch(bench::JsonReport* report) {
     for (const Tier& t : Tiers()) {
       if (!t.available) continue;
       std::string tier = t.name;
-      Report(report, "l2sq_batch_gather", tier, shape, NsPerCall([&, tier] {
+      Report("l2sq_batch_gather", tier, shape, NsPerCall([&, tier] {
                const float* q = base.row(i % kRows);
                const std::uint32_t* id = ids.data() + (i * kBatch) % (kRows - kBatch);
                ++i;
@@ -156,7 +147,7 @@ void BenchBatch(bench::JsonReport* report) {
     }
     // Dispatched loop-of-singles vs the dispatched batch: the win the
     // graph hot path actually sees.
-    Report(report, "l2sq_single_loop", "dispatch", shape, NsPerCall([&] {
+    Report("l2sq_single_loop", "dispatch", shape, NsPerCall([&] {
              const float* q = base.row(i % kRows);
              const std::uint32_t* id = ids.data() + (i * kBatch) % (kRows - kBatch);
              ++i;
@@ -166,14 +157,14 @@ void BenchBatch(bench::JsonReport* report) {
              }
              g_sink += out[0] + out[kBatch - 1];
            }));
-    Report(report, "l2sq_batch_contig", "dispatch", shape, NsPerCall([&] {
+    Report("l2sq_batch_contig", "dispatch", shape, NsPerCall([&] {
              const float* q = base.row(i % (kRows - kBatch));
              ++i;
              simd::L2SqBatch(q, base.row((i * kBatch) % (kRows - kBatch)),
                              dim, kBatch, out);
              g_sink += out[0] + out[kBatch - 1];
            }));
-    Report(report, "ip_batch_gather", "dispatch", shape, NsPerCall([&] {
+    Report("ip_batch_gather", "dispatch", shape, NsPerCall([&] {
              const float* q = base.row(i % kRows);
              const std::uint32_t* id = ids.data() + (i * kBatch) % (kRows - kBatch);
              ++i;
@@ -186,7 +177,7 @@ void BenchBatch(bench::JsonReport* report) {
 
 // ------------------------------------------------------------------ ADC
 
-void BenchAdc(bench::JsonReport* report) {
+void BenchAdc() {
   for (std::size_t m : {std::size_t{8}, std::size_t{16}, std::size_t{32}}) {
     Rng rng(3);
     std::vector<float> tables(m * 256);
@@ -198,12 +189,12 @@ void BenchAdc(bench::JsonReport* report) {
     }
     std::size_t i = 0;
     std::string shape = "m=" + std::to_string(m);
-    Report(report, "adc_lookup", "scalar", shape, NsPerCall([&] {
+    Report("adc_lookup", "scalar", shape, NsPerCall([&] {
              g_sink += simd::AdcLookupScalar(tables.data(),
                                              codes[i++ % 1024].data(), m, 256);
            }));
     if (simd::HasAvx512() && m >= 16) {
-      Report(report, "adc_lookup", "avx512", shape, NsPerCall([&] {
+      Report("adc_lookup", "avx512", shape, NsPerCall([&] {
                g_sink += simd::AdcLookupAvx512(
                    tables.data(), codes[i++ % 1024].data(), m, 256);
              }));
@@ -212,7 +203,7 @@ void BenchAdc(bench::JsonReport* report) {
     // (dsub=8): the per-candidate cost ADC avoids.
     std::size_t dim = 8 * m;
     FloatMatrix data = MakeVectors(256, dim);
-    Report(report, "full_dist_same_dim", "dispatch", shape, NsPerCall([&] {
+    Report("full_dist_same_dim", "dispatch", shape, NsPerCall([&] {
              g_sink += simd::L2Sq(data.row(i % 255), data.row(i % 255 + 1),
                                   dim);
              ++i;
@@ -222,7 +213,7 @@ void BenchAdc(bench::JsonReport* report) {
 
 // Quick ADC (FastScan): 32 compressed candidates per call with the LUT
 // resident in SIMD registers — the register-shuffle technique of §2.3(1).
-void BenchQuickAdc(bench::JsonReport* report) {
+void BenchQuickAdc() {
   for (std::size_t m : {std::size_t{8}, std::size_t{16}, std::size_t{32}}) {
     Rng rng(5);
     std::vector<unsigned char> luts(m * 16), codes(m * 32);
@@ -233,7 +224,7 @@ void BenchQuickAdc(bench::JsonReport* report) {
     for (const Tier& t : Tiers()) {
       if (!t.available) continue;
       std::string tier = t.name;
-      Report(report, "quick_adc_block32", tier, shape, NsPerCall([&, tier] {
+      Report("quick_adc_block32", tier, shape, NsPerCall([&, tier] {
                if (tier == "scalar") {
                  simd::QuickAdcBlockScalar(luts.data(), codes.data(), m, out);
                } else if (tier == "avx2") {
@@ -250,21 +241,17 @@ void BenchQuickAdc(bench::JsonReport* report) {
 }  // namespace
 }  // namespace vdb
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vdb;
   bench::Header("E8", "SIMD kernel tiers: scalar vs AVX2 vs AVX-512, "
                       "single-pair vs batched, ADC vs full precision");
   std::printf("active tier: %s\n", simd::TierName(simd::ActiveTier()));
-  std::string json_path = bench::JsonPathFromArgs(argc, argv);
-  bench::JsonReport report("E8-simd");
-  bench::JsonReport* rp = json_path.empty() ? nullptr : &report;
 
-  BenchSinglePair(rp);
-  BenchBatch(rp);
-  BenchAdc(rp);
-  BenchQuickAdc(rp);
+  BenchSinglePair();
+  BenchBatch();
+  BenchAdc();
+  BenchQuickAdc();
 
   std::printf("(sink=%g)\n", g_sink);
-  if (!json_path.empty() && !report.WriteTo(json_path)) return 1;
   return 0;
 }

@@ -10,14 +10,10 @@
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/eval.h"
-#include "core/json.h"
 #include "core/synthetic.h"
 
 namespace vdb::bench {
@@ -104,93 +100,6 @@ inline LatencySummary Summarize(const std::vector<double>& samples) {
   s.p95 = Percentile(samples, 95);
   s.p99 = Percentile(samples, 99);
   return s;
-}
-
-// ------------------------------------------------- machine-readable output
-//
-// Every bench binary can emit its result table as JSON (`--json PATH`)
-// so BENCH_*.json perf trajectories accumulate across revisions and
-// `tools/bench_gate.py` can diff a fresh run against the committed
-// baseline.
-
-/// Bump when the report envelope changes shape; bench_gate refuses to
-/// compare reports across schema versions.
-inline constexpr int kBenchSchemaVersion = 1;
-
-/// Revision stamp for a report: the VDB_GIT_REV environment variable
-/// (CI sets it) wins over the compile-time VDB_GIT_REV macro (CMake
-/// bakes in `git rev-parse --short HEAD` at configure time); "unknown"
-/// when neither is available (e.g. a tarball build).
-inline std::string GitRev() {
-  if (const char* env = std::getenv("VDB_GIT_REV"); env && *env) return env;
-#ifdef VDB_GIT_REV
-  return VDB_GIT_REV;
-#else
-  return "unknown";
-#endif
-}
-
-/// Minimal row-oriented JSON writer:
-/// {"schema_version":1,"git_rev":"abc1234","bench":"E1",
-///  "rows":[{"k":v,...},...]}. Rows are built field by field; numeric
-/// and string values only, which covers bench tables; a non-finite
-/// number is written `null`, which bench_gate skips. String-valued
-/// fields double as the row identity bench_gate matches baseline rows
-/// by, so keep them stable across runs (configuration, not measurement).
-class JsonReport {
- public:
-  explicit JsonReport(std::string name) : name_(std::move(name)) {}
-
-  void BeginRow() { rows_.emplace_back(); }
-
-  void Field(const std::string& key, double value) {
-    rows_.back().emplace_back(key, json::Number(value));
-  }
-  void Field(const std::string& key, const std::string& value) {
-    rows_.back().emplace_back(key, json::Quote(value));
-  }
-
-  /// Serializes to `path`; returns false (with a stderr note) on failure.
-  bool WriteTo(const std::string& path) const {
-    std::string out = "{\"schema_version\":" +
-                      std::to_string(kBenchSchemaVersion) +
-                      ",\"git_rev\":" + json::Quote(GitRev()) +
-                      ",\"bench\":" + json::Quote(name_) + ",\"rows\":[";
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      if (r) out += ",";
-      out += "{";
-      for (std::size_t f = 0; f < rows_[r].size(); ++f) {
-        if (f) out += ",";
-        out += json::Quote(rows_[r][f].first) + ":" + rows_[r][f].second;
-      }
-      out += "}";
-    }
-    out += "]}\n";
-    std::FILE* fp = std::fopen(path.c_str(), "w");
-    if (fp == nullptr) {
-      std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-      return false;
-    }
-    std::fwrite(out.data(), 1, out.size(), fp);
-    std::fclose(fp);
-    return true;
-  }
-
- private:
-  std::string name_;
-  std::vector<std::vector<std::pair<std::string, std::string>>> rows_;
-};
-
-/// Extracts PATH from a `--json PATH` (or `--json=PATH`) argument; empty
-/// string when absent.
-inline std::string JsonPathFromArgs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      return argv[i + 1];
-    }
-    if (std::strncmp(argv[i], "--json=", 7) == 0) return argv[i] + 7;
-  }
-  return "";
 }
 
 }  // namespace vdb::bench

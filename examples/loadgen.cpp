@@ -11,15 +11,14 @@
 //   loadgen --port P [--host H]  drives an external server (vdbsh .serve)
 //
 // Knobs: --conns N (threads), --requests N (per thread), --tenants N,
-// --deadline-ms B (0 = none), --json PATH (machine-readable summary in
-// the bench JsonReport schema — CI tracks this as the BENCH_serving.json
-// artifact and tools/bench_gate.py diffs it against the committed
-// baseline), --trace (after the run, send one wire-traced query and
-// print the server-side span tree it returns).
+// --deadline-ms B (0 = none), --trace (after the run, send one
+// wire-traced query and print the server-side span tree it returns).
+// The repository benchmark is perfbench/, not this tool.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -27,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "core/synthetic.h"
 #include "core/telemetry.h"
 #include "db/database.h"
@@ -48,7 +46,6 @@ struct Options {
   std::size_t requests = 50;
   std::size_t tenants = 2;
   std::uint32_t deadline_ms = 1000;
-  std::string json_path;
   bool trace = false;
 };
 
@@ -153,13 +150,12 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--requests")) opts.requests = std::strtoul(next("--requests"), nullptr, 10);
     else if (!std::strcmp(argv[i], "--tenants")) opts.tenants = std::max<std::size_t>(1, std::strtoul(next("--tenants"), nullptr, 10));
     else if (!std::strcmp(argv[i], "--deadline-ms")) opts.deadline_ms = static_cast<std::uint32_t>(std::strtoul(next("--deadline-ms"), nullptr, 10));
-    else if (!std::strcmp(argv[i], "--json")) opts.json_path = next("--json");
     else if (!std::strcmp(argv[i], "--trace")) opts.trace = true;
     else {
       std::fprintf(stderr,
                    "usage: loadgen [--host H] [--port P] [--conns N] "
                    "[--requests N] [--tenants N] [--deadline-ms B] "
-                   "[--json PATH] [--trace]\n");
+                   "[--trace]\n");
       return 2;
     }
   }
@@ -269,41 +265,6 @@ int main(int argc, char** argv) {
     std::printf("drain %s in %.3fs (%zu aborted)\n",
                 drain.clean ? "clean" : "FORCED", drain.seconds,
                 drain.aborted_requests);
-  }
-
-  if (!opts.json_path.empty()) {
-    // Same JsonReport envelope + flat percentile fields as the E-series
-    // benches, so tools/bench_gate.py consumes BENCH_serving.json and
-    // BENCH_recall_qps.json uniformly.
-    bench::JsonReport report("serving");
-    report.BeginRow();
-    report.Field("workload", std::string("closed-loop"));
-    report.Field("conns", static_cast<double>(opts.conns));
-    report.Field("requests", static_cast<double>(opts.requests));
-    report.Field("ok", static_cast<double>(tally.ok));
-    report.Field("throttled", static_cast<double>(tally.throttled));
-    report.Field("queue_full", static_cast<double>(tally.queue_full));
-    report.Field("breaker_open", static_cast<double>(tally.breaker_open));
-    report.Field("draining", static_cast<double>(tally.draining));
-    report.Field("deadline_exceeded",
-                 static_cast<double>(tally.deadline_exceeded));
-    report.Field("query_errors", static_cast<double>(tally.query_errors));
-    report.Field("transport_errors",
-                 static_cast<double>(tally.transport_errors));
-    report.Field("elapsed_seconds", elapsed);
-    report.Field("qps", qps);
-    report.Field("lat_ms_p50", p50);
-    report.Field("lat_ms_p95", p95);
-    report.Field("lat_ms_p99", p99);
-    report.Field("retry_after_ms_max",
-                 static_cast<double>(tally.retry_after_ms_max));
-    if (drained) {
-      report.Field("drain_clean", drain.clean ? 1.0 : 0.0);
-      report.Field("drain_seconds", drain.seconds);
-      report.Field("drain_aborted", static_cast<double>(drain.aborted_requests));
-    }
-    if (!report.WriteTo(opts.json_path)) return 1;
-    std::printf("summary written to %s\n", opts.json_path.c_str());
   }
 
   // The smoke contract: every request got an explicit answer (admission

@@ -30,12 +30,8 @@ class BinaryWriter {
   explicit BinaryWriter(std::uint32_t magic) { U32(magic); }
 
   void U8(std::uint8_t v) { bytes_.push_back(v); }
-  void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) bytes_.push_back((v >> (8 * i)) & 0xff);
-  }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) bytes_.push_back((v >> (8 * i)) & 0xff);
-  }
+  void U32(std::uint32_t v) { LittleEndian(v, 4); }
+  void U64(std::uint64_t v) { LittleEndian(v, 8); }
   void F32(float v) {
     std::uint32_t bits;
     std::memcpy(&bits, &v, 4);
@@ -108,6 +104,15 @@ class BinaryWriter {
   }
 
  private:
+  /// Appends the low `n` bytes of `v`, least significant first. One
+  /// resize, then stores: GCC 12 misreads a run of byte `push_back`s into
+  /// a fresh vector as an overflow (-Wstringop-overflow).
+  void LittleEndian(std::uint64_t v, std::size_t n) {
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    for (std::size_t i = 0; i < n; ++i) bytes_[at + i] = (v >> (8 * i)) & 0xff;
+  }
+
   std::vector<std::uint8_t> bytes_;
 };
 
