@@ -3,32 +3,8 @@
 #include <cmath>
 
 #include "core/simd.h"
-#include "core/telemetry.h"
 
 namespace vdb {
-
-namespace {
-
-// Rows scored through the one-query-vs-many batch kernels, by tier; the
-// gauge exposes which dispatch tier the process selected (0 scalar,
-// 1 avx2, 2 avx512) so a fleet dashboard can spot hosts running narrow.
-Counter& BatchRowsCounter() {
-  static Counter& c =
-      Registry::Global().GetCounter("vdb_simd_batch_rows_total");
-  return c;
-}
-
-void PublishDispatchTier() {
-  static const bool once = [] {
-    Registry::Global()
-        .GetGauge("vdb_simd_dispatch_tier")
-        .Set(static_cast<std::int64_t>(simd::ActiveTier()));
-    return true;
-  }();
-  (void)once;
-}
-
-}  // namespace
 
 std::string MetricName(Metric metric) {
   switch (metric) {
@@ -82,8 +58,6 @@ void Scorer::DistanceBatch(const float* query, const float* base,
                            const std::uint32_t* ids, std::size_t n,
                            float* out) const {
   if (n == 0) return;
-  PublishDispatchTier();
-  BatchRowsCounter().Inc(n);
   switch (spec_.metric) {
     case Metric::kL2:
       simd::L2SqBatchGather(query, base, dim_, ids, n, out);

@@ -206,11 +206,9 @@ bool Failpoints::Fires(const char* name) {
   ++e.lifetime_triggers;
   // Fires are rare (fault injection only), so the per-name registry
   // lookup here is off any hot path.
-  auto& reg = Registry::Global();
-  static Counter& fired = reg.GetCounter("vdb_failpoints_fired_total");
-  fired.Inc();
-  reg.GetCounter("vdb_failpoint_fires_total{name=\"" + std::string(name) +
-                 "\"}")
+  Registry::Global()
+      .GetCounter("vdb_failpoint_fires_total{name=\"" + std::string(name) +
+                  "\"}")
       .Inc();
   return true;
 }

@@ -140,15 +140,6 @@ HistogramSnapshot Histogram::Snapshot() const {
   return snap;
 }
 
-void Histogram::Reset() {
-  for (auto& s : stripes_) {
-    for (std::size_t b = 0; b <= bounds_.size(); ++b) {
-      s.counts[b].store(0, std::memory_order_relaxed);
-    }
-    s.sum.store(0.0, std::memory_order_relaxed);
-  }
-}
-
 std::span<const double> Histogram::LatencyBoundsSeconds() {
   static const std::vector<double> bounds = [] {
     std::vector<double> b;
@@ -280,13 +271,6 @@ std::string Registry::RenderJson() const {
   }
   out += "}}";
   return out;
-}
-
-void Registry::Reset() {
-  MutexLock lock(mu_);
-  for (auto& [name, c] : counters_) c->Reset();
-  for (auto& [name, g] : gauges_) g->Reset();
-  for (auto& [name, h] : histograms_) h->Reset();
 }
 
 }  // namespace vdb

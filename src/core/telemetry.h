@@ -20,7 +20,7 @@ namespace vdb {
 /// per-query costs in the aggregate). Three metric kinds:
 ///
 ///   Counter   — monotonic event count (searches, fsyncs, failures)
-///   Gauge     — instantaneous level (breaker cooldown, armed failpoints)
+///   Gauge     — instantaneous level (queue depth, armed failpoints)
 ///   Histogram — fixed-bucket latency distribution with p50/p95/p99
 ///
 /// Hot-path cost model: every increment is a *relaxed atomic add* on a
@@ -40,17 +40,8 @@ inline constexpr std::size_t kTelemetryStripes = 16;
 /// This thread's stripe index in [0, kTelemetryStripes).
 std::size_t TelemetryStripe();
 
-/// Monotonic event counter.
-///
-/// Reset contract (shared with Histogram::Reset): Reset zeroes the
-/// stripes one relaxed store at a time, so it is *not* linearizable
-/// against concurrent Inc — an increment racing the sweep lands before
-/// or after the zeroing of its own stripe and is kept or dropped
-/// accordingly, and a concurrent Value() may observe a partial sweep.
-/// Reset is safe (no data race, never negative, never corrupt) but only
-/// *exact* when writers are quiesced; production code treats metrics as
-/// cumulative and derives rates from windowed deltas
-/// (core/telemetry_window.h) instead of resetting.
+/// Monotonic event counter. Metrics are cumulative and never reset:
+/// rates come from windowed deltas (core/telemetry_window.h).
 class Counter {
  public:
   void Inc(std::uint64_t n = 1) {
@@ -60,9 +51,6 @@ class Counter {
     std::uint64_t total = 0;
     for (const auto& s : stripes_) total += s.v.load(std::memory_order_relaxed);
     return total;
-  }
-  void Reset() {
-    for (auto& s : stripes_) s.v.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -78,7 +66,6 @@ class Gauge {
   void Set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
   void Add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
   std::int64_t Value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0); }
 
  private:
   std::atomic<std::int64_t> v_{0};
@@ -101,7 +88,7 @@ struct HistogramSnapshot {
 
   /// Per-bucket difference vs an `earlier` snapshot of the same
   /// histogram (the windowed-view primitive). Buckets where the earlier
-  /// count exceeds this one (a racing Reset) clamp to zero.
+  /// count exceeds this one (a baseline that is ahead) clamp to zero.
   HistogramSnapshot DeltaSince(const HistogramSnapshot& earlier) const;
 };
 
@@ -109,9 +96,6 @@ struct HistogramSnapshot {
 /// ascending order; one implicit +Inf bucket catches the overflow.
 /// Percentiles interpolate linearly inside the winning bucket, which is
 /// exact enough for tail-latency reporting at 2x-spaced bounds.
-///
-/// Reset shares the Counter::Reset contract: stripe-by-stripe relaxed
-/// zeroing, exact only when writers are quiesced.
 class Histogram {
  public:
   /// At most this many finite bucket edges.
@@ -134,8 +118,6 @@ class Histogram {
 
   /// One merged read of buckets + sum (see HistogramSnapshot).
   HistogramSnapshot Snapshot() const;
-
-  void Reset();
 
   /// Default latency edges: 1us doubling up to ~67s (27 finite buckets).
   static std::span<const double> LatencyBoundsSeconds();
@@ -185,10 +167,6 @@ class Registry {
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,
   ///  p50,p95,p99}}} — deterministic key order.
   std::string RenderJson() const;
-
-  /// Zeroes every registered metric (names and references survive).
-  /// Inherits the per-metric Reset contract: exact only when quiesced.
-  void Reset();
 
  private:
   // WindowedRegistry names mu_ in its acquired-before edge (§9.1:

@@ -105,7 +105,7 @@ WindowedRegistry::CounterWindow WindowedRegistry::CounterOver(
   std::uint64_t cur = it != live.counters.end() ? it->second : 0;
   auto bit = base.snap.counters.find(name);
   std::uint64_t prev = bit != base.snap.counters.end() ? bit->second : 0;
-  view.delta = cur >= prev ? cur - prev : 0;  // racing Reset clamps
+  view.delta = cur >= prev ? cur - prev : 0;  // a baseline ahead clamps
   return view;
 }
 

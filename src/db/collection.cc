@@ -660,16 +660,10 @@ Status Collection::Hybrid(VectorView query, const Predicate& pred,
   HybridPlan plan;
   if (forced_plan != nullptr) {
     plan = *forced_plan;
-  } else if (optimizer_ != nullptr) {
-    TraceScope plan_span(p.trace, "plan");
-    VDB_ASSIGN_OR_RETURN(
-        plan, optimizer_->Choose(pred, View(), p,
-                                 stats != nullptr ? &stats->est_selectivity
-                                                  : nullptr));
-    plan_span.Note("chosen", plan.ToString());
   } else {
-    plan = opts_.predefined_plan;
-    if (segments_.empty()) plan.kind = PlanKind::kBruteForceHybrid;
+    VDB_ASSIGN_OR_RETURN(
+        plan, ChoosePlan(pred, p,
+                         stats != nullptr ? &stats->est_selectivity : nullptr));
   }
   if (stats != nullptr) stats->plan = plan;
   HybridExecutor executor(View());
@@ -678,9 +672,25 @@ Status Collection::Hybrid(VectorView query, const Predicate& pred,
 
 Result<HybridPlan> Collection::ExplainHybrid(const Predicate& pred,
                                              const SearchParams* params) const {
-  SearchParams p = params != nullptr ? *params : SearchParams{};
-  if (optimizer_ == nullptr) return opts_.predefined_plan;
-  return optimizer_->Choose(pred, View(), p);
+  return ChoosePlan(pred, params != nullptr ? *params : SearchParams{},
+                    nullptr);
+}
+
+Result<HybridPlan> Collection::ChoosePlan(const Predicate& pred,
+                                          const SearchParams& params,
+                                          double* est_selectivity) const {
+  if (optimizer_ == nullptr) {
+    HybridPlan plan = opts_.predefined_plan;
+    // No sealed segment means no index to scan.
+    if (segments_.empty()) plan.kind = PlanKind::kBruteForceHybrid;
+    return plan;
+  }
+  TraceScope plan_span(params.trace, "plan");
+  VDB_ASSIGN_OR_RETURN(
+      HybridPlan plan,
+      optimizer_->Choose(pred, View(), params, est_selectivity));
+  plan_span.Note("chosen", plan.ToString());
+  return plan;
 }
 
 Status Collection::BatchKnn(const FloatMatrix& queries, std::size_t k,

@@ -180,7 +180,7 @@ class Collection {
                 const HybridPlan* forced_plan = nullptr,
                 const SearchParams* params = nullptr) const;
 
-  /// The plan the optimizer would choose for `pred` (for inspection).
+  /// The plan Hybrid would run for `pred` (for inspection).
   Result<HybridPlan> ExplainHybrid(const Predicate& pred,
                                    const SearchParams* params = nullptr) const;
 
@@ -246,6 +246,11 @@ class Collection {
   template <typename Fetch>
   Status FetchEntities(std::size_t k, Fetch&& fetch,
                        std::vector<Neighbor>* out) const;
+  /// The plan Hybrid runs when none is forced, and ExplainHybrid
+  /// reports: the configured PlanMode's choice for `pred`.
+  Result<HybridPlan> ChoosePlan(const Predicate& pred,
+                                const SearchParams& params,
+                                double* est_selectivity) const;
 
   CollectionOptions opts_;
   Scorer scorer_;

@@ -155,12 +155,9 @@ void ShardedCollection::RecordProbeOutcome(std::size_t s, bool failed) const {
     shard.cooldown_remaining.store(opts_.breaker_cooldown_probes,
                                    std::memory_order_relaxed);
     shard.consecutive_failures.store(0, std::memory_order_relaxed);
-    auto& reg = Registry::Global();
-    static Counter& trips = reg.GetCounter("vdb_shard_breaker_trips_total");
+    static Counter& trips =
+        Registry::Global().GetCounter("vdb_shard_breaker_trips_total");
     trips.Inc();
-    reg.GetGauge("vdb_shard_breaker_cooldown{shard=\"" + std::to_string(s) +
-                 "\"}")
-        .Set(opts_.breaker_cooldown_probes);
   }
 }
 
@@ -187,14 +184,6 @@ Status ShardedCollection::Knn(VectorView query, std::size_t k,
                               std::size_t shards_to_probe,
                               const SearchParams* params) const {
   if (out == nullptr) return Status::InvalidArgument("out must not be null");
-  auto& reg = Registry::Global();
-  static Counter& queries = reg.GetCounter("vdb_shard_queries_total");
-  static Counter& probe_failures =
-      reg.GetCounter("vdb_shard_probe_failures_total");
-  static Counter& retry_count = reg.GetCounter("vdb_shard_retries_total");
-  static Counter& degraded = reg.GetCounter("vdb_shard_degraded_queries_total");
-  queries.Inc();
-
   auto targets = RouteQuery(query.data(), shards_to_probe);
   const std::size_t n = targets.size();
 
@@ -277,9 +266,6 @@ Status ShardedCollection::Knn(VectorView query, std::size_t k,
       }
       if (skip) {
         skipped[t] = true;
-        reg.GetGauge("vdb_shard_breaker_cooldown{shard=\"" +
-                     std::to_string(s) + "\"}")
-            .Set(cd > 0 ? cd - 1 : 0);
         continue;
       }
     }
@@ -359,8 +345,6 @@ Status ShardedCollection::Knn(VectorView query, std::size_t k,
     parts.push_back(std::move(slot.part));
   }
 
-  if (failed > 0) probe_failures.Inc(failed);
-  if (agg.shard_retries > 0) retry_count.Inc(agg.shard_retries);
   if (failed > 0) {
     if (failed == n) {
       return first_failure.ok()
@@ -372,7 +356,6 @@ Status ShardedCollection::Knn(VectorView query, std::size_t k,
                  ? Status::IoError("shard unavailable (breaker open)")
                  : first_failure;
     }
-    degraded.Inc();  // partial success: results degraded to healthy shards
   }
   agg.shards_failed = failed;
   agg.partial = failed > 0;

@@ -46,17 +46,6 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
   }
   opts.collection.wal_path.clear();  // the manager owns WAL routing
 
-  auto& reg = Registry::Global();
-  static Counter& opens = reg.GetCounter("vdb_recovery_opens_total");
-  static Counter& found = reg.GetCounter("vdb_recovery_generations_found_total");
-  static Counter& discarded =
-      reg.GetCounter("vdb_recovery_generations_discarded_total");
-  static Counter& replayed =
-      reg.GetCounter("vdb_recovery_wal_records_replayed_total");
-  static Gauge& gen_gauge = reg.GetGauge("vdb_recovery_generation");
-  static Histogram& wall = reg.GetHistogram("vdb_recovery_seconds");
-  opens.Inc();
-
   auto mgr =
       std::unique_ptr<RecoveryManager>(new RecoveryManager(std::move(opts)));
   const RecoveryOptions& o = mgr->opts_;
@@ -146,11 +135,6 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
   rep.wall_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
-  found.Inc(rep.generations_found);
-  discarded.Inc(rep.generations_discarded);
-  replayed.Inc(rep.wal_records_replayed);
-  gen_gauge.Set(static_cast<std::int64_t>(mgr->manifest_.current));
-  wall.Observe(rep.wall_seconds);
   return mgr;
 }
 

@@ -19,7 +19,7 @@ struct RecoveryOptions {
   CollectionOptions collection;
 };
 
-/// What Open() found and did — also mirrored into `vdb_recovery_*` metrics.
+/// What Open() found and did.
 struct RecoveryReport {
   std::uint64_t generation = 0;  ///< generation recovered from
   std::size_t generations_found = 0;

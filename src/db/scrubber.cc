@@ -8,7 +8,6 @@
 #include <cstring>
 #include <set>
 
-#include "core/telemetry.h"
 #include "storage/manifest.h"
 #include "storage/serializer.h"
 #include "storage/wal.h"
@@ -33,25 +32,12 @@ class Scrub {
     if (::stat(dir_.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
       return Status::NotFound("not a directory: " + dir_);
     }
-    auto& reg = Registry::Global();
-    static Counter& runs = reg.GetCounter("vdb_scrub_runs_total");
-    runs.Inc();
-
     CheckManifests();
     if (manifest_ok_) {
       for (const auto& g : manifest_.generations) CheckGeneration(g);
     }
     CheckOrphans();
 
-    static Counter& files = reg.GetCounter("vdb_scrub_files_total");
-    static Counter& corrupt = reg.GetCounter("vdb_scrub_corrupt_files_total");
-    static Counter& quarantined =
-        reg.GetCounter("vdb_scrub_quarantined_files_total");
-    static Counter& torn = reg.GetCounter("vdb_scrub_wal_torn_bytes_total");
-    files.Inc(report_.files.size());
-    corrupt.Inc(report_.corrupt_files);
-    quarantined.Inc(report_.quarantined_files);
-    torn.Inc(report_.wal_torn_bytes);
     return std::move(report_);
   }
 

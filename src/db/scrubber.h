@@ -43,7 +43,7 @@ struct ScrubReport {
 /// reach: both manifest copies, every generation's checkpoint and WAL
 /// (record-by-record), plus unreferenced stragglers
 /// (reported as orphans, never quarantined). Verdicts land in the report
-/// and in `vdb_scrub_*` telemetry counters. Exposed as `vdbsh .scrub`.
+/// alone. Exposed as `vdbsh .scrub`.
 Result<ScrubReport> ScrubDirectory(const std::string& dir,
                                    const ScrubOptions& opts = {});
 

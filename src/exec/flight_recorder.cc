@@ -3,23 +3,8 @@
 #include <algorithm>
 
 #include "core/json.h"
-#include "core/telemetry.h"
 
 namespace vdb {
-
-namespace {
-
-Counter& RecordsCounter() {
-  static Counter& c = Registry::Global().GetCounter("vdb_flight_records_total");
-  return c;
-}
-
-Gauge& OccupancyGauge() {
-  static Gauge& g = Registry::Global().GetGauge("vdb_flight_occupancy");
-  return g;
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity,
                                std::uint64_t stale_horizon)
@@ -49,7 +34,6 @@ std::uint64_t FlightRecorder::NoteCompletion(bool failed, double total_ms) {
   std::erase_if(entries_, [stale_before](const FlightRecord& e) {
     return e.seq < stale_before;
   });
-  OccupancyGauge().Set(static_cast<std::int64_t>(entries_.size()));
   if (entries_.size() < capacity_) return completions_;
   FlightRecord candidate;
   candidate.failed = failed;
@@ -79,16 +63,11 @@ void FlightRecorder::Record(FlightRecord record) {
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
       if (!Worse(*it, *least)) least = it;
     }
-    if (!Worse(record, *least)) {
-      OccupancyGauge().Set(static_cast<std::int64_t>(entries_.size()));
-      return;
-    }
+    if (!Worse(record, *least)) return;
     *least = std::move(record);
   } else {
     entries_.push_back(std::move(record));
   }
-  RecordsCounter().Inc();
-  OccupancyGauge().Set(static_cast<std::int64_t>(entries_.size()));
 }
 
 std::vector<FlightRecord> FlightRecorder::WorstFirst() const {
@@ -132,7 +111,6 @@ void FlightRecorder::Clear() {
   MutexLock lock(mu_);
   entries_.clear();
   completions_ = 0;
-  OccupancyGauge().Set(0);
 }
 
 }  // namespace vdb

@@ -11,46 +11,6 @@
 
 namespace vdb {
 
-namespace {
-
-/// Flushes the per-query stats delta into the global registry. All
-/// references are function-local statics: the registry mutex is taken
-/// once per process, after which every search pays only relaxed atomic
-/// adds on per-thread stripes (the acceptance bar: no mutex on Knn).
-void FlushSearchStats(const SearchStats& delta, double seconds) {
-  auto& reg = Registry::Global();
-  static Counter& dist = reg.GetCounter("vdb_index_distance_comps_total");
-  static Counter& code = reg.GetCounter("vdb_index_code_comps_total");
-  static Counter& nodes = reg.GetCounter("vdb_index_nodes_visited_total");
-  static Counter& hops = reg.GetCounter("vdb_index_hops_total");
-  static Counter& io = reg.GetCounter("vdb_index_io_reads_total");
-  static Counter& filt = reg.GetCounter("vdb_index_filter_checks_total");
-  static Histogram& lat = reg.GetHistogram("vdb_index_search_seconds");
-  if (delta.distance_comps != 0) dist.Inc(delta.distance_comps);
-  if (delta.code_comps != 0) code.Inc(delta.code_comps);
-  if (delta.nodes_visited != 0) nodes.Inc(delta.nodes_visited);
-  if (delta.hops != 0) hops.Inc(delta.hops);
-  if (delta.io_reads != 0) io.Inc(delta.io_reads);
-  if (delta.filter_checks != 0) filt.Inc(delta.filter_checks);
-  lat.Observe(seconds);
-}
-
-SearchStats Delta(const SearchStats& after, const SearchStats& before) {
-  SearchStats d;
-  d.distance_comps = after.distance_comps - before.distance_comps;
-  d.code_comps = after.code_comps - before.code_comps;
-  d.nodes_visited = after.nodes_visited - before.nodes_visited;
-  d.hops = after.hops - before.hops;
-  d.io_reads = after.io_reads - before.io_reads;
-  d.filter_checks = after.filter_checks - before.filter_checks;
-  d.shards_failed = after.shards_failed - before.shards_failed;
-  d.shard_retries = after.shard_retries - before.shard_retries;
-  d.partial = after.partial;
-  return d;
-}
-
-}  // namespace
-
 Status VectorIndex::Add(const float*, VectorId) {
   return Status::Unsupported(Name() + ": incremental add not supported");
 }
@@ -117,11 +77,9 @@ Status VectorIndex::Search(const float* query, const SearchParams& params,
     return Status::DeadlineExceeded("query deadline expired before search");
   }
 
-  // Callers may accumulate one SearchStats across many queries, so the
-  // registry flush works on the delta this call produced.
+  // Callers may accumulate one SearchStats across many queries, so this
+  // call counts into its own and adds it to theirs at the end.
   SearchStats local;
-  SearchStats* st = stats != nullptr ? stats : &local;
-  const SearchStats before = *st;
   // The span name costs a virtual call and a heap string: untraced
   // searches skip it.
   TraceScope span(params.trace, params.trace != nullptr
@@ -142,24 +100,25 @@ Status VectorIndex::Search(const float* query, const SearchParams& params,
     inner.k = static_cast<std::size_t>(
         std::ceil(static_cast<double>(params.k) * amp));
     std::vector<Neighbor> raw;
-    status = SearchImpl(query, inner, &raw, st);
+    status = SearchImpl(query, inner, &raw, &local);
     if (status.ok()) {
       TraceScope filter_span(params.trace, "post_filter");
-      *out = FilterNeighbors(raw, *params.filter, params.k, st);
+      *out = FilterNeighbors(raw, *params.filter, params.k, &local);
       filter_span.Note("kept", std::to_string(out->size()));
     }
   } else {
     SearchParams inner = params;
     if (inner.filter == nullptr) inner.filter_mode = FilterMode::kNone;
-    status = SearchImpl(query, inner, out, st);
+    status = SearchImpl(query, inner, out, &local);
   }
 
-  const double seconds =
+  static Histogram& latency =
+      Registry::Global().GetHistogram("vdb_index_search_seconds");
+  latency.Observe(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  const SearchStats delta = Delta(*st, before);
-  FlushSearchStats(delta, seconds);
-  span.RecordStats(delta);
+          .count());
+  if (stats != nullptr) *stats += local;
+  span.RecordStats(local);
   return status;
 }
 

@@ -91,14 +91,13 @@ AdmitDecision AdmissionController::TryAdmit(const std::string& tenant,
     MutexLock lock(mu_);
     decision = TryAdmitLocked(tenant, now);
   }
-  // Labeled per-tenant counters outside mu_: every tenant name is a
-  // map lookup (and possibly a registration) under Registry::mu_, so
-  // it stays off the admission hold. Registry::mu_ is a §9.1 leaf —
-  // the first Metrics::Get() inside TryAdmitLocked may also take it
-  // under mu_, which is the one allowed nesting direction.
-  if (decision.verdict == AdmitVerdict::kAdmit) {
-    TenantCounter("vdb_server_tenant_admitted_total", tenant).Inc();
-  } else {
+  // The labeled shed counter outside mu_: every tenant name is a map
+  // lookup (and possibly a registration) under Registry::mu_, so it
+  // stays off the admission hold. Registry::mu_ is a §9.1 leaf — the
+  // first Metrics::Get() inside TryAdmitLocked may also take it under
+  // mu_, which is the one allowed nesting direction. Admitted queries
+  // pay neither: their per-tenant count is TenantStats::admitted.
+  if (decision.verdict != AdmitVerdict::kAdmit) {
     TenantCounter("vdb_server_tenant_shed_total", tenant).Inc();
   }
   return decision;

@@ -70,11 +70,12 @@ struct AdmitDecision {
 /// _throttled_total, _shed_queue_full_total, _breaker_rejected_total,
 /// _rejected_draining_total, _breaker_trips_total,
 /// _tenants_evicted_total counters and the
-/// vdb_server_queue_depth / _in_flight / _breaker_open gauges; plus
-/// per-tenant labeled counters vdb_server_tenant_admitted_total /
-/// vdb_server_tenant_shed_total{tenant="..."} (labels sanitized, capped
-/// at kMaxTenantLabels distinct values then folded into tenant="other"
-/// so a hostile tenant-name stream cannot grow the registry unbounded).
+/// vdb_server_queue_depth / _in_flight / _breaker_open gauges; plus the
+/// per-tenant labeled counter vdb_server_tenant_shed_total{tenant="..."}
+/// (labels sanitized, capped at kMaxTenantLabels distinct values then
+/// folded into tenant="other" so a hostile tenant-name stream cannot grow
+/// the registry unbounded). Per-tenant admissions are counted only in
+/// TenantStatsSnapshot.
 class AdmissionController {
  public:
   using Clock = std::chrono::steady_clock;
@@ -105,8 +106,8 @@ class AdmissionController {
   /// calls this periodically so a long-lived server's tenant map tracks the
   /// *active* tenant set instead of growing monotonically. Eviction
   /// resets the tenant's cumulative admitted/shed counts in
-  /// TenantStatsSnapshot (the labeled lifetime counters in the registry
-  /// are unaffected); a returning tenant re-initializes with a full
+  /// TenantStatsSnapshot (the labeled lifetime shed counter in the
+  /// registry is unaffected); a returning tenant re-initializes with a full
   /// burst, exactly like a first-ever arrival.
   std::size_t EvictIdleTenants(Clock::time_point now,
                                std::chrono::milliseconds idle_for);
@@ -131,7 +132,7 @@ class AdmissionController {
   std::vector<TenantStats> TenantStatsSnapshot() const;
 
   /// The sanitized label value this tenant reports under in the labeled
-  /// per-tenant counters ("" -> "default"). Does not account for
+  /// per-tenant shed counter ("" -> "default"). Does not account for
   /// cardinality folding: a tenant past the kMaxTenantLabels cap
   /// actually reports as "other".
   static std::string MetricLabelFor(const std::string& tenant);
@@ -150,8 +151,8 @@ class AdmissionController {
   };
 
   /// TryAdmit body; mu_ held (compiler-checked). Updates per-tenant
-  /// cumulative counts but not the labeled registry counters (those are
-  /// bumped by the caller after releasing mu_ to keep the hold short;
+  /// cumulative counts but not the labeled shed counter (the caller
+  /// bumps it after releasing mu_ to keep the hold short;
   /// first-call metric registration inside may take leaf Registry::mu_).
   AdmitDecision TryAdmitLocked(const std::string& tenant,
                                Clock::time_point now) VDB_REQUIRES(mu_);

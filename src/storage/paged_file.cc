@@ -130,9 +130,6 @@ std::uint32_t PagedFile::CacheLookup(std::uint64_t page_id) {
   LruUnlink(f);
   LruPushFront(f);
   ++cache_hits_;
-  static Counter& cache_hit_count =
-      Registry::Global().GetCounter("vdb_paged_file_cache_hits_total");
-  cache_hit_count.Inc();
   return f;
 }
 
@@ -162,10 +159,8 @@ void PagedFile::CacheInsert(std::uint64_t page_id, const std::uint8_t* data) {
 
 Status PagedFile::ReadRunLocked(std::uint64_t first_page, std::size_t npages,
                                 const std::uint8_t** data) {
-  auto& reg = Registry::Global();
-  static Counter& read_count = reg.GetCounter("vdb_paged_file_reads_total");
   static Counter& read_failures =
-      reg.GetCounter("vdb_paged_file_read_failures_total");
+      Registry::Global().GetCounter("vdb_paged_file_read_failures_total");
   if (fault_after_ >= 0) {
     if (fault_after_ < static_cast<std::int64_t>(npages)) {
       // Sticky, like the single-page path: once tripped, every later
@@ -195,7 +190,6 @@ Status PagedFile::ReadRunLocked(std::uint64_t first_page, std::size_t npages,
                            read_status.message());
   }
   reads_ += npages;
-  read_count.Inc(npages);
   for (std::size_t i = 0; i < npages; ++i) {
     std::uint8_t* page = buf + i * opts_.page_size;
     if (FailpointFires("paged_file.read.corrupt")) {
@@ -261,14 +255,7 @@ Status PagedFile::ReadBlocksLocked(std::span<const std::uint64_t> offsets,
       return Status::OutOfRange("block crosses a page end");
     }
   }
-  auto& reg = Registry::Global();
-  static Counter& batch_reads = reg.GetCounter("vdb_paged_batch_reads_total");
-  static Counter& batch_blocks = reg.GetCounter("vdb_paged_batch_pages_total");
-  static Counter& batch_syscalls =
-      reg.GetCounter("vdb_paged_batch_syscalls_total");
   ++batch_reads_;
-  batch_reads.Inc();
-  batch_blocks.Inc(offsets.size());
 
   // Pass 1: serve cache hits; list the missing slots by page. A repeat of
   // a missing page misses again (nothing is cached before pass 2), so the
@@ -297,7 +284,6 @@ Status PagedFile::ReadBlocksLocked(std::span<const std::uint64_t> offsets,
       ++end;
     }
     ++batch_syscalls_;
-    batch_syscalls.Inc();
     const std::uint8_t* run = nullptr;
     VDB_RETURN_IF_ERROR(ReadRunLocked(first, last - first + 1, &run));
     for (; r < end; ++r) {
@@ -325,9 +311,6 @@ Status PagedFile::WritePageLocked(std::uint64_t page_id,
       static_cast<off_t>(page_id * opts_.page_size),
       ("pwrite page " + std::to_string(page_id)).c_str()));
   ++writes_;
-  static Counter& write_count =
-      Registry::Global().GetCounter("vdb_paged_file_writes_total");
-  write_count.Inc();
   if (page_id >= num_pages_) num_pages_ = page_id + 1;
   CacheInsert(page_id, buf);
   return Status::Ok();

@@ -604,6 +604,9 @@ TEST(WalTornTailTest, TruncatesBeforeAppend) {
     std::ofstream f(wal_path, std::ios::binary | std::ios::app);
     f.write("\x13garbage-torn-frame\x37", 20);  // simulated torn append
   }
+  Counter& torn =
+      Registry::Global().GetCounter("vdb_recovery_torn_bytes_truncated_total");
+  const std::uint64_t torn_before = torn.Value();
   {
     auto c = Collection::Open(opts);
     ASSERT_TRUE(c.ok());
@@ -611,6 +614,7 @@ TEST(WalTornTailTest, TruncatesBeforeAppend) {
     struct stat st;
     ASSERT_EQ(::stat(wal_path.c_str(), &st), 0);
     EXPECT_EQ(static_cast<std::size_t>(st.st_size), clean_size);  // truncated
+    EXPECT_EQ(torn.Value(), torn_before + 20);
     ASSERT_TRUE((*c)->Insert(4, VecOf(4)).ok());  // lands after valid tail
   }
   {
@@ -907,35 +911,49 @@ TEST(RecoveryTest, Format1DirectoryOpensThroughRebuild) {
   RemoveTree(dir);
 }
 
-// Recovery telemetry lands in the global registry (`.metrics` output).
-TEST(RecoveryTest, TelemetryCountersMove) {
+// What Open found lives in its RecoveryReport; the registry counts what
+// no report returns: checkpoints, their latency and the generations they
+// garbage-collect.
+TEST(RecoveryTest, ReportAndCheckpointCountersMove) {
   auto& reg = Registry::Global();
-  std::uint64_t opens_before =
-      reg.GetCounter("vdb_recovery_opens_total").Value();
-  std::uint64_t replayed_before =
-      reg.GetCounter("vdb_recovery_wal_records_replayed_total").Value();
+  Counter& checkpoints = reg.GetCounter("vdb_recovery_checkpoints_total");
+  Histogram& checkpoint_latency =
+      reg.GetHistogram("vdb_recovery_checkpoint_seconds");
+  Counter& gced = reg.GetCounter("vdb_recovery_generations_gced_total");
+  const std::uint64_t checkpoints_before = checkpoints.Value();
+  const std::uint64_t latency_before = checkpoint_latency.Count();
+  const std::uint64_t gced_before = gced.Value();
   std::string dir = TempPath("telemetry");
   RemoveTree(dir);
   RecoveryOptions ro;
   ro.dir = dir;
   ro.collection = WorkloadOptions(1);
   {
-    auto mgr = RecoveryManager::Open(ro);
+    RecoveryReport report;
+    auto mgr = RecoveryManager::Open(ro, &report);
     ASSERT_TRUE(mgr.ok());
+    EXPECT_TRUE(report.fresh_start);
     for (std::uint64_t id = 1; id <= 5; ++id) {
       ASSERT_TRUE((*mgr)->collection().Insert(id, VecOf(id)).ok());
     }
   }
-  {
-    auto mgr = RecoveryManager::Open(ro);
-    ASSERT_TRUE(mgr.ok());
-  }
-  EXPECT_GE(reg.GetCounter("vdb_recovery_opens_total").Value(),
-            opens_before + 2);
-  EXPECT_GE(reg.GetCounter("vdb_recovery_wal_records_replayed_total").Value(),
-            replayed_before + 5);
-  std::string prom = reg.RenderPrometheus();
-  EXPECT_NE(prom.find("vdb_recovery_opens_total"), std::string::npos);
+  RecoveryReport report;
+  auto mgr = RecoveryManager::Open(ro, &report);
+  ASSERT_TRUE(mgr.ok());
+  EXPECT_FALSE(report.fresh_start);
+  EXPECT_EQ(report.generation, 0u);
+  EXPECT_EQ(report.generations_found, 1u);
+  EXPECT_EQ(report.generations_discarded, 0u);
+  EXPECT_EQ(report.wal_records_replayed, 5u);
+  EXPECT_GT(report.wall_seconds, 0.0);
+
+  // Two generations are kept, so the second and third checkpoints each
+  // collect one.
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE((*mgr)->Checkpoint().ok());
+  EXPECT_EQ((*mgr)->generation(), 3u);
+  EXPECT_EQ(checkpoints.Value(), checkpoints_before + 3);
+  EXPECT_EQ(checkpoint_latency.Count(), latency_before + 3);
+  EXPECT_EQ(gced.Value(), gced_before + 2);
   RemoveTree(dir);
 }
 

@@ -240,6 +240,32 @@ TEST(CollectionTest, PredefinedPlanMode) {
   for (const auto& nb : out) EXPECT_EQ(nb.id % 2, 0u);
 }
 
+// Before BuildIndex there is no sealed segment to scan: Hybrid brute
+// forces, and ExplainHybrid reports that plan, not the configured one.
+TEST(CollectionTest, ExplainHybridReportsThePlanHybridRuns) {
+  CollectionOptions opts = BaseOptions();
+  opts.plan_mode = PlanMode::kPredefined;
+  opts.predefined_plan = {PlanKind::kVisitFirstIndexScan, 3.0f};
+  auto collection = Collection::Create(opts);
+  ASSERT_TRUE(collection.ok());
+  auto& c = **collection;
+  FloatMatrix data = TestData(50, 8);
+  for (std::size_t i = 0; i < data.rows(); ++i) {
+    ASSERT_TRUE(c.Insert(i, data.row_view(i),
+                         {{"category", std::int64_t(i % 2)}})
+                    .ok());
+  }
+  auto pred = Predicate::Cmp("category", CmpOp::kEq, std::int64_t{0});
+  std::vector<Neighbor> out;
+  ExecStats stats;
+  ASSERT_TRUE(c.Hybrid(data.row_view(0), pred, 5, &out, &stats).ok());
+  auto plan = c.ExplainHybrid(pred);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(stats.plan.has_value());
+  EXPECT_EQ(stats.plan->kind, PlanKind::kBruteForceHybrid);
+  EXPECT_EQ(plan->ToString(), stats.plan->ToString());
+}
+
 TEST(CollectionTest, BatchKnnFastPathMatchesSequential) {
   auto collection = Collection::Create(BaseOptions());
   ASSERT_TRUE(collection.ok());

@@ -15,6 +15,7 @@
 #include "core/eval.h"
 #include "core/rng.h"
 #include "core/synthetic.h"
+#include "core/telemetry.h"
 #include "index/diskann.h"
 #include "index/spann.h"
 #include "storage/paged_file.h"
@@ -282,6 +283,9 @@ TEST(PagedFileTest, ReadBlocksFaultCountdownIsPerPhysicalPage) {
 }
 
 TEST(PagedFileTest, FaultInjectionSurfacesIoError) {
+  Counter& read_failures =
+      Registry::Global().GetCounter("vdb_paged_file_read_failures_total");
+  const std::uint64_t failures_before = read_failures.Value();
   auto file = PagedFile::Create(TempPath("pf_fault"));
   ASSERT_TRUE(file.ok());
   std::vector<std::uint8_t> buf(4096, 5);
@@ -290,6 +294,7 @@ TEST(PagedFileTest, FaultInjectionSurfacesIoError) {
   (*file)->InjectReadFaultAfter(1);
   EXPECT_TRUE((*file)->ReadPage(0, buf.data()).ok());
   EXPECT_EQ((*file)->ReadPage(1, buf.data()).code(), StatusCode::kIoError);
+  EXPECT_EQ(read_failures.Value(), failures_before + 1);
 }
 
 // ------------------------------------------------------------ disk indexes

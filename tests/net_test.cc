@@ -360,11 +360,17 @@ TEST(AdmissionTest, BreakerTripsOnBackendFailuresOnly) {
   ac.OnComplete("t", true, t0);
 
   // Three consecutive backend failures: open, with a cooldown hint.
+  Counter& trips =
+      Registry::Global().GetCounter("vdb_server_breaker_trips_total");
+  Gauge& open = Registry::Global().GetGauge("vdb_server_breaker_open");
+  const std::uint64_t trips_before = trips.Value();
   for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(ac.TryAdmit("t", t0).verdict, AdmitVerdict::kAdmit) << i;
     ac.OnStart();
     ac.OnComplete("t", /*backend_healthy=*/false, t0);
   }
+  EXPECT_EQ(trips.Value(), trips_before + 1);
+  EXPECT_EQ(open.Value(), 1);
   AdmitDecision d = ac.TryAdmit("t", t0);
   EXPECT_EQ(d.verdict, AdmitVerdict::kBreakerOpen);
   EXPECT_GT(d.retry_after_ms, 0u);
@@ -373,6 +379,7 @@ TEST(AdmissionTest, BreakerTripsOnBackendFailuresOnly) {
   // Half-open after the cooldown: traffic flows again.
   auto t1 = t0 + milliseconds(opts.breaker_cooldown_ms + 1);
   EXPECT_EQ(ac.TryAdmit("t", t1).verdict, AdmitVerdict::kAdmit);
+  EXPECT_EQ(open.Value(), 0);
   ac.OnStart();
   ac.OnComplete("t", true, t1);
 }
@@ -388,6 +395,9 @@ TEST(AdmissionTest, DrainRejectsEverything) {
 }
 
 TEST(AdmissionTest, EvictIdleTenantsDropsOnlyQuiescent) {
+  Counter& evicted =
+      Registry::Global().GetCounter("vdb_server_tenants_evicted_total");
+  const std::uint64_t evicted_before = evicted.Value();
   AdmissionController ac(SmallQuota());
   auto t0 = Clock::now();
   // "idle" completes immediately; "busy" keeps one request in flight.
@@ -406,6 +416,7 @@ TEST(AdmissionTest, EvictIdleTenantsDropsOnlyQuiescent) {
   EXPECT_EQ(ac.EvictIdleTenants(t0 + std::chrono::minutes(2),
                                 std::chrono::minutes(1)),
             1u);
+  EXPECT_EQ(evicted.Value(), evicted_before + 1);
   auto stats = ac.TenantStatsSnapshot();
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].tenant, "busy");
@@ -417,6 +428,10 @@ TEST(AdmissionTest, EvictIdleTenantsDropsOnlyQuiescent) {
 }
 
 TEST(AdmissionTest, EvictedTenantReturnsWithFreshBurst) {
+  Counter& shed = Registry::Global().GetCounter(
+      "vdb_server_tenant_shed_total{tenant=\"" +
+      AdmissionController::MetricLabelFor("t") + "\"}");
+  const std::uint64_t shed_before = shed.Value();
   AdmissionController ac(SmallQuota());  // burst=2
   auto t0 = Clock::now();
   // Drain the bucket, then go idle and get evicted.
@@ -426,6 +441,7 @@ TEST(AdmissionTest, EvictedTenantReturnsWithFreshBurst) {
     ac.OnComplete("t", true, t0);
   }
   ASSERT_EQ(ac.TryAdmit("t", t0).verdict, AdmitVerdict::kThrottled);
+  EXPECT_EQ(shed.Value(), shed_before + 1);
   ASSERT_EQ(ac.EvictIdleTenants(t0 + std::chrono::minutes(2),
                                 std::chrono::minutes(1)),
             1u);
@@ -437,6 +453,8 @@ TEST(AdmissionTest, EvictedTenantReturnsWithFreshBurst) {
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].admitted, 1u);
   EXPECT_EQ(stats[0].shed, 0u);
+  // The labeled shed counter is lifetime: eviction does not reset it.
+  EXPECT_EQ(shed.Value(), shed_before + 1);
 }
 
 // ----------------------------------------------------------- end-to-end
@@ -871,6 +889,82 @@ TEST_F(ServerTest, NoFdLeakAcrossConnectionChurn) {
   }
   std::size_t fds_after = OpenFdCount();
   EXPECT_EQ(fds_before, fds_after) << "fd leak across connection churn";
+}
+
+/// Writes `bytes` on `fd` and reads back one response frame.
+Result<Response> RawRoundTrip(int fd, const std::vector<std::uint8_t>& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, 0);
+    if (n <= 0) return Status::IoError("send");
+    sent += static_cast<std::size_t>(n);
+  }
+  std::vector<std::uint8_t> in;
+  for (;;) {
+    std::span<const std::uint8_t> payload;
+    std::size_t consumed = 0;
+    if (ExtractFrame(in, &payload, &consumed) == FrameResult::kReady) {
+      return DecodeResponse(payload);
+    }
+    std::uint8_t chunk[4096];
+    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return Status::IoError("connection closed");
+    in.insert(in.end(), chunk, chunk + n);
+  }
+}
+
+TEST_F(ServerTest, ConnectionsFramesAndDrainAreCounted) {
+  auto& reg = Registry::Global();
+  Counter& accepted = reg.GetCounter("vdb_server_accepted_total");
+  Counter& accept_failures = reg.GetCounter("vdb_server_accept_failures_total");
+  Counter& malformed = reg.GetCounter("vdb_server_malformed_requests_total");
+  Counter& protocol_errors = reg.GetCounter("vdb_server_protocol_errors_total");
+  Histogram& requests = reg.GetHistogram("vdb_server_request_seconds");
+  Histogram& drains = reg.GetHistogram("vdb_server_drain_seconds");
+  const std::uint64_t accepted_before = accepted.Value();
+  const std::uint64_t accept_failures_before = accept_failures.Value();
+  const std::uint64_t malformed_before = malformed.Value();
+  const std::uint64_t protocol_errors_before = protocol_errors.Value();
+  const std::uint64_t requests_before = requests.Count();
+  const std::uint64_t drains_before = drains.Count();
+
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  auto client = Client::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client.ok());
+  auto resp = (*client)->Query(kQuery, "t", 0);
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->status, WireStatus::kOk);
+  EXPECT_EQ(accepted.Value(), accepted_before + 1);
+  EXPECT_EQ(requests.Count(), requests_before + 1);
+
+  // A frame whose payload does not decode: a MALFORMED reply, and the
+  // connection stays open.
+  auto bad = RawRoundTrip((*client)->fd(), {2, 0, 0, 0, 1, 0});
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  EXPECT_EQ(bad->status, WireStatus::kMalformed);
+  EXPECT_EQ(malformed.Value(), malformed_before + 1);
+  ASSERT_TRUE((*client)->Ping().ok());
+
+  // A frame longer than the limit: a protocol error, then a close.
+  auto huge = RawRoundTrip((*client)->fd(), {0xff, 0xff, 0xff, 0xff});
+  ASSERT_TRUE(huge.ok()) << huge.status().ToString();
+  EXPECT_EQ(huge->status, WireStatus::kMalformed);
+  EXPECT_EQ(protocol_errors.Value(), protocol_errors_before + 1);
+
+  {
+    // The server takes the socket and drops it at once.
+    ScopedFailpoint refuse("net.accept.fail", "times:1");
+    auto refused = Client::Connect("127.0.0.1", server->port());
+    ASSERT_TRUE(refused.ok());
+    EXPECT_FALSE((*refused)->Ping().ok());
+  }
+  EXPECT_EQ(accept_failures.Value(), accept_failures_before + 1);
+  EXPECT_EQ(accepted.Value(), accepted_before + 1);
+
+  server->RequestDrain();
+  EXPECT_TRUE(server->Shutdown().clean);
+  EXPECT_EQ(drains.Count(), drains_before + 1);
 }
 
 TEST_F(ServerTest, AdmissionVerdictsAreAccounted) {

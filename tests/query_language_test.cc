@@ -9,6 +9,7 @@
 #include "core/eval.h"
 #include "core/rng.h"
 #include "core/synthetic.h"
+#include "core/telemetry.h"
 #include "db/database.h"
 #include "db/query_language.h"
 #include "db/secure.h"
@@ -217,6 +218,21 @@ TEST(QueryExecuteTest, ErrorsSurfaceCleanly) {
             StatusCode::kInvalidArgument);  // dim mismatch
   EXPECT_EQ(ExecuteQuery(nullptr, "x").status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// Every completion, failed ones included, lands in the query histogram.
+TEST(QueryExecuteTest, EveryCompletionObservesQueryLatency) {
+  QlFixture fx;
+  Histogram& latency = Registry::Global().GetHistogram("vdb_query_seconds");
+  const std::uint64_t before = latency.Count();
+  ASSERT_TRUE(ExecuteQuery(&fx.db, "SELECT knn(5) FROM items ORDER BY "
+                                   "distance(" + fx.VectorLiteral(1) + ")")
+                  .ok());
+  EXPECT_FALSE(ExecuteQuery(&fx.db, "SELECT knn(").ok());
+  EXPECT_FALSE(
+      ExecuteQuery(&fx.db, "SELECT knn(5) FROM missing ORDER BY distance([1])")
+          .ok());
+  EXPECT_EQ(latency.Count(), before + 3);
 }
 
 // ------------------------------------------------------------- secure kNN

@@ -26,7 +26,9 @@ pass --root):
      appears (backticked) in the DESIGN.md §7 metric table, and every
      `vdb_*` name that table documents is registered somewhere in src/
      — the dashboard reference can neither lag the code nor advertise
-     metrics that no longer exist.
+     metrics that no longer exist. And every registered name has a
+     reader: it is spelled, outside comments, in a file under tests/
+     or perfbench/ — a metric nothing reads cannot come back.
   7. SIMD confinement: `_mm*` intrinsics, `__m128/256/512` vector
      types, and `target(...)` function attributes live only in
      src/core/simd.cc (one TU owns every kernel, so the portable build
@@ -104,6 +106,9 @@ PREFETCH_CALL = re.compile(r"\bPrefetch(?:Bytes|Floats)\s*\(")
 NET_IO = re.compile(
     r"::(?:socket|bind|listen|accept4?|connect|recv|send|"
     r"epoll_(?:create1|ctl|wait)|eventfd(?:_read|_write)?)\s*\(")
+
+# Invariant 6: where a registered metric must have a reader.
+READER_DIRS = ("tests", "perfbench")
 
 # Files allowed to issue raw durability syscalls. core/failpoint.cc uses
 # only _exit (not matched); everything else routes through storage/.
@@ -301,6 +306,28 @@ def check_metric_docs(root, kinds, errors):
                       f"not registered anywhere under src/")
 
 
+def check_metric_readers(root, kinds, errors):
+    """Invariant 6, second half: every registered name is read by a test
+    or the benchmark."""
+    texts = []
+    for sub in READER_DIRS:
+        for path in sorted((root / sub).rglob("*")):
+            if path.suffix in (".cc", ".cpp", ".h"):
+                texts.append(strip_comments(path.read_text()))
+            elif path.suffix == ".py":
+                texts.append(path.read_text())
+    corpus = "\n".join(texts)
+    for base, by_kind in sorted(kinds.items()):
+        if re.search(r"(?<![a-z0-9_])" + re.escape(base) + r"(?![a-z0-9_])",
+                     corpus):
+            continue
+        kind = sorted(by_kind)[0]
+        f, l = by_kind[kind][0]
+        errors.append(f"{f}:{l}: metric '{base}' is read by no file under "
+                      f"{' or '.join(READER_DIRS)}; pin it in a test or "
+                      f"delete it")
+
+
 def check_raw_io(root, errors):
     for path in source_files(root):
         rel = path.relative_to(root).as_posix()
@@ -470,6 +497,7 @@ def main():
     sites = check_failpoints(args.root, errors)
     metrics = check_telemetry(args.root, errors)
     check_metric_docs(args.root, metrics, errors)
+    check_metric_readers(args.root, metrics, errors)
     check_raw_io(args.root, errors)
     check_simd_confinement(args.root, errors)
     check_sync_confinement(args.root, errors)
